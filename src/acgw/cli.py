@@ -279,17 +279,78 @@ def cmd_render(args) -> int:
     return 0
 
 
-_GEN_KINDS = (
-    "complex",
-    "exact",
-    "hor",
-    "ver",
-    "map",
-    "pair",
-    "ses",
-    "snake-weak",
-    "snake-strong",
-)
+def _one_complex(cx: ChainComplex) -> Document:
+    return Document(cx.inst, complexes=(("X", cx),))
+
+
+def _gen_hor(cfg: GenConfig) -> Document:
+    f = gen_hor_mor(cfg)
+    return Document(
+        f.source.inst, complexes=(("X", f.source), ("Y", f.target)), hors=(("f", f),)
+    )
+
+
+def _gen_ver(cfg: GenConfig) -> Document:
+    g = gen_ver_mor(cfg)
+    return Document(
+        g.source.inst, complexes=(("Z", g.source), ("Y", g.target)), vers=(("g", g),)
+    )
+
+
+def _gen_map(cfg: GenConfig) -> Document:
+    f = gen_chain_map(cfg)
+    complexes = (("X", f.source), ("Z", f.middle), ("Y", f.target))
+    return Document(f.source.inst, complexes=complexes, maps=(("F", f),))
+
+
+def _gen_pair(cfg: GenConfig) -> Document:
+    f, g = gen_composable_chain_maps(cfg)
+    complexes = (
+        ("X", f.source),
+        ("U", f.middle),
+        ("Y", f.target),
+        ("V", g.middle),
+        ("W", g.target),
+    )
+    return Document(f.source.inst, complexes=complexes, maps=(("F", f), ("G", g)))
+
+
+def _gen_ses(cfg: GenConfig) -> Document:
+    ses = gen_ses(cfg)
+    x, y = ses.sub.source, ses.sub.target
+    return Document(
+        x.inst, complexes=(("X", x), ("Y", y)), hors=(("f", ses.sub),), seses=(("S", "f"),)
+    )
+
+
+def _gen_snake_weak(cfg: GenConfig) -> Document:
+    s = gen_snake_weak(cfg)
+    return Document(s.inst, snakes_weak=(("S", s),))
+
+
+def _gen_snake_strong(cfg: GenConfig) -> Document:
+    s = gen_snake_strong(cfg)
+    return Document(s.inst, snakes_strong=(("S", s),))
+
+
+#: document builders for ``gen --kind``, per ``--instance``
+_GEN = {
+    "set": {
+        "complex": lambda cfg: _one_complex(gen_complex(cfg)[0]),
+        "exact": lambda cfg: _one_complex(gen_exact_complex(cfg)),
+        "hor": _gen_hor,
+        "ver": _gen_ver,
+        "map": _gen_map,
+        "pair": _gen_pair,
+        "ses": _gen_ses,
+        "snake-weak": _gen_snake_weak,
+        "snake-strong": _gen_snake_strong,
+    },
+    "linear": {
+        "complex": lambda cfg: _one_complex(gen_linear_complex(cfg)[0]),
+        "exact": lambda cfg: _one_complex(gen_linear_complex(cfg, exact=True)[0]),
+    },
+}
 
 
 def cmd_gen(args) -> int:
@@ -299,86 +360,15 @@ def cmd_gen(args) -> int:
         instance=args.instance,
         prime=args.prime,
     )
-    if args.instance == "linear" and args.kind not in ("complex", "exact"):
+    build = _GEN[args.instance].get(args.kind)
+    if build is None:
         print(
-            f"gen --instance linear supports only --kind complex or exact, "
-            f"not {args.kind!r}",
+            f"gen --instance {args.instance} supports only --kind "
+            f"{' or '.join(_GEN[args.instance])}, not {args.kind!r}",
             file=sys.stderr,
         )
         return 2
-    inst_doc: Document
-    if args.kind in ("complex", "exact"):
-        if args.instance == "linear":
-            cx, _ = gen_linear_complex(cfg, exact=args.kind == "exact")
-        elif args.kind == "complex":
-            cx, _ = gen_complex(cfg)
-        else:
-            cx = gen_exact_complex(cfg)
-        inst_doc = Document(
-            cx.inst,
-            args.instance,
-            args.prime if args.instance == "linear" else 2,
-            complexes=(("X", cx),),
-        )
-    elif args.kind == "hor":
-        f = gen_hor_mor(cfg)
-        inst_doc = Document(
-            f.source.inst,
-            "set",
-            2,
-            complexes=(("X", f.source), ("Y", f.target)),
-            hors=(("f", f),),
-        )
-    elif args.kind == "ver":
-        g = gen_ver_mor(cfg)
-        inst_doc = Document(
-            g.source.inst,
-            "set",
-            2,
-            complexes=(("Z", g.source), ("Y", g.target)),
-            vers=(("g", g),),
-        )
-    elif args.kind == "map":
-        f = gen_chain_map(cfg)
-        inst_doc = Document(
-            f.source.inst,
-            "set",
-            2,
-            complexes=(("X", f.source), ("Z", f.middle), ("Y", f.target)),
-            maps=(("F", f),),
-        )
-    elif args.kind == "pair":
-        f, g = gen_composable_chain_maps(cfg)
-        inst_doc = Document(
-            f.source.inst,
-            "set",
-            2,
-            complexes=(
-                ("X", f.source),
-                ("U", f.middle),
-                ("Y", f.target),
-                ("V", g.middle),
-                ("W", g.target),
-            ),
-            maps=(("F", f), ("G", g)),
-        )
-    elif args.kind == "ses":
-        ses = gen_ses(cfg)
-        inst_doc = Document(
-            ses.sub.source.inst,
-            "set",
-            2,
-            complexes=(("X", ses.sub.source), ("Y", ses.sub.target)),
-            hors=(("f", ses.sub),),
-            seses=(("S", "f"),),
-        )
-    elif args.kind == "snake-weak":
-        s = gen_snake_weak(cfg)
-        inst_doc = Document(s.inst, "set", 2, snakes_weak=(("S", s),))
-    else:  # snake-strong
-        s = gen_snake_strong(cfg)
-        inst_doc = Document(s.inst, "set", 2, snakes_strong=(("S", s),))
-    sys.stdout.write(serialize(inst_doc))
+    sys.stdout.write(serialize(build(cfg)))
     return 0
 
 
@@ -448,10 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("gen", help="emit a random document")
-    p.add_argument("--kind", choices=_GEN_KINDS, required=True)
+    p.add_argument("--kind", choices=tuple(_GEN["set"]), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=int, default=8, help="object size bound")
-    p.add_argument("--instance", choices=("set", "linear"), default="set")
+    p.add_argument("--instance", choices=tuple(_GEN), default="set")
     p.add_argument("--prime", type=int, default=2)
     p.set_defaults(func=cmd_gen)
 

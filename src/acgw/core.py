@@ -10,11 +10,12 @@ complement operations (:meth:`AcgwInstance.coker` and
 squares (:meth:`AcgwInstance.mixed_pullback`).
 
 Everything downstream — chain complexes, homology, snake constructions,
-long exact sequences — is written against the abstract primitive inventory
-declared here, so adding an instance only requires implementing
-:class:`AcgwInstance`.  Two instances ship with the library: finite sets
-with injections on both sides (:mod:`acgw.finset`) and finite-dimensional
-vector spaces over a prime field (:mod:`acgw.linear`).
+long exact sequences, the document format and the rank oracle — is written
+against the abstract primitive inventory and hooks declared here, so adding
+an instance only requires implementing :class:`AcgwInstance`.  Two
+instances ship with the library: finite sets with injections on both sides
+(:mod:`acgw.finset`) and finite-dimensional vector spaces over a prime field
+(:mod:`acgw.linear`).
 """
 
 from __future__ import annotations
@@ -162,7 +163,23 @@ class AcgwInstance(ABC):
     """Primitive inventory one concrete category must provide.
 
     Implementations must be pure: every method returns fresh immutable
-    values and never mutates its arguments.
+    values and never mutates its arguments.  Two instances are equal when
+    they have the same class and the same document header.
+
+    Besides the double-exact primitives, an instance implements the hooks
+    through which the rest of the library reads its data layout:
+
+    * document format: :meth:`from_header` and :meth:`header` (the lines
+      after ``instance KIND``), :meth:`obj_from_text`/:meth:`obj_text`
+      (object payloads), :meth:`mor_from_text`/:meth:`mor_text` (leg and
+      level payloads, with their defaults), and :meth:`lift_hor_bar`/
+      :meth:`lift_ver_bar` (the bar levels a ``hor``/``ver`` section forces);
+    * rank oracle: :attr:`prime` and :meth:`boundary_matrix`;
+    * homology: :meth:`homology_span` (the span :func:`acgw.h_on_map`
+      returns) and :meth:`homology_embedding` (the levels of
+      :func:`acgw.homology_complex`);
+    * literal subobjects, for instances with canonical subobjects only:
+      :meth:`inclusion_hor` and :meth:`inclusion_ver`.
     """
 
     #: short tag used by documents and the CLI ("set" or "linear")
@@ -171,6 +188,14 @@ class AcgwInstance(ABC):
     #: identity is stable across independent runs (true for finite sets,
     #: false for coordinate-based instances)
     has_canonical_subobjects: bool = False
+    #: characteristic of the field the rank oracle counts ranks over
+    prime: int
+
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and self.header() == other.header()
+
+    def __hash__(self) -> int:
+        return hash((type(self), tuple(self.header())))
 
     # ----- objects -------------------------------------------------
     @abstractmethod
@@ -305,6 +330,89 @@ class AcgwInstance(ABC):
         """Canonical invariant of the span ``back.target <= middle ->
         front.target``; two spans between the same endpoints are
         equivalent iff their keys agree."""
+
+    # ----- literal subobjects ----------------------------------------
+    def inclusion_hor(self, sub: Any, ambient: Any) -> HorMor:
+        """Literal inclusion of a subobject as a horizontal morphism."""
+        raise CapabilityError(f"{self.kind} instances have no literal subobjects")
+
+    def inclusion_ver(self, sub: Any, ambient: Any) -> VerMor:
+        """Literal inclusion of a subobject as a vertical morphism."""
+        raise CapabilityError(f"{self.kind} instances have no literal subobjects")
+
+    # ----- document format -------------------------------------------
+    @classmethod
+    @abstractmethod
+    def from_header(cls, prime: int | None) -> "AcgwInstance":
+        """The instance a document header declares; ``prime`` is the value
+        of its ``prime`` line, or ``None`` without one.  Raises
+        :class:`AcgwError` for a header the instance does not accept."""
+
+    @abstractmethod
+    def header(self) -> list[str]:
+        """The header lines that follow ``instance KIND``."""
+
+    @abstractmethod
+    def obj_from_text(self, text: str) -> Any:
+        """The object an ``object``/``transition`` payload describes;
+        raises :class:`AcgwError` on malformed text."""
+
+    @abstractmethod
+    def obj_text(self, obj: Any) -> str:
+        """Payload text of ``obj`` (possibly empty)."""
+
+    @abstractmethod
+    def mor_from_text(
+        self, mor_type: type, source: Any, target: Any, text: str | None, leg: bool = False
+    ) -> HorMor | VerMor:
+        """The morphism of class ``mor_type`` (:class:`HorMor` or
+        :class:`VerMor`) a payload describes.  ``text`` is ``None`` when
+        the line is omitted: ``leg`` selects the default of a transition
+        leg rather than that of a level.  Raises :class:`AcgwError` on
+        malformed text."""
+
+    @abstractmethod
+    def mor_text(self, mor: HorMor | VerMor, leg: bool = False) -> str | None:
+        """Payload text of ``mor``, or ``None`` when the line is omitted
+        because the parser's default (see :meth:`mor_from_text`) gives
+        ``mor`` back."""
+
+    @abstractmethod
+    def lift_hor_bar(self, level: HorMor, src_up: VerMor, tgt_up: VerMor) -> HorMor:
+        """The bar level ``T -> T'`` of a horizontal chain morphism with
+        level ``X_i -> Y_i``, forced by the upper legs ``src_up: T => X_i``
+        and ``tgt_up: T' => Y_i``; raises :class:`AcgwError` if none
+        exists."""
+
+    @abstractmethod
+    def lift_ver_bar(self, level: VerMor, src_low: HorMor, tgt_low: HorMor) -> VerMor:
+        """The bar level ``T => T'`` of a vertical chain morphism with
+        level ``Z_{i-1} => Y_{i-1}``, forced by the lower legs
+        ``src_low: T -> Z_{i-1}`` and ``tgt_low: T' -> Y_{i-1}``; raises
+        :class:`AcgwError` if none exists."""
+
+    # ----- rank oracle -----------------------------------------------
+    @abstractmethod
+    def boundary_matrix(self, up: VerMor, low: HorMor) -> Any:
+        """The plain boundary matrix ``X_i -> X_{i-1}`` over ``F_prime``
+        (a numpy array) of the transition with legs ``up: T => X_i`` and
+        ``low: T -> X_{i-1}``; raises :class:`ValidationError` when a leg
+        cannot be read."""
+
+    # ----- homology --------------------------------------------------
+    @abstractmethod
+    def homology_span(self, gx: Any, gy: Any, back: VerMor, front: HorMor) -> FlatMor:
+        """The span ``H_i(X) <= M -> H_i(Y)`` a chain map induces, from
+        the homology grids ``gx``, ``gy`` (:class:`acgw.HomologyGrid`) of
+        its source and target and its levels ``back: Z_i => X_i`` and
+        ``front: Z_i -> Y_i`` at the degree."""
+
+    @abstractmethod
+    def homology_embedding(self, grid: Any, boundaries: HorMor) -> tuple[HorMor, VerMor]:
+        """Horizontal and vertical levels ``H_i -> X_i`` and ``H_i => X_i``
+        that embed homology into the complex, both inducing the identity
+        on homology, from the grid at degree ``i`` and the lower leg
+        ``boundaries: T_{i+1} -> X_i``."""
 
 
 # ---------------------------------------------------------------------------

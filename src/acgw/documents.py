@@ -35,11 +35,8 @@ serializer emits a canonical form that parses back to an equal document.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .chains import (
     ChainComplex,
@@ -56,8 +53,8 @@ from .chains import (
     validate_ver_chain_mor,
 )
 from .core import AcgwError, AcgwInstance, HorMor, VerMor
-from .finset import FinSetInstance, finset_obj, mapping_of
-from .linear import LinearInstance, solve
+from .finset import FinSetInstance
+from .linear import LinearInstance
 from .snake import (
     SnakeInputStrong,
     SnakeInputWeak,
@@ -73,8 +70,10 @@ __all__ = [
     "validate_document",
 ]
 
-_ID_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
-_NAME_RE = _ID_RE
+_NAME_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
+
+#: the instance class of each ``instance KIND`` line
+_INSTANCES = {cls.kind: cls for cls in (FinSetInstance, LinearInstance)}
 
 
 class ParseError(AcgwError):
@@ -89,9 +88,7 @@ class ParseError(AcgwError):
 class Document:
     """A parsed document: named complexes, morphisms and snake inputs."""
 
-    inst: AcgwInstance = field(compare=False)
-    kind: str = "set"
-    prime: int = 2
+    inst: AcgwInstance
     complexes: tuple[tuple[str, ChainComplex], ...] = ()
     hors: tuple[tuple[str, HorChainMor], ...] = ()
     vers: tuple[tuple[str, VerChainMor], ...] = ()
@@ -99,6 +96,14 @@ class Document:
     seses: tuple[tuple[str, str], ...] = ()  # ses name -> hor name
     snakes_weak: tuple[tuple[str, SnakeInputWeak], ...] = ()
     snakes_strong: tuple[tuple[str, SnakeInputStrong], ...] = ()
+
+    @property
+    def kind(self) -> str:
+        return self.inst.kind
+
+    @property
+    def prime(self) -> int:
+        return self.inst.prime
 
     def _named(self, pairs, name: str, what: str):
         for n, value in pairs:
@@ -130,40 +135,9 @@ class Document:
 
 
 # ---------------------------------------------------------------------------
-# Pass 1: raw line structure.
+# Pass 1: raw line structure.  Payloads stay text, with their line numbers,
+# until the instance is known.
 # ---------------------------------------------------------------------------
-
-
-def _split_ids(line: int, text: str) -> list[str]:
-    ids = text.split()
-    for x in ids:
-        if not _ID_RE.match(x):
-            raise ParseError(line, f"bad id {x!r}")
-    return ids
-
-
-def _split_pairs(line: int, text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for chunk in text.split():
-        src, sep, tgt = chunk.partition("->")
-        if not sep or not _ID_RE.match(src) or not _ID_RE.match(tgt):
-            raise ParseError(line, f"bad pair {chunk!r} (want src->tgt)")
-        if src in out:
-            raise ParseError(line, f"repeated pair source {src!r}")
-        out[src] = tgt
-    return out
-
-
-def _parse_matrix(line: int, text: str):
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(line, f"bad matrix: {exc}") from None
-    if not isinstance(rows, list) or not all(
-        isinstance(r, list) and all(isinstance(v, int) for v in r) for r in rows
-    ):
-        raise ParseError(line, "matrix must be a JSON list of integer rows")
-    return rows
 
 
 def _parse_degree(line: int, token: str) -> int:
@@ -183,22 +157,18 @@ def _content(line: int, text: str, key: str) -> str:
 @dataclass
 class _RawTransition:
     line: int
-    obj: object  # list[str] (set) or int (linear dim)
-    up: object = None
-    down: object = None
+    text: str
+    up: tuple[int, str] | None = None
+    down: tuple[int, str] | None = None
 
 
 @dataclass
 class _RawComplex:
     line: int
     name: str
-    objects: dict = None
-    transitions: dict = None
-    last: _RawTransition = None
-
-    def __post_init__(self):
-        self.objects = {}
-        self.transitions = {}
+    objects: dict = field(default_factory=dict)  # degree -> (line, text)
+    transitions: dict = field(default_factory=dict)
+    last: _RawTransition | None = None
 
 
 @dataclass
@@ -207,10 +177,7 @@ class _RawMor:
     name: str
     src: str
     tgt: str
-    levels: dict = None
-
-    def __post_init__(self):
-        self.levels = {}
+    levels: dict = field(default_factory=dict)  # degree -> (line, text)
 
 
 @dataclass
@@ -220,12 +187,8 @@ class _RawMap:
     src: str
     mid: str
     tgt: str
-    back: dict = None
-    front: dict = None
-
-    def __post_init__(self):
-        self.back = {}
-        self.front = {}
+    back: dict = field(default_factory=dict)
+    front: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -233,16 +196,13 @@ class _RawSnake:
     line: int
     name: str
     strong: bool
-    rows: dict = None
-
-    def __post_init__(self):
-        self.rows = {}
+    rows: dict = field(default_factory=dict)  # key -> (line, [texts])
 
 
 def _scan(text: str):
     """First pass: cut the document into raw named sections."""
-    kind = None
-    prime = None
+    cls = None
+    prime = None  # (line, value) of the prime line
     complexes: list[_RawComplex] = []
     mors: list[tuple[str, _RawMor]] = []
     maps: list[_RawMap] = []
@@ -250,7 +210,6 @@ def _scan(text: str):
     snakes: list[_RawSnake] = []
     names: set[str] = set()
     current = None  # the section open for content lines
-    is_set = lambda: kind == "set"  # noqa: E731
 
     def new_name(no: int, name: str) -> str:
         if not _NAME_RE.match(name):
@@ -260,6 +219,13 @@ def _scan(text: str):
         names.add(name)
         return name
 
+    def level_line(no: int, store: dict, key: str, rest: str) -> None:
+        deg_tok, _, payload = rest.partition(":")
+        deg = _parse_degree(no, deg_tok.strip())
+        if deg in store:
+            raise ParseError(no, f"repeated {key} degree {deg}")
+        store[deg] = (no, payload.strip())
+
     for no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -268,21 +234,19 @@ def _scan(text: str):
         rest = rest.strip()
 
         if head == "instance":
-            if kind is not None:
+            if cls is not None:
                 raise ParseError(no, "repeated instance line")
-            if rest not in ("set", "linear"):
+            if rest not in _INSTANCES:
                 raise ParseError(no, f"unknown instance {rest!r}")
-            kind = rest
+            cls = _INSTANCES[rest]
             continue
-        if kind is None:
+        if cls is None:
             raise ParseError(no, "the document must start with an instance line")
 
         if head == "prime":
-            if kind != "linear":
-                raise ParseError(no, "prime is only meaningful for linear instances")
             if prime is not None:
                 raise ParseError(no, "repeated prime line")
-            prime = _parse_degree(no, rest)
+            prime = (no, _parse_degree(no, rest))
             continue
 
         if head == "complex":
@@ -317,8 +281,10 @@ def _scan(text: str):
             m = re.match(r"(weak|strong)\s+(\S+):\Z", rest)
             if not m:
                 raise ParseError(no, "want: snake weak NAME: (or strong)")
-            if kind != "set":
-                raise ParseError(no, "snake sections need a set instance")
+            if not cls.has_canonical_subobjects:
+                raise ParseError(
+                    no, "snake sections need an instance with literal subobjects"
+                )
             current = _RawSnake(no, new_name(no, m.group(2)), m.group(1) == "strong")
             snakes.append(current)
             continue
@@ -330,99 +296,95 @@ def _scan(text: str):
                 if not sep:
                     raise ParseError(no, f"missing ':' in {head} line")
                 deg = _parse_degree(no, deg_tok.strip())
-                payload = payload.strip()
-                if is_set():
-                    value: object = _split_ids(no, payload)
-                else:
-                    m = re.match(r"dim\s+(\d+)\Z", payload)
-                    if not m:
-                        raise ParseError(no, f"want: {head} {deg}: dim N")
-                    value = int(m.group(1))
                 store = current.objects if head == "object" else current.transitions
                 if deg in store:
                     raise ParseError(no, f"repeated {head} degree {deg}")
                 if head == "object":
-                    store[deg] = value
+                    store[deg] = (no, payload.strip())
                 else:
-                    store[deg] = current.last = _RawTransition(no, value)
+                    store[deg] = current.last = _RawTransition(no, payload.strip())
                 continue
             if head in ("up:", "down:", "up", "down"):
                 key = head.rstrip(":")
                 payload = _content(no, stripped, key)
                 if current.last is None:
                     raise ParseError(no, f"{key} line before any transition")
-                data = _split_pairs(no, payload) if is_set() else _parse_matrix(no, payload)
                 if getattr(current.last, key) is not None:
                     raise ParseError(no, f"repeated {key} line for one transition")
-                setattr(current.last, key, data)
+                setattr(current.last, key, (no, payload))
                 continue
             raise ParseError(no, f"unexpected {head!r} inside a complex")
         if isinstance(current, _RawMor):
             if head == "level":
-                deg_tok, _, payload = rest.partition(":")
-                deg = _parse_degree(no, deg_tok.strip())
-                payload = payload.strip()
-                if deg in current.levels:
-                    raise ParseError(no, f"repeated level degree {deg}")
-                current.levels[deg] = (
-                    _split_pairs(no, payload) if is_set() else _parse_matrix(no, payload)
-                )
+                level_line(no, current.levels, "level", rest)
                 continue
             raise ParseError(no, f"unexpected {head!r} inside a morphism")
         if isinstance(current, _RawMap):
             if head in ("back", "front"):
-                deg_tok, _, payload = rest.partition(":")
-                deg = _parse_degree(no, deg_tok.strip())
-                payload = payload.strip()
-                store = current.back if head == "back" else current.front
-                if deg in store:
-                    raise ParseError(no, f"repeated {head} degree {deg}")
-                store[deg] = (
-                    _split_pairs(no, payload) if is_set() else _parse_matrix(no, payload)
-                )
+                level_line(no, getattr(current, head), head, rest)
                 continue
             raise ParseError(no, f"unexpected {head!r} inside a map")
         if isinstance(current, _RawSnake):
             key = head.rstrip(":")
             if key in ("top", "middle", "bottom"):
-                payload = _content(no, stripped, key)
-                parts = payload.split("|")
+                parts = _content(no, stripped, key).split("|")
                 if len(parts) != 3:
                     raise ParseError(no, f"{key} row wants three id lists separated by '|'")
                 if key in current.rows:
                     raise ParseError(no, f"repeated {key} row")
-                current.rows[key] = [_split_ids(no, part) for part in parts]
+                current.rows[key] = (no, parts)
                 continue
             if key in ("abar", "cbar"):
                 if not current.strong:
                     raise ParseError(no, f"{key} is only meaningful for strong snakes")
                 if key in current.rows:
                     raise ParseError(no, f"repeated {key} row")
-                current.rows[key] = _split_ids(no, _content(no, stripped, key))
+                current.rows[key] = (no, [_content(no, stripped, key)])
                 continue
             raise ParseError(no, f"unexpected {head!r} inside a snake")
         raise ParseError(no, f"unexpected {head!r} outside any section")
 
-    if kind is None:
+    if cls is None:
         raise ParseError(1, "empty document (no instance line)")
-    if kind == "set" and prime is not None:
-        raise ParseError(1, "prime is only meaningful for linear instances")
-    return kind, (2 if prime is None else prime), complexes, mors, maps, seses, snakes
+    return cls, prime, complexes, mors, maps, seses, snakes
 
 
 # ---------------------------------------------------------------------------
-# Pass 2: build real objects.
+# Pass 2: build real objects through the instance's hooks.
 # ---------------------------------------------------------------------------
+
+
+def _hook(line: int, what: str, fn, *args):
+    """Call an instance hook; an error it raises becomes a
+    :class:`ParseError` at ``line``, prefixed by ``what``."""
+    try:
+        return fn(*args)
+    except AcgwError as exc:
+        raise ParseError(line, f"{what}: {exc}" if what else str(exc)) from None
+
+
+def _mor(inst, mor_type, source, target, payload, line: int, what: str, leg: bool = False):
+    """The morphism a ``(line, text)`` payload, or its absence, describes."""
+    at, text = payload if payload is not None else (line, None)
+    return _hook(at, what, inst.mor_from_text, mor_type, source, target, text, leg)
 
 
 def _build_complex(inst: AcgwInstance, raw: _RawComplex) -> ChainComplex:
     if not raw.objects:
         raise ParseError(raw.line, f"complex {raw.name!r} has no objects")
     lo, hi = min(raw.objects), max(raw.objects)
-    if inst.kind == "set":
-        objects = tuple(finset_obj(raw.objects.get(i, [])) for i in range(lo, hi + 1))
-    else:
-        objects = tuple(inst.obj(int(raw.objects.get(i, 0))) for i in range(lo, hi + 1))
+    for deg, t in raw.transitions.items():
+        if not lo + 1 <= deg <= hi:
+            raise ParseError(
+                t.line, f"transition degree {deg} outside object range {lo}..{hi}"
+            )
+    objects = []
+    for i in range(lo, hi + 1):
+        if i in raw.objects:
+            line, text = raw.objects[i]
+            objects.append(_hook(line, f"object {i}", inst.obj_from_text, text))
+        else:
+            objects.append(inst.initial())
     transitions = []
     for i in range(lo + 1, hi + 1):
         t = raw.transitions.get(i)
@@ -432,160 +394,84 @@ def _build_complex(inst: AcgwInstance, raw: _RawComplex) -> ChainComplex:
                 Transition(inst.initial(), inst.zero_ver(upper), inst.zero_hor(lower))
             )
             continue
-        if inst.kind == "set":
-            obj = finset_obj(t.obj)
-            up = t.up if t.up is not None else {x: x for x in obj}
-            down = t.down if t.down is not None else {x: x for x in obj}
-            transitions.append(
-                Transition(obj, inst.ver(obj, upper, up), inst.hor(obj, lower, down))
-            )
-        else:
-            obj = inst.obj(int(t.obj))
-            import numpy as np
-
-            up = t.up if t.up is not None else np.zeros((obj.dim, upper.dim), np.int64)
-            down = (
-                t.down if t.down is not None else np.zeros((lower.dim, obj.dim), np.int64)
-            )
-            try:
-                transitions.append(
-                    Transition(
-                        obj, inst.ver(obj, upper, up), inst.hor(obj, lower, down)
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(t.line, f"bad matrix shape: {exc}") from None
-    for deg in raw.transitions:
-        if not lo + 1 <= deg <= hi:
-            raise ParseError(
-                raw.transitions[deg].line,
-                f"transition degree {deg} outside object range {lo}..{hi}",
-            )
-    return ChainComplex(inst, lo, hi, objects, tuple(transitions))
+        obj = _hook(t.line, f"transition {i}", inst.obj_from_text, t.text)
+        up = _mor(inst, VerMor, obj, upper, t.up, t.line, "up", leg=True)
+        down = _mor(inst, HorMor, obj, lower, t.down, t.line, "down", leg=True)
+        transitions.append(Transition(obj, up, down))
+    return ChainComplex(inst, lo, hi, tuple(objects), tuple(transitions))
 
 
 def _level_mors(
     inst: AcgwInstance,
-    raw: _RawMor | _RawMap,
+    line: int,
+    key: str,
     levels: dict,
     src: ChainComplex,
     tgt: ChainComplex,
-    cls,
+    mor_type,
 ):
-    """Levelwise morphisms `src -> tgt` (or `src => tgt`) from raw data."""
-    import numpy as np
-
-    build = inst.hor if cls is HorMor else inst.ver
-    out = []
-    for i in range(src.lo, src.hi + 1):
-        data = levels.get(i)
-        a, b = src.obj(i), tgt.obj(i)
-        if inst.kind == "set":
-            out.append(build(a, b, data or {}))
-        else:
-            if data is None:
-                shape = (b.dim, a.dim) if cls is HorMor else (a.dim, b.dim)
-                data = np.zeros(shape, np.int64)
-            try:
-                out.append(build(a, b, data))
-            except ValueError as exc:
-                raise ParseError(raw.line, f"bad matrix shape at level {i}: {exc}") from None
-    for deg in levels:
+    """Levelwise morphisms `src -> tgt` (or `src => tgt`) from the raw
+    ``key`` lines of the section that starts at ``line``."""
+    for deg, (at, _) in levels.items():
         if not src.lo <= deg <= src.hi:
-            raise ParseError(raw.line, f"level degree {deg} outside range")
-    return tuple(out)
+            raise ParseError(at, f"{key} degree {deg} outside range")
+    return tuple(
+        _mor(inst, mor_type, src.obj(i), tgt.obj(i), levels.get(i), line, f"{key} {i}")
+        for i in src.degrees()
+    )
 
 
 def _derive_hor_bars(
     line: int, levels: tuple[HorMor, ...], x: ChainComplex, y: ChainComplex
 ) -> tuple[HorMor, ...]:
     """Bar levels of a horizontal chain morphism, forced by the upper legs."""
-    inst = x.inst
-    bars = []
-    for i in x.transition_degrees():
-        tx, ty = x.transition(i), y.transition(i)
-        f = levels[i - x.lo]
-        if inst.kind == "set":
-            upx, upy = mapping_of(tx.into_upper), mapping_of(ty.into_upper)
-            fmap = mapping_of(f)
-            above = {v: k for k, v in upy.items()}
-            m = {}
-            for t in tx.obj:
-                img = fmap.get(upx.get(t))
-                if img is None:
-                    raise ParseError(
-                        line, f"level {i} is undefined on the image of {t!r}"
-                    )
-                if img not in above:
-                    raise ParseError(
-                        line, f"no transition element above {img!r} at degree {i}"
-                    )
-                m[t] = above[img]
-            bars.append(inst.hor(tx.obj, ty.obj, m))
-        else:
-            rhs = (inst.ver_matrix(ty.into_upper) @ inst.hor_matrix(f)) % inst.p
-            sol = solve(inst.ver_matrix(tx.into_upper).T, rhs.T, inst.p)
-            if sol is None:
-                raise ParseError(line, f"no compatible bar level at degree {i}")
-            bars.append(inst.hor(tx.obj, ty.obj, sol.T))
-    return tuple(bars)
+    return tuple(
+        _hook(
+            line,
+            f"degree {i}",
+            x.inst.lift_hor_bar,
+            levels[i - x.lo],
+            x.transition(i).into_upper,
+            y.transition(i).into_upper,
+        )
+        for i in x.transition_degrees()
+    )
 
 
 def _derive_ver_bars(
     line: int, levels: tuple[VerMor, ...], z: ChainComplex, y: ChainComplex
 ) -> tuple[VerMor, ...]:
     """Bar levels of a vertical chain morphism, forced by the lower legs."""
-    inst = z.inst
-    bars = []
-    for i in z.transition_degrees():
-        tz, ty = z.transition(i), y.transition(i)
-        g = levels[i - 1 - z.lo]
-        if inst.kind == "set":
-            lowz, lowy = mapping_of(tz.into_lower), mapping_of(ty.into_lower)
-            gmap = mapping_of(g)
-            below = {v: k for k, v in lowy.items()}
-            m = {}
-            for t in tz.obj:
-                img = gmap.get(lowz.get(t))
-                if img is None:
-                    raise ParseError(
-                        line, f"level {i - 1} is undefined on the image of {t!r}"
-                    )
-                if img not in below:
-                    raise ParseError(
-                        line, f"no transition element below {img!r} at degree {i}"
-                    )
-                m[t] = below[img]
-            bars.append(inst.ver(tz.obj, ty.obj, m))
-        else:
-            rhs = (inst.ver_matrix(g) @ inst.hor_matrix(ty.into_lower)) % inst.p
-            sol = solve(inst.hor_matrix(tz.into_lower), rhs, inst.p)
-            if sol is None:
-                raise ParseError(line, f"no compatible bar level at degree {i}")
-            bars.append(inst.ver(tz.obj, ty.obj, sol))
-    return tuple(bars)
+    return tuple(
+        _hook(
+            line,
+            f"degree {i}",
+            z.inst.lift_ver_bar,
+            levels[i - 1 - z.lo],
+            z.transition(i).into_lower,
+            y.transition(i).into_lower,
+        )
+        for i in z.transition_degrees()
+    )
 
 
-def _snake_rows(raw: _RawSnake) -> None:
-    for key in ("top", "middle", "bottom"):
+def _snake_rows(inst: AcgwInstance, raw: _RawSnake) -> dict:
+    """Every row of a snake section as objects, keyed by row name."""
+    wanted = ("top", "middle", "bottom") + (("abar", "cbar") if raw.strong else ())
+    out = {}
+    for key in wanted:
         if key not in raw.rows:
             raise ParseError(raw.line, f"snake {raw.name!r} is missing its {key} row")
-    if raw.strong:
-        for key in ("abar", "cbar"):
-            if key not in raw.rows:
-                raise ParseError(raw.line, f"snake {raw.name!r} is missing {key}")
+        line, parts = raw.rows[key]
+        out[key] = [_hook(line, key, inst.obj_from_text, part) for part in parts]
+    return out
 
 
 def parse(text: str) -> Document:
     """Parse a document; raises :class:`ParseError` with a line number."""
-    kind, prime, raw_cx, raw_mors, raw_maps, raw_seses, raw_snakes = _scan(text)
-    if kind == "set":
-        inst: AcgwInstance = FinSetInstance()
-    else:
-        try:
-            inst = LinearInstance(prime)
-        except AcgwError as exc:
-            raise ParseError(1, str(exc)) from None
+    cls, prime, raw_cx, raw_mors, raw_maps, raw_seses, raw_snakes = _scan(text)
+    prime_line, value = prime if prime is not None else (1, None)
+    inst = _hook(prime_line, "", cls.from_header, value)
 
     complexes: list[tuple[str, ChainComplex]] = []
     for raw in raw_cx:
@@ -602,11 +488,11 @@ def parse(text: str) -> Document:
     for flavor, raw in raw_mors:
         src, tgt = lookup(raw.line, raw.src), lookup(raw.line, raw.tgt)
         if flavor == "hor":
-            levels = _level_mors(inst, raw, raw.levels, src, tgt, HorMor)
+            levels = _level_mors(inst, raw.line, "level", raw.levels, src, tgt, HorMor)
             bars = _derive_hor_bars(raw.line, levels, src, tgt)
             hors.append((raw.name, HorChainMor(src, tgt, levels, bars)))
         else:
-            levels = _level_mors(inst, raw, raw.levels, src, tgt, VerMor)
+            levels = _level_mors(inst, raw.line, "level", raw.levels, src, tgt, VerMor)
             bars = _derive_ver_bars(raw.line, levels, src, tgt)
             vers.append((raw.name, VerChainMor(src, tgt, levels, bars)))
 
@@ -615,8 +501,8 @@ def parse(text: str) -> Document:
         src = lookup(raw.line, raw.src)
         mid = lookup(raw.line, raw.mid)
         tgt = lookup(raw.line, raw.tgt)
-        back_levels = _level_mors(inst, raw, raw.back, mid, src, VerMor)
-        front_levels = _level_mors(inst, raw, raw.front, mid, tgt, HorMor)
+        back_levels = _level_mors(inst, raw.line, "back", raw.back, mid, src, VerMor)
+        front_levels = _level_mors(inst, raw.line, "front", raw.front, mid, tgt, HorMor)
         back = VerChainMor(
             mid, src, back_levels, _derive_ver_bars(raw.line, back_levels, mid, src)
         )
@@ -634,69 +520,61 @@ def parse(text: str) -> Document:
 
     weaks: list[tuple[str, SnakeInputWeak]] = []
     strongs: list[tuple[str, SnakeInputStrong]] = []
-    fin = inst  # set instance guaranteed by _scan for snake sections
+    hor, ver = inst.inclusion_hor, inst.inclusion_ver
     for raw in raw_snakes:
-        _snake_rows(raw)
-        top = [finset_obj(part) for part in raw.rows["top"]]
-        midrow = [finset_obj(part) for part in raw.rows["middle"]]
-        bottom = [finset_obj(part) for part in raw.rows["bottom"]]
-        x, y, z = midrow
+        rows = _snake_rows(inst, raw)
+        a, b, c = rows["top"]
+        x, y, z = rows["middle"]
+        a2, b2, c2 = rows["bottom"]
         if not raw.strong:
-            a, b, c = top
-            a2, b2, c2 = bottom
             weaks.append(
                 (
                     raw.name,
                     SnakeInputWeak(
-                        fin,
-                        top_mono=fin.inclusion_hor(a, b),
-                        top_epi=fin.inclusion_ver(c, b),
-                        mid_mono=fin.inclusion_hor(x, y),
-                        mid_epi=fin.inclusion_ver(z, y),
-                        bot_mono=fin.inclusion_hor(a2, b2),
-                        bot_epi=fin.inclusion_ver(c2, b2),
-                        left_up=fin.inclusion_ver(x, a),
-                        left_down=fin.inclusion_hor(x, a2),
-                        mid_up=fin.inclusion_ver(y, b),
-                        mid_down=fin.inclusion_hor(y, b2),
-                        right_up=fin.inclusion_ver(z, c),
-                        right_down=fin.inclusion_hor(z, c2),
+                        inst,
+                        top_mono=hor(a, b),
+                        top_epi=ver(c, b),
+                        mid_mono=hor(x, y),
+                        mid_epi=ver(z, y),
+                        bot_mono=hor(a2, b2),
+                        bot_epi=ver(c2, b2),
+                        left_up=ver(x, a),
+                        left_down=hor(x, a2),
+                        mid_up=ver(y, b),
+                        mid_down=hor(y, b2),
+                        right_up=ver(z, c),
+                        right_down=hor(z, c2),
                     ),
                 )
             )
         else:
-            a, b, c = top
-            a2, b2, c2 = bottom
-            abar = finset_obj(raw.rows["abar"])
-            cbar2 = finset_obj(raw.rows["cbar"])
+            (abar,), (cbar2,) = rows["abar"], rows["cbar"]
             strongs.append(
                 (
                     raw.name,
                     SnakeInputStrong(
-                        fin,
-                        left_up=fin.inclusion_ver(x, a),
-                        restrict_to_top=fin.inclusion_ver(abar, a),
-                        top_mono=fin.inclusion_hor(abar, b),
-                        left_up_restricted=fin.inclusion_ver(x, abar),
-                        mid_up=fin.inclusion_ver(y, b),
-                        top_epi=fin.inclusion_ver(c, b),
-                        right_up=fin.inclusion_ver(z, c),
-                        mid_mono=fin.inclusion_hor(x, y),
-                        mid_epi=fin.inclusion_ver(z, y),
-                        bot_mono=fin.inclusion_hor(a2, b2),
-                        left_down=fin.inclusion_hor(x, a2),
-                        mid_down=fin.inclusion_hor(y, b2),
-                        bot_epi_restricted=fin.inclusion_ver(cbar2, b2),
-                        right_down_restricted=fin.inclusion_hor(z, cbar2),
-                        extend_to_bot=fin.inclusion_hor(cbar2, c2),
+                        inst,
+                        left_up=ver(x, a),
+                        restrict_to_top=ver(abar, a),
+                        top_mono=hor(abar, b),
+                        left_up_restricted=ver(x, abar),
+                        mid_up=ver(y, b),
+                        top_epi=ver(c, b),
+                        right_up=ver(z, c),
+                        mid_mono=hor(x, y),
+                        mid_epi=ver(z, y),
+                        bot_mono=hor(a2, b2),
+                        left_down=hor(x, a2),
+                        mid_down=hor(y, b2),
+                        bot_epi_restricted=ver(cbar2, b2),
+                        right_down_restricted=hor(z, cbar2),
+                        extend_to_bot=hor(cbar2, c2),
                     ),
                 )
             )
 
     return Document(
         inst,
-        kind,
-        inst.p if kind == "linear" else 2,
         tuple(complexes),
         tuple(hors),
         tuple(vers),
@@ -712,14 +590,8 @@ def parse(text: str) -> Document:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_pairs(mor: HorMor | VerMor) -> str:
-    return " ".join(f"{a}->{b}" for a, b in mor.data)
-
-
-def _fmt_matrix(doc: Document, mor: HorMor | VerMor) -> str:
-    inst = doc.inst
-    arr = inst.hor_matrix(mor) if isinstance(mor, HorMor) else inst.ver_matrix(mor)
-    return json.dumps(arr.tolist())
+def _with_payload(head: str, text: str) -> str:
+    return head + (f" {text}" if text else "")
 
 
 def _name_of(doc: Document, cx: ChainComplex, what: str) -> str:
@@ -730,26 +602,17 @@ def _name_of(doc: Document, cx: ChainComplex, what: str) -> str:
 
 
 def _emit_complex(doc: Document, name: str, cx: ChainComplex, out: list[str]) -> None:
+    inst = doc.inst
     out.append(f"complex {name}:")
     for i in cx.degrees():
-        if doc.kind == "set":
-            ids = " ".join(cx.obj(i))
-            out.append(f"  object {i}:" + (f" {ids}" if ids else ""))
-        else:
-            out.append(f"  object {i}: dim {cx.obj(i).dim}")
+        out.append(_with_payload(f"  object {i}:", inst.obj_text(cx.obj(i))))
     for i in cx.transition_degrees():
         t = cx.transition(i)
-        if doc.kind == "set":
-            ids = " ".join(t.obj)
-            out.append(f"  transition {i}:" + (f" {ids}" if ids else ""))
-            if any(a != b for a, b in t.into_upper.data):
-                out.append(f"    up: {_fmt_pairs(t.into_upper)}")
-            if any(a != b for a, b in t.into_lower.data):
-                out.append(f"    down: {_fmt_pairs(t.into_lower)}")
-        else:
-            out.append(f"  transition {i}: dim {t.obj.dim}")
-            out.append(f"    up: {_fmt_matrix(doc, t.into_upper)}")
-            out.append(f"    down: {_fmt_matrix(doc, t.into_lower)}")
+        out.append(_with_payload(f"  transition {i}:", inst.obj_text(t.obj)))
+        for key, leg in (("up", t.into_upper), ("down", t.into_lower)):
+            text = inst.mor_text(leg, leg=True)
+            if text is not None:
+                out.append(f"    {key}: {text}")
     out.append("")
 
 
@@ -757,27 +620,19 @@ def _emit_levels(
     doc: Document, key: str, levels, lo: int, out: list[str]
 ) -> None:
     for offset, mor in enumerate(levels):
-        if doc.kind == "set":
-            if mor.data:
-                out.append(f"  {key} {lo + offset}: {_fmt_pairs(mor)}")
-        else:
-            out.append(f"  {key} {lo + offset}: {_fmt_matrix(doc, mor)}")
+        text = doc.inst.mor_text(mor)
+        if text is not None:
+            out.append(f"  {key} {lo + offset}: {text}")
 
 
-def _emit_row3(key: str, parts: tuple, out: list[str]) -> None:
-    out.append((f"  {key}: " + " | ".join(" ".join(part) for part in parts)).rstrip())
-
-
-def _emit_row1(key: str, obj, out: list[str]) -> None:
-    out.append((f"  {key}: " + " ".join(obj)).rstrip())
+def _emit_row(doc: Document, key: str, parts: tuple, out: list[str]) -> None:
+    texts = (doc.inst.obj_text(part) for part in parts)
+    out.append((f"  {key}: " + " | ".join(texts)).rstrip())
 
 
 def serialize(doc: Document) -> str:
     """Canonical text form; ``parse(serialize(doc)) == doc``."""
-    out: list[str] = [f"instance {doc.kind}"]
-    if doc.kind == "linear":
-        out.append(f"prime {doc.prime}")
-    out.append("")
+    out: list[str] = [f"instance {doc.kind}", *doc.inst.header(), ""]
     for name, cx in doc.complexes:
         _emit_complex(doc, name, cx, out)
     for name, f in doc.hors:
@@ -805,19 +660,23 @@ def serialize(doc: Document) -> str:
         out.append("")
     for name, s in doc.snakes_weak:
         out.append(f"snake weak {name}:")
-        _emit_row3("top", (s.top_mono.source, s.top_mono.target, s.top_epi.source), out)
-        _emit_row3("middle", (s.mid_mono.source, s.mid_mono.target, s.mid_epi.source), out)
-        _emit_row3("bottom", (s.bot_mono.source, s.bot_mono.target, s.bot_epi.source), out)
+        for key, mono, epi in (
+            ("top", s.top_mono, s.top_epi),
+            ("middle", s.mid_mono, s.mid_epi),
+            ("bottom", s.bot_mono, s.bot_epi),
+        ):
+            _emit_row(doc, key, (mono.source, mono.target, epi.source), out)
         out.append("")
     for name, s in doc.snakes_strong:
         out.append(f"snake strong {name}:")
-        _emit_row3("top", (s.left_up.target, s.top_mono.target, s.top_epi.source), out)
-        _emit_row1("abar", s.top_mono.source, out)
-        _emit_row3("middle", (s.mid_mono.source, s.mid_mono.target, s.mid_epi.source), out)
-        _emit_row1("cbar", s.extend_to_bot.source, out)
-        _emit_row3(
-            "bottom", (s.bot_mono.source, s.bot_mono.target, s.extend_to_bot.target), out
-        )
+        for key, parts in (
+            ("top", (s.left_up.target, s.top_mono.target, s.top_epi.source)),
+            ("abar", (s.top_mono.source,)),
+            ("middle", (s.mid_mono.source, s.mid_mono.target, s.mid_epi.source)),
+            ("cbar", (s.extend_to_bot.source,)),
+            ("bottom", (s.bot_mono.source, s.bot_mono.target, s.extend_to_bot.target)),
+        ):
+            _emit_row(doc, key, parts, out)
         out.append("")
     while out and out[-1] == "":
         out.pop()

@@ -6,26 +6,35 @@ sorted tuples.  A horizontal morphism is an injection recorded as sorted
 backed by an injection of ``A`` into ``B`` — the two classes differ only
 in the role they play.  Complements are literal set differences, which
 makes every canonical construction a genuine subset of its ambient object
-(``has_canonical_subobjects`` is true).
+(``has_canonical_subobjects`` is true).  In documents an object is written
+as its ids and a morphism as ``src->tgt`` pairs; the rank oracle reads a
+complex over ``F_2`` with one basis vector per id.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Any, Hashable
+
+import numpy as np
 
 from .core import (
     AcgwInstance,
     CompositionError,
     FactorizationError,
+    FlatMor,
     HorMor,
     PullbackSquare,
     SquareClass,
+    ValidationError,
     VerMor,
 )
 
 __all__ = ["FinSetObj", "finset_obj", "FinSetInstance", "mapping_of", "apply_to"]
 
 FinSetObj = tuple[str, ...]
+
+_ID_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
 
 
 def finset_obj(ids: Any) -> FinSetObj:
@@ -61,6 +70,7 @@ class FinSetInstance(AcgwInstance):
 
     kind = "set"
     has_canonical_subobjects = True
+    prime = 2
 
     # ----- objects -------------------------------------------------
     def initial(self) -> FinSetObj:
@@ -318,3 +328,110 @@ class FinSetInstance(AcgwInstance):
     def flat_key(self, back: VerMor, front: HorMor) -> Hashable:
         fm = mapping_of(front)
         return frozenset((y, fm[x]) for x, y in back.data)
+
+    # ----- document format ---------------------------------------------
+    @classmethod
+    def from_header(cls, prime: int | None) -> FinSetInstance:
+        if prime is not None:
+            raise ValidationError(["prime is only meaningful for linear instances"])
+        return cls()
+
+    def header(self) -> list[str]:
+        return []
+
+    def obj_from_text(self, text: str) -> FinSetObj:
+        ids = text.split()
+        for x in ids:
+            if not _ID_RE.match(x):
+                raise ValidationError([f"bad id {x!r}"])
+        return finset_obj(ids)
+
+    def obj_text(self, obj: FinSetObj) -> str:
+        return " ".join(obj)
+
+    def mor_from_text(self, mor_type, source, target, text, leg=False):
+        """Pairs ``src->tgt``; an omitted leg is the identity on the ids of
+        its source, an omitted level has no pairs."""
+        if text is None:
+            return mor_type(source, target, self._inclusion_pairs(source) if leg else ())
+        out: dict[str, str] = {}
+        for chunk in text.split():
+            src, sep, tgt = chunk.partition("->")
+            if not sep or not _ID_RE.match(src) or not _ID_RE.match(tgt):
+                raise ValidationError([f"bad pair {chunk!r} (want src->tgt)"])
+            if src in out:
+                raise ValidationError([f"repeated pair source {src!r}"])
+            out[src] = tgt
+        return mor_type(source, target, _pairs(out))
+
+    def mor_text(self, mor, leg=False):
+        default = all(a == b for a, b in mor.data) if leg else not mor.data
+        return None if default else " ".join(f"{a}->{b}" for a, b in mor.data)
+
+    def lift_hor_bar(self, level: HorMor, src_up: VerMor, tgt_up: VerMor) -> HorMor:
+        up, fmap, above = mapping_of(src_up), mapping_of(level), _inverse(tgt_up)
+        out: dict[str, str] = {}
+        for t in src_up.source:
+            img = fmap.get(up.get(t))
+            if img is None:
+                raise FactorizationError(f"level is undefined on the image of {t!r}")
+            if img not in above:
+                raise FactorizationError(f"no transition element above {img!r}")
+            out[t] = above[img]
+        return HorMor(src_up.source, tgt_up.source, _pairs(out))
+
+    def lift_ver_bar(self, level: VerMor, src_low: HorMor, tgt_low: HorMor) -> VerMor:
+        low, gmap, below = mapping_of(src_low), mapping_of(level), _inverse(tgt_low)
+        out: dict[str, str] = {}
+        for t in src_low.source:
+            img = gmap.get(low.get(t))
+            if img is None:
+                raise FactorizationError(f"level is undefined on the image of {t!r}")
+            if img not in below:
+                raise FactorizationError(f"no transition element below {img!r}")
+            out[t] = below[img]
+        return VerMor(src_low.source, tgt_low.source, _pairs(out))
+
+    # ----- rank oracle ---------------------------------------------------
+    def boundary_matrix(self, up: VerMor, low: HorMor) -> np.ndarray:
+        """Incidence matrix over ``F_2``: each transition element puts a 1
+        where its two legs land."""
+        cols = {x: k for k, x in enumerate(up.target)}
+        rows = {x: k for k, x in enumerate(low.target)}
+        um, lm = mapping_of(up), mapping_of(low)
+        d = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        for t in up.source:
+            r, c = rows.get(lm.get(t)), cols.get(um.get(t))
+            if r is None or c is None:
+                raise ValidationError(
+                    [f"a leg of transition element {t!r} misses its target"]
+                )
+            d[r, c] = 1
+        return d
+
+    # ----- homology --------------------------------------------------------
+    def homology_span(self, gx, gy, back: VerMor, front: HorMor) -> FlatMor:
+        """Element chase: the middle keeps the ids of ``Z_i`` whose back
+        image is a cycle of ``X`` and whose front image is not a boundary
+        of ``Y``, renamed to their back images (a subset of ``H_i(X)``)."""
+        bm, fm = mapping_of(back), mapping_of(front)
+        cycles_x = set(gx.cycles)
+        boundaries_y = set(gy.cycles) - set(gy.h)
+        kept = {
+            bm[z]: fm[z]
+            for z in back.source
+            if bm[z] in cycles_x and fm[z] not in boundaries_y
+        }
+        middle = finset_obj(kept)
+        return FlatMor(
+            gx.h,
+            middle,
+            gy.h,
+            self.inclusion_ver(middle, gx.h),
+            HorMor(middle, gy.h, _pairs(kept)),
+        )
+
+    def homology_embedding(self, grid, boundaries: HorMor) -> tuple[HorMor, VerMor]:
+        """``H_i`` is a literal subset of ``X_i``: both levels include it."""
+        ambient = grid.cycles_hor.target
+        return self.inclusion_hor(grid.h, ambient), self.inclusion_ver(grid.h, ambient)

@@ -10,23 +10,30 @@ all arithmetic happens in numpy int64 arrays.
 Because kernels and complements are produced in fresh coordinates, this
 instance does not expose canonical subobjects
 (``has_canonical_subobjects`` is false), which rules out the
-constructions that splice literal subsets — everything else works.
+constructions that splice literal subsets — everything else works.  In
+documents an object is written ``dim N`` and a morphism as its stored
+matrix in JSON.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from typing import Any, Hashable
 
 import numpy as np
 
 from .core import (
+    AcgwError,
     AcgwInstance,
     CompositionError,
     FactorizationError,
+    FlatMor,
     HorMor,
     PullbackSquare,
     SquareClass,
+    ValidationError,
     VerMor,
 )
 
@@ -59,8 +66,12 @@ class VectObj:
 
 
 def mat_of(data: Mat, rows: int, cols: int) -> np.ndarray:
-    """Decode stored row tuples into a ``rows x cols`` int64 array."""
-    return np.asarray(data, dtype=np.int64).reshape(rows, cols)
+    """Decode stored row tuples into a ``rows x cols`` int64 array; raises
+    :class:`ValidationError` when they do not have that shape."""
+    try:
+        return np.asarray(data, dtype=np.int64).reshape(rows, cols)
+    except ValueError:
+        raise ValidationError([f"matrix must be {rows}x{cols}, got {data!r}"]) from None
 
 
 def tuple_of(arr: np.ndarray, p: int) -> Mat:
@@ -127,6 +138,24 @@ def colbasis(a: np.ndarray, p: int) -> np.ndarray:
     return r[: len(pivots)].T.copy()
 
 
+def _greedy_extend(base: np.ndarray, pool: np.ndarray, target_rank: int, p: int):
+    """Columns of ``pool`` that extend ``base`` to rank ``target_rank``."""
+    cur = base
+    chosen: list[int] = []
+    rank = mat_rank(cur, p)
+    for j in range(pool.shape[1]):
+        if rank == target_rank:
+            break
+        cand = np.hstack([cur, pool[:, j : j + 1]])
+        cand_rank = mat_rank(cand, p)
+        if cand_rank > rank:
+            cur, rank = cand, cand_rank
+            chosen.append(j)
+    if rank != target_rank:
+        raise AcgwError("could not extend basis to the requested rank")
+    return pool[:, chosen]
+
+
 class LinearInstance(AcgwInstance):
     """The prime-field model ``F_p``."""
 
@@ -135,8 +164,12 @@ class LinearInstance(AcgwInstance):
 
     def __init__(self, p: int = 2):
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"field order must be prime, got {p}")
+            raise ValidationError([f"field order must be prime, got {p}"])
         self.p = p
+
+    @property
+    def prime(self) -> int:
+        return self.p
 
     # ----- objects -------------------------------------------------
     def obj(self, dim: int) -> VectObj:
@@ -403,3 +436,112 @@ class LinearInstance(AcgwInstance):
     def flat_key(self, back: VerMor, front: HorMor) -> Hashable:
         composite = np.mod(self.hor_matrix(front) @ self.ver_matrix(back), self.p)
         return (composite.shape, tuple_of(composite, self.p))
+
+    # ----- document format -----------------------------------------------------
+    @classmethod
+    def from_header(cls, prime: int | None) -> LinearInstance:
+        return cls(2 if prime is None else prime)
+
+    def header(self) -> list[str]:
+        return [f"prime {self.p}"]
+
+    def obj_from_text(self, text: str) -> VectObj:
+        m = re.match(r"dim\s+(\d+)\Z", text)
+        if not m:
+            raise ValidationError([f"want: dim N, got {text!r}"])
+        return self.obj(int(m.group(1)))
+
+    def obj_text(self, obj: VectObj) -> str:
+        return f"dim {obj.dim}"
+
+    def mor_from_text(self, mor_type, source, target, text, leg=False):
+        """A JSON list of integer rows; an omitted leg or level is zero."""
+        if text is None:
+            shape = (target.dim, source.dim) if mor_type is HorMor else (source.dim, target.dim)
+            return mor_type(source, target, tuple_of(np.zeros(shape, np.int64), self.p))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError([f"bad matrix: {exc}"]) from None
+        if not isinstance(data, list) or not all(
+            isinstance(r, list) and all(isinstance(v, int) for v in r) for r in data
+        ):
+            raise ValidationError(["matrix must be a JSON list of integer rows"])
+        try:
+            arr = np.asarray(data, dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise ValidationError([f"bad matrix: {exc}"]) from None
+        return mor_type(source, target, tuple_of(arr, self.p))
+
+    def mor_text(self, mor, leg=False):
+        arr = self.hor_matrix(mor) if isinstance(mor, HorMor) else self.ver_matrix(mor)
+        return json.dumps(arr.tolist())
+
+    def lift_hor_bar(self, level: HorMor, src_up: VerMor, tgt_up: VerMor) -> HorMor:
+        rhs = np.mod(self.ver_matrix(tgt_up) @ self.hor_matrix(level), self.p)
+        sol = solve(self.ver_matrix(src_up).T, rhs.T, self.p)
+        if sol is None:
+            raise FactorizationError("no compatible bar level")
+        return self.hor(src_up.source, tgt_up.source, sol.T)
+
+    def lift_ver_bar(self, level: VerMor, src_low: HorMor, tgt_low: HorMor) -> VerMor:
+        rhs = np.mod(self.ver_matrix(level) @ self.hor_matrix(tgt_low), self.p)
+        sol = solve(self.hor_matrix(src_low), rhs, self.p)
+        if sol is None:
+            raise FactorizationError("no compatible bar level")
+        return self.ver(src_low.source, tgt_low.source, sol)
+
+    # ----- rank oracle -----------------------------------------------------------
+    def boundary_matrix(self, up: VerMor, low: HorMor) -> np.ndarray:
+        """The composite of the two legs, ``low . up``."""
+        return np.mod(self.hor_matrix(low) @ self.ver_matrix(up), self.p)
+
+    # ----- homology --------------------------------------------------------------
+    def homology_span(self, gx, gy, back: VerMor, front: HorMor) -> FlatMor:
+        """The induced linear map on homology, computed classically and
+        returned through its epi-mono factorization."""
+        p = self.p
+        phi = np.mod(self.hor_matrix(front) @ self.ver_matrix(back), p)
+        n_kx = self.hor_matrix(gx.cycles_hor)
+        n_ky = self.hor_matrix(gy.cycles_hor)
+        v = solve(n_ky, np.mod(phi @ n_kx, p), p)
+        if v is None:
+            raise AcgwError(f"chain map does not preserve cycles at degree {gx.degree}")
+        eps_x = self.ver_matrix(gx.h_to_cycles)
+        eps_y = self.ver_matrix(gy.h_to_cycles)
+        section = solve(eps_x, np.eye(gx.h.dim, dtype=np.int64), p)
+        assert section is not None
+        psi = np.mod(eps_y @ v @ section, p)
+        if np.mod(psi @ eps_x - eps_y @ v, p).any():
+            raise AcgwError(
+                f"chain map does not preserve boundaries at degree {gx.degree}"
+            )
+        basis = colbasis(psi, p)
+        onto = solve(basis, psi, p)
+        assert onto is not None
+        middle = self.obj(basis.shape[1])
+        return FlatMor(
+            gx.h, middle, gy.h, self.ver(middle, gx.h, onto), self.hor(middle, gy.h, basis)
+        )
+
+    def homology_embedding(self, grid, boundaries: HorMor) -> tuple[HorMor, VerMor]:
+        """A basis of cycles complementing the boundaries spans ``H_i``
+        (horizontal level); the matching rows of the inverse of a basis
+        ``boundaries | H_i | rest`` of ``X_i`` project onto it (vertical
+        level)."""
+        p = self.p
+        ambient = grid.cycles_hor.target
+        n = ambient.dim
+        bnd = self.hor_matrix(boundaries)
+        cycles = self.hor_matrix(grid.cycles_hor)
+        h_section = _greedy_extend(bnd, cycles, cycles.shape[1], p)
+        spanning = np.hstack([bnd, h_section])
+        rest = _greedy_extend(spanning, np.eye(n, dtype=np.int64), n, p)
+        inverse = solve(np.hstack([spanning, rest]), np.eye(n, dtype=np.int64), p)
+        assert inverse is not None
+        t_low, h_dim = bnd.shape[1], h_section.shape[1]
+        h_obj = self.obj(h_dim)
+        return (
+            self.hor(h_obj, ambient, h_section),
+            self.ver(h_obj, ambient, inverse[t_low : t_low + h_dim, :]),
+        )

@@ -24,7 +24,7 @@ from .chains import (
     VerChainMor,
     ses_from_injection,
 )
-from .core import AcgwError
+from .core import AcgwError, ValidationError
 from .finset import FinSetInstance, finset_obj, mapping_of
 from .linear import LinearInstance, mat_rank
 from .snake import SnakeInputStrong, SnakeInputWeak
@@ -57,42 +57,30 @@ _ATTEMPTS = 1000
 def free_complex(cx: ChainComplex) -> dict[int, np.ndarray]:
     """Plain boundary matrices ``d_i: X_i -> X_{i-1}`` of a complex.
 
-    Finite-set complexes are linearized over the two-element field with
-    one basis vector per id; each transition element contributes a single
-    incidence entry.  Linear complexes compose their two legs.  The
-    squared-boundary identity is checked and failure raises
-    :class:`AcgwError`.
+    Each transition is flattened by the instance
+    (:meth:`AcgwInstance.boundary_matrix`): finite sets over the
+    two-element field with one basis vector per id, linear complexes by
+    composing the two legs.  A leg that cannot be read raises
+    :class:`ValidationError` naming the transition; a nonzero squared
+    boundary raises :class:`AcgwError`.
     """
     inst = cx.inst
     diffs: dict[int, np.ndarray] = {}
-    if inst.kind == "set":
-        for i in range(cx.lo, cx.hi + 2):
-            upper = list(cx.obj(i))
-            lower = list(cx.obj(i - 1))
-            d = np.zeros((len(lower), len(upper)), dtype=np.int64)
-            t = cx.transition(i)
-            up, low = mapping_of(t.into_upper), mapping_of(t.into_lower)
-            for tid in t.obj:
-                d[lower.index(low[tid]), upper.index(up[tid])] = 1
-            diffs[i] = d
-        p = 2
-    elif inst.kind == "linear":
-        p = inst.p
-        for i in range(cx.lo, cx.hi + 2):
-            t = cx.transition(i)
-            d = inst.hor_matrix(t.into_lower) @ inst.ver_matrix(t.into_upper)
-            diffs[i] = d % p
-    else:
-        raise AcgwError(f"no oracle for instance kind {inst.kind!r}")
+    for i in range(cx.lo, cx.hi + 2):
+        t = cx.transition(i)
+        try:
+            diffs[i] = inst.boundary_matrix(t.into_upper, t.into_lower)
+        except ValidationError as exc:
+            raise ValidationError(f"transition {i}: {p}" for p in exc.problems) from None
     for i in range(cx.lo, cx.hi + 1):
-        if np.any((diffs[i] @ diffs[i + 1]) % p):
+        if np.any((diffs[i] @ diffs[i + 1]) % inst.prime):
             raise AcgwError(f"boundary squared is nonzero at degree {i}")
     return diffs
 
 
 def rank_homology_dims(cx: ChainComplex) -> dict[int, int]:
     """Homology dimensions of the flattened complex, by matrix rank."""
-    p = cx.inst.p if cx.inst.kind == "linear" else 2
+    p = cx.inst.prime
     diffs = free_complex(cx)
     out = {}
     for i in cx.degrees():

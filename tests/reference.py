@@ -1,0 +1,179 @@
+"""Reference implementations the tests compare the library against.
+
+The library computes each answer once.  Every function here recomputes
+one of those answers by a second, independent route, so that a test can
+assert the two agree:
+
+* :func:`homology_quotient_first` takes the complements in the other
+  order than :func:`acgw.homology`;
+* :func:`qiso_at_degree` decides invertibility of the homology span of a
+  finite-set chain map by an element criterion;
+* :func:`connecting_object_dual` builds the connecting object of a weak
+  snake from the kernel side;
+* :func:`h_on_map_via_les` induces the homology span of a finite-set
+  chain map through two long exact sequences;
+* :func:`weak_closed_forms` gives the middle transition objects of a weak
+  snake on literal subsets by set arithmetic.
+"""
+
+from acgw import (
+    ChainComplex,
+    HorChainMor,
+    HorMor,
+    Transition,
+    VerChainMor,
+    VerMor,
+    compose_flat,
+    finset_obj,
+    flat_morphism,
+    flat_of_hor,
+    homology,
+    les_of_ses,
+    ses_from_injection,
+    ses_from_projection,
+)
+from acgw.finset import mapping_of
+
+
+def homology_quotient_first(cx, i):
+    """The homology object at degree ``i`` with the lower leg complemented
+    first: the kernel of the upper leg lifted into the cokernel of the
+    boundaries."""
+    inst = cx.inst
+    _, quot_ver = inst.coker(cx.transition(i + 1).into_lower)
+    upper_in_quot = inst.factor_ver(cx.transition(i).into_upper, quot_ver)
+    h, _ = inst.ker(upper_in_quot)
+    return h
+
+
+def qiso_at_degree(f, i) -> bool:
+    """Whether the homology span of a finite-set chain map ``f`` is
+    invertible at degree ``i``, by chasing ids: nothing of either
+    homology is missed, collapsed or created."""
+    x, z, y = f.source, f.middle, f.target
+    up_x = {b for _, b in x.transition(i).into_upper.data}
+    low_x = {b for _, b in x.transition(i + 1).into_lower.data}
+    up_y = {b for _, b in y.transition(i).into_upper.data}
+    low_y = {b for _, b in y.transition(i + 1).into_lower.data}
+    back = mapping_of(f.back.level(i))
+    front = mapping_of(f.front.level(i))
+    missed_x = set(x.obj(i)) - up_x - low_x - set(back.values())
+    missed_y = set(y.obj(i)) - up_y - low_y - set(front.values())
+    collapsed = any(
+        back[zid] not in up_x and back[zid] not in low_x and front[zid] in low_y
+        for zid in z.obj(i)
+    )
+    created = any(
+        front[zid] not in up_y and front[zid] not in low_y and back[zid] in up_x
+        for zid in z.obj(i)
+    )
+    return not missed_x and not missed_y and not collapsed and not created
+
+
+def connecting_object_dual(inp):
+    """The connecting object of a weak snake input as the cokernel of the
+    middle mono lifted into the kernel of the middle epi (the library
+    takes the kernel of the middle epi lifted into the cokernel of the
+    middle mono)."""
+    inst = inp.inst
+    _, kleg_mid = inst.ker(inp.mid_epi)
+    lifted_mono = inst.factor_hor(inp.mid_mono, kleg_mid)
+    conn, _ = inst.coker(lifted_mono)
+    return conn
+
+
+def weak_closed_forms(inp):
+    """The three middle transition objects of a weak snake on literal
+    subsets: ``C - (Y - X)``, ``(Y - X) - Z`` and ``A' - (Y - Z)``."""
+    x = set(inp.mid_mono.source)
+    y = set(inp.mid_mono.target)
+    z = set(inp.mid_epi.source)
+    c = set(inp.top_epi.source)
+    a_prime = set(inp.bot_mono.source)
+    return c - (y - x), (y - x) - z, a_prime - (y - z)
+
+
+def _relabel_complex(z, level_map, bar_map):
+    """Rename every id of a finite-set complex along injections."""
+    objects = tuple(
+        finset_obj(level_map[i][zid] for zid in z.obj(i)) for i in z.degrees()
+    )
+    transitions = []
+    for i in z.transition_degrees():
+        t = z.transition(i)
+        up, low = mapping_of(t.into_upper), mapping_of(t.into_lower)
+        obj = finset_obj(bar_map[i][tid] for tid in t.obj)
+        up_pairs = sorted((bar_map[i][tid], level_map[i][up[tid]]) for tid in t.obj)
+        low_pairs = sorted(
+            (bar_map[i][tid], level_map[i - 1][low[tid]]) for tid in t.obj
+        )
+        transitions.append(
+            Transition(
+                obj,
+                VerMor(obj, objects[i - z.lo], tuple(up_pairs)),
+                HorMor(obj, objects[i - 1 - z.lo], tuple(low_pairs)),
+            )
+        )
+    return ChainComplex(z.inst, z.lo, z.hi, objects, tuple(transitions))
+
+
+def h_on_map_via_les(f, i):
+    """The homology span of a finite-set chain map ``X <= Z -> Y`` at
+    degree ``i``, through long exact sequences.
+
+    The middle is renamed into ``X`` and into ``Y``; the two renamed
+    copies sit in short exact sequences whose long exact sequences carry
+    ``H_i(X) -> H_i(Zx)`` and ``H_i(Zy) -> H_i(Y)``, and a relabelling
+    bridge ``H_i(Zx) -> H_i(Zy)`` joins them.
+    """
+    inst = f.source.inst
+    x, z, y = f.source, f.middle, f.target
+
+    back_levels = {d: mapping_of(f.back.level(d)) for d in z.degrees()}
+    back_bars = {d: mapping_of(f.back.bar_level(d)) for d in z.transition_degrees()}
+    front_levels = {d: mapping_of(f.front.level(d)) for d in z.degrees()}
+    front_bars = {d: mapping_of(f.front.bar_level(d)) for d in z.transition_degrees()}
+    zx = _relabel_complex(z, back_levels, back_bars)
+    zy = _relabel_complex(z, front_levels, front_bars)
+
+    incl_zx = VerChainMor(
+        zx,
+        x,
+        tuple(inst.inclusion_ver(zx.obj(d), x.obj(d)) for d in x.degrees()),
+        tuple(
+            inst.inclusion_ver(zx.transition(d).obj, x.transition(d).obj)
+            for d in x.transition_degrees()
+        ),
+    )
+    incl_zy = HorChainMor(
+        zy,
+        y,
+        tuple(inst.inclusion_hor(zy.obj(d), y.obj(d)) for d in y.degrees()),
+        tuple(
+            inst.inclusion_hor(zy.transition(d).obj, y.transition(d).obj)
+            for d in y.transition_degrees()
+        ),
+    )
+
+    zz1 = les_of_ses(ses_from_projection(incl_zx))
+    zz2 = les_of_ses(ses_from_injection(incl_zy))
+    block = 3 * (x.hi + 1 - i)
+    to_zx = flat_morphism(zz1, block + 1)  # H_i(X) -> H_i(Zx)
+    to_y = flat_morphism(zz2, block)  # H_i(Zy) -> H_i(Y)
+
+    gx, gy = homology(zx, i), homology(zy, i)
+    relabel = HorMor(
+        zx.obj(i),
+        zy.obj(i),
+        tuple(
+            sorted((back_levels[i][zid], front_levels[i][zid]) for zid in z.obj(i))
+        ),
+    )
+    cycles_map = inst.factor_hor(
+        inst.compose_hor(gx.cycles_hor, relabel), gy.cycles_hor
+    )
+    bridge = inst.hor_between_cokers(cycles_map, gx.h_to_cycles, gy.h_to_cycles)
+    assert inst.is_iso_hor(bridge), f"relabelling bridge at degree {i} is not invertible"
+    return compose_flat(
+        inst, compose_flat(inst, to_zx, flat_of_hor(inst, bridge)), to_y
+    )

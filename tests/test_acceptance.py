@@ -15,6 +15,7 @@ from acgw import (
     chain_map_of_hor,
     chain_map_of_ver,
     check_functoriality,
+    flat_is_iso,
     gen_complex,
     gen_composable_chain_maps,
     gen_hor_mor,
@@ -23,6 +24,7 @@ from acgw import (
     gen_snake_strong,
     gen_snake_weak,
     gen_ver_mor,
+    h_on_map,
     homology,
     homology_obj,
     homology_size,
@@ -42,6 +44,12 @@ from acgw import (
 from acgw.cli import main as cli_main
 
 from conftest import CORPUS_NAMES, corpus_doc, corpus_text
+from reference import (
+    connecting_object_dual,
+    homology_quotient_first,
+    qiso_at_degree,
+    weak_closed_forms,
+)
 
 
 def report(n: int, ok: bool, desc: str, elapsed: float) -> None:
@@ -87,15 +95,18 @@ def test_criterion_03_order_independence_and_size_law():
         n = cx.inst.obj_size
         try:
             for i in cx.degrees():
-                g = homology(cx, i)  # raises if complement orders disagree
+                g = homology(cx, i)
+                if not cx.inst.obj_eq(g.h, homology_quotient_first(cx, i)):
+                    failures += 1
                 if n(g.h) != n(cx.obj(i)) - n(cx.transition(i).obj) - n(
                     cx.transition(i + 1).obj
                 ):
                     failures += 1
         except Exception:
             failures += 1
-    finish(3, failures == 0, "1000 random set complexes: both complement "
-                             "orders agree and the size law holds", t0, 10.0)
+    finish(3, failures == 0, "1000 random set complexes: homology agrees with "
+                             "the quotient-first reference and the size law "
+                             "holds", t0, 10.0)
 
 
 def test_criterion_04_oracle_equivalence():
@@ -111,23 +122,16 @@ def test_criterion_04_oracle_equivalence():
                              "F_2 equals structural homology", t0, 30.0)
 
 
-def _closed_forms(inp):
-    x = set(inp.mid_mono.source)
-    y = set(inp.mid_mono.target)
-    z = set(inp.mid_epi.source)
-    c = set(inp.top_epi.source)
-    a_prime = set(inp.bot_mono.source)
-    return c - (y - x), (y - x) - z, a_prime - (y - z)
-
-
 def test_criterion_05_snake_exactness():
     t0 = time.perf_counter()
     failures = 0
     for k in range(300):
         inp = gen_snake_weak(GenConfig(seed=500_000 + k, max_size=6))
         zz = snake_weak(inp)
-        d, w, d_prime = _closed_forms(inp)
+        d, w, d_prime = weak_closed_forms(inp)
         if not zigzag_is_exact(zz):
+            failures += 1
+        if zz.transitions[2].obj != connecting_object_dual(inp):
             failures += 1
         if (set(zz.transitions[1].obj), set(zz.transitions[2].obj),
                 set(zz.transitions[3].obj)) != (d, w, d_prime):
@@ -135,14 +139,17 @@ def test_criterion_05_snake_exactness():
     for k in range(100):
         inp = gen_snake_strong(GenConfig(seed=510_000 + k, max_size=6))
         zz = snake_strong(inp)
-        d, w, d_prime = _closed_forms(inp.inner_weak())
+        d, w, d_prime = weak_closed_forms(inp.inner_weak())
         if not zigzag_is_exact(zz):
+            failures += 1
+        if zz.transitions[2].obj != connecting_object_dual(inp.inner_weak()):
             failures += 1
         if (set(zz.transitions[1].obj), set(zz.transitions[2].obj),
                 set(zz.transitions[3].obj)) != (d, w, d_prime):
             failures += 1
     finish(5, failures == 0, "300 weak + 100 strong snake inputs: exact "
-                             "zigzags with closed-form middle objects", t0, 30.0)
+                             "zigzags with closed-form middle objects and the "
+                             "dual connecting object", t0, 30.0)
 
 
 def test_criterion_06_les_exactness():
@@ -175,19 +182,34 @@ def test_criterion_07_functoriality():
                              "span-equivalent to H(g)∘H(f)", t0, 30.0)
 
 
+def _qiso_disagreements(m) -> int:
+    """Degrees where the homology span's invertibility differs from the
+    element-by-element reference."""
+    inst = m.source.inst
+    return sum(
+        flat_is_iso(inst, h_on_map(m, i)) != qiso_at_degree(m, i)
+        for i in m.source.degrees()
+    )
+
+
 def test_criterion_08_qiso_iff_complement_exact():
     t0 = time.perf_counter()
     failures = 0
     for k in range(300):
-        a, b = qiso_iff_complement_exact(gen_hor_mor(GenConfig(seed=800_000 + k)))
+        mor = gen_hor_mor(GenConfig(seed=800_000 + k))
+        a, b = qiso_iff_complement_exact(mor)
         if a != b:
             failures += 1
+        failures += _qiso_disagreements(chain_map_of_hor(mor))
     for k in range(300):
-        a, b = qiso_iff_complement_exact(gen_ver_mor(GenConfig(seed=810_000 + k)))
+        mor = gen_ver_mor(GenConfig(seed=810_000 + k))
+        a, b = qiso_iff_complement_exact(mor)
         if a != b:
             failures += 1
+        failures += _qiso_disagreements(chain_map_of_ver(mor))
     finish(8, failures == 0, "300 horizontal + 300 vertical chain morphisms: "
-                             "quasi-iso iff complement complex exact", t0, 30.0)
+                             "quasi-iso iff complement complex exact, and the "
+                             "element criterion agrees at every degree", t0, 30.0)
 
 
 def test_criterion_09_homology_inclusion():
@@ -249,6 +271,8 @@ def test_criterion_10_linear_instance_parity():
         failures += 1
     zz = snake_weak(inp)
     if not zigzag_is_exact(zz):
+        failures += 1
+    if not inp.inst.obj_eq(zz.transitions[2].obj, connecting_object_dual(inp)):
         failures += 1
     if sum((-1) ** i * o.dim for i, o in enumerate(zz.objects)) != 0:
         failures += 1

@@ -257,3 +257,87 @@ def test_homology_size_law_failure_unreachable_by_validated_docs(tmp_path, capsy
     for name in CORPUS_NAMES:
         assert main(["homology", corpus_path(name)]) == 0
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# inputs that reach the instance hooks with bad data: an error line, no
+# traceback
+# ---------------------------------------------------------------------------
+
+
+def run_stdin(monkeypatch, capsys, argv, text):
+    import io
+    import sys
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    return code, err
+
+
+def test_non_prime_field_order_is_an_error_line(monkeypatch, capsys):
+    text = (CORPUS_DIR / "linear_small.acgw").read_text().replace("prime 2", "prime 4")
+    code, err = run_stdin(monkeypatch, capsys, ["exact", "-"], text)
+    assert code == 1
+    assert err.startswith("error: line 4:") and "prime" in err
+
+
+def test_oracle_on_a_leg_that_misses_its_target_is_an_error_line(monkeypatch, capsys):
+    text = (
+        "instance set\n"
+        "complex X:\n"
+        "  object 1: p\n"
+        "  object 2: q\n"
+        "  transition 2: t\n"
+        "    up: t->missing\n"
+        "    down: t->p\n"
+    )
+    code, err = run_stdin(monkeypatch, capsys, ["oracle", "-"], text)
+    assert code == 1
+    assert err.startswith("error: transition 2:") and "'t'" in err
+
+
+def test_level_matrix_of_the_wrong_shape_is_an_error_line(monkeypatch, capsys):
+    text = (
+        "instance linear\n"
+        "prime 7\n"
+        "complex X:\n"
+        "  object 0: dim 4\n"
+        "  object 1: dim 4\n"
+        "complex W:\n"
+        "  object 0: dim 4\n"
+        "  object 1: dim 4\n"
+        "hor f: W -> X\n"
+        "  level 1: [[1, 0], [0, 1]]\n"
+    )
+    code, err = run_stdin(monkeypatch, capsys, ["homology", "-"], text)
+    assert code == 1
+    assert err.startswith("error: line 9: degree 1:") and "4x4" in err
+
+
+LINEAR_LEG = (
+    "instance linear\n"
+    "prime 7\n"
+    "complex X:\n"
+    "  object 0: dim 2\n"
+    "  object 1: dim 2\n"
+    "  transition 1: dim 1\n"
+    "    up: {up}\n"
+    "    down: [[0], [1]]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command,up",
+    [
+        ("homology", "[[100000000000000000000000, 0]]"),
+        ("homology", "[[1, 0, 0]]"),
+        ("oracle", "[[1, 0, 0]]"),
+        ("render", "[[1, 0, 0]]"),
+    ],
+)
+def test_bad_transition_matrix_is_an_error_line(monkeypatch, capsys, command, up):
+    code, err = run_stdin(monkeypatch, capsys, [command, "-"], LINEAR_LEG.format(up=up))
+    assert code == 1
+    assert err.startswith("error:") and "matrix" in err

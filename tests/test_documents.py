@@ -214,3 +214,10 @@ def test_document_equality_is_structural():
     a = parse(corpus_text("inclusion_pair"))
     b = parse(corpus_text("inclusion_pair"))
     assert a == b and a is not b
+
+
+def test_documents_over_different_primes_differ():
+    text = corpus_text("linear_small")
+    a, b = parse(text), parse(text.replace("prime 2", "prime 3"))
+    assert (a.kind, a.prime, b.prime) == ("linear", 2, 3)
+    assert a != b and a == parse(text)

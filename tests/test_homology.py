@@ -30,6 +30,7 @@ from acgw import (
 )
 
 from conftest import corpus_doc
+from reference import h_on_map_via_les, homology_quotient_first
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,9 @@ def test_homology_grid_legs_consistent():
     inst = X.inst
     assert inst.obj_size(g.cycles) >= inst.obj_size(g.h)
     assert not inst.validate_hor(g.cycles_hor)
-    assert not inst.validate_ver(g.quot_ver)
+    assert not inst.validate_ver(g.h_to_cycles)
+    assert g.h_to_cycles.target == g.cycles
+    assert g.h == homology_quotient_first(X, 2)
 
 
 def test_span_legs_quasi_iso_verdicts():
@@ -74,9 +77,7 @@ def test_h_on_map_cross_validation_matches_fast_path():
     inst = m.source.inst
     degrees = set(m.source.degrees()) | set(m.target.degrees()) | set(m.middle.degrees())
     for i in sorted(degrees):
-        fast = h_on_map(m, i)
-        checked = h_on_map(m, i, cross_validate=True)
-        assert span_equiv(inst, fast, checked)
+        assert span_equiv(inst, h_on_map(m, i), h_on_map_via_les(m, i))
 
 
 def test_qiso_iff_on_corpus_inclusion():
@@ -117,8 +118,8 @@ def test_size_law_and_order_independence(seed):
     cx, expected = gen_complex(GenConfig(seed=seed))
     n = cx.inst.obj_size
     for i in cx.degrees():
-        # homology() raises if the two complement orders disagree.
         g = homology(cx, i)
+        assert g.h == homology_quotient_first(cx, i)
         assert n(g.h) == expected[i]
         assert n(g.h) == n(cx.obj(i)) - n(cx.transition(i).obj) - n(
             cx.transition(i + 1).obj
@@ -162,7 +163,7 @@ def test_h_on_map_double_route(seed):
     m = gen_chain_map_for(seed)
     inst = m.source.inst
     for i in sorted(set(m.source.degrees()) | set(m.target.degrees())):
-        assert span_equiv(inst, h_on_map(m, i), h_on_map(m, i, cross_validate=True))
+        assert span_equiv(inst, h_on_map(m, i), h_on_map_via_les(m, i))
 
 
 def gen_chain_map_for(seed):

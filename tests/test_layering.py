@@ -1,0 +1,68 @@
+"""Layering: sets and F_p differ only behind the instance interface.
+
+Parses the package sources and checks that the generic layers import
+nothing from the two instance modules, that the document format imports
+only the two instance classes, and that no module outside the instance
+modules compares an instance kind.
+"""
+
+import ast
+from pathlib import Path
+
+import acgw
+
+SRC = Path(acgw.__file__).parent
+INSTANCE_MODULES = {"finset", "linear"}
+GENERIC = ("chains", "homology", "snake", "render")
+
+
+def parsed(name: str) -> ast.Module:
+    return ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def instance_imports(tree: ast.Module) -> set[tuple[str, str]]:
+    """``(module, name)`` for every name imported from an instance module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            if module in INSTANCE_MODULES:
+                out |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.rsplit(".", 1)[-1] in INSTANCE_MODULES:
+                    out.add((alias.name, "*"))
+    return out
+
+
+def kind_comparisons(tree: ast.Module) -> list[int]:
+    """Line numbers of comparisons with a ``.kind`` attribute operand."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(operand, ast.Attribute) and operand.attr == "kind"
+            for operand in [node.left, *node.comparators]
+        )
+    ]
+
+
+def test_generic_layers_import_no_instance_module():
+    for name in GENERIC:
+        assert instance_imports(parsed(name)) == set(), name
+
+
+def test_documents_imports_only_the_two_instance_classes():
+    assert instance_imports(parsed("documents")) == {
+        ("finset", "FinSetInstance"),
+        ("linear", "LinearInstance"),
+    }
+
+
+def test_only_instance_modules_compare_kinds():
+    modules = sorted(p.stem for p in SRC.glob("*.py"))
+    assert {"documents", "oracle", "cli", "homology"} <= set(modules)
+    for name in modules:
+        if name not in INSTANCE_MODULES:
+            assert kind_comparisons(parsed(name)) == [], name

@@ -24,18 +24,7 @@ from acgw import (
 )
 
 from conftest import corpus_doc
-
-
-def closed_form_middles(inp):
-    """The three middle transition objects of a weak snake output,
-    recomputed directly from the input rows by set arithmetic."""
-    x, y, z = set(inp.mid_mono.source), set(inp.mid_mono.target), set(inp.mid_epi.source)
-    c = set(inp.top_epi.source)
-    a_prime = set(inp.bot_mono.source)
-    d = c - (y - x)
-    w = (y - x) - z
-    d_prime = a_prime - (y - z)
-    return d, w, d_prime
+from reference import connecting_object_dual, weak_closed_forms
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +48,11 @@ def test_corpus_weak_snake_zigzag():
     assert zigzag_is_exact(zz)
     assert zz.labels[0] == "ker of left column"
     assert zz.labels[-1] == "coker of right column"
-    d, w, d_prime = closed_form_middles(inp)
+    d, w, d_prime = weak_closed_forms(inp)
     assert set(zz.transitions[1].obj) == d
     assert set(zz.transitions[2].obj) == w
     assert set(zz.transitions[3].obj) == d_prime
+    assert zz.transitions[2].obj == connecting_object_dual(inp)
 
 
 def test_corpus_les_three_term():
@@ -105,10 +95,11 @@ def test_weak_snake_property(seed):
     zz = snake_weak(inp)
     assert validate_zigzag(zz) == []
     assert zigzag_is_exact(zz)
-    d, w, d_prime = closed_form_middles(inp)
+    d, w, d_prime = weak_closed_forms(inp)
     assert set(zz.transitions[1].obj) == d
     assert set(zz.transitions[2].obj) == w
     assert set(zz.transitions[3].obj) == d_prime
+    assert zz.transitions[2].obj == connecting_object_dual(inp)
 
 
 @settings(deadline=None, max_examples=60)
@@ -122,10 +113,11 @@ def test_strong_snake_property(seed):
     # Ends are not claimed exact, interior positions are.
     assert zz.non_exact_positions == frozenset({0, 5})
     inner = inp.inner_weak()
-    d, w, d_prime = closed_form_middles(inner)
+    d, w, d_prime = weak_closed_forms(inner)
     assert set(zz.transitions[1].obj) == d
     assert set(zz.transitions[2].obj) == w
     assert set(zz.transitions[3].obj) == d_prime
+    assert zz.transitions[2].obj == connecting_object_dual(inner)
 
 
 def test_strong_end_positions_can_fail_exactness():
