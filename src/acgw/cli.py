@@ -13,14 +13,13 @@ import json
 import sys
 
 from .chains import ChainComplex
-from .core import AcgwError, CapabilityError
+from .core import AcgwError, CapabilityError, flat_is_iso
 from .documents import Document, ParseError, parse, serialize, validate_document
 from .homology import (
     h_on_map,
     homology_obj,
     homology_size,
     is_exact,
-    is_quasi_iso,
 )
 from .oracle import (
     GenConfig,
@@ -217,11 +216,18 @@ def cmd_map_homology(args) -> int:
     doc = _load(args.file)
     f = doc.map_named(args.map)
     inst = doc.inst
+    spans: dict = {}
+
+    def span_at(i: int):
+        if i not in spans:
+            spans[i] = h_on_map(f, i)
+        return spans[i]
+
     degrees = [args.degree] if args.degree is not None else list(f.source.degrees())
     lines = []
     payload: dict = {"degrees": {}}
     for i in degrees:
-        span = h_on_map(f, i)
+        span = span_at(i)
         lines.append(
             f"H_{i}: {inst.obj_label(span.source)} <= "
             f"{inst.obj_label(span.middle)} -> {inst.obj_label(span.target)}"
@@ -231,7 +237,8 @@ def cmd_map_homology(args) -> int:
             "middle": inst.obj_label(span.middle),
             "target": inst.obj_label(span.target),
         }
-    qiso = is_quasi_iso(f)
+    # The verdict of is_quasi_iso, from the spans already computed.
+    qiso = all(flat_is_iso(inst, span_at(i)) for i in f.source.degrees())
     payload["quasi_isomorphism"] = qiso
     lines.append(f"quasi-isomorphism: {'yes' if qiso else 'no'}")
     _emit(args, payload, lines)

@@ -235,7 +235,8 @@ class FinSetInstance(AcgwInstance):
             return SquareClass.NOT_SQUARE
         # Cartesian: the top picks out exactly the part of the right source
         # sitting over the bottom image.
-        over = {b for b in right.source if rm[b] in set(bm.values())}
+        bottom_image = set(bm.values())
+        over = {b for b in right.source if rm[b] in bottom_image}
         if _image(top) == over:
             return SquareClass.CARTESIAN
         return SquareClass.COMMUTING

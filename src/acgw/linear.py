@@ -4,8 +4,17 @@ Objects are :class:`VectObj` values recording a dimension and the prime.
 A horizontal morphism ``A -> B`` is backed by a full-column-rank matrix
 ``B x A`` (a mono); a vertical morphism ``A => B`` is backed by a
 full-row-rank matrix ``A x B``, the underlying surjection ``B ->> A``.
-Matrices are stored as tuples of row tuples with entries reduced mod p;
-all arithmetic happens in numpy int64 arrays.
+Matrices are stored as tuples of row tuples with entries reduced mod p
+and decoded into numpy int64 arrays, so the prime must lie below 2^63.
+
+Every product and row reduction goes through the mod-p kernel below
+(:func:`matmul_mod`, :func:`rref`), which picks the cheapest arithmetic
+that stays exact for the prime and the inner dimension k:
+
+* float64, through BLAS, for products with k (p-1)^2 < 2^53;
+* int64 for products with k (p-1)^2 < 2^63, and for row reduction
+  while (p-1)^2 < 2^63;
+* Python integers (object arrays) above that.
 
 Because kernels and complements are produced in fresh coordinates, this
 instance does not expose canonical subobjects
@@ -42,6 +51,7 @@ __all__ = [
     "LinearInstance",
     "mat_of",
     "tuple_of",
+    "matmul_mod",
     "rref",
     "mat_rank",
     "solve",
@@ -76,30 +86,66 @@ def mat_of(data: Mat, rows: int, cols: int) -> np.ndarray:
 
 def tuple_of(arr: np.ndarray, p: int) -> Mat:
     arr = np.mod(np.asarray(arr, dtype=np.int64), p)
-    return tuple(tuple(int(v) for v in row) for row in arr)
+    return tuple(map(tuple, arr.tolist()))
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact ``a @ b`` mod p as an int64 array.
+
+    Entries are reduced first, so each dot product is a sum of k terms
+    below (p-1)^2: float64 holds it exactly below 2^53, int64 below 2^63.
+    """
+    a, b = np.mod(a, p), np.mod(b, p)
+    bound = a.shape[1] * (p - 1) ** 2
+    if bound < 2**53:
+        prod = np.matmul(a, b, dtype=np.float64).astype(np.int64)
+    elif bound < 2**63:
+        prod = a @ b
+    else:
+        prod = a.astype(object) @ b.astype(object)
+    return np.mod(prod, p).astype(np.int64, copy=False)
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p, with the pivot column indices."""
-    r = np.mod(a.astype(np.int64), p).copy()
+    """Reduced row echelon form mod p, with the pivot column indices.
+
+    One row operation per pivot: the pivot row is scaled once, and one
+    outer-product update clears the pivot column in the rows with a
+    nonzero entry there (few, in sparse matrices), from the pivot column
+    on (the pivot row is zero to its left).  Its products stay below
+    (p-1)^2.  Both steps are skipped when there is nothing to do, which
+    keeps small matrices cheap.
+    """
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    r = np.mod(np.asarray(a, dtype=np.int64), p).astype(dtype, copy=False)
     rows, cols = r.shape
     pivots: list[int] = []
-    row = 0
     for col in range(cols):
+        row = len(pivots)
         if row == rows:
             break
-        hit = next((i for i in range(row, rows) if r[i, col]), None)
-        if hit is None:
+        nonzero = r[:, col].nonzero()[0]
+        k = nonzero.searchsorted(row)
+        if k == nonzero.size:
             continue
+        hit = int(nonzero[k])
         if hit != row:
             r[[row, hit]] = r[[hit, row]]
-        r[row] = (r[row] * pow(int(r[row, col]), p - 2, p)) % p
-        for i in range(rows):
-            if i != row and r[i, col]:
-                r[i] = (r[i] - r[i, col] * r[row]) % p
+            nonzero[k] = row
+        inverse = pow(int(r[row, col]), p - 2, p)
+        if inverse != 1:
+            r[row, col:] *= inverse
+            r[row, col:] %= p
+        if nonzero.size > 1:
+            # The update zeroes the pivot row too; it is written back after.
+            pivot_row = r[row, col:].copy()
+            block = r[nonzero, col:]
+            block -= block[:, :1] * pivot_row
+            block %= p
+            r[nonzero, col:] = block
+            r[row, col:] = pivot_row
         pivots.append(col)
-        row += 1
-    return r, pivots
+    return r.astype(np.int64, copy=False), pivots
 
 
 def mat_rank(a: np.ndarray, p: int) -> int:
@@ -114,8 +160,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     if any(c >= n for c in pivots):
         return None
     x = np.zeros((n, k), dtype=np.int64)
-    for j, col in enumerate(pivots):
-        x[col] = r[j, n:]
+    x[pivots] = r[: len(pivots), n:]
     return x
 
 
@@ -123,12 +168,10 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Canonical kernel basis (one column per free variable of the rref)."""
     _, n = a.shape
     r, pivots = rref(a, p)
-    free = [c for c in range(n) if c not in pivots]
+    free = sorted(set(range(n)) - set(pivots))
     out = np.zeros((n, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        out[fc, k] = 1
-        for j, pc in enumerate(pivots):
-            out[pc, k] = (-r[j, fc]) % p
+    out[free, range(len(free))] = 1
+    out[pivots] = np.mod(-r[: len(pivots), free], p)
     return out
 
 
@@ -156,6 +199,34 @@ def _greedy_extend(base: np.ndarray, pool: np.ndarray, target_rank: int, p: int)
     return pool[:, chosen]
 
 
+#: the first thirteen primes: as Miller–Rabin witnesses they decide every
+#: n < 3.3e24 exactly
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller–Rabin primality test."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class LinearInstance(AcgwInstance):
     """The prime-field model ``F_p``."""
 
@@ -163,8 +234,10 @@ class LinearInstance(AcgwInstance):
     has_canonical_subobjects = False
 
     def __init__(self, p: int = 2):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ValidationError([f"field order must be prime, got {p}"])
+        if p >= 2**63:
+            raise ValidationError([f"field order must be below 2^63, got {p}"])
         self.p = p
 
     @property
@@ -265,12 +338,16 @@ class LinearInstance(AcgwInstance):
     def compose_hor(self, f: HorMor, g: HorMor) -> HorMor:
         if f.target != g.source:
             raise CompositionError("horizontal composition mismatch")
-        return self.hor(f.source, g.target, self.hor_matrix(g) @ self.hor_matrix(f))
+        return self.hor(
+            f.source, g.target, matmul_mod(self.hor_matrix(g), self.hor_matrix(f), self.p)
+        )
 
     def compose_ver(self, f: VerMor, g: VerMor) -> VerMor:
         if f.target != g.source:
             raise CompositionError("vertical composition mismatch")
-        return self.ver(f.source, g.target, self.ver_matrix(f) @ self.ver_matrix(g))
+        return self.ver(
+            f.source, g.target, matmul_mod(self.ver_matrix(f), self.ver_matrix(g), self.p)
+        )
 
     def is_iso_hor(self, f: HorMor) -> bool:
         return f.source.dim == f.target.dim and mat_rank(
@@ -284,16 +361,8 @@ class LinearInstance(AcgwInstance):
 
     # ----- complement structure ---------------------------------------------
     def coker(self, m: HorMor) -> tuple[VectObj, VerMor]:
-        n = self.hor_matrix(m)
-        b = m.target.dim
-        r, pivots = rref(n.T, self.p)
-        nonpiv = [i for i in range(b) if i not in pivots]
-        e = np.zeros((len(nonpiv), b), dtype=np.int64)
-        for i, ni in enumerate(nonpiv):
-            e[i, ni] = 1
-            for j, pj in enumerate(pivots):
-                e[i, pj] = (-r[j, ni]) % self.p
-        obj = self.obj(len(nonpiv))
+        e = nullspace(self.hor_matrix(m).T, self.p).T
+        obj = self.obj(e.shape[0])
         return obj, self.ver(obj, m.target, e)
 
     def ker(self, e: VerMor) -> tuple[VectObj, HorMor]:
@@ -306,13 +375,12 @@ class LinearInstance(AcgwInstance):
             return False
         if m.source.dim + e.source.dim != m.target.dim:
             return False
-        prod = np.mod(self.ver_matrix(e) @ self.hor_matrix(m), self.p)
-        return not prod.any()
+        return not matmul_mod(self.ver_matrix(e), self.hor_matrix(m), self.p).any()
 
     def mixed_pullback(self, m: HorMor, e: VerMor) -> PullbackSquare:
         if m.target != e.target:
             raise FactorizationError("mixed pullback needs a shared target")
-        t = np.mod(self.ver_matrix(e) @ self.hor_matrix(m), self.p)
+        t = matmul_mod(self.ver_matrix(e), self.hor_matrix(m), self.p)
         basis = colbasis(t, self.p)
         corner = self.obj(basis.shape[1])
         onto = solve(basis, t, self.p)
@@ -339,9 +407,9 @@ class LinearInstance(AcgwInstance):
             or right.target != bottom.target
         ):
             return SquareClass.NOT_SQUARE
-        lhs = self.hor_matrix(top) @ self.ver_matrix(left)
-        rhs = self.ver_matrix(right) @ self.hor_matrix(bottom)
-        if np.mod(lhs - rhs, self.p).any():
+        lhs = matmul_mod(self.hor_matrix(top), self.ver_matrix(left), self.p)
+        rhs = matmul_mod(self.ver_matrix(right), self.hor_matrix(bottom), self.p)
+        if not np.array_equal(lhs, rhs):
             return SquareClass.NOT_SQUARE
         # Compare against the canonical pullback of the outer cospan.
         sq = self.mixed_pullback(bottom, right)
@@ -350,7 +418,7 @@ class LinearInstance(AcgwInstance):
         u = solve(self.hor_matrix(sq.to_epi_source), self.hor_matrix(top), self.p)
         if u is None or mat_rank(u, self.p) != top.source.dim:
             return SquareClass.COMMUTING
-        cmp_left = np.mod(u @ self.ver_matrix(left), self.p)
+        cmp_left = matmul_mod(u, self.ver_matrix(left), self.p)
         if np.mod(cmp_left - self.ver_matrix(sq.to_mono_source), self.p).any():
             return SquareClass.COMMUTING
         return SquareClass.CARTESIAN
@@ -365,9 +433,9 @@ class LinearInstance(AcgwInstance):
             or right.target != bottom.target
         ):
             return False
-        lhs = self.hor_matrix(right) @ self.hor_matrix(top)
-        rhs = self.hor_matrix(bottom) @ self.hor_matrix(left)
-        return not np.mod(lhs - rhs, self.p).any()
+        lhs = matmul_mod(self.hor_matrix(right), self.hor_matrix(top), self.p)
+        rhs = matmul_mod(self.hor_matrix(bottom), self.hor_matrix(left), self.p)
+        return np.array_equal(lhs, rhs)
 
     def ver_square_commutes(
         self, top: VerMor, left: VerMor, right: VerMor, bottom: VerMor
@@ -379,9 +447,9 @@ class LinearInstance(AcgwInstance):
             or right.target != bottom.target
         ):
             return False
-        lhs = self.ver_matrix(top) @ self.ver_matrix(right)
-        rhs = self.ver_matrix(left) @ self.ver_matrix(bottom)
-        return not np.mod(lhs - rhs, self.p).any()
+        lhs = matmul_mod(self.ver_matrix(top), self.ver_matrix(right), self.p)
+        rhs = matmul_mod(self.ver_matrix(left), self.ver_matrix(bottom), self.p)
+        return np.array_equal(lhs, rhs)
 
     # ----- factorization -----------------------------------------------------
     def factor_hor(self, f: HorMor, through: HorMor) -> HorMor:
@@ -400,8 +468,8 @@ class LinearInstance(AcgwInstance):
         e_f, e_g = self.ver_matrix(f), self.ver_matrix(through)
         section = solve(e_g, np.eye(through.source.dim, dtype=np.int64), self.p)
         assert section is not None  # valid vertical morphisms are surjective
-        h = np.mod(e_f @ section, self.p)
-        if np.mod(h @ e_g - e_f, self.p).any():
+        h = matmul_mod(e_f, section, self.p)
+        if np.mod(matmul_mod(h, e_g, self.p) - e_f, self.p).any():
             raise FactorizationError(
                 "vertical morphism does not factor: kernels are incompatible"
             )
@@ -411,12 +479,12 @@ class LinearInstance(AcgwInstance):
         if cp.target != m.source or cq.target != m.target:
             raise FactorizationError("complement presentations do not match m")
         e_cp, e_cq = self.ver_matrix(cp), self.ver_matrix(cq)
-        reach = np.mod(e_cq @ self.hor_matrix(m), self.p)
-        if np.mod(reach @ nullspace(e_cp, self.p), self.p).any():
+        reach = matmul_mod(e_cq, self.hor_matrix(m), self.p)
+        if matmul_mod(reach, nullspace(e_cp, self.p), self.p).any():
             raise FactorizationError("morphism does not descend to complements")
         section = solve(e_cp, np.eye(cp.source.dim, dtype=np.int64), self.p)
         assert section is not None
-        n = np.mod(reach @ section, self.p)
+        n = matmul_mod(reach, section, self.p)
         if mat_rank(n, self.p) != cp.source.dim:
             raise FactorizationError("induced complement morphism is not injective")
         return self.hor(cp.source, cq.source, n)
@@ -424,7 +492,7 @@ class LinearInstance(AcgwInstance):
     def ver_between_kernels(self, e: VerMor, kp: HorMor, kq: HorMor) -> VerMor:
         if kp.target != e.source or kq.target != e.target:
             raise FactorizationError("complement presentations do not match e")
-        reach = np.mod(self.ver_matrix(e) @ self.hor_matrix(kq), self.p)
+        reach = matmul_mod(self.ver_matrix(e), self.hor_matrix(kq), self.p)
         f = solve(self.hor_matrix(kp), reach, self.p)
         if f is None:
             raise FactorizationError("morphism does not restrict to complements")
@@ -434,7 +502,7 @@ class LinearInstance(AcgwInstance):
 
     # ----- spans ---------------------------------------------------------------
     def flat_key(self, back: VerMor, front: HorMor) -> Hashable:
-        composite = np.mod(self.hor_matrix(front) @ self.ver_matrix(back), self.p)
+        composite = matmul_mod(self.hor_matrix(front), self.ver_matrix(back), self.p)
         return (composite.shape, tuple_of(composite, self.p))
 
     # ----- document format -----------------------------------------------------
@@ -478,14 +546,14 @@ class LinearInstance(AcgwInstance):
         return json.dumps(arr.tolist())
 
     def lift_hor_bar(self, level: HorMor, src_up: VerMor, tgt_up: VerMor) -> HorMor:
-        rhs = np.mod(self.ver_matrix(tgt_up) @ self.hor_matrix(level), self.p)
+        rhs = matmul_mod(self.ver_matrix(tgt_up), self.hor_matrix(level), self.p)
         sol = solve(self.ver_matrix(src_up).T, rhs.T, self.p)
         if sol is None:
             raise FactorizationError("no compatible bar level")
         return self.hor(src_up.source, tgt_up.source, sol.T)
 
     def lift_ver_bar(self, level: VerMor, src_low: HorMor, tgt_low: HorMor) -> VerMor:
-        rhs = np.mod(self.ver_matrix(level) @ self.hor_matrix(tgt_low), self.p)
+        rhs = matmul_mod(self.ver_matrix(level), self.hor_matrix(tgt_low), self.p)
         sol = solve(self.hor_matrix(src_low), rhs, self.p)
         if sol is None:
             raise FactorizationError("no compatible bar level")
@@ -494,25 +562,26 @@ class LinearInstance(AcgwInstance):
     # ----- rank oracle -----------------------------------------------------------
     def boundary_matrix(self, up: VerMor, low: HorMor) -> np.ndarray:
         """The composite of the two legs, ``low . up``."""
-        return np.mod(self.hor_matrix(low) @ self.ver_matrix(up), self.p)
+        return matmul_mod(self.hor_matrix(low), self.ver_matrix(up), self.p)
 
     # ----- homology --------------------------------------------------------------
     def homology_span(self, gx, gy, back: VerMor, front: HorMor) -> FlatMor:
         """The induced linear map on homology, computed classically and
         returned through its epi-mono factorization."""
         p = self.p
-        phi = np.mod(self.hor_matrix(front) @ self.ver_matrix(back), p)
+        phi = matmul_mod(self.hor_matrix(front), self.ver_matrix(back), p)
         n_kx = self.hor_matrix(gx.cycles_hor)
         n_ky = self.hor_matrix(gy.cycles_hor)
-        v = solve(n_ky, np.mod(phi @ n_kx, p), p)
+        v = solve(n_ky, matmul_mod(phi, n_kx, p), p)
         if v is None:
             raise AcgwError(f"chain map does not preserve cycles at degree {gx.degree}")
         eps_x = self.ver_matrix(gx.h_to_cycles)
         eps_y = self.ver_matrix(gy.h_to_cycles)
         section = solve(eps_x, np.eye(gx.h.dim, dtype=np.int64), p)
         assert section is not None
-        psi = np.mod(eps_y @ v @ section, p)
-        if np.mod(psi @ eps_x - eps_y @ v, p).any():
+        eps_v = matmul_mod(eps_y, v, p)
+        psi = matmul_mod(eps_v, section, p)
+        if not np.array_equal(matmul_mod(psi, eps_x, p), eps_v):
             raise AcgwError(
                 f"chain map does not preserve boundaries at degree {gx.degree}"
             )

@@ -26,7 +26,7 @@ from .chains import (
 )
 from .core import AcgwError, ValidationError
 from .finset import FinSetInstance, finset_obj, mapping_of
-from .linear import LinearInstance, mat_rank
+from .linear import LinearInstance, mat_rank, matmul_mod
 from .snake import SnakeInputStrong, SnakeInputWeak
 
 __all__ = [
@@ -73,7 +73,7 @@ def free_complex(cx: ChainComplex) -> dict[int, np.ndarray]:
         except ValidationError as exc:
             raise ValidationError(f"transition {i}: {p}" for p in exc.problems) from None
     for i in range(cx.lo, cx.hi + 1):
-        if np.any((diffs[i] @ diffs[i + 1]) % inst.prime):
+        if matmul_mod(diffs[i], diffs[i + 1], inst.prime).any():
             raise AcgwError(f"boundary squared is nonzero at degree {i}")
     return diffs
 
@@ -534,8 +534,8 @@ def gen_linear_complex(
         for r in range(t[i]):
             low[h[i - 1] + t[i - 1] + r, r] = 1
         g = rand_gl(rng, t[i], p)
-        up = (g @ up @ _inv_mod(basis_change[i], p)) % p
-        low = (basis_change[i - 1] @ low @ _inv_mod(g, p)) % p
+        up = matmul_mod(matmul_mod(g, up, p), _inv_mod(basis_change[i], p), p)
+        low = matmul_mod(matmul_mod(basis_change[i - 1], low, p), _inv_mod(g, p), p)
         tobj = inst.obj(t[i])
         transitions.append(
             Transition(

@@ -13,7 +13,11 @@ assert the two agree:
 * :func:`h_on_map_via_les` induces the homology span of a finite-set
   chain map through two long exact sequences;
 * :func:`weak_closed_forms` gives the middle transition objects of a weak
-  snake on literal subsets by set arithmetic.
+  snake on literal subsets by set arithmetic;
+* :func:`matmul_mod_reference` and :func:`rref_reference` multiply and
+  row-reduce matrices mod p in Python integers, one entry at a time,
+  where :mod:`acgw.linear` works on whole numpy arrays in float64, int64
+  or object dtype.
 """
 
 from acgw import (
@@ -177,3 +181,37 @@ def h_on_map_via_les(f, i):
     return compose_flat(
         inst, compose_flat(inst, to_zx, flat_of_hor(inst, bridge)), to_y
     )
+
+
+def matmul_mod_reference(a, b, p):
+    """``a @ b`` mod p for two integer arrays, as a list of rows computed
+    entry by entry in Python integers."""
+    (rows, inner), (_, cols) = a.shape, b.shape
+    a, b = a.tolist(), b.tolist()
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(inner)) % p for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def rref_reference(a, p):
+    """Reduced row echelon form mod p of an integer array, as a list of
+    rows, with the pivot columns: textbook Gauss-Jordan elimination in
+    Python integers.  The reduced form is unique, so any correct
+    elimination agrees with it."""
+    r = [[v % p for v in row] for row in a.tolist()]
+    pivots = []
+    for col in range(a.shape[1]):
+        row = len(pivots)
+        hit = next((i for i in range(row, len(r)) if r[i][col]), None)
+        if hit is None:
+            continue
+        r[row], r[hit] = r[hit], r[row]
+        inv = pow(r[row][col], p - 2, p)
+        r[row] = [v * inv % p for v in r[row]]
+        for i, other in enumerate(r):
+            if i != row and other[col]:
+                f = other[col]
+                r[i] = [(v - f * w) % p for v, w in zip(other, r[row])]
+        pivots.append(col)
+    return r, pivots

@@ -2,8 +2,9 @@
 
 Parses the package sources and checks that the generic layers import
 nothing from the two instance modules, that the document format imports
-only the two instance classes, and that no module outside the instance
-modules compares an instance kind.
+only the two instance classes, that no module outside the instance
+modules compares an instance kind, and that every matrix product goes
+through the exact mod-p kernel ``linear.matmul_mod``.
 """
 
 import ast
@@ -66,3 +67,27 @@ def test_only_instance_modules_compare_kinds():
     for name in modules:
         if name not in INSTANCE_MODULES:
             assert kind_comparisons(parsed(name)) == [], name
+
+
+def matmul_operators(tree: ast.Module) -> list[int]:
+    """Line numbers of ``@`` operators outside a function named
+    ``matmul_mod``."""
+    inside = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "matmul_mod"
+        for node in ast.walk(fn)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.MatMult)
+        and id(node) not in inside
+    ]
+
+
+def test_matrix_products_go_through_matmul_mod():
+    # numpy's integer @ wraps silently on int64 overflow; matmul_mod is exact.
+    for path in sorted(SRC.glob("*.py")):
+        assert matmul_operators(parsed(path.stem)) == [], path.name

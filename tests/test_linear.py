@@ -1,5 +1,7 @@
 """Exact linear algebra over prime fields and the linear instance."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,38 @@ from acgw import (
     FactorizationError,
     LinearInstance,
     SquareClass,
+    ValidationError,
 )
-from acgw.linear import colbasis, mat_of, mat_rank, nullspace, rref, solve, tuple_of
+from acgw.linear import (
+    colbasis,
+    mat_of,
+    mat_rank,
+    matmul_mod,
+    nullspace,
+    rref,
+    solve,
+    tuple_of,
+)
+
+from reference import matmul_mod_reference, rref_reference
 
 PRIMES = (2, 3, 5)
+
+#: pairs of primes just below and just above (p-1)^2 = 2^53 (float64
+#: products at k = 1) and (p-1)^2 = 2^63 (int64 row reduction), with
+#: 2^31-1, whose int64 products overflow from k = 3, and primes beyond
+#: both thresholds
+THRESHOLD_PRIMES = (
+    2,
+    65521,
+    94906249,
+    94906297,
+    2147483647,
+    3037000493,
+    3037000507,
+    4294967291,
+    2**61 - 1,
+)
 
 
 @st.composite
@@ -121,6 +151,68 @@ def test_nullspace_and_colbasis(mp):
     assert mat_rank(C, p) == C.shape[1] == mat_rank(a, p)
 
 
+# ---------------------------------------------------------------------------
+# The mod-p kernel against the pure-Python references, at every threshold.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def threshold_matrix(draw, rows, cols, p):
+    """A ``rows x cols`` matrix mod p, rich in the extreme entries 0, 1 and
+    p-1, whose last row is sometimes a combination of two others."""
+    entry = st.one_of(st.integers(0, p - 1), st.sampled_from((0, 1, p - 1)))
+    grid = draw(
+        st.lists(
+            st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        )
+    )
+    if rows >= 3 and draw(st.booleans()):
+        c0, c1 = draw(entry), draw(entry)
+        grid[-1] = [(c0 * x + c1 * y) % p for x, y in zip(grid[0], grid[1])]
+    return np.array(grid, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(THRESHOLD_PRIMES), st.data())
+def test_kernel_agrees_with_reference_at_thresholds(p, data):
+    m, k, n = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a = data.draw(threshold_matrix(m, k, p))
+    b = data.draw(threshold_matrix(k, n, p))
+    prod = matmul_mod(a, b, p)
+    assert prod.dtype == np.int64 and prod.shape == (m, n)
+    assert prod.tolist() == matmul_mod_reference(a, b, p)
+
+    r, pivots = rref(a, p)
+    want_r, want_pivots = rref_reference(a, p)
+    assert r.dtype == np.int64 and r.shape == a.shape
+    assert (r.tolist(), pivots) == (want_r, want_pivots)
+
+    nullity = k - len(want_pivots)
+    null = nullspace(a, p)
+    assert null.shape == (k, nullity)
+    assert matmul_mod_reference(a, null, p) == [[0] * nullity for _ in range(m)]
+    free = [c for c in range(k) if c not in want_pivots]
+    assert null[free].tolist() == np.eye(nullity, dtype=np.int64).tolist()
+
+    rhs = data.draw(threshold_matrix(m, 2, p))
+    solvable = all(c < k for c in rref_reference(np.hstack([a, rhs]), p)[1])
+    x = solve(a, rhs, p)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert matmul_mod_reference(a, x, p) == rhs.tolist()
+    consistent = np.array(matmul_mod_reference(a, b, p), dtype=np.int64).reshape(m, n)
+    x = solve(a, consistent, p)
+    assert x is not None
+    assert matmul_mod_reference(a, x, p) == consistent.tolist()
+
+
+def test_matmul_mod_does_not_overflow_at_two_to_the_31():
+    p = 2**31 - 1
+    full = np.full((3, 3), p - 1, dtype=np.int64)
+    # (p-1)^2 = 1 mod p, summed three times; int64 products wrap here.
+    assert matmul_mod(full, full, p).tolist() == [[3] * 3] * 3
+
+
 def test_mat_of_tuple_of_round_trip():
     data = ((1, 2), (0, 1))
     arr = mat_of(data, 2, 2)
@@ -132,6 +224,34 @@ def test_mat_of_tuple_of_round_trip():
 # ---------------------------------------------------------------------------
 # The prime-field instance.
 # ---------------------------------------------------------------------------
+
+
+def test_large_prime_field_constructs_quickly():
+    start = time.perf_counter()
+    assert LinearInstance(2**61 - 1).prime == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        0,
+        1,
+        4,
+        561,
+        1518500213 * 1518500279,  # two primes near 2^30.5, product near 2^61
+        3825123056546413051,  # strong pseudoprime to every prime base up to 23
+    ],
+)
+def test_composite_field_order_is_rejected(n):
+    with pytest.raises(ValidationError, match=f"field order must be prime, got {n}"):
+        LinearInstance(n)
+
+
+def test_field_order_beyond_int64_is_rejected():
+    # 2^63 + 29 is prime, but entries are stored as int64.
+    with pytest.raises(ValidationError, match="below 2\\^63"):
+        LinearInstance(2**63 + 29)
 
 
 def test_objects_and_labels():

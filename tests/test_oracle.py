@@ -166,6 +166,16 @@ def test_linear_generator_dims_and_law():
             assert rank_homology_dims(cx) == dims
 
 
+def test_linear_generator_beyond_int64_products():
+    # At 2^32 - 5 the products of two entries exceed int64; the generator
+    # conjugates by random invertible matrices, so every product counts.
+    cx, dims = gen_linear_complex(GenConfig(seed=1, instance="linear", prime=4294967291))
+    assert validate_complex(cx) == []
+    by_rank = rank_homology_dims(cx)
+    for i in cx.degrees():
+        assert by_rank[i] == homology_size(cx, i) == dims[i]
+
+
 def test_linear_generator_exact_variant():
     for seed in range(15):
         cx, dims = gen_linear_complex(

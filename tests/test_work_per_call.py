@@ -5,12 +5,14 @@ accidental extra work (a second route to the same answer) shows up as a
 changed count.
 """
 
+import importlib
 from collections import Counter
 from dataclasses import replace
 
 from acgw import homology, snake_weak
+from acgw.cli import main
 
-from conftest import corpus_doc
+from conftest import corpus_doc, corpus_text
 
 PRIMITIVES = (
     "ker",
@@ -63,3 +65,21 @@ def test_snake_weak_builds_the_connecting_object_once():
     assert zz.transitions[2].obj == ()
     # Building the connecting object a second way took 27 primitives.
     assert sum(counting.calls.values()) == 25
+
+
+def test_map_homology_computes_each_span_once(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "span_legs.acgw"
+    path.write_text(corpus_text("span_legs"), encoding="utf-8")
+    module = importlib.import_module("acgw.homology")
+    calls = Counter()
+
+    def counted(cx, i):
+        calls[i] += 1
+        return homology(cx, i)
+
+    monkeypatch.setattr(module, "homology", counted)
+    assert main(["map-homology", "--map", "F", str(path)]) == 0
+    assert "quasi-isomorphism: yes" in capsys.readouterr().out
+    # One span per degree, each from the homology of source and target;
+    # recomputing every span for the verdict took 12.
+    assert sum(calls.values()) == 6
