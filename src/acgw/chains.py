@@ -317,7 +317,13 @@ class ChainSES:
 
 
 def validate_chain_ses(ses: ChainSES) -> list[str]:
-    problems = [f"sub: {p}" for p in validate_hor_chain_mor(ses.sub)]
+    return _ses_problems(ses, validate_hor_chain_mor(ses.sub))
+
+
+def _ses_problems(ses: ChainSES, sub_problems: list[str]) -> list[str]:
+    """The problems of ``ses``, given those of its sub morphism (a
+    document that names the sub morphism has them already)."""
+    problems = [f"sub: {p}" for p in sub_problems]
     problems += [f"quot: {p}" for p in validate_ver_chain_mor(ses.quot)]
     if problems:
         return problems

@@ -280,11 +280,16 @@ class AcgwInstance(ABC):
     def classify_mixed(
         self, top: HorMor, left: VerMor, right: VerMor, bottom: HorMor
     ) -> SquareClass:
-        """Classify a mixed square.
+        """Classify a mixed square of valid morphisms.
 
         Orientation: ``top: P -> B``, ``left: P => A``, ``right: B => C``,
-        ``bottom: A -> C``.  Returns ``NOT_SQUARE`` when the shape is
-        wrong or the square fails to commute.
+        ``bottom: A -> C``.  Returns ``NOT_SQUARE`` only when the shape is
+        wrong (the endpoints do not match) or the square fails to commute.
+        Like every other primitive it does not validate its morphisms:
+        validation lives in :meth:`validate_hor`/:meth:`validate_ver` and
+        in the chain and snake validators, which check the levels (or
+        snake rows and columns) they pass before they call it.  On invalid
+        morphisms the class is unspecified.
         """
 
     @abstractmethod

@@ -45,9 +45,9 @@ from .chains import (
     HorChainMor,
     Transition,
     VerChainMor,
+    _ses_problems,
     ses_from_injection,
     validate_chain_map,
-    validate_chain_ses,
     validate_complex,
     validate_hor_chain_mor,
     validate_ver_chain_mor,
@@ -693,19 +693,21 @@ def validate_document(doc: Document) -> list[str]:
     problems: list[str] = []
     for name, cx in doc.complexes:
         problems += [f"complex {name}: {p}" for p in validate_complex(cx)]
-    for name, f in doc.hors:
-        problems += [f"hor {name}: {p}" for p in validate_hor_chain_mor(f)]
+    hor_problems = {name: validate_hor_chain_mor(f) for name, f in doc.hors}
+    for name, found in hor_problems.items():
+        problems += [f"hor {name}: {p}" for p in found]
     for name, g in doc.vers:
         problems += [f"ver {name}: {p}" for p in validate_ver_chain_mor(g)]
     for name, f in doc.maps:
         problems += [f"map {name}: {p}" for p in validate_chain_map(f)]
-    for name, _ in doc.seses:
+    for name, hor_name in doc.seses:
         try:
             ses = doc.ses_named(name)
         except AcgwError as exc:
             problems.append(f"ses {name}: cannot build the quotient ({exc})")
             continue
-        problems += [f"ses {name}: {p}" for p in validate_chain_ses(ses)]
+        # The sub morphism is the hor section checked above: reuse its problems.
+        problems += [f"ses {name}: {p}" for p in _ses_problems(ses, hor_problems[hor_name])]
     for name, s in doc.snakes_weak:
         problems += [f"snake weak {name}: {p}" for p in validate_snake_weak(s)]
     for name, s in doc.snakes_strong:

@@ -9,11 +9,19 @@ makes every canonical construction a genuine subset of its ambient object
 (``has_canonical_subobjects`` is true).  In documents an object is written
 as its ids and a morphism as ``src->tgt`` pairs; the rank oracle reads a
 complex over ``F_2`` with one basis vector per id.
+
+Only the entry points whose input order is arbitrary sort:
+:func:`finset_obj`, :meth:`FinSetInstance.hor`/:meth:`~FinSetInstance.ver`
+and the document readers.  The primitives take canonical inputs and keep
+canonical order rather than sort again: they filter a sorted object, or
+walk pairs in source order, so their results come out sorted.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import filterfalse, islice, repeat
+from operator import itemgetter, lt
 from typing import Any, Hashable
 
 import numpy as np
@@ -56,12 +64,21 @@ def _pairs(mapping: dict[str, str]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(mapping.items()))
 
 
+_first, _second = itemgetter(0), itemgetter(1)
+
+
 def _image(f: HorMor | VerMor) -> frozenset[str]:
-    return frozenset(t for _, t in f.data)
+    return frozenset(map(_second, f.data))
 
 
 def _inverse(f: HorMor | VerMor) -> dict[str, str]:
-    return {t: s for s, t in f.data}
+    return dict(zip(map(_second, f.data), map(_first, f.data)))
+
+
+def _increasing(xs) -> bool:
+    """Whether ``xs`` (a sequence) is strictly increasing: sorted and
+    without repeats, in one pass."""
+    return all(map(lt, xs, islice(xs, 1, None)))
 
 
 class FinSetInstance(AcgwInstance):
@@ -91,15 +108,15 @@ class FinSetInstance(AcgwInstance):
     def validate_obj(self, obj: Any) -> list[str]:
         if not isinstance(obj, tuple):
             return [f"object is not a tuple: {obj!r}"]
-        if not all(isinstance(x, str) for x in obj):
+        if not all(map(isinstance, obj, repeat(str))):
             return [f"object has non-string ids: {obj!r}"]
-        if tuple(sorted(set(obj))) != obj:
+        if not _increasing(obj):
             return [f"object ids are not sorted and unique: {obj!r}"]
         return []
 
     # ----- morphism helpers -----------------------------------------
     def _inclusion_pairs(self, sub: FinSetObj) -> tuple[tuple[str, str], ...]:
-        return tuple((x, x) for x in sub)
+        return tuple(zip(sub, sub))
 
     def inclusion_hor(self, sub: FinSetObj, ambient: FinSetObj) -> HorMor:
         """Literal inclusion of a subset as a horizontal morphism."""
@@ -139,7 +156,15 @@ class FinSetInstance(AcgwInstance):
             mapping = dict(f.data)
         except (TypeError, ValueError):
             return [f"morphism data is not a pair list: {f.data!r}"]
-        if _pairs(mapping) != f.data:
+        # The pairs are sorted exactly when they are tuples whose sources
+        # strictly increase (then no source repeats and ``mapping`` keeps
+        # every pair).
+        sources = list(mapping)
+        if not (
+            len(sources) == len(f.data)
+            and all(map(isinstance, f.data, repeat(tuple)))
+            and _increasing(sources)
+        ):
             problems.append("morphism pairs are not sorted by source id")
         if set(mapping) != set(f.source):
             problems.append(
@@ -163,7 +188,7 @@ class FinSetInstance(AcgwInstance):
     # ----- composition -----------------------------------------------
     def _compose(self, f, g):
         gm = mapping_of(g)
-        return _pairs({x: gm[y] for x, y in f.data})
+        return tuple((x, gm[y]) for x, y in f.data)
 
     def compose_hor(self, f: HorMor, g: HorMor) -> HorMor:
         if f.target != g.source:
@@ -189,11 +214,11 @@ class FinSetInstance(AcgwInstance):
 
     # ----- complement structure ---------------------------------------
     def coker(self, m: HorMor) -> tuple[FinSetObj, VerMor]:
-        rest = finset_obj(set(m.target) - _image(m))
+        rest = tuple(filterfalse(_image(m).__contains__, m.target))
         return rest, self.inclusion_ver(rest, m.target)
 
     def ker(self, e: VerMor) -> tuple[FinSetObj, HorMor]:
-        rest = finset_obj(set(e.target) - _image(e))
+        rest = tuple(filterfalse(_image(e).__contains__, e.target))
         return rest, self.inclusion_hor(rest, e.target)
 
     def is_complement_pair(self, m: HorMor, e: VerMor) -> bool:
@@ -209,20 +234,14 @@ class FinSetInstance(AcgwInstance):
                 f"{self.obj_label(m.target)} vs {self.obj_label(e.target)}"
             )
         m_inv = _inverse(m)
-        corner_ids = [b for b, y in e.data if y in m_inv]
-        corner = finset_obj(corner_ids)
-        em = mapping_of(e)
+        pairs = tuple((b, m_inv[y]) for b, y in e.data if y in m_inv)
+        corner = tuple(map(_first, pairs))
         hor_leg = self.inclusion_hor(corner, e.source)
-        ver_leg = VerMor(corner, m.source, _pairs({b: m_inv[em[b]] for b in corner}))
-        return PullbackSquare(corner, hor_leg, ver_leg, m, e)
+        return PullbackSquare(corner, hor_leg, VerMor(corner, m.source, pairs), m, e)
 
     def classify_mixed(
         self, top: HorMor, left: VerMor, right: VerMor, bottom: HorMor
     ) -> SquareClass:
-        if self.validate_hor(top) or self.validate_hor(bottom):
-            return SquareClass.NOT_SQUARE
-        if self.validate_ver(left) or self.validate_ver(right):
-            return SquareClass.NOT_SQUARE
         if (
             top.source != left.source
             or top.target != right.source
@@ -231,12 +250,14 @@ class FinSetInstance(AcgwInstance):
         ):
             return SquareClass.NOT_SQUARE
         tm, lm, rm, bm = (mapping_of(x) for x in (top, left, right, bottom))
-        if any(rm[tm[x]] != bm[lm[x]] for x in top.source):
+        # Lookups use ``get``: a leg of an invalid complex can still reach
+        # here from a chain-morphism validator, and must not raise.
+        if any(rm.get(tm.get(x)) != bm.get(lm.get(x)) for x in top.source):
             return SquareClass.NOT_SQUARE
         # Cartesian: the top picks out exactly the part of the right source
         # sitting over the bottom image.
         bottom_image = set(bm.values())
-        over = {b for b in right.source if rm[b] in bottom_image}
+        over = {b for b in right.source if rm.get(b) in bottom_image}
         if _image(top) == over:
             return SquareClass.CARTESIAN
         return SquareClass.COMMUTING
@@ -283,7 +304,7 @@ class FinSetInstance(AcgwInstance):
                     f"the image of the given morphism"
                 )
             out[x] = t_inv[y]
-        return _pairs(out)
+        return tuple(out.items())
 
     def factor_hor(self, f: HorMor, through: HorMor) -> HorMor:
         return HorMor(f.source, through.source, self._factor(f, through))
@@ -306,7 +327,7 @@ class FinSetInstance(AcgwInstance):
                     f"is {q}, not in the target complement"
                 )
             out[x] = cqi[q]
-        return HorMor(cp.source, cq.source, _pairs(out))
+        return HorMor(cp.source, cq.source, tuple(out.items()))
 
     def ver_between_kernels(self, e: VerMor, kp: HorMor, kq: HorMor) -> VerMor:
         """Chase ``e: P => Q`` along complement presentations ``kp: KP -> P``
@@ -323,7 +344,7 @@ class FinSetInstance(AcgwInstance):
                     f"is {q}, not in the target complement"
                 )
             out[x] = kqi[q]
-        return VerMor(kp.source, kq.source, _pairs(out))
+        return VerMor(kp.source, kq.source, tuple(out.items()))
 
     # ----- spans ---------------------------------------------------------
     def flat_key(self, back: VerMor, front: HorMor) -> Hashable:

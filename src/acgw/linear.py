@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Hashable
 
 import numpy as np
@@ -303,34 +304,52 @@ class LinearInstance(AcgwInstance):
         return self.ver(self.initial(), obj, np.zeros((0, obj.dim), np.int64))
 
     # ----- validation --------------------------------------------------
-    def _validate_mat(self, f, rows: int, cols: int) -> list[str]:
+    def _checked_mat(self, f, rows: int, cols: int) -> tuple[list[str], np.ndarray | None]:
+        """The first problem of the stored ``rows x cols`` matrix of ``f``,
+        or none and the matrix as an int64 array."""
         problems = self.validate_obj(f.source) + self.validate_obj(f.target)
         if problems:
-            return problems
+            return problems, None
         data = f.data
         if not isinstance(data, tuple) or len(data) != rows:
-            return [f"matrix must have {rows} rows, got {data!r}"]
+            return [f"matrix must have {rows} rows, got {data!r}"], None
+        # One numpy pass checks shape, dtype and range; the entries are
+        # walked only to name the first bad one (or for an empty matrix,
+        # whose dtype numpy cannot infer).
+        if all(map(isinstance, data, repeat(tuple))):
+            try:
+                arr = np.asarray(data)
+            except ValueError:  # rows of different lengths
+                arr = None
+            if (
+                arr is not None
+                and arr.dtype == np.int64
+                and arr.shape == (rows, cols)
+                and arr.min() >= 0
+                and arr.max() < self.p
+            ):
+                return [], arr
         for row in data:
             if not isinstance(row, tuple) or len(row) != cols:
-                return [f"matrix rows must have {cols} entries, got {row!r}"]
+                return [f"matrix rows must have {cols} entries, got {row!r}"], None
             for v in row:
                 if not isinstance(v, int) or not 0 <= v < self.p:
-                    return [f"matrix entry out of F{self.p}: {v!r}"]
-        return []
+                    return [f"matrix entry out of F{self.p}: {v!r}"], None
+        return [], mat_of(data, rows, cols)
 
     def validate_hor(self, f: HorMor) -> list[str]:
-        problems = self._validate_mat(f, f.target.dim, f.source.dim)
+        problems, arr = self._checked_mat(f, f.target.dim, f.source.dim)
         if problems:
             return problems
-        if mat_rank(self.hor_matrix(f), self.p) != f.source.dim:
+        if mat_rank(arr, self.p) != f.source.dim:
             problems.append("horizontal matrix is not injective")
         return problems
 
     def validate_ver(self, f: VerMor) -> list[str]:
-        problems = self._validate_mat(f, f.source.dim, f.target.dim)
+        problems, arr = self._checked_mat(f, f.source.dim, f.target.dim)
         if problems:
             return problems
-        if mat_rank(self.ver_matrix(f), self.p) != f.source.dim:
+        if mat_rank(arr, self.p) != f.source.dim:
             problems.append("vertical matrix is not surjective")
         return problems
 
@@ -396,10 +415,6 @@ class LinearInstance(AcgwInstance):
     def classify_mixed(
         self, top: HorMor, left: VerMor, right: VerMor, bottom: HorMor
     ) -> SquareClass:
-        if self.validate_hor(top) or self.validate_hor(bottom):
-            return SquareClass.NOT_SQUARE
-        if self.validate_ver(left) or self.validate_ver(right):
-            return SquareClass.NOT_SQUARE
         if (
             top.source != left.source
             or top.target != right.source
@@ -531,14 +546,22 @@ class LinearInstance(AcgwInstance):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError([f"bad matrix: {exc}"]) from None
-        if not isinstance(data, list) or not all(
-            isinstance(r, list) and all(isinstance(v, int) for v in r) for r in data
-        ):
-            raise ValidationError(["matrix must be a JSON list of integer rows"])
+        # numpy infers int64 for a 2-D list of JSON integers (true and false
+        # among them count as 1 and 0) that fit in int64.  Anything else is
+        # walked entry by entry to accept it or name what is wrong.
         try:
-            arr = np.asarray(data, dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
-            raise ValidationError([f"bad matrix: {exc}"]) from None
+            arr = np.asarray(data)
+        except ValueError:  # rows of different lengths
+            arr = None
+        if arr is None or arr.dtype != np.int64 or arr.ndim != 2:
+            if not isinstance(data, list) or not all(
+                isinstance(r, list) and all(isinstance(v, int) for v in r) for r in data
+            ):
+                raise ValidationError(["matrix must be a JSON list of integer rows"])
+            try:
+                arr = np.asarray(data, dtype=np.int64)
+            except (ValueError, OverflowError) as exc:
+                raise ValidationError([f"bad matrix: {exc}"]) from None
         return mor_type(source, target, tuple_of(arr, self.p))
 
     def mor_text(self, mor, leg=False):

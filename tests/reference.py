@@ -17,7 +17,10 @@ assert the two agree:
 * :func:`matmul_mod_reference` and :func:`rref_reference` multiply and
   row-reduce matrices mod p in Python integers, one entry at a time,
   where :mod:`acgw.linear` works on whole numpy arrays in float64, int64
-  or object dtype.
+  or object dtype;
+* :data:`SORTED_FINSET` builds each finite-set primitive by sorting its
+  result into canonical form, where :class:`acgw.FinSetInstance` keeps
+  the order of its canonical inputs.
 """
 
 from acgw import (
@@ -215,3 +218,58 @@ def rref_reference(a, p):
                 r[i] = [(v - f * w) % p for v, w in zip(other, r[row])]
         pivots.append(col)
     return r, pivots
+
+
+# ---------------------------------------------------------------------------
+# Finite-set primitives that sort their results.
+# ---------------------------------------------------------------------------
+
+
+def _sorted_pairs(mapping):
+    return tuple(sorted(mapping.items()))
+
+
+def _complement(mor, make):
+    rest = finset_obj(set(mor.target) - {t for _, t in mor.data})
+    return rest, make(rest, mor.target, tuple((x, x) for x in rest))
+
+
+def _factor_sorted(f, through):
+    t_inv = {t: s for s, t in through.data}
+    return _sorted_pairs({x: t_inv[y] for x, y in f.data})
+
+
+def _compose_sorted(f, g):
+    gm = mapping_of(g)
+    return _sorted_pairs({x: gm[y] for x, y in f.data})
+
+
+def _mixed_pullback_sorted(m, e):
+    m_inv = {t: s for s, t in m.data}
+    corner = finset_obj(b for b, y in e.data if y in m_inv)
+    em = mapping_of(e)
+    return (
+        corner,
+        HorMor(corner, e.source, tuple((x, x) for x in corner)),
+        VerMor(corner, m.source, _sorted_pairs({b: m_inv[em[b]] for b in corner})),
+    )
+
+
+def _between_sorted(mor, p_leg, q_leg, make):
+    mm, qi = mapping_of(mor), {t: s for s, t in q_leg.data}
+    return make(p_leg.source, q_leg.source, _sorted_pairs({x: qi[mm[p]] for x, p in p_leg.data}))
+
+
+#: each finite-set primitive by name, built by sorting every object and
+#: pair list it returns
+SORTED_FINSET = {
+    "ker": lambda e: _complement(e, HorMor),
+    "coker": lambda m: _complement(m, VerMor),
+    "mixed_pullback": _mixed_pullback_sorted,
+    "factor_hor": lambda f, t: HorMor(f.source, t.source, _factor_sorted(f, t)),
+    "factor_ver": lambda f, t: VerMor(f.source, t.source, _factor_sorted(f, t)),
+    "compose_hor": lambda f, g: HorMor(f.source, g.target, _compose_sorted(f, g)),
+    "compose_ver": lambda f, g: VerMor(f.source, g.target, _compose_sorted(f, g)),
+    "hor_between_cokers": lambda m, cp, cq: _between_sorted(m, cp, cq, HorMor),
+    "ver_between_kernels": lambda e, kp, kq: _between_sorted(e, kp, kq, VerMor),
+}

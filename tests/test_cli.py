@@ -341,3 +341,140 @@ def test_bad_transition_matrix_is_an_error_line(monkeypatch, capsys, command, up
     code, err = run_stdin(monkeypatch, capsys, [command, "-"], LINEAR_LEG.format(up=up))
     assert code == 1
     assert err.startswith("error:") and "matrix" in err
+
+
+# ---------------------------------------------------------------------------
+# invalid SES documents: each problem of the hor section is reported again
+# under the ses built on it, exactly as before the sub morphism was checked
+# only once
+# ---------------------------------------------------------------------------
+
+SES_DOCS = {
+    # level 1 of f sends c and e to the same id
+    "non_injective_level": (
+        "instance set\n"
+        "complex X:\n"
+        "  object 1: c e\n"
+        "  object 2:\n"
+        "complex Y:\n"
+        "  object 1: c d\n"
+        "  object 2: c\n"
+        "  transition 2: c\n"
+        "hor f: X -> Y\n"
+        "  level 1: c->c e->c\n"
+        "ses S: f\n",
+        ["hor f: level 1: morphism is not injective"],
+    ),
+    # the transition c of Y sits over the image of f, but no transition of
+    # X maps onto it, so the upper square is only commuting
+    "bad_bar_square": (
+        "instance set\n"
+        "complex X:\n"
+        "  object 1: c\n"
+        "  object 2: c\n"
+        "complex Y:\n"
+        "  object 1: c\n"
+        "  object 2: c\n"
+        "  transition 2: c\n"
+        "hor f: X -> Y\n"
+        "  level 1: c->c\n"
+        "  level 2: c->c\n"
+        "ses S: f\n",
+        ["hor f: upper square at degree 2 is not distinguished (COMMUTING)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SES_DOCS))
+def test_invalid_ses_document_reports_sub_problems_twice(tmp_path, capsys, name):
+    text, hor_problems = SES_DOCS[name]
+    path = tmp_path / f"{name}.acgw"
+    path.write_text(text)
+    expected = hor_problems + [
+        p.replace("hor f: ", "ses S: sub: ", 1) for p in hor_problems
+    ]
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == "".join(f"{p}\n" for p in expected)
+    assert main(["validate", str(path), "--output", "json"]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"ok": False, "problems": expected}
+    assert out == json.dumps({"ok": False, "problems": expected}, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# F_p matrix entries in documents: integers are reduced mod p, anything else
+# is a parse error naming the level
+# ---------------------------------------------------------------------------
+
+LINEAR_LEVEL = (
+    "instance linear\n"
+    "prime 7\n"
+    "complex X:\n"
+    "  object 0: dim 2\n"
+    "complex W:\n"
+    "  object 0: dim 2\n"
+    "hor f: W -> X\n"
+    "  level 0: {level}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "level,reduced",
+    [
+        ("[[-6, 0], [0, 1]]", ((1, 0), (0, 1))),  # negative entry
+        ("[[8, 0], [0, 15]]", ((1, 0), (0, 1))),  # entries >= p
+        ("[[true, 0], [0, 1]]", ((1, 0), (0, 1))),  # JSON true is the integer 1
+    ],
+)
+def test_integer_matrix_entries_are_reduced_mod_p(tmp_path, capsys, level, reduced):
+    path = tmp_path / "lin.acgw"
+    path.write_text(LINEAR_LEVEL.format(level=level))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert parse(path.read_text()).hor_named("f").levels[0].data == reduced
+
+
+@pytest.mark.parametrize(
+    "level,message",
+    [
+        ("[[1.0, 0], [0, 1]]", "matrix must be a JSON list of integer rows"),
+        ("[[1, 0], [0]]", "bad matrix: setting an array element with a sequence."),
+        (
+            "[[100000000000000000000000, 0], [0, 1]]",
+            "bad matrix: Python int too large to convert to C long",
+        ),
+    ],
+    ids=["float", "ragged", "beyond_int64"],
+)
+def test_bad_matrix_entries_are_parse_errors(tmp_path, capsys, level, message):
+    path = tmp_path / "lin.acgw"
+    path.write_text(LINEAR_LEVEL.format(level=level))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"line 8: level 0: {message}")
+    assert out.count("\n") == 1
+
+
+def test_hor_over_a_complex_with_a_partial_leg_is_reported(tmp_path, capsys):
+    # The upper leg of Y's transition 2 misses z.  The squares of f are
+    # classified on that leg, which must not raise.
+    path = tmp_path / "partial_leg.acgw"
+    path.write_text(
+        "instance set\n"
+        "complex X:\n"
+        "  object 1:\n"
+        "  object 2: a\n"
+        "complex Y:\n"
+        "  object 1: b y\n"
+        "  object 2: a b\n"
+        "  transition 2: b z\n"
+        "    up: b->a\n"
+        "    down: b->b z->y\n"
+        "hor f: X -> Y\n"
+        "  level 2: a->a\n"
+    )
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "complex Y: transition 2 upper leg: morphism is not total on its source"
+    )

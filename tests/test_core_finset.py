@@ -8,7 +8,9 @@ from acgw import (
     CompositionError,
     FactorizationError,
     FinSetInstance,
+    HorMor,
     SquareClass,
+    VerMor,
     compose_flat,
     finset_obj,
     flat_is_iso,
@@ -21,6 +23,8 @@ from acgw import (
     zero_flat,
 )
 from acgw.finset import apply_to, mapping_of
+
+from reference import SORTED_FINSET
 
 INST = FinSetInstance()
 
@@ -333,3 +337,106 @@ def test_flat_composition_is_partial_injection():
 def test_span_equiv_distinguishes():
     A = finset_obj(["a", "b"])
     assert not span_equiv(INST, id_flat(INST, A), zero_flat(INST, A, A))
+
+
+# ---------------------------------------------------------------------------
+# Object validation and canonical order.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "obj,problem",
+    [
+        (("b", "a"), "object ids are not sorted and unique: ('b', 'a')"),
+        (("a", "a"), "object ids are not sorted and unique: ('a', 'a')"),
+        (("a", 1), "object has non-string ids: ('a', 1)"),
+        (["a"], "object is not a tuple: ['a']"),
+    ],
+)
+def test_validate_obj_names_the_problem(obj, problem):
+    assert INST.validate_obj(obj) == [problem]
+
+
+def test_validate_obj_accepts_canonical_objects():
+    assert INST.validate_obj(()) == []
+    assert INST.validate_obj(("10", "9")) == []
+
+
+@pytest.mark.parametrize(
+    "data,problems",
+    [
+        ((("b", "x"), ("a", "y")), ["morphism pairs are not sorted by source id"]),
+        ((("a", "x"), ("a", "x"), ("b", "y")), ["morphism pairs are not sorted by source id"]),
+        (
+            (("b", "x"), ("a", "x")),
+            ["morphism pairs are not sorted by source id", "morphism is not injective"],
+        ),
+        ((["a", "x"], ("b", "y")), ["morphism pairs are not sorted by source id"]),
+    ],
+)
+def test_validate_hor_reports_unsorted_pairs(data, problems):
+    f = HorMor(finset_obj(["a", "b"]), finset_obj(["x", "y"]), data)
+    assert INST.validate_hor(f) == problems
+
+
+#: ids whose string order differs from their numeric order ("10" < "9")
+NUMERIC_IDS = [str(n) for n in range(12)]
+
+
+def _ids(draw, max_size=8):
+    ids = st.lists(st.sampled_from(NUMERIC_IDS), unique=True, max_size=max_size)
+    return finset_obj(draw(ids))
+
+
+def _into(draw, mor_type, target, within=None):
+    """A random injection into ``target`` whose image lies in ``within``."""
+    room = target if within is None else finset_obj(within)
+    source = _ids(draw, max_size=len(room))
+    images = draw(st.permutations(room))[: len(source)]
+    return mor_type(source, target, tuple(zip(source, images)))
+
+
+def _assert_canonical(parts):
+    for part in parts:
+        if isinstance(part, HorMor):
+            assert INST.validate_hor(part) == []
+        elif isinstance(part, VerMor):
+            assert INST.validate_ver(part) == []
+        else:
+            assert INST.validate_obj(part) == []
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_primitives_stay_canonical(data):
+    """Every primitive returns canonical objects and valid morphisms on
+    valid inputs, equal to the construction that sorts its results."""
+    draw = data.draw
+    c = _ids(draw)
+    m = _into(draw, HorMor, c)
+    e = _into(draw, VerMor, c)
+
+    calls = [("ker", (e,)), ("coker", (m,)), ("mixed_pullback", (m, e))]
+    for mor_type, kind in ((HorMor, "hor"), (VerMor, "ver")):
+        # f = h . through, so f factors through ``through`` as ``h``
+        through = _into(draw, mor_type, c)
+        h = _into(draw, mor_type, through.source)
+        f = SORTED_FINSET[f"compose_{kind}"](h, through)
+        calls += [(f"compose_{kind}", (h, through)), (f"factor_{kind}", (f, through))]
+        assert getattr(INST, f"factor_{kind}")(f, through) == h
+    # complement presentations that the morphism carries into each other
+    cq = _into(draw, VerMor, m.target)
+    onto_cq = {p for p, q in m.data if q in mapping_of(cq).values()}
+    cp = _into(draw, VerMor, m.source, onto_cq)
+    calls.append(("hor_between_cokers", (m, cp, cq)))
+    kq = _into(draw, HorMor, e.target)
+    onto_kq = {p for p, q in e.data if q in mapping_of(kq).values()}
+    kp = _into(draw, HorMor, e.source, onto_kq)
+    calls.append(("ver_between_kernels", (e, kp, kq)))
+
+    for name, args in calls:
+        got = getattr(INST, name)(*args)
+        if name == "mixed_pullback":
+            got = (got.corner, got.to_epi_source, got.to_mono_source)
+        _assert_canonical(got if isinstance(got, tuple) else (got,))
+        assert got == SORTED_FINSET[name](*args), name

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from acgw import (
     CompositionError,
     FactorizationError,
+    HorMor,
     LinearInstance,
     SquareClass,
     ValidationError,
@@ -356,3 +357,25 @@ def test_mixed_pullback_dimension_formula():
     assert sq.corner.dim == 1
     assert not L.validate_hor(sq.to_epi_source)
     assert not L.validate_ver(sq.to_mono_source)
+
+
+@pytest.mark.parametrize(
+    "data,problem",
+    [
+        (((1, 0), (0, 1)), None),
+        (((True, 0), (0, 1)), None),
+        (((1, 0), (0, 1.0)), "matrix entry out of F7: 1.0"),
+        (((1, 0), (0, -1)), "matrix entry out of F7: -1"),
+        (((1, 0), (0, 7)), "matrix entry out of F7: 7"),
+        (((1, 0), (0, 10**23)), "matrix entry out of F7: 100000000000000000000000"),
+        (((1, 0), (0,)), "matrix rows must have 2 entries, got (0,)"),
+        (((1, 0), [0, 1]), "matrix rows must have 2 entries, got [0, 1]"),
+        (((7, 0), (0,)), "matrix entry out of F7: 7"),
+        (((1, 0),), "matrix must have 2 rows, got ((1, 0),)"),
+        (((1, 0), (1, 0)), "horizontal matrix is not injective"),
+    ],
+)
+def test_stored_matrix_entries_are_checked(data, problem):
+    L = LinearInstance(p=7)
+    two = L.obj(2)
+    assert L.validate_hor(HorMor(two, two, data)) == ([problem] if problem else [])

@@ -9,7 +9,17 @@ import importlib
 from collections import Counter
 from dataclasses import replace
 
-from acgw import homology, snake_weak
+import pytest
+
+from acgw import (
+    FinSetInstance,
+    LinearInstance,
+    SquareClass,
+    homology,
+    parse,
+    snake_weak,
+    validate_document,
+)
 from acgw.cli import main
 
 from conftest import corpus_doc, corpus_text
@@ -83,3 +93,37 @@ def test_map_homology_computes_each_span_once(monkeypatch, capsys, tmp_path):
     # One span per degree, each from the homology of source and target;
     # recomputing every span for the verdict took 12.
     assert sum(calls.values()) == 6
+
+
+def test_validate_document_checks_each_morphism_once(monkeypatch):
+    counting = CountingInstance(FinSetInstance())
+    monkeypatch.setattr(FinSetInstance, "from_header", classmethod(lambda cls, prime: counting))
+    doc = parse(corpus_text("inclusion_pair"))
+    counting.calls.clear()
+    assert validate_document(doc) == []
+    # The legs of X and Y (2 + 2 transitions, one hor and one ver leg
+    # each), the 3 levels and 2 bar levels of f, and those of the quotient
+    # of S, with one upper square per transition of f and one lower square
+    # per transition of the quotient.  Validating f again as the sub
+    # morphism of S took 23 checks and 6 classify_mixed calls.
+    assert counting.calls["validate_hor"] + counting.calls["validate_ver"] == 18
+    assert counting.calls["classify_mixed"] == 4
+
+
+@pytest.mark.parametrize(
+    "inst,ambient",
+    [(FinSetInstance(), "a b"), (LinearInstance(3), "dim 2")],
+    ids=["set", "linear"],
+)
+def test_classify_mixed_does_not_validate(monkeypatch, inst, ambient):
+    m = inst.zero_hor(inst.obj_from_text(ambient))
+    _, e = inst.coker(m)
+    sq = inst.mixed_pullback(m, e)
+
+    def refuse(self, f):
+        raise AssertionError("classify_mixed validated a morphism")
+
+    monkeypatch.setattr(type(inst), "validate_hor", refuse)
+    monkeypatch.setattr(type(inst), "validate_ver", refuse)
+    cls = inst.classify_mixed(sq.to_epi_source, sq.to_mono_source, sq.epi, sq.mono)
+    assert cls is SquareClass.CARTESIAN
