@@ -1,5 +1,7 @@
 """Chain complexes, chain morphisms, and short exact sequences."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,12 @@ from acgw import (
     CompositionError,
     FinSetInstance,
     GenConfig,
+    HorChainMor,
+    HorMor,
+    LinearInstance,
     Transition,
+    VerChainMor,
+    VerMor,
     chain_map_of_hor,
     chain_map_of_ver,
     coker_hor,
@@ -260,3 +267,118 @@ def test_compose_chain_maps_rejects_mismatch():
 def test_generated_complexes_validate(seed):
     cx, _ = gen_complex(GenConfig(seed=seed))
     assert validate_complex(cx) == []
+
+
+# ---------------------------------------------------------------------------
+# Every message of the two chain-morphism validators, per flavour.
+# ---------------------------------------------------------------------------
+
+LIN = LinearInstance(3)
+PQ, T = finset_obj("pq"), finset_obj("t")
+
+#: per flavour: chain morphism class, morphism class, identity builder
+FLAVOURS = {
+    "hor": (HorChainMor, HorMor, id_hor_chain),
+    "ver": (VerChainMor, VerMor, id_ver_chain),
+}
+
+
+def swap_complex(inst) -> tuple[ChainComplex, object]:
+    """Degrees 1..2 on two ids (dim 2) with one transition element whose
+    legs both hit the first, and the levelwise swap of the two."""
+    if inst is INST:
+        t = Transition(T, INST.ver(T, PQ, {"t": "p"}), INST.hor(T, PQ, {"t": "p"}))
+        return ChainComplex(INST, 1, 2, (PQ, PQ), (t,)), (("p", "q"), ("q", "p"))
+    two, one = LIN.obj(2), LIN.obj(1)
+    t = Transition(one, LIN.ver(one, two, [[1, 0]]), LIN.hor(one, two, [[1], [0]]))
+    return ChainComplex(LIN, 1, 2, (two, two), (t,)), ((0, 1), (1, 0))
+
+
+def swapped(flavour: str, inst, degree: int):
+    """The identity of :func:`swap_complex` with the swap at ``degree``:
+    the square at degree 2 on that side does not commute."""
+    _, mor, ident = FLAVOURS[flavour]
+    cx, swap = swap_complex(inst)
+    f = ident(cx)
+    levels = list(f.levels)
+    levels[degree - 1] = mor(cx.obj(degree), cx.obj(degree), swap)
+    return replace(f, levels=tuple(levels))
+
+
+def unlifted(flavour: str, inst):
+    """Identity levels from a complex without transition elements into
+    one with an identity transition; the bar level cannot reach it, so
+    the distinguished square is not distinguished."""
+    chain, mor, _ = FLAVOURS[flavour]
+    o = LIN.obj(1) if inst is LIN else finset_obj("c")
+    empty = ChainComplex(
+        inst, 1, 2, (o, o), (Transition(inst.initial(), inst.zero_ver(o), inst.zero_hor(o)),)
+    )
+    full = ChainComplex(inst, 1, 2, (o, o), (Transition(o, inst.id_ver(o), inst.id_hor(o)),))
+    if mor is HorMor:
+        return chain(empty, full, (inst.id_hor(o),) * 2, (inst.zero_hor(o),))
+    return chain(empty, full, (inst.id_ver(o),) * 2, (inst.zero_ver(o),))
+
+
+def _set_case(flavour: str, case: str):
+    chain, mor, ident = FLAVOURS[flavour]
+    f = ident(swap_complex(INST)[0])
+    if case == "ranges":
+        return replace(f, target=ChainComplex(INST, 0, 0, ((),), ()))
+    if case == "count":
+        return replace(f, bar_levels=())
+    if case == "level":
+        return replace(f, levels=(mor(PQ, PQ, (("p", "p"), ("q", "p"))), f.levels[1]))
+    if case == "bar_level":
+        return replace(f, bar_levels=(mor(T, T, (("t", "z"),)),))
+    if case == "level_endpoints":
+        return replace(f, levels=(mor((), PQ, ()), f.levels[1]))
+    if case == "bar_endpoints":
+        return replace(f, bar_levels=(mor((), T, ()),))
+    if case == "distinguished":
+        return unlifted(flavour, INST)
+    return swapped(flavour, INST, 1 if flavour == "hor" else 2)
+
+
+VALIDATOR_MESSAGES = {
+    "ranges": ["degree ranges differ: 1..2 vs 0..0"] * 2,
+    "count": ["wrong number of levels or bar levels"] * 2,
+    "level": ["level 1: morphism is not injective"] * 2,
+    "bar_level": ["bar level 2: morphism maps outside its target: ['z']"] * 2,
+    "level_endpoints": ["level 1 has wrong endpoints"] * 2,
+    "bar_endpoints": ["bar level 2 has wrong endpoints"] * 2,
+    "distinguished": [
+        "upper square at degree 2 is not distinguished (COMMUTING)",
+        "lower square at degree 2 is not distinguished (COMMUTING)",
+    ],
+    "commutes": [
+        "lower square at degree 2 does not commute",
+        "upper square at degree 2 does not commute",
+    ],
+}
+
+
+def _validate(f) -> list[str]:
+    if isinstance(f, HorChainMor):
+        return validate_hor_chain_mor(f)
+    return validate_ver_chain_mor(f)
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATOR_MESSAGES))
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
+def test_chain_mor_validator_messages(flavour, case):
+    expected = VALIDATOR_MESSAGES[case][flavour == "ver"]
+    assert _validate(_set_case(flavour, case)) == [expected]
+
+
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
+def test_chain_mor_square_messages_on_fp(flavour):
+    hor = flavour == "hor"
+    assert validate_hor_chain_mor(id_hor_chain(swap_complex(LIN)[0])) == []
+    assert validate_ver_chain_mor(id_ver_chain(swap_complex(LIN)[0])) == []
+    assert _validate(unlifted(flavour, LIN)) == [
+        f"{'upper' if hor else 'lower'} square at degree 2 is not distinguished (NOT_SQUARE)"
+    ]
+    assert _validate(swapped(flavour, LIN, 1 if hor else 2)) == [
+        f"{'lower' if hor else 'upper'} square at degree 2 does not commute"
+    ]
