@@ -15,6 +15,17 @@ distinguished mixed square on the upper legs and a commuting square on
 the lower legs; vertical chain morphisms are the mirror image.  A
 :class:`ChainMap` is a span of those, one leg of each kind, and is the
 general notion of map between complexes.
+
+The two flavours are written once where they agree.  They share one
+class body (fields, levels and bar levels; only the zero morphism outside
+the range differs), one levelwise builder, and every validation step but
+the two squares per transition degree: the distinguished square, which
+both classify with ``classify_mixed`` on transposed arguments, and the
+commuting square, checked by ``hor_square_commutes`` or
+``ver_square_commutes``.  :func:`ker_ver` and :func:`compose_chain_maps`
+pull the target's transitions back along horizontal levels through one
+helper; :func:`coker_hor` pulls back along vertical levels and has its
+own loop.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from .core import (
     AcgwInstance,
     CompositionError,
     HorMor,
+    SquareClass,
     VerMor,
 )
 
@@ -148,66 +160,95 @@ def validate_complex(cx: ChainComplex) -> list[str]:
 
 
 @dataclass(frozen=True)
-class HorChainMor:
-    """A horizontal morphism of complexes ``source -> target``.
-
-    ``levels[i]`` is ``f_i: X_i -> Y_i`` for ``i`` in ``lo..hi``;
-    ``bar_levels[i]`` connects the transition objects for ``i`` in
-    ``lo+1..hi``.
-    """
+class _ChainMor:
+    """What horizontal and vertical chain morphisms share: levels
+    ``f_i`` for ``i`` in ``lo..hi`` and bar levels between the transition
+    objects for ``i`` in ``lo+1..hi``, each a zero morphism outside."""
 
     source: ChainComplex
     target: ChainComplex
-    levels: tuple[HorMor, ...]
-    bar_levels: tuple[HorMor, ...]
+    levels: tuple
+    bar_levels: tuple
 
-    def level(self, i: int) -> HorMor:
+    def level(self, i: int):
         if self.source.lo <= i <= self.source.hi:
             return self.levels[i - self.source.lo]
-        return self.source.inst.zero_hor(self.target.obj(i))
+        return self._zero(self.target.obj(i))
 
-    def bar_level(self, i: int) -> HorMor:
+    def bar_level(self, i: int):
         if self.source.lo + 1 <= i <= self.source.hi:
             return self.bar_levels[i - self.source.lo - 1]
-        return self.source.inst.zero_hor(self.target.transition(i).obj)
+        return self._zero(self.target.transition(i).obj)
 
 
-@dataclass(frozen=True)
-class VerChainMor:
-    """A vertical morphism of complexes ``source => target``."""
+class HorChainMor(_ChainMor):
+    """A horizontal morphism of complexes ``source -> target``: its levels
+    and bar levels are :class:`HorMor`."""
 
-    source: ChainComplex
-    target: ChainComplex
-    levels: tuple[VerMor, ...]
-    bar_levels: tuple[VerMor, ...]
-
-    def level(self, i: int) -> VerMor:
-        if self.source.lo <= i <= self.source.hi:
-            return self.levels[i - self.source.lo]
-        return self.source.inst.zero_ver(self.target.obj(i))
-
-    def bar_level(self, i: int) -> VerMor:
-        if self.source.lo + 1 <= i <= self.source.hi:
-            return self.bar_levels[i - self.source.lo - 1]
-        return self.source.inst.zero_ver(self.target.transition(i).obj)
+    def _zero(self, obj: Any) -> HorMor:
+        return self.source.inst.zero_hor(obj)
 
 
-def _ranges_match(a: ChainComplex, b: ChainComplex) -> bool:
-    return a.lo == b.lo and a.hi == b.hi
+class VerChainMor(_ChainMor):
+    """A vertical morphism of complexes ``source => target``: its levels
+    and bar levels are :class:`VerMor`."""
+
+    def _zero(self, obj: Any) -> VerMor:
+        return self.source.inst.zero_ver(obj)
 
 
 def validate_hor_chain_mor(f: HorChainMor) -> list[str]:
+    """The problems of a horizontal chain morphism between valid
+    complexes.  At each transition degree the upper square must be
+    distinguished and the lower one must commute."""
+    inst = f.source.inst
+
+    def squares(i: int, tx: Transition, ty: Transition) -> tuple[SquareClass, bool]:
+        return (
+            inst.classify_mixed(f.bar_level(i), tx.into_upper, ty.into_upper, f.level(i)),
+            inst.hor_square_commutes(
+                tx.into_lower, f.bar_level(i), f.level(i - 1), ty.into_lower
+            ),
+        )
+
+    return _chain_mor_problems(f, inst.validate_hor, squares, "upper", "lower")
+
+
+def validate_ver_chain_mor(g: VerChainMor) -> list[str]:
+    """The problems of a vertical chain morphism between valid complexes.
+    At each transition degree the lower square must be distinguished and
+    the upper one must commute."""
+    inst = g.source.inst
+
+    def squares(i: int, tz: Transition, ty: Transition) -> tuple[SquareClass, bool]:
+        return (
+            inst.classify_mixed(tz.into_lower, g.bar_level(i), g.level(i - 1), ty.into_lower),
+            inst.ver_square_commutes(
+                tz.into_upper, g.bar_level(i), g.level(i), ty.into_upper
+            ),
+        )
+
+    return _chain_mor_problems(g, inst.validate_ver, squares, "lower", "upper")
+
+
+def _chain_mor_problems(
+    f: _ChainMor, validate, squares, distinguished: str, commuting: str
+) -> list[str]:
+    """Range, count, level and endpoint checks, then the two squares that
+    ``squares(i, source transition, target transition)`` returns: the
+    class of the ``distinguished`` one and whether the ``commuting`` one
+    commutes."""
     x, y, inst = f.source, f.target, f.source.inst
-    if not _ranges_match(x, y):
+    if (x.lo, x.hi) != (y.lo, y.hi):
         return [f"degree ranges differ: {x.lo}..{x.hi} vs {y.lo}..{y.hi}"]
     if len(f.levels) != x.hi - x.lo + 1 or len(f.bar_levels) != x.hi - x.lo:
         return ["wrong number of levels or bar levels"]
     problems: list[str] = []
     for i in x.degrees():
-        for p in inst.validate_hor(f.level(i)):
+        for p in validate(f.level(i)):
             problems.append(f"level {i}: {p}")
     for i in x.transition_degrees():
-        for p in inst.validate_hor(f.bar_level(i)):
+        for p in validate(f.bar_level(i)):
             problems.append(f"bar level {i}: {p}")
     if problems:
         return problems
@@ -225,62 +266,13 @@ def validate_hor_chain_mor(f: HorChainMor) -> list[str]:
     if problems:
         return problems
     for i in x.transition_degrees():
-        tx, ty = x.transition(i), y.transition(i)
-        cls = inst.classify_mixed(
-            f.bar_level(i), tx.into_upper, ty.into_upper, f.level(i)
-        )
+        cls, commutes = squares(i, x.transition(i), y.transition(i))
         if not cls.is_distinguished:
             problems.append(
-                f"upper square at degree {i} is not distinguished ({cls.name})"
+                f"{distinguished} square at degree {i} is not distinguished ({cls.name})"
             )
-        if not inst.hor_square_commutes(
-            tx.into_lower, f.bar_level(i), f.level(i - 1), ty.into_lower
-        ):
-            problems.append(f"lower square at degree {i} does not commute")
-    return problems
-
-
-def validate_ver_chain_mor(g: VerChainMor) -> list[str]:
-    z, y, inst = g.source, g.target, g.source.inst
-    if not _ranges_match(z, y):
-        return [f"degree ranges differ: {z.lo}..{z.hi} vs {y.lo}..{y.hi}"]
-    if len(g.levels) != z.hi - z.lo + 1 or len(g.bar_levels) != z.hi - z.lo:
-        return ["wrong number of levels or bar levels"]
-    problems: list[str] = []
-    for i in z.degrees():
-        for p in inst.validate_ver(g.level(i)):
-            problems.append(f"level {i}: {p}")
-    for i in z.transition_degrees():
-        for p in inst.validate_ver(g.bar_level(i)):
-            problems.append(f"bar level {i}: {p}")
-    if problems:
-        return problems
-    for i in z.degrees():
-        h = g.level(i)
-        if not (inst.obj_eq(h.source, z.obj(i)) and inst.obj_eq(h.target, y.obj(i))):
-            problems.append(f"level {i} has wrong endpoints")
-    for i in z.transition_degrees():
-        h = g.bar_level(i)
-        if not (
-            inst.obj_eq(h.source, z.transition(i).obj)
-            and inst.obj_eq(h.target, y.transition(i).obj)
-        ):
-            problems.append(f"bar level {i} has wrong endpoints")
-    if problems:
-        return problems
-    for i in z.transition_degrees():
-        tz, ty = z.transition(i), y.transition(i)
-        cls = inst.classify_mixed(
-            tz.into_lower, g.bar_level(i), g.level(i - 1), ty.into_lower
-        )
-        if not cls.is_distinguished:
-            problems.append(
-                f"lower square at degree {i} is not distinguished ({cls.name})"
-            )
-        if not inst.ver_square_commutes(
-            tz.into_upper, g.bar_level(i), g.level(i), ty.into_upper
-        ):
-            problems.append(f"upper square at degree {i} does not commute")
+        if not commutes:
+            problems.append(f"{commuting} square at degree {i} does not commute")
     return problems
 
 
@@ -342,22 +334,22 @@ def _ses_problems(ses: ChainSES, sub_problems: list[str]) -> list[str]:
 
 
 def id_hor_chain(cx: ChainComplex) -> HorChainMor:
-    inst = cx.inst
-    return HorChainMor(
-        cx,
-        cx,
-        tuple(inst.id_hor(cx.obj(i)) for i in cx.degrees()),
-        tuple(inst.id_hor(cx.transition(i).obj) for i in cx.transition_degrees()),
-    )
+    return _levelwise(HorChainMor, lambda obj, _: cx.inst.id_hor(obj), cx, cx)
 
 
 def id_ver_chain(cx: ChainComplex) -> VerChainMor:
-    inst = cx.inst
-    return VerChainMor(
-        cx,
-        cx,
-        tuple(inst.id_ver(cx.obj(i)) for i in cx.degrees()),
-        tuple(inst.id_ver(cx.transition(i).obj) for i in cx.transition_degrees()),
+    return _levelwise(VerChainMor, lambda obj, _: cx.inst.id_ver(obj), cx, cx)
+
+
+def _levelwise(chain: type[_ChainMor], mor, x: ChainComplex, y: ChainComplex):
+    """The chain morphism ``x -> y`` of class ``chain`` whose level at each
+    degree, and bar level at each transition degree, is ``mor(a, b)`` on
+    the objects ``a`` of ``x`` and ``b`` of ``y`` there."""
+    return chain(
+        x,
+        y,
+        tuple(mor(x.obj(i), y.obj(i)) for i in x.degrees()),
+        tuple(mor(x.transition(i).obj, y.transition(i).obj) for i in x.transition_degrees()),
     )
 
 
@@ -390,56 +382,58 @@ def coker_hor(f: HorChainMor) -> VerChainMor:
     inst = f.source.inst
     y = f.target
     quots = [inst.coker(f.level(i)) for i in y.degrees()]
-
-    def cleg(i: int) -> VerMor:
-        if y.lo <= i <= y.hi:
-            return quots[i - y.lo][1]
-        return inst.zero_ver(y.obj(i))
+    legs = tuple(leg for _, leg in quots)
 
     transitions = []
     bars = []
     for i in y.transition_degrees():
         ty = y.transition(i)
-        sq = inst.mixed_pullback(ty.into_lower, cleg(i - 1))
+        sq = inst.mixed_pullback(ty.into_lower, legs[i - 1 - y.lo])
         into_lower = sq.to_epi_source  # already lands in Z_{i-1}
         bar = sq.to_mono_source  # corner => transition object of Y
         lifted = inst.compose_ver(bar, ty.into_upper)
-        into_upper = inst.factor_ver(lifted, cleg(i))
+        into_upper = inst.factor_ver(lifted, legs[i - y.lo])
         transitions.append(Transition(sq.corner, into_upper, into_lower))
         bars.append(bar)
     z = ChainComplex(
         inst, y.lo, y.hi, tuple(obj for obj, _ in quots), tuple(transitions)
     )
-    return VerChainMor(z, y, tuple(leg for _, leg in quots), tuple(bars))
+    return VerChainMor(z, y, legs, tuple(bars))
 
 
 def ker_ver(g: VerChainMor) -> HorChainMor:
-    """Levelwise complement of a vertical chain morphism (mirror of
-    :func:`coker_hor`)."""
+    """Levelwise complement of a vertical chain morphism.
+
+    Produces the sub-side complex ``K`` with ``K_i`` the complement of
+    ``g_i`` and transition objects pulled back from the target's.
+    """
     inst = g.source.inst
     y = g.target
     kers = [inst.ker(g.level(i)) for i in y.degrees()]
+    legs = tuple(leg for _, leg in kers)
+    transitions, bars = _pull_back_transitions(inst, legs, y)
+    k = ChainComplex(inst, y.lo, y.hi, tuple(obj for obj, _ in kers), transitions)
+    return HorChainMor(k, y, legs, bars)
 
-    def kleg(i: int) -> HorMor:
-        if y.lo <= i <= y.hi:
-            return kers[i - y.lo][1]
-        return inst.zero_hor(y.obj(i))
 
+def _pull_back_transitions(
+    inst: AcgwInstance, legs: tuple[HorMor, ...], y: ChainComplex
+) -> tuple[tuple[Transition, ...], tuple[HorMor, ...]]:
+    """Transitions for the sources ``P_i`` of horizontal ``legs[i - lo]:
+    P_i -> Y_i``, pulled back from those of ``y`` along the legs, and the
+    bar levels from them into the transition objects of ``y``."""
     transitions = []
     bars = []
     for i in y.transition_degrees():
         ty = y.transition(i)
-        sq = inst.mixed_pullback(kleg(i), ty.into_upper)
+        sq = inst.mixed_pullback(legs[i - y.lo], ty.into_upper)
         bar = sq.to_epi_source  # corner -> transition object of Y
-        into_upper = sq.to_mono_source  # corner => K_i
+        into_upper = sq.to_mono_source  # corner => P_i
         dropped = inst.compose_hor(bar, ty.into_lower)
-        into_lower = inst.factor_hor(dropped, kleg(i - 1))
+        into_lower = inst.factor_hor(dropped, legs[i - 1 - y.lo])
         transitions.append(Transition(sq.corner, into_upper, into_lower))
         bars.append(bar)
-    k = ChainComplex(
-        inst, y.lo, y.hi, tuple(obj for obj, _ in kers), tuple(transitions)
-    )
-    return HorChainMor(k, y, tuple(leg for _, leg in kers), tuple(bars))
+    return tuple(transitions), tuple(bars)
 
 
 def ses_from_injection(f: HorChainMor) -> ChainSES:
@@ -474,59 +468,31 @@ def compose_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     if f.target != g.source:
         raise CompositionError("chain maps are not composable")
     w = g.target
-    lo, hi = w.lo, w.hi
 
-    corners: dict[int, Any] = {}
-    cf: dict[int, HorMor] = {}  # P_i -> W_i
-    cb: dict[int, VerMor] = {}  # P_i => X_i
-    for i in range(lo, hi + 1):
+    corners = []
+    fronts: list[HorMor] = []  # P_i -> W_i
+    backs: list[VerMor] = []  # P_i => X_i
+    for i in w.degrees():
         sq = inst.mixed_pullback(f.front.level(i), g.back.level(i))
-        corners[i] = sq.corner
-        cf[i] = inst.compose_hor(sq.to_epi_source, g.front.level(i))
-        cb[i] = inst.compose_ver(sq.to_mono_source, f.back.level(i))
+        corners.append(sq.corner)
+        fronts.append(inst.compose_hor(sq.to_epi_source, g.front.level(i)))
+        backs.append(inst.compose_ver(sq.to_mono_source, f.back.level(i)))
 
-    def cf_at(i: int) -> HorMor:
-        if lo <= i <= hi:
-            return cf[i]
-        return inst.zero_hor(w.obj(i))
-
-    transitions = []
-    front_bars = []
-    back_bars = []
-    for i in range(lo + 1, hi + 1):
-        tw = w.transition(i)
-        sq = inst.mixed_pullback(cf[i], tw.into_upper)
-        front_bar = sq.to_epi_source  # corner -> transition object of W
-        into_upper = sq.to_mono_source  # corner => P_i
-        dropped = inst.compose_hor(front_bar, tw.into_lower)
-        into_lower = inst.factor_hor(dropped, cf_at(i - 1))
-        back_bar = inst.factor_ver(
-            inst.compose_ver(into_upper, cb[i]),
+    transitions, front_bars = _pull_back_transitions(inst, tuple(fronts), w)
+    back_bars = tuple(
+        inst.factor_ver(
+            inst.compose_ver(t.into_upper, backs[i - w.lo]),
             f.source.transition(i).into_upper,
         )
-        transitions.append(Transition(sq.corner, into_upper, into_lower))
-        front_bars.append(front_bar)
-        back_bars.append(back_bar)
-
-    middle = ChainComplex(
-        inst, lo, hi, tuple(corners[i] for i in range(lo, hi + 1)), tuple(transitions)
+        for i, t in zip(w.transition_degrees(), transitions)
     )
+    middle = ChainComplex(inst, w.lo, w.hi, tuple(corners), transitions)
     out = ChainMap(
         f.source,
         middle,
         w,
-        VerChainMor(
-            middle,
-            f.source,
-            tuple(cb[i] for i in range(lo, hi + 1)),
-            tuple(back_bars),
-        ),
-        HorChainMor(
-            middle,
-            w,
-            tuple(cf[i] for i in range(lo, hi + 1)),
-            tuple(front_bars),
-        ),
+        VerChainMor(middle, f.source, tuple(backs), back_bars),
+        HorChainMor(middle, w, tuple(fronts), front_bars),
     )
     problems = validate_chain_map(out)
     if problems:

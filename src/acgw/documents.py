@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .chains import (
     ChainComplex,
@@ -401,58 +402,47 @@ def _build_complex(inst: AcgwInstance, raw: _RawComplex) -> ChainComplex:
     return ChainComplex(inst, lo, hi, tuple(objects), tuple(transitions))
 
 
-def _level_mors(
+#: per flavour: the chain morphism and level classes, and how a bar level
+#: at degree ``i`` is forced: the instance's lift hook, how far below ``i``
+#: the level it lifts along sits, and the transition leg it lifts
+_FLAVOURS = {
+    "hor": (HorChainMor, HorMor, attrgetter("lift_hor_bar"), 0, attrgetter("into_upper")),
+    "ver": (VerChainMor, VerMor, attrgetter("lift_ver_bar"), 1, attrgetter("into_lower")),
+}
+
+
+def _chain_mor(
     inst: AcgwInstance,
     line: int,
     key: str,
     levels: dict,
     src: ChainComplex,
     tgt: ChainComplex,
-    mor_type,
+    flavor: str,
 ):
-    """Levelwise morphisms `src -> tgt` (or `src => tgt`) from the raw
-    ``key`` lines of the section that starts at ``line``."""
+    """The ``flavor`` chain morphism ``src -> tgt`` (or ``src => tgt``)
+    whose levels are the raw ``key`` lines of the section that starts at
+    ``line``; its bar levels are forced by the transition legs."""
+    chain, mor_type, lift, below, leg = _FLAVOURS[flavor]
     for deg, (at, _) in levels.items():
         if not src.lo <= deg <= src.hi:
             raise ParseError(at, f"{key} degree {deg} outside range")
-    return tuple(
+    mors = tuple(
         _mor(inst, mor_type, src.obj(i), tgt.obj(i), levels.get(i), line, f"{key} {i}")
         for i in src.degrees()
     )
-
-
-def _derive_hor_bars(
-    line: int, levels: tuple[HorMor, ...], x: ChainComplex, y: ChainComplex
-) -> tuple[HorMor, ...]:
-    """Bar levels of a horizontal chain morphism, forced by the upper legs."""
-    return tuple(
+    bars = tuple(
         _hook(
             line,
             f"degree {i}",
-            x.inst.lift_hor_bar,
-            levels[i - x.lo],
-            x.transition(i).into_upper,
-            y.transition(i).into_upper,
+            lift(inst),
+            mors[i - below - src.lo],
+            leg(src.transition(i)),
+            leg(tgt.transition(i)),
         )
-        for i in x.transition_degrees()
+        for i in src.transition_degrees()
     )
-
-
-def _derive_ver_bars(
-    line: int, levels: tuple[VerMor, ...], z: ChainComplex, y: ChainComplex
-) -> tuple[VerMor, ...]:
-    """Bar levels of a vertical chain morphism, forced by the lower legs."""
-    return tuple(
-        _hook(
-            line,
-            f"degree {i}",
-            z.inst.lift_ver_bar,
-            levels[i - 1 - z.lo],
-            z.transition(i).into_lower,
-            y.transition(i).into_lower,
-        )
-        for i in z.transition_degrees()
-    )
+    return chain(src, tgt, mors, bars)
 
 
 def _snake_rows(inst: AcgwInstance, raw: _RawSnake) -> dict:
@@ -483,32 +473,20 @@ def parse(text: str) -> Document:
                 return cx
         raise ParseError(line, f"unknown complex {name!r}")
 
-    hors: list[tuple[str, HorChainMor]] = []
-    vers: list[tuple[str, VerChainMor]] = []
+    mors: dict[str, list] = {"hor": [], "ver": []}
     for flavor, raw in raw_mors:
         src, tgt = lookup(raw.line, raw.src), lookup(raw.line, raw.tgt)
-        if flavor == "hor":
-            levels = _level_mors(inst, raw.line, "level", raw.levels, src, tgt, HorMor)
-            bars = _derive_hor_bars(raw.line, levels, src, tgt)
-            hors.append((raw.name, HorChainMor(src, tgt, levels, bars)))
-        else:
-            levels = _level_mors(inst, raw.line, "level", raw.levels, src, tgt, VerMor)
-            bars = _derive_ver_bars(raw.line, levels, src, tgt)
-            vers.append((raw.name, VerChainMor(src, tgt, levels, bars)))
+        f = _chain_mor(inst, raw.line, "level", raw.levels, src, tgt, flavor)
+        mors[flavor].append((raw.name, f))
+    hors, vers = mors["hor"], mors["ver"]
 
     maps: list[tuple[str, ChainMap]] = []
     for raw in raw_maps:
         src = lookup(raw.line, raw.src)
         mid = lookup(raw.line, raw.mid)
         tgt = lookup(raw.line, raw.tgt)
-        back_levels = _level_mors(inst, raw.line, "back", raw.back, mid, src, VerMor)
-        front_levels = _level_mors(inst, raw.line, "front", raw.front, mid, tgt, HorMor)
-        back = VerChainMor(
-            mid, src, back_levels, _derive_ver_bars(raw.line, back_levels, mid, src)
-        )
-        front = HorChainMor(
-            mid, tgt, front_levels, _derive_hor_bars(raw.line, front_levels, mid, tgt)
-        )
+        back = _chain_mor(inst, raw.line, "back", raw.back, mid, src, "ver")
+        front = _chain_mor(inst, raw.line, "front", raw.front, mid, tgt, "hor")
         maps.append((raw.name, ChainMap(src, mid, tgt, back, front)))
 
     seses: list[tuple[str, str]] = []
@@ -635,18 +613,13 @@ def serialize(doc: Document) -> str:
     out: list[str] = [f"instance {doc.kind}", *doc.inst.header(), ""]
     for name, cx in doc.complexes:
         _emit_complex(doc, name, cx, out)
-    for name, f in doc.hors:
-        src = _name_of(doc, f.source, f"hor {name}")
-        tgt = _name_of(doc, f.target, f"hor {name}")
-        out.append(f"hor {name}: {src} -> {tgt}")
-        _emit_levels(doc, "level", f.levels, f.source.lo, out)
-        out.append("")
-    for name, g in doc.vers:
-        src = _name_of(doc, g.source, f"ver {name}")
-        tgt = _name_of(doc, g.target, f"ver {name}")
-        out.append(f"ver {name}: {src} -> {tgt}")
-        _emit_levels(doc, "level", g.levels, g.source.lo, out)
-        out.append("")
+    for head, mors in (("hor", doc.hors), ("ver", doc.vers)):
+        for name, f in mors:
+            src = _name_of(doc, f.source, f"{head} {name}")
+            tgt = _name_of(doc, f.target, f"{head} {name}")
+            out.append(f"{head} {name}: {src} -> {tgt}")
+            _emit_levels(doc, "level", f.levels, f.source.lo, out)
+            out.append("")
     for name, f in doc.maps:
         src = _name_of(doc, f.source, f"map {name}")
         mid = _name_of(doc, f.middle, f"map {name}")
@@ -689,18 +662,45 @@ def serialize(doc: Document) -> str:
 
 
 def validate_document(doc: Document) -> list[str]:
-    """Collect all structural problems of every section of a document."""
+    """Collect all structural problems of every section of a document.
+
+    A ``hor``, ``ver``, ``map`` or ``ses`` section over a complex with
+    problems is not checked or computed on (its checks take valid
+    complexes); it gets one line naming the first such complex.
+    """
     problems: list[str] = []
+    invalid: list[tuple[str, ChainComplex]] = []
     for name, cx in doc.complexes:
-        problems += [f"complex {name}: {p}" for p in validate_complex(cx)]
-    hor_problems = {name: validate_hor_chain_mor(f) for name, f in doc.hors}
-    for name, found in hor_problems.items():
-        problems += [f"hor {name}: {p}" for p in found]
+        found = validate_complex(cx)
+        problems += [f"complex {name}: {p}" for p in found]
+        if found:
+            invalid.append((name, cx))
+
+    def unchecked(section: str, *complexes: ChainComplex) -> bool:
+        """Whether ``section`` is over an invalid complex; if so, say so."""
+        for cx in complexes:
+            names = [n for n, c in invalid if c is cx] or [n for n, c in invalid if c == cx]
+            if names:
+                problems.append(f"{section}: not checked, complex {names[0]} is invalid")
+                return True
+        return False
+
+    hor_problems = {}
+    for name, f in doc.hors:
+        if not unchecked(f"hor {name}", f.source, f.target):
+            hor_problems[name] = validate_hor_chain_mor(f)
+            problems += [f"hor {name}: {p}" for p in hor_problems[name]]
     for name, g in doc.vers:
-        problems += [f"ver {name}: {p}" for p in validate_ver_chain_mor(g)]
+        if not unchecked(f"ver {name}", g.source, g.target):
+            problems += [f"ver {name}: {p}" for p in validate_ver_chain_mor(g)]
     for name, f in doc.maps:
-        problems += [f"map {name}: {p}" for p in validate_chain_map(f)]
+        if not unchecked(f"map {name}", f.source, f.middle, f.target):
+            problems += [f"map {name}: {p}" for p in validate_chain_map(f)]
+    hors = dict(doc.hors)
     for name, hor_name in doc.seses:
+        sub = hors.get(hor_name)
+        if sub is not None and unchecked(f"ses {name}", sub.source, sub.target):
+            continue
         try:
             ses = doc.ses_named(name)
         except AcgwError as exc:

@@ -146,7 +146,8 @@ class FinSetInstance(AcgwInstance):
         return VerMor((), obj, ())
 
     # ----- validation ------------------------------------------------
-    def _validate_injection(self, f: HorMor | VerMor) -> list[str]:
+    def validate_hor(self, f: HorMor | VerMor) -> list[str]:
+        """Both flavours are injections; the checks are the same."""
         problems = self.validate_obj(f.source) + self.validate_obj(f.target)
         if problems:
             return problems
@@ -179,38 +180,28 @@ class FinSetInstance(AcgwInstance):
             problems.append(f"morphism maps outside its target: {sorted(stray)}")
         return problems
 
-    def validate_hor(self, f: HorMor) -> list[str]:
-        return self._validate_injection(f)
-
-    def validate_ver(self, f: VerMor) -> list[str]:
-        return self._validate_injection(f)
+    validate_ver = validate_hor
 
     # ----- composition -----------------------------------------------
     def _compose(self, f, g):
         gm = mapping_of(g)
         return tuple((x, gm[y]) for x, y in f.data)
 
-    def compose_hor(self, f: HorMor, g: HorMor) -> HorMor:
+    def compose_hor(self, f: HorMor | VerMor, g: HorMor | VerMor) -> HorMor | VerMor:
+        """``g . f`` for two morphisms of one flavour, of that flavour."""
         if f.target != g.source:
             raise CompositionError(
                 f"cannot compose: {self.obj_label(f.target)} != "
                 f"{self.obj_label(g.source)}"
             )
-        return HorMor(f.source, g.target, self._compose(f, g))
+        return type(f)(f.source, g.target, self._compose(f, g))
 
-    def compose_ver(self, f: VerMor, g: VerMor) -> VerMor:
-        if f.target != g.source:
-            raise CompositionError(
-                f"cannot compose: {self.obj_label(f.target)} != "
-                f"{self.obj_label(g.source)}"
-            )
-        return VerMor(f.source, g.target, self._compose(f, g))
+    compose_ver = compose_hor
 
-    def is_iso_hor(self, f: HorMor) -> bool:
+    def is_iso_hor(self, f: HorMor | VerMor) -> bool:
         return len(f.source) == len(f.target)
 
-    def is_iso_ver(self, f: VerMor) -> bool:
-        return len(f.source) == len(f.target)
+    is_iso_ver = is_iso_hor
 
     # ----- complement structure ---------------------------------------
     def coker(self, m: HorMor) -> tuple[FinSetObj, VerMor]:
@@ -250,21 +241,24 @@ class FinSetInstance(AcgwInstance):
         ):
             return SquareClass.NOT_SQUARE
         tm, lm, rm, bm = (mapping_of(x) for x in (top, left, right, bottom))
-        # Lookups use ``get``: a leg of an invalid complex can still reach
-        # here from a chain-morphism validator, and must not raise.
-        if any(rm.get(tm.get(x)) != bm.get(lm.get(x)) for x in top.source):
+        if any(rm[tm[x]] != bm[lm[x]] for x in top.source):
             return SquareClass.NOT_SQUARE
         # Cartesian: the top picks out exactly the part of the right source
         # sitting over the bottom image.
         bottom_image = set(bm.values())
-        over = {b for b in right.source if rm.get(b) in bottom_image}
+        over = {b for b in right.source if rm[b] in bottom_image}
         if _image(top) == over:
             return SquareClass.CARTESIAN
         return SquareClass.COMMUTING
 
     def hor_square_commutes(
-        self, top: HorMor, left: HorMor, right: HorMor, bottom: HorMor
+        self,
+        top: HorMor | VerMor,
+        left: HorMor | VerMor,
+        right: HorMor | VerMor,
+        bottom: HorMor | VerMor,
     ) -> bool:
+        """Whether a square of morphisms of one flavour commutes."""
         if (
             top.source != left.source
             or top.target != right.source
@@ -275,18 +269,7 @@ class FinSetInstance(AcgwInstance):
         tm, lm, rm, bm = (mapping_of(x) for x in (top, left, right, bottom))
         return all(rm[tm[x]] == bm[lm[x]] for x in top.source)
 
-    def ver_square_commutes(
-        self, top: VerMor, left: VerMor, right: VerMor, bottom: VerMor
-    ) -> bool:
-        if (
-            top.source != left.source
-            or top.target != right.source
-            or left.target != bottom.source
-            or right.target != bottom.target
-        ):
-            return False
-        tm, lm, rm, bm = (mapping_of(x) for x in (top, left, right, bottom))
-        return all(rm[tm[x]] == bm[lm[x]] for x in top.source)
+    ver_square_commutes = hor_square_commutes
 
     # ----- factorization -----------------------------------------------
     def _factor(self, f, through):

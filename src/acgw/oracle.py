@@ -22,6 +22,7 @@ from .chains import (
     HorChainMor,
     Transition,
     VerChainMor,
+    _levelwise,
     ses_from_injection,
 )
 from .core import AcgwError, ValidationError
@@ -181,21 +182,26 @@ def gen_exact_complex(cfg: GenConfig) -> ChainComplex:
 # ---------------------------------------------------------------------------
 
 
-def _restricted_transition(
-    inst: FinSetInstance,
-    ambient: Transition,
-    bar_ids: set[str],
-    upper: tuple,
-    lower: tuple,
-) -> Transition:
-    obj = finset_obj(bar_ids)
-    up = mapping_of(ambient.into_upper)
-    low = mapping_of(ambient.into_lower)
-    return Transition(
-        obj,
-        inst.ver(obj, upper, {t: up[t] for t in obj}),
-        inst.hor(obj, lower, {t: low[t] for t in obj}),
-    )
+def _sub_inclusion(chain, include, y: ChainComplex, chosen: dict, bar_ids: dict):
+    """The inclusion into ``y``, of class ``chain`` by ``include``, of its
+    sub-complex on the ``chosen`` ids of each degree and the ``bar_ids`` of
+    each transition object, with the legs of ``y`` restricted to them."""
+    inst = y.inst
+    objects = tuple(finset_obj(chosen[i]) for i in y.degrees())
+    transitions = []
+    for i in y.transition_degrees():
+        t, obj = y.transition(i), finset_obj(bar_ids[i])
+        up, low = mapping_of(t.into_upper), mapping_of(t.into_lower)
+        upper, lower = objects[i - y.lo], objects[i - 1 - y.lo]
+        transitions.append(
+            Transition(
+                obj,
+                inst.ver(obj, upper, {b: up[b] for b in obj}),
+                inst.hor(obj, lower, {b: low[b] for b in obj}),
+            )
+        )
+    sub = ChainComplex(inst, y.lo, y.hi, objects, tuple(transitions))
+    return _levelwise(chain, include, sub, y)
 
 
 def _hor_sub(rng: random.Random, y: ChainComplex) -> HorChainMor:
@@ -219,23 +225,7 @@ def _hor_sub(rng: random.Random, y: ChainComplex) -> HorChainMor:
         else:
             forced = set()
 
-    objects = tuple(finset_obj(chosen[i]) for i in y.degrees())
-    transitions = tuple(
-        _restricted_transition(
-            inst, y.transition(i), bar_ids[i], objects[i - y.lo], objects[i - 1 - y.lo]
-        )
-        for i in y.transition_degrees()
-    )
-    x = ChainComplex(inst, y.lo, y.hi, objects, transitions)
-    return HorChainMor(
-        x,
-        y,
-        tuple(inst.inclusion_hor(x.obj(i), y.obj(i)) for i in y.degrees()),
-        tuple(
-            inst.inclusion_hor(x.transition(i).obj, y.transition(i).obj)
-            for i in y.transition_degrees()
-        ),
-    )
+    return _sub_inclusion(HorChainMor, inst.inclusion_hor, y, chosen, bar_ids)
 
 
 def _ver_sub(rng: random.Random, y: ChainComplex) -> VerChainMor:
@@ -255,23 +245,7 @@ def _ver_sub(rng: random.Random, y: ChainComplex) -> VerChainMor:
         else:
             forced = set()
 
-    objects = tuple(finset_obj(chosen[i]) for i in y.degrees())
-    transitions = tuple(
-        _restricted_transition(
-            inst, y.transition(i), bar_ids[i], objects[i - y.lo], objects[i - 1 - y.lo]
-        )
-        for i in y.transition_degrees()
-    )
-    z = ChainComplex(inst, y.lo, y.hi, objects, transitions)
-    return VerChainMor(
-        z,
-        y,
-        tuple(inst.inclusion_ver(z.obj(i), y.obj(i)) for i in y.degrees()),
-        tuple(
-            inst.inclusion_ver(z.transition(i).obj, y.transition(i).obj)
-            for i in y.transition_degrees()
-        ),
-    )
+    return _sub_inclusion(VerChainMor, inst.inclusion_ver, y, chosen, bar_ids)
 
 
 def _extend(
@@ -308,25 +282,11 @@ def _extend(
             )
         )
     big = ChainComplex(inst, lo, hi, objects, tuple(transitions))
-    hor = HorChainMor(
-        cx,
+    return (
         big,
-        tuple(inst.inclusion_hor(cx.obj(i), big.obj(i)) for i in cx.degrees()),
-        tuple(
-            inst.inclusion_hor(cx.transition(i).obj, big.transition(i).obj)
-            for i in cx.transition_degrees()
-        ),
+        _levelwise(HorChainMor, inst.inclusion_hor, cx, big),
+        _levelwise(VerChainMor, inst.inclusion_ver, cx, big),
     )
-    ver = VerChainMor(
-        cx,
-        big,
-        tuple(inst.inclusion_ver(cx.obj(i), big.obj(i)) for i in cx.degrees()),
-        tuple(
-            inst.inclusion_ver(cx.transition(i).obj, big.transition(i).obj)
-            for i in cx.transition_degrees()
-        ),
-    )
-    return big, hor, ver
 
 
 def gen_hor_mor(cfg: GenConfig) -> HorChainMor:

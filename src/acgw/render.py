@@ -82,14 +82,11 @@ def render_dot(doc: Document) -> str:
     ]
     for name, cx in doc.complexes:
         _emit_complex(doc, name, cx, out)
-    for name, f in doc.hors:
-        src, tgt = name_of(f.source), name_of(f.target)
-        if src and tgt:
-            _level_edges(doc, src, tgt, f.source, "blue", "solid", name, out)
-    for name, g in doc.vers:
-        src, tgt = name_of(g.source), name_of(g.target)
-        if src and tgt:
-            _level_edges(doc, src, tgt, g.source, "red", "dashed", name, out)
+    for mors, color, style in ((doc.hors, "blue", "solid"), (doc.vers, "red", "dashed")):
+        for name, f in mors:
+            src, tgt = name_of(f.source), name_of(f.target)
+            if src and tgt:
+                _level_edges(doc, src, tgt, f.source, color, style, name, out)
     for name, f in doc.maps:
         mid = name_of(f.middle)
         src = name_of(f.source)

@@ -382,3 +382,12 @@ def test_chain_mor_square_messages_on_fp(flavour):
     assert _validate(swapped(flavour, LIN, 1 if hor else 2)) == [
         f"{'lower' if hor else 'upper'} square at degree 2 does not commute"
     ]
+
+
+def test_hor_and_ver_chain_morphisms_never_compare_equal():
+    cx = swap_complex(INST)[0]
+    hor, ver = HorChainMor(cx, cx, (), ()), VerChainMor(cx, cx, (), ())
+    assert hor != ver and ver != hor
+    assert hor == HorChainMor(cx, cx, (), ()) and hash(hor) == hash(HorChainMor(cx, cx, (), ()))
+    assert repr(hor).startswith("HorChainMor(source=")
+    assert repr(ver).startswith("VerChainMor(source=")

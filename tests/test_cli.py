@@ -478,3 +478,84 @@ def test_hor_over_a_complex_with_a_partial_leg_is_reported(tmp_path, capsys):
     assert out.startswith(
         "complex Y: transition 2 upper leg: morphism is not total on its source"
     )
+
+
+# ---------------------------------------------------------------------------
+# sections over an invalid complex are reported as not checked, not
+# computed on
+# ---------------------------------------------------------------------------
+
+INVALID_COMPLEX_DOCS = {
+    # the upper leg of Y's transition 2 misses u; the quotient of S would
+    # compose along it
+    "partial_upper_leg": (
+        "instance set\n"
+        "complex X:\n"
+        "  object 1: a\n"
+        "  object 2: c\n"
+        "complex Y:\n"
+        "  object 1: a b\n"
+        "  object 2: c d\n"
+        "  transition 2: t u\n"
+        "    up: t->c\n"
+        "    down: t->a u->b\n"
+        "hor f: X -> Y\n"
+        "  level 1: a->a\n"
+        "  level 2: c->c\n"
+        "ver g: X -> Y\n"
+        "  level 1: a->a\n"
+        "  level 2: c->c\n"
+        "map F: X <- X -> Y\n"
+        "  back 1: a->a\n"
+        "  back 2: c->c\n"
+        "  front 1: a->a\n"
+        "  front 2: c->c\n"
+        "ses S: f\n",
+        [
+            "complex Y: transition 2 upper leg: morphism is not total on its "
+            "source: defined on ['t'], source is ['t', 'u']",
+            "hor f: not checked, complex Y is invalid",
+            "ver g: not checked, complex Y is invalid",
+            "map F: not checked, complex Y is invalid",
+            "ses S: not checked, complex Y is invalid",
+        ],
+    ),
+    # the lower leg of Y's transition 2 is empty; the lower square of f
+    # would be checked along it
+    "empty_lower_leg": (
+        "instance set\n"
+        "complex X:\n"
+        "  object 1: a\n"
+        "  object 2: c\n"
+        "  transition 2: t\n"
+        "    up: t->c\n"
+        "    down: t->a\n"
+        "complex Y:\n"
+        "  object 1: a\n"
+        "  object 2: c\n"
+        "  transition 2: t\n"
+        "    up: t->c\n"
+        "    down:\n"
+        "hor f: X -> Y\n"
+        "  level 1: a->a\n"
+        "  level 2: c->c\n",
+        [
+            "complex Y: transition 2 lower leg: morphism is not total on its "
+            "source: defined on [], source is ['t']",
+            "hor f: not checked, complex Y is invalid",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_COMPLEX_DOCS))
+def test_sections_over_an_invalid_complex_are_not_checked(tmp_path, capsys, name):
+    text, expected = INVALID_COMPLEX_DOCS[name]
+    path = tmp_path / f"{name}.acgw"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("".join(f"{p}\n" for p in expected), "")
+    assert main(["validate", str(path), "--output", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == (json.dumps({"ok": False, "problems": expected}, indent=2) + "\n", "")

@@ -28,7 +28,9 @@ CORPUS_FILES = (
     "span_legs.acgw",
     "three_term_ses.acgw",
 )
-SET_GEN_KINDS = ("complex", "exact", "hor", "ver", "map", "pair", "ses", "snake-weak", "snake-strong")
+SET_GEN_KINDS = (
+    "complex", "exact", "hor", "ver", "map", "pair", "ses", "snake-weak", "snake-strong"
+)
 
 
 def golden_argvs() -> list[list[str]]:
@@ -47,7 +49,8 @@ def golden_argvs() -> list[list[str]]:
         for kind in SET_GEN_KINDS:
             argvs.append(["gen", "--kind", kind, "--seed", str(seed)])
         for kind in ("complex", "exact"):
-            argvs.append(["gen", "--kind", kind, "--seed", str(seed), "--instance", "linear", "--prime", "3"])
+            linear = ["--instance", "linear", "--prime", "3"]
+            argvs.append(["gen", "--kind", kind, "--seed", str(seed), *linear])
     return argvs
 
 
