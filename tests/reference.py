@@ -20,11 +20,18 @@ assert the two agree:
   or object dtype;
 * :data:`SORTED_FINSET` builds each finite-set primitive by sorting its
   result into canonical form, where :class:`acgw.FinSetInstance` keeps
-  the order of its canonical inputs.
+  the order of its canonical inputs;
+* :func:`factor_ver_via_section` and :func:`hor_between_cokers_via_section`
+  build the two linear primitives from a section of a surjection and
+  matrix products, where :class:`acgw.LinearInstance` solves one system
+  against an injection matrix.
 """
+
+import numpy as np
 
 from acgw import (
     ChainComplex,
+    FactorizationError,
     HorChainMor,
     HorMor,
     Transition,
@@ -40,6 +47,7 @@ from acgw import (
     ses_from_projection,
 )
 from acgw.finset import mapping_of
+from acgw.linear import mat_rank, matmul_mod, nullspace, solve
 
 
 def homology_quotient_first(cx, i):
@@ -273,3 +281,46 @@ SORTED_FINSET = {
     "hor_between_cokers": lambda m, cp, cq: _between_sorted(m, cp, cq, HorMor),
     "ver_between_kernels": lambda e, kp, kq: _between_sorted(e, kp, kq, VerMor),
 }
+
+
+# ---------------------------------------------------------------------------
+# Linear primitives through a section of the surjection.
+# ---------------------------------------------------------------------------
+
+
+def _section(inst, e):
+    """A right inverse of the surjection matrix of a valid vertical ``e``."""
+    section = solve(inst.ver_matrix(e), np.eye(e.source.dim, dtype=np.int64), inst.p)
+    assert section is not None
+    return section
+
+
+def factor_ver_via_section(inst, f, through):
+    """:meth:`acgw.LinearInstance.factor_ver`: the candidate ``h`` is the
+    surjection of ``f`` times a section of that of ``through``; it is the
+    answer when ``h`` composed with ``through`` gives ``f`` back."""
+    if f.target != through.target:
+        raise FactorizationError("factorization targets differ")
+    e_f, e_g = inst.ver_matrix(f), inst.ver_matrix(through)
+    h = matmul_mod(e_f, _section(inst, through), inst.p)
+    if np.mod(matmul_mod(h, e_g, inst.p) - e_f, inst.p).any():
+        raise FactorizationError(
+            "vertical morphism does not factor: kernels are incompatible"
+        )
+    return inst.ver(f.source, through.source, h)
+
+
+def hor_between_cokers_via_section(inst, m, cp, cq):
+    """:meth:`acgw.LinearInstance.hor_between_cokers`: ``m`` descends when
+    ``cq . m`` kills the kernel of ``cp``; the induced matrix is ``cq . m``
+    times a section of ``cp``."""
+    if cp.target != m.source or cq.target != m.target:
+        raise FactorizationError("complement presentations do not match m")
+    p = inst.p
+    reach = matmul_mod(inst.ver_matrix(cq), inst.hor_matrix(m), p)
+    if matmul_mod(reach, nullspace(inst.ver_matrix(cp), p), p).any():
+        raise FactorizationError("morphism does not descend to complements")
+    n = matmul_mod(reach, _section(inst, cp), p)
+    if mat_rank(n, p) != cp.source.dim:
+        raise FactorizationError("induced complement morphism is not injective")
+    return inst.hor(cp.source, cq.source, n)

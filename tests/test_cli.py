@@ -559,3 +559,15 @@ def test_sections_over_an_invalid_complex_are_not_checked(tmp_path, capsys, name
     assert main(["validate", str(path), "--output", "json"]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == (json.dumps({"ok": False, "problems": expected}, indent=2) + "\n", "")
+
+
+def test_les_over_an_invalid_complex_is_not_checked(tmp_path, capsys):
+    text, _ = INVALID_COMPLEX_DOCS["partial_upper_leg"]
+    path = tmp_path / "partial_upper_leg.acgw"
+    path.write_text(text)
+    for output in ("text", "json"):
+        assert main(["les", str(path), "--ses", "S", "--output", output]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: ses S: not checked, complex Y is invalid\n",
+        )

@@ -5,7 +5,10 @@ import pytest
 from acgw import (
     AcgwError,
     Document,
+    GenConfig,
     ParseError,
+    gen_snake_strong,
+    gen_snake_weak,
     parse,
     serialize,
     validate_document,
@@ -221,3 +224,33 @@ def test_documents_over_different_primes_differ():
     a, b = parse(text), parse(text.replace("prime 2", "prime 3"))
     assert (a.kind, a.prime, b.prime) == ("linear", 2, 3)
     assert a != b and a == parse(text)
+
+
+#: two equal complexes under different names, and a section over the second
+EQUAL_COMPLEXES = (
+    "instance set\n"
+    "\n"
+    "complex X:\n"
+    "  object 0: a\n"
+    "\n"
+    "complex Y:\n"
+    "  object 0: a\n"
+    "\n"
+    "hor f: Y -> Y\n"
+    "  level 0: a->a\n"
+)
+
+
+def test_round_trip_keeps_the_name_of_an_equal_complex():
+    doc = parse(EQUAL_COMPLEXES)
+    assert serialize(doc) == EQUAL_COMPLEXES
+    assert parse(serialize(doc)) == doc
+    assert doc.name_of(doc.hor_named("f").source) == "Y"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_generated_snake_inputs_round_trip(seed):
+    weak, strong = gen_snake_weak(GenConfig(seed=seed)), gen_snake_strong(GenConfig(seed=seed))
+    doc = Document(weak.inst, snakes_weak=(("W", weak),), snakes_strong=(("S", strong),))
+    assert parse(serialize(doc)) == doc
+    assert validate_document(doc) == []

@@ -3,14 +3,18 @@
 Parses the package sources and checks that the generic layers import
 nothing from the two instance modules, that the document format imports
 only the two instance classes, that no module outside the instance
-modules compares an instance kind, and that every matrix product goes
-through the exact mod-p kernel ``linear.matmul_mod``.
+modules compares an instance kind, that every matrix product goes
+through the exact mod-p kernel ``linear.matmul_mod``, and that each
+instance writes every hor/ver primitive pair as one function.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import acgw
+from acgw import FinSetInstance, LinearInstance
 
 SRC = Path(acgw.__file__).parent
 INSTANCE_MODULES = {"finset", "linear"}
@@ -91,3 +95,23 @@ def test_matrix_products_go_through_matmul_mod():
     # numpy's integer @ wraps silently on int64 overflow; matmul_mod is exact.
     for path in sorted(SRC.glob("*.py")):
         assert matmul_operators(parsed(path.stem)) == [], path.name
+
+
+#: hor/ver primitive pairs: the second name is an alias of the first
+MIRROR_PAIRS = (
+    ("validate_hor", "validate_ver"),
+    ("compose_hor", "compose_ver"),
+    ("is_iso_hor", "is_iso_ver"),
+    ("hor_square_commutes", "ver_square_commutes"),
+    ("factor_hor", "factor_ver"),
+    ("coker", "ker"),
+    ("lift_hor_bar", "lift_ver_bar"),
+    ("hor_between_cokers", "ver_between_kernels"),
+)
+
+
+@pytest.mark.parametrize("cls", [FinSetInstance, LinearInstance], ids=lambda c: c.kind)
+@pytest.mark.parametrize("pair", MIRROR_PAIRS, ids=lambda p: p[1])
+def test_each_mirror_pair_is_one_function(cls, pair):
+    first, second = pair
+    assert getattr(cls, second) is getattr(cls, first)

@@ -26,7 +26,12 @@ from acgw.linear import (
     tuple_of,
 )
 
-from reference import matmul_mod_reference, rref_reference
+from reference import (
+    factor_ver_via_section,
+    hor_between_cokers_via_section,
+    matmul_mod_reference,
+    rref_reference,
+)
 
 PRIMES = (2, 3, 5)
 
@@ -379,3 +384,83 @@ def test_stored_matrix_entries_are_checked(data, problem):
     L = LinearInstance(p=7)
     two = L.obj(2)
     assert L.validate_hor(HorMor(two, two, data)) == ([problem] if problem else [])
+
+
+# ---------------------------------------------------------------------------
+# The merged primitives against the section-and-product routes.
+# ---------------------------------------------------------------------------
+
+#: small primes, and primes whose products leave float64 and int64
+MIRROR_PRIMES = (2, 3, 65521, 2**31 - 1)
+
+
+def _invertible(draw, n, p):
+    """A random invertible ``n x n`` matrix mod p: a unit lower triangle
+    times an upper triangle with a nonzero diagonal."""
+    entry = st.integers(0, p - 1)
+    lower = np.eye(n, dtype=np.int64)
+    upper = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            if j < i:
+                lower[i, j] = draw(entry)
+            elif j > i:
+                upper[i, j] = draw(entry)
+        upper[i, i] = draw(st.integers(1, p - 1))
+    return matmul_mod(lower, upper, p)
+
+
+def _mono(draw, rows, cols, p):
+    """A random full-column-rank ``rows x cols`` matrix (``cols <= rows``)."""
+    return _invertible(draw, rows, p)[:, :cols]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FactorizationError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(MIRROR_PRIMES), st.data())
+def test_factor_ver_agrees_with_the_section_route(p, data):
+    L = LinearInstance(p)
+    c = data.draw(st.integers(0, 4))
+    b = data.draw(st.integers(0, c))
+    through = L.ver(L.obj(b), L.obj(c), _mono(data.draw, c, b, p).T)
+    if data.draw(st.booleans()):
+        # f = h . through factors
+        a = data.draw(st.integers(0, b))
+        h = L.ver(L.obj(a), L.obj(b), _mono(data.draw, b, a, p).T)
+        f = L.compose_ver(h, through)
+    else:
+        a = data.draw(st.integers(0, c))
+        f = L.ver(L.obj(a), L.obj(c), _mono(data.draw, c, a, p).T)
+    assert not L.validate_ver(f) and not L.validate_ver(through)
+    assert _outcome(L.factor_ver, f, through) == _outcome(
+        factor_ver_via_section, L, f, through
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(MIRROR_PRIMES), st.data())
+def test_hor_between_cokers_agrees_with_the_section_route(p, data):
+    L = LinearInstance(p)
+    q = data.draw(st.integers(0, 4))
+    pdim = data.draw(st.integers(0, q))
+    m = _mono(data.draw, q, pdim, p)
+    kp = _mono(data.draw, pdim, data.draw(st.integers(0, pdim)), p)
+    if data.draw(st.booleans()):
+        # the image of kp under m, plus random columns: m descends
+        spanned = np.hstack([matmul_mod(m, kp, p), _invertible(data.draw, q, p)])
+        kq = colbasis(spanned[:, : data.draw(st.integers(kp.shape[1], q + kp.shape[1]))], p)
+    else:
+        kq = _mono(data.draw, q, data.draw(st.integers(0, q)), p)
+    P, Q = L.obj(pdim), L.obj(q)
+    mor = L.hor(P, Q, m)
+    _, cp = L.coker(L.hor(L.obj(kp.shape[1]), P, kp))
+    _, cq = L.coker(L.hor(L.obj(kq.shape[1]), Q, kq))
+    assert _outcome(L.hor_between_cokers, mor, cp, cq) == _outcome(
+        hor_between_cokers_via_section, L, mor, cp, cq
+    )

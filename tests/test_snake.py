@@ -1,5 +1,7 @@
 """Weak and strong snake constructions and long exact sequences."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,3 +181,41 @@ def test_les_rejects_non_inclusion_levels():
     sub = type(ses.sub)(ses.sub.source, ses.sub.target, levels, ses.sub.bar_levels)
     with pytest.raises(CapabilityError):
         les_of_ses(type(ses)(sub, ses.quot))
+
+
+WEAK_ORDER = (
+    "top_mono",
+    "mid_mono",
+    "bot_mono",
+    "left_down",
+    "mid_down",
+    "right_down",
+    "top_epi",
+    "mid_epi",
+    "bot_epi",
+    "left_up",
+    "mid_up",
+    "right_up",
+)
+
+
+def _all_partial(inp):
+    """``inp`` with every morphism replaced by one that is not total."""
+    fields = {
+        name: type(value)(("a",), ("a",), ())
+        for name, value in vars(inp).items()
+        if name != "inst"
+    }
+    return replace(inp, **fields)
+
+
+def test_snake_validators_report_morphisms_in_a_fixed_order():
+    partial = "morphism is not total on its source: defined on [], source is ['a']"
+    weak = _all_partial(gen_snake_weak(GenConfig(seed=0)))
+    assert validate_snake_weak(weak) == [f"{name}: {partial}" for name in WEAK_ORDER]
+    strong = _all_partial(gen_snake_strong(GenConfig(seed=0)))
+    assert validate_snake_strong(strong) == [
+        f"restrict_to_top: {partial}",
+        f"left_up: {partial}",
+        f"extend_to_bot: {partial}",
+    ] + [f"inner: {name}: {partial}" for name in WEAK_ORDER]
