@@ -204,13 +204,14 @@ class FinSetInstance(AcgwInstance):
     is_iso_ver = is_iso_hor
 
     # ----- complement structure ---------------------------------------
-    def coker(self, m: HorMor) -> tuple[FinSetObj, VerMor]:
-        rest = tuple(filterfalse(_image(m).__contains__, m.target))
-        return rest, self.inclusion_ver(rest, m.target)
+    def coker(self, f: HorMor | VerMor) -> tuple[FinSetObj, HorMor | VerMor]:
+        """The complement of either flavour: the rest of its target,
+        included by a morphism of the other flavour."""
+        rest = tuple(filterfalse(_image(f).__contains__, f.target))
+        other = VerMor if isinstance(f, HorMor) else HorMor
+        return rest, other(rest, f.target, self._inclusion_pairs(rest))
 
-    def ker(self, e: VerMor) -> tuple[FinSetObj, HorMor]:
-        rest = tuple(filterfalse(_image(e).__contains__, e.target))
-        return rest, self.inclusion_hor(rest, e.target)
+    ker = coker
 
     def is_complement_pair(self, m: HorMor, e: VerMor) -> bool:
         if m.target != e.target:
@@ -272,7 +273,8 @@ class FinSetInstance(AcgwInstance):
     ver_square_commutes = hor_square_commutes
 
     # ----- factorization -----------------------------------------------
-    def _factor(self, f, through):
+    def factor_hor(self, f: HorMor | VerMor, through: HorMor | VerMor) -> HorMor | VerMor:
+        """``h`` with ``through . h == f`` for two morphisms of one flavour."""
         if f.target != through.target:
             raise FactorizationError(
                 "factorization targets differ: "
@@ -287,47 +289,31 @@ class FinSetInstance(AcgwInstance):
                     f"the image of the given morphism"
                 )
             out[x] = t_inv[y]
-        return tuple(out.items())
+        return type(f)(f.source, through.source, tuple(out.items()))
 
-    def factor_hor(self, f: HorMor, through: HorMor) -> HorMor:
-        return HorMor(f.source, through.source, self._factor(f, through))
+    factor_ver = factor_hor
 
-    def factor_ver(self, f: VerMor, through: VerMor) -> VerMor:
-        return VerMor(f.source, through.source, self._factor(f, through))
-
-    def hor_between_cokers(self, m: HorMor, cp: VerMor, cq: VerMor) -> HorMor:
-        """Chase ``m: P -> Q`` along complement presentations ``cp: CP => P``
-        and ``cq: CQ => Q``."""
-        if cp.target != m.source or cq.target != m.target:
-            raise FactorizationError("complement presentations do not match m")
-        mm, cqi = mapping_of(m), _inverse(cq)
+    def hor_between_cokers(self, f, p_leg, q_leg) -> HorMor | VerMor:
+        """Chase either flavour ``f: P -> Q`` along complement presentations
+        ``p_leg`` of ``P`` and ``q_leg`` of ``Q``, of the other flavour."""
+        hor = isinstance(f, HorMor)
+        if p_leg.target != f.source or q_leg.target != f.target:
+            raise FactorizationError(
+                f"complement presentations do not match {'m' if hor else 'e'}"
+            )
+        fm, qi = mapping_of(f), _inverse(q_leg)
         out: dict[str, str] = {}
-        for x, p in cp.data:
-            q = mm[p]
-            if q not in cqi:
+        for x, p in p_leg.data:
+            q = fm[p]
+            if q not in qi:
                 raise FactorizationError(
-                    f"morphism does not descend to complements: image of {x} "
-                    f"is {q}, not in the target complement"
+                    f"morphism does not {'descend' if hor else 'restrict'} to "
+                    f"complements: image of {x} is {q}, not in the target complement"
                 )
-            out[x] = cqi[q]
-        return HorMor(cp.source, cq.source, tuple(out.items()))
+            out[x] = qi[q]
+        return type(f)(p_leg.source, q_leg.source, tuple(out.items()))
 
-    def ver_between_kernels(self, e: VerMor, kp: HorMor, kq: HorMor) -> VerMor:
-        """Chase ``e: P => Q`` along complement presentations ``kp: KP -> P``
-        and ``kq: KQ -> Q``."""
-        if kp.target != e.source or kq.target != e.target:
-            raise FactorizationError("complement presentations do not match e")
-        em, kqi = mapping_of(e), _inverse(kq)
-        out: dict[str, str] = {}
-        for x, p in kp.data:
-            q = em[p]
-            if q not in kqi:
-                raise FactorizationError(
-                    f"morphism does not restrict to complements: image of {x} "
-                    f"is {q}, not in the target complement"
-                )
-            out[x] = kqi[q]
-        return VerMor(kp.source, kq.source, tuple(out.items()))
+    ver_between_kernels = hor_between_cokers
 
     # ----- spans ---------------------------------------------------------
     def flat_key(self, back: VerMor, front: HorMor) -> Hashable:
@@ -373,29 +359,20 @@ class FinSetInstance(AcgwInstance):
         default = all(a == b for a, b in mor.data) if leg else not mor.data
         return None if default else " ".join(f"{a}->{b}" for a, b in mor.data)
 
-    def lift_hor_bar(self, level: HorMor, src_up: VerMor, tgt_up: VerMor) -> HorMor:
-        up, fmap, above = mapping_of(src_up), mapping_of(level), _inverse(tgt_up)
+    def lift_hor_bar(self, level, src_leg, tgt_leg) -> HorMor | VerMor:
+        leg, lmap, over = mapping_of(src_leg), mapping_of(level), _inverse(tgt_leg)
         out: dict[str, str] = {}
-        for t in src_up.source:
-            img = fmap.get(up.get(t))
+        for t in src_leg.source:
+            img = lmap.get(leg.get(t))
             if img is None:
                 raise FactorizationError(f"level is undefined on the image of {t!r}")
-            if img not in above:
-                raise FactorizationError(f"no transition element above {img!r}")
-            out[t] = above[img]
-        return HorMor(src_up.source, tgt_up.source, _pairs(out))
+            if img not in over:
+                side = "above" if isinstance(level, HorMor) else "below"
+                raise FactorizationError(f"no transition element {side} {img!r}")
+            out[t] = over[img]
+        return type(level)(src_leg.source, tgt_leg.source, _pairs(out))
 
-    def lift_ver_bar(self, level: VerMor, src_low: HorMor, tgt_low: HorMor) -> VerMor:
-        low, gmap, below = mapping_of(src_low), mapping_of(level), _inverse(tgt_low)
-        out: dict[str, str] = {}
-        for t in src_low.source:
-            img = gmap.get(low.get(t))
-            if img is None:
-                raise FactorizationError(f"level is undefined on the image of {t!r}")
-            if img not in below:
-                raise FactorizationError(f"no transition element below {img!r}")
-            out[t] = below[img]
-        return VerMor(src_low.source, tgt_low.source, _pairs(out))
+    lift_ver_bar = lift_hor_bar
 
     # ----- rank oracle ---------------------------------------------------
     def boundary_matrix(self, up: VerMor, low: HorMor) -> np.ndarray:

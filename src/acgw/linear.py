@@ -290,6 +290,16 @@ class LinearInstance(AcgwInstance):
     def ver(self, source: VectObj, target: VectObj, arr) -> VerMor:
         return VerMor(source, target, tuple_of(np.asarray(arr), self.p))
 
+    def _inj(self, f: HorMor | VerMor) -> np.ndarray:
+        """Either flavour as an injection matrix ``target.dim x source.dim``:
+        a horizontal morphism's matrix, a vertical one's transposed."""
+        return self.hor_matrix(f) if isinstance(f, HorMor) else self.ver_matrix(f).T
+
+    def _of_inj(self, mor_type: type, source: VectObj, target: VectObj, inj) -> HorMor | VerMor:
+        """The morphism of class ``mor_type`` whose injection matrix is
+        ``inj``, stored in the layout of its class."""
+        return mor_type(source, target, tuple_of(inj if mor_type is HorMor else inj.T, self.p))
+
     # ----- identities and zeros ---------------------------------------
     def id_hor(self, obj: VectObj) -> HorMor:
         return self.hor(obj, obj, np.eye(obj.dim, dtype=np.int64))
@@ -337,57 +347,49 @@ class LinearInstance(AcgwInstance):
                     return [f"matrix entry out of F{self.p}: {v!r}"], None
         return [], mat_of(data, rows, cols)
 
-    def validate_hor(self, f: HorMor) -> list[str]:
-        problems, arr = self._checked_mat(f, f.target.dim, f.source.dim)
+    def validate_hor(self, f: HorMor | VerMor) -> list[str]:
+        """Both flavours store a matrix of rank ``source.dim``: ``target x
+        source`` for a horizontal morphism, ``source x target`` for a
+        vertical one."""
+        hor = isinstance(f, HorMor)
+        rows, cols = (f.target.dim, f.source.dim) if hor else (f.source.dim, f.target.dim)
+        problems, arr = self._checked_mat(f, rows, cols)
         if problems:
             return problems
         if mat_rank(arr, self.p) != f.source.dim:
-            problems.append("horizontal matrix is not injective")
+            problems.append(
+                "horizontal matrix is not injective" if hor else "vertical matrix is not surjective"
+            )
         return problems
 
-    def validate_ver(self, f: VerMor) -> list[str]:
-        problems, arr = self._checked_mat(f, f.source.dim, f.target.dim)
-        if problems:
-            return problems
-        if mat_rank(arr, self.p) != f.source.dim:
-            problems.append("vertical matrix is not surjective")
-        return problems
+    validate_ver = validate_hor
 
     # ----- composition ----------------------------------------------------
-    def compose_hor(self, f: HorMor, g: HorMor) -> HorMor:
+    def compose_hor(self, f: HorMor | VerMor, g: HorMor | VerMor) -> HorMor | VerMor:
+        """``g . f`` for two morphisms of one flavour, of that flavour."""
         if f.target != g.source:
-            raise CompositionError("horizontal composition mismatch")
-        return self.hor(
-            f.source, g.target, matmul_mod(self.hor_matrix(g), self.hor_matrix(f), self.p)
-        )
+            flavour = "horizontal" if isinstance(f, HorMor) else "vertical"
+            raise CompositionError(f"{flavour} composition mismatch")
+        inj = matmul_mod(self._inj(g), self._inj(f), self.p)
+        return self._of_inj(type(f), f.source, g.target, inj)
 
-    def compose_ver(self, f: VerMor, g: VerMor) -> VerMor:
-        if f.target != g.source:
-            raise CompositionError("vertical composition mismatch")
-        return self.ver(
-            f.source, g.target, matmul_mod(self.ver_matrix(f), self.ver_matrix(g), self.p)
-        )
+    compose_ver = compose_hor
 
-    def is_iso_hor(self, f: HorMor) -> bool:
-        return f.source.dim == f.target.dim and mat_rank(
-            self.hor_matrix(f), self.p
-        ) == f.source.dim
+    def is_iso_hor(self, f: HorMor | VerMor) -> bool:
+        return f.source.dim == f.target.dim and mat_rank(self._inj(f), self.p) == f.source.dim
 
-    def is_iso_ver(self, f: VerMor) -> bool:
-        return f.source.dim == f.target.dim and mat_rank(
-            self.ver_matrix(f), self.p
-        ) == f.source.dim
+    is_iso_ver = is_iso_hor
 
     # ----- complement structure ---------------------------------------------
-    def coker(self, m: HorMor) -> tuple[VectObj, VerMor]:
-        e = nullspace(self.hor_matrix(m).T, self.p).T
-        obj = self.obj(e.shape[0])
-        return obj, self.ver(obj, m.target, e)
-
-    def ker(self, e: VerMor) -> tuple[VectObj, HorMor]:
-        n = nullspace(self.ver_matrix(e), self.p)
+    def coker(self, f: HorMor | VerMor) -> tuple[VectObj, HorMor | VerMor]:
+        """The complement of either flavour: the kernel of its transposed
+        injection matrix, as a morphism of the other flavour."""
+        n = nullspace(self._inj(f).T, self.p)
         obj = self.obj(n.shape[1])
-        return obj, self.hor(obj, e.target, n)
+        other = VerMor if isinstance(f, HorMor) else HorMor
+        return obj, self._of_inj(other, obj, f.target, n)
+
+    ker = coker
 
     def is_complement_pair(self, m: HorMor, e: VerMor) -> bool:
         if m.target != e.target:
@@ -438,9 +440,8 @@ class LinearInstance(AcgwInstance):
             return SquareClass.COMMUTING
         return SquareClass.CARTESIAN
 
-    def hor_square_commutes(
-        self, top: HorMor, left: HorMor, right: HorMor, bottom: HorMor
-    ) -> bool:
+    def hor_square_commutes(self, top, left, right, bottom) -> bool:
+        """Whether a square of morphisms of one flavour commutes."""
         if (
             top.source != left.source
             or top.target != right.source
@@ -448,72 +449,58 @@ class LinearInstance(AcgwInstance):
             or right.target != bottom.target
         ):
             return False
-        lhs = matmul_mod(self.hor_matrix(right), self.hor_matrix(top), self.p)
-        rhs = matmul_mod(self.hor_matrix(bottom), self.hor_matrix(left), self.p)
+        lhs = matmul_mod(self._inj(right), self._inj(top), self.p)
+        rhs = matmul_mod(self._inj(bottom), self._inj(left), self.p)
         return np.array_equal(lhs, rhs)
 
-    def ver_square_commutes(
-        self, top: VerMor, left: VerMor, right: VerMor, bottom: VerMor
-    ) -> bool:
-        if (
-            top.source != left.source
-            or top.target != right.source
-            or left.target != bottom.source
-            or right.target != bottom.target
-        ):
-            return False
-        lhs = matmul_mod(self.ver_matrix(top), self.ver_matrix(right), self.p)
-        rhs = matmul_mod(self.ver_matrix(left), self.ver_matrix(bottom), self.p)
-        return np.array_equal(lhs, rhs)
+    ver_square_commutes = hor_square_commutes
 
     # ----- factorization -----------------------------------------------------
-    def factor_hor(self, f: HorMor, through: HorMor) -> HorMor:
+    def factor_hor(self, f: HorMor | VerMor, through: HorMor | VerMor) -> HorMor | VerMor:
+        """One solve against the injection matrix of ``through``; its
+        solution is unique."""
         if f.target != through.target:
             raise FactorizationError("factorization targets differ")
-        h = solve(self.hor_matrix(through), self.hor_matrix(f), self.p)
+        h = solve(self._inj(through), self._inj(f), self.p)
         if h is None:
             raise FactorizationError(
                 "image does not lie inside the given horizontal morphism"
+                if isinstance(f, HorMor)
+                else "vertical morphism does not factor: kernels are incompatible"
             )
-        return self.hor(f.source, through.source, h)
+        return self._of_inj(type(f), f.source, through.source, h)
 
-    def factor_ver(self, f: VerMor, through: VerMor) -> VerMor:
-        if f.target != through.target:
-            raise FactorizationError("factorization targets differ")
-        e_f, e_g = self.ver_matrix(f), self.ver_matrix(through)
-        section = solve(e_g, np.eye(through.source.dim, dtype=np.int64), self.p)
-        assert section is not None  # valid vertical morphisms are surjective
-        h = matmul_mod(e_f, section, self.p)
-        if np.mod(matmul_mod(h, e_g, self.p) - e_f, self.p).any():
+    factor_ver = factor_hor
+
+    def _induced(self, f, src_leg, tgt_leg) -> np.ndarray | None:
+        """The ``x`` with ``inj(src_leg) @ x == inj(f).T @ inj(tgt_leg)``, or
+        None: ``x.T`` is the injection matrix of the morphism
+        ``src_leg.source -> tgt_leg.source`` that ``f`` induces between legs
+        of the other flavour into its two ends."""
+        rhs = matmul_mod(self._inj(f).T, self._inj(tgt_leg), self.p)
+        return solve(self._inj(src_leg), rhs, self.p)
+
+    def hor_between_cokers(self, f, p_leg, q_leg) -> HorMor | VerMor:
+        """Either flavour ``f: P -> Q`` between the complement presentations
+        ``p_leg`` of ``P`` and ``q_leg`` of ``Q``, of the other flavour."""
+        hor = isinstance(f, HorMor)
+        if p_leg.target != f.source or q_leg.target != f.target:
             raise FactorizationError(
-                "vertical morphism does not factor: kernels are incompatible"
+                f"complement presentations do not match {'m' if hor else 'e'}"
             )
-        return self.ver(f.source, through.source, h)
+        x = self._induced(f, p_leg, q_leg)
+        if x is None:
+            raise FactorizationError(
+                f"morphism does not {'descend' if hor else 'restrict'} to complements"
+            )
+        if mat_rank(x, self.p) != p_leg.source.dim:
+            raise FactorizationError(
+                "induced complement morphism is not "
+                + ("injective" if hor else "surjective")
+            )
+        return self._of_inj(type(f), p_leg.source, q_leg.source, x.T)
 
-    def hor_between_cokers(self, m: HorMor, cp: VerMor, cq: VerMor) -> HorMor:
-        if cp.target != m.source or cq.target != m.target:
-            raise FactorizationError("complement presentations do not match m")
-        e_cp, e_cq = self.ver_matrix(cp), self.ver_matrix(cq)
-        reach = matmul_mod(e_cq, self.hor_matrix(m), self.p)
-        if matmul_mod(reach, nullspace(e_cp, self.p), self.p).any():
-            raise FactorizationError("morphism does not descend to complements")
-        section = solve(e_cp, np.eye(cp.source.dim, dtype=np.int64), self.p)
-        assert section is not None
-        n = matmul_mod(reach, section, self.p)
-        if mat_rank(n, self.p) != cp.source.dim:
-            raise FactorizationError("induced complement morphism is not injective")
-        return self.hor(cp.source, cq.source, n)
-
-    def ver_between_kernels(self, e: VerMor, kp: HorMor, kq: HorMor) -> VerMor:
-        if kp.target != e.source or kq.target != e.target:
-            raise FactorizationError("complement presentations do not match e")
-        reach = matmul_mod(self.ver_matrix(e), self.hor_matrix(kq), self.p)
-        f = solve(self.hor_matrix(kp), reach, self.p)
-        if f is None:
-            raise FactorizationError("morphism does not restrict to complements")
-        if mat_rank(f, self.p) != kp.source.dim:
-            raise FactorizationError("induced complement morphism is not surjective")
-        return self.ver(kp.source, kq.source, f)
+    ver_between_kernels = hor_between_cokers
 
     # ----- spans ---------------------------------------------------------------
     def flat_key(self, back: VerMor, front: HorMor) -> Hashable:
@@ -568,19 +555,13 @@ class LinearInstance(AcgwInstance):
         arr = self.hor_matrix(mor) if isinstance(mor, HorMor) else self.ver_matrix(mor)
         return json.dumps(arr.tolist())
 
-    def lift_hor_bar(self, level: HorMor, src_up: VerMor, tgt_up: VerMor) -> HorMor:
-        rhs = matmul_mod(self.ver_matrix(tgt_up), self.hor_matrix(level), self.p)
-        sol = solve(self.ver_matrix(src_up).T, rhs.T, self.p)
-        if sol is None:
+    def lift_hor_bar(self, level, src_leg, tgt_leg) -> HorMor | VerMor:
+        x = self._induced(level, src_leg, tgt_leg)
+        if x is None:
             raise FactorizationError("no compatible bar level")
-        return self.hor(src_up.source, tgt_up.source, sol.T)
+        return self._of_inj(type(level), src_leg.source, tgt_leg.source, x.T)
 
-    def lift_ver_bar(self, level: VerMor, src_low: HorMor, tgt_low: HorMor) -> VerMor:
-        rhs = matmul_mod(self.ver_matrix(level), self.hor_matrix(tgt_low), self.p)
-        sol = solve(self.hor_matrix(src_low), rhs, self.p)
-        if sol is None:
-            raise FactorizationError("no compatible bar level")
-        return self.ver(src_low.source, tgt_low.source, sol)
+    lift_ver_bar = lift_hor_bar
 
     # ----- rank oracle -----------------------------------------------------------
     def boundary_matrix(self, up: VerMor, low: HorMor) -> np.ndarray:
