@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, eq, is_
 
 from .chains import (
     ChainComplex,
@@ -111,6 +111,15 @@ class Document:
             if n == name:
                 return value
         raise AcgwError(f"document has no {what} named {name!r}")
+
+    def name_of(self, cx: ChainComplex) -> str | None:
+        """The name of ``cx``: the complex that is ``cx`` itself, else the
+        first one equal to it; None if there is none."""
+        for same in (is_, eq):
+            for name, known in self.complexes:
+                if same(known, cx):
+                    return name
+        return None
 
     def complex_named(self, name: str) -> ChainComplex:
         return self._named(self.complexes, name, "complex")
@@ -573,10 +582,10 @@ def _with_payload(head: str, text: str) -> str:
 
 
 def _name_of(doc: Document, cx: ChainComplex, what: str) -> str:
-    for name, known in doc.complexes:
-        if known == cx:
-            return name
-    raise AcgwError(f"{what} refers to a complex that is not in the document")
+    name = doc.name_of(cx)
+    if name is None:
+        raise AcgwError(f"{what} refers to a complex that is not in the document")
+    return name
 
 
 def _emit_complex(doc: Document, name: str, cx: ChainComplex, out: list[str]) -> None:
@@ -669,19 +678,19 @@ def validate_document(doc: Document) -> list[str]:
     complexes); it gets one line naming the first such complex.
     """
     problems: list[str] = []
-    invalid: list[tuple[str, ChainComplex]] = []
+    invalid: set[str] = set()
     for name, cx in doc.complexes:
         found = validate_complex(cx)
         problems += [f"complex {name}: {p}" for p in found]
         if found:
-            invalid.append((name, cx))
+            invalid.add(name)
 
     def unchecked(section: str, *complexes: ChainComplex) -> bool:
         """Whether ``section`` is over an invalid complex; if so, say so."""
         for cx in complexes:
-            names = [n for n, c in invalid if c is cx] or [n for n, c in invalid if c == cx]
-            if names:
-                problems.append(f"{section}: not checked, complex {names[0]} is invalid")
+            name = doc.name_of(cx)
+            if name in invalid:
+                problems.append(f"{section}: not checked, complex {name} is invalid")
                 return True
         return False
 

@@ -65,16 +65,6 @@ def _level_edges(
 
 def render_dot(doc: Document) -> str:
     """The document as Graphviz ``dot`` source text."""
-    names = {id(cx): n for n, cx in doc.complexes}
-
-    def name_of(cx: ChainComplex) -> str | None:
-        if id(cx) in names:
-            return names[id(cx)]
-        for n, known in doc.complexes:
-            if known == cx:
-                return n
-        return None
-
     out = [
         "digraph document {",
         "  rankdir=BT;",
@@ -84,13 +74,13 @@ def render_dot(doc: Document) -> str:
         _emit_complex(doc, name, cx, out)
     for mors, color, style in ((doc.hors, "blue", "solid"), (doc.vers, "red", "dashed")):
         for name, f in mors:
-            src, tgt = name_of(f.source), name_of(f.target)
+            src, tgt = doc.name_of(f.source), doc.name_of(f.target)
             if src and tgt:
                 _level_edges(doc, src, tgt, f.source, color, style, name, out)
     for name, f in doc.maps:
-        mid = name_of(f.middle)
-        src = name_of(f.source)
-        tgt = name_of(f.target)
+        mid = doc.name_of(f.middle)
+        src = doc.name_of(f.source)
+        tgt = doc.name_of(f.target)
         if mid and src:
             _level_edges(doc, mid, src, f.middle, "red", "dashed", f"{name} back", out)
         if mid and tgt:
