@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .chains import ChainComplex
-from .core import AcgwError, CapabilityError, flat_is_iso
+from .chains import ChainComplex, validate_complex
+from .core import AcgwError, flat_is_iso
 from .documents import Document, ParseError, parse, serialize, validate_document
 from .homology import (
     h_on_map,
@@ -205,6 +205,16 @@ def cmd_snake(args) -> int:
 
 def cmd_les(args) -> int:
     doc = _load(args.file)
+    hor_name = dict(doc.seses).get(args.ses)
+    if hor_name is not None:
+        # Building the quotient composes along the transition legs, which
+        # takes valid complexes.
+        f = doc.hor_named(hor_name)
+        for cx in (f.source, f.target):
+            if validate_complex(cx):
+                raise AcgwError(
+                    f"ses {args.ses}: not checked, complex {doc.name_of(cx)} is invalid"
+                )
     ses = doc.ses_named(args.ses)
     zz = les_of_ses(ses)
     payload, lines = _zigzag_report(doc.inst, zz)
@@ -463,12 +473,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except AcgwError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
