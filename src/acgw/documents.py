@@ -59,6 +59,8 @@ from .linear import LinearInstance
 from .snake import (
     SnakeInputStrong,
     SnakeInputWeak,
+    _snake_input,
+    _snake_rows,
     validate_snake_strong,
     validate_snake_weak,
 )
@@ -454,7 +456,7 @@ def _chain_mor(
     return chain(src, tgt, mors, bars)
 
 
-def _snake_rows(inst: AcgwInstance, raw: _RawSnake) -> dict:
+def _read_snake_rows(inst: AcgwInstance, raw: _RawSnake) -> dict:
     """Every row of a snake section as objects, keyed by row name."""
     wanted = ("top", "middle", "bottom") + (("abar", "cbar") if raw.strong else ())
     out = {}
@@ -507,58 +509,9 @@ def parse(text: str) -> Document:
 
     weaks: list[tuple[str, SnakeInputWeak]] = []
     strongs: list[tuple[str, SnakeInputStrong]] = []
-    hor, ver = inst.inclusion_hor, inst.inclusion_ver
     for raw in raw_snakes:
-        rows = _snake_rows(inst, raw)
-        a, b, c = rows["top"]
-        x, y, z = rows["middle"]
-        a2, b2, c2 = rows["bottom"]
-        if not raw.strong:
-            weaks.append(
-                (
-                    raw.name,
-                    SnakeInputWeak(
-                        inst,
-                        top_mono=hor(a, b),
-                        top_epi=ver(c, b),
-                        mid_mono=hor(x, y),
-                        mid_epi=ver(z, y),
-                        bot_mono=hor(a2, b2),
-                        bot_epi=ver(c2, b2),
-                        left_up=ver(x, a),
-                        left_down=hor(x, a2),
-                        mid_up=ver(y, b),
-                        mid_down=hor(y, b2),
-                        right_up=ver(z, c),
-                        right_down=hor(z, c2),
-                    ),
-                )
-            )
-        else:
-            (abar,), (cbar2,) = rows["abar"], rows["cbar"]
-            strongs.append(
-                (
-                    raw.name,
-                    SnakeInputStrong(
-                        inst,
-                        left_up=ver(x, a),
-                        restrict_to_top=ver(abar, a),
-                        top_mono=hor(abar, b),
-                        left_up_restricted=ver(x, abar),
-                        mid_up=ver(y, b),
-                        top_epi=ver(c, b),
-                        right_up=ver(z, c),
-                        mid_mono=hor(x, y),
-                        mid_epi=ver(z, y),
-                        bot_mono=hor(a2, b2),
-                        left_down=hor(x, a2),
-                        mid_down=hor(y, b2),
-                        bot_epi_restricted=ver(cbar2, b2),
-                        right_down_restricted=hor(z, cbar2),
-                        extend_to_bot=hor(cbar2, c2),
-                    ),
-                )
-            )
+        inp = _snake_input(inst, _read_snake_rows(inst, raw))
+        (strongs if raw.strong else weaks).append((raw.name, inp))
 
     return Document(
         inst,
@@ -640,26 +593,12 @@ def serialize(doc: Document) -> str:
     for name, hor_name in doc.seses:
         out.append(f"ses {name}: {hor_name}")
         out.append("")
-    for name, s in doc.snakes_weak:
-        out.append(f"snake weak {name}:")
-        for key, mono, epi in (
-            ("top", s.top_mono, s.top_epi),
-            ("middle", s.mid_mono, s.mid_epi),
-            ("bottom", s.bot_mono, s.bot_epi),
-        ):
-            _emit_row(doc, key, (mono.source, mono.target, epi.source), out)
-        out.append("")
-    for name, s in doc.snakes_strong:
-        out.append(f"snake strong {name}:")
-        for key, parts in (
-            ("top", (s.left_up.target, s.top_mono.target, s.top_epi.source)),
-            ("abar", (s.top_mono.source,)),
-            ("middle", (s.mid_mono.source, s.mid_mono.target, s.mid_epi.source)),
-            ("cbar", (s.extend_to_bot.source,)),
-            ("bottom", (s.bot_mono.source, s.bot_mono.target, s.extend_to_bot.target)),
-        ):
-            _emit_row(doc, key, parts, out)
-        out.append("")
+    for head, snakes in (("weak", doc.snakes_weak), ("strong", doc.snakes_strong)):
+        for name, s in snakes:
+            out.append(f"snake {head} {name}:")
+            for key, parts in _snake_rows(s).items():
+                _emit_row(doc, key, parts, out)
+            out.append("")
     while out and out[-1] == "":
         out.pop()
     return "\n".join(out) + "\n"

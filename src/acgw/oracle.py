@@ -28,7 +28,7 @@ from .chains import (
 from .core import AcgwError, ValidationError
 from .finset import FinSetInstance, finset_obj, mapping_of
 from .linear import LinearInstance, mat_rank, matmul_mod
-from .snake import SnakeInputStrong, SnakeInputWeak
+from .snake import SnakeInputStrong, SnakeInputWeak, _snake_input
 
 __all__ = [
     "free_complex",
@@ -368,23 +368,8 @@ def gen_snake_weak(cfg: GenConfig) -> SnakeInputWeak:
     c2 = z | _sample(rng, bot_fresh)
     a2 = b2 - c2
 
-    ob = {k: finset_obj(v) for k, v in
-          dict(a=a, b=b, c=c, x=x, y=y, z=z, a2=a2, b2=b2, c2=c2).items()}
-    return SnakeInputWeak(
-        inst,
-        top_mono=inst.inclusion_hor(ob["a"], ob["b"]),
-        top_epi=inst.inclusion_ver(ob["c"], ob["b"]),
-        mid_mono=inst.inclusion_hor(ob["x"], ob["y"]),
-        mid_epi=inst.inclusion_ver(ob["z"], ob["y"]),
-        bot_mono=inst.inclusion_hor(ob["a2"], ob["b2"]),
-        bot_epi=inst.inclusion_ver(ob["c2"], ob["b2"]),
-        left_up=inst.inclusion_ver(ob["x"], ob["a"]),
-        left_down=inst.inclusion_hor(ob["x"], ob["a2"]),
-        mid_up=inst.inclusion_ver(ob["y"], ob["b"]),
-        mid_down=inst.inclusion_hor(ob["y"], ob["b2"]),
-        right_up=inst.inclusion_ver(ob["z"], ob["c"]),
-        right_down=inst.inclusion_hor(ob["z"], ob["c2"]),
-    )
+    rows = {"top": (a, b, c), "middle": (x, y, z), "bottom": (a2, b2, c2)}
+    return _snake_input(inst, {k: tuple(map(finset_obj, v)) for k, v in rows.items()})
 
 
 def gen_snake_strong(cfg: GenConfig) -> SnakeInputStrong:
@@ -411,27 +396,14 @@ def gen_snake_strong(cfg: GenConfig) -> SnakeInputStrong:
     a2 = b2 - cbar2
     c2 = cbar2 | set(_ids("q", rng.randint(0, 2)))
 
-    ob = {k: finset_obj(v) for k, v in
-          dict(a=a, abar=abar, b=b, c=c, x=x, y=y, z=z,
-               a2=a2, b2=b2, cbar2=cbar2, c2=c2).items()}
-    return SnakeInputStrong(
-        inst,
-        left_up=inst.inclusion_ver(ob["x"], ob["a"]),
-        restrict_to_top=inst.inclusion_ver(ob["abar"], ob["a"]),
-        top_mono=inst.inclusion_hor(ob["abar"], ob["b"]),
-        left_up_restricted=inst.inclusion_ver(ob["x"], ob["abar"]),
-        mid_up=inst.inclusion_ver(ob["y"], ob["b"]),
-        top_epi=inst.inclusion_ver(ob["c"], ob["b"]),
-        right_up=inst.inclusion_ver(ob["z"], ob["c"]),
-        mid_mono=inst.inclusion_hor(ob["x"], ob["y"]),
-        mid_epi=inst.inclusion_ver(ob["z"], ob["y"]),
-        bot_mono=inst.inclusion_hor(ob["a2"], ob["b2"]),
-        left_down=inst.inclusion_hor(ob["x"], ob["a2"]),
-        mid_down=inst.inclusion_hor(ob["y"], ob["b2"]),
-        bot_epi_restricted=inst.inclusion_ver(ob["cbar2"], ob["b2"]),
-        right_down_restricted=inst.inclusion_hor(ob["z"], ob["cbar2"]),
-        extend_to_bot=inst.inclusion_hor(ob["cbar2"], ob["c2"]),
-    )
+    rows = {
+        "top": (a, b, c),
+        "abar": (abar,),
+        "middle": (x, y, z),
+        "cbar": (cbar2,),
+        "bottom": (a2, b2, c2),
+    }
+    return _snake_input(inst, {k: tuple(map(finset_obj, v)) for k, v in rows.items()})
 
 
 # ---------------------------------------------------------------------------

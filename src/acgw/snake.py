@@ -157,25 +157,10 @@ class SnakeInputWeak:
 def validate_snake_weak(inp: SnakeInputWeak) -> list[str]:
     inst = inp.inst
     problems: list[str] = []
-    named = {
-        "top_mono": inp.top_mono,
-        "mid_mono": inp.mid_mono,
-        "bot_mono": inp.bot_mono,
-        "left_down": inp.left_down,
-        "mid_down": inp.mid_down,
-        "right_down": inp.right_down,
-    }
-    for name, mor in named.items():
-        problems += [f"{name}: {p}" for p in inst.validate_hor(mor)]
-    for name, mor in {
-        "top_epi": inp.top_epi,
-        "mid_epi": inp.mid_epi,
-        "bot_epi": inp.bot_epi,
-        "left_up": inp.left_up,
-        "mid_up": inp.mid_up,
-        "right_up": inp.right_up,
-    }.items():
-        problems += [f"{name}: {p}" for p in inst.validate_ver(mor)]
+    for flavour, validate in ((HorMor, inst.validate_hor), (VerMor, inst.validate_ver)):
+        for name, mor_type, _, _ in _LAYOUT[SnakeInputWeak]:
+            if mor_type is flavour:
+                problems += [f"{name}: {p}" for p in validate(getattr(inp, name))]
     if problems:
         return problems
     if not inst.is_complement_pair(inp.top_mono, inp.top_epi):
@@ -343,6 +328,81 @@ class SnakeInputStrong:
             right_up=self.right_up,
             right_down=self.right_down_restricted,
         )
+
+
+# ---------------------------------------------------------------------------
+# Snake inputs on literal subsets, row by row.
+# ---------------------------------------------------------------------------
+
+#: the rows of a snake input on literal subsets, in document order, with
+#: the objects each one names; a weak input has no ``abar`` and ``cbar``
+#: rows
+_ROWS = (
+    ("top", ("a", "b", "c")),
+    ("abar", ("abar",)),
+    ("middle", ("x", "y", "z")),
+    ("cbar", ("cbar2",)),
+    ("bottom", ("a2", "b2", "c2")),
+)
+
+#: per input class, every morphism as ``(field, class, source, target)``
+#: with its ends named as in ``_ROWS``.  :func:`_snake_rows` reads each
+#: object off the first morphism that has it, and the weak validator
+#: checks the horizontal morphisms, then the vertical ones, in this order.
+_LAYOUT = {
+    SnakeInputWeak: (
+        ("top_mono", HorMor, "a", "b"),
+        ("top_epi", VerMor, "c", "b"),
+        ("mid_mono", HorMor, "x", "y"),
+        ("mid_epi", VerMor, "z", "y"),
+        ("bot_mono", HorMor, "a2", "b2"),
+        ("bot_epi", VerMor, "c2", "b2"),
+        ("left_up", VerMor, "x", "a"),
+        ("left_down", HorMor, "x", "a2"),
+        ("mid_up", VerMor, "y", "b"),
+        ("mid_down", HorMor, "y", "b2"),
+        ("right_up", VerMor, "z", "c"),
+        ("right_down", HorMor, "z", "c2"),
+    ),
+    SnakeInputStrong: (
+        ("mid_mono", HorMor, "x", "y"),
+        ("mid_epi", VerMor, "z", "y"),
+        ("top_mono", HorMor, "abar", "b"),
+        ("top_epi", VerMor, "c", "b"),
+        ("left_up", VerMor, "x", "a"),
+        ("bot_mono", HorMor, "a2", "b2"),
+        ("extend_to_bot", HorMor, "cbar2", "c2"),
+        ("restrict_to_top", VerMor, "abar", "a"),
+        ("left_up_restricted", VerMor, "x", "abar"),
+        ("mid_up", VerMor, "y", "b"),
+        ("right_up", VerMor, "z", "c"),
+        ("left_down", HorMor, "x", "a2"),
+        ("mid_down", HorMor, "y", "b2"),
+        ("bot_epi_restricted", VerMor, "cbar2", "b2"),
+        ("right_down_restricted", HorMor, "z", "cbar2"),
+    ),
+}
+
+
+def _snake_input(inst: AcgwInstance, rows: dict) -> SnakeInputWeak | SnakeInputStrong:
+    """The snake input of literal inclusions between the objects of
+    ``rows`` (row name to objects, as in ``_ROWS``): strong when there is
+    an ``abar`` row, weak otherwise."""
+    cls = SnakeInputStrong if "abar" in rows else SnakeInputWeak
+    objects = {n: obj for row, names in _ROWS if row in rows for n, obj in zip(names, rows[row])}
+    include = {HorMor: inst.inclusion_hor, VerMor: inst.inclusion_ver}
+    return cls(inst, **{f: include[mor](objects[s], objects[t]) for f, mor, s, t in _LAYOUT[cls]})
+
+
+def _snake_rows(inp: SnakeInputWeak | SnakeInputStrong) -> dict:
+    """The rows of a snake input, in document order, as
+    :func:`_snake_input` takes them."""
+    objects: dict = {}
+    for name, _, source, target in _LAYOUT[type(inp)]:
+        mor = getattr(inp, name)
+        objects.setdefault(source, mor.source)
+        objects.setdefault(target, mor.target)
+    return {row: tuple(map(objects.get, names)) for row, names in _ROWS if names[0] in objects}
 
 
 def validate_snake_strong(inp: SnakeInputStrong) -> list[str]:
