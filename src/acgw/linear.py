@@ -6,6 +6,9 @@ A horizontal morphism ``A -> B`` is backed by a full-column-rank matrix
 full-row-rank matrix ``A x B``, the underlying surjection ``B ->> A``.
 Matrices are stored as tuples of row tuples with entries reduced mod p
 and decoded into numpy int64 arrays, so the prime must lie below 2^63.
+Operations that do not mix the flavours read a vertical morphism as its
+transposed matrix, a ``B x A`` injection like a horizontal one's, so
+each of their hor/ver pairs is one function under two names.
 
 Every product and row reduction goes through the mod-p kernel below
 (:func:`matmul_mod`, :func:`rref`), which picks the cheapest arithmetic
