@@ -1,5 +1,7 @@
 """The textual document format: parsing, serialization, validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from acgw import (
@@ -254,3 +256,34 @@ def test_generated_snake_inputs_round_trip(seed):
     doc = Document(weak.inst, snakes_weak=(("W", weak),), snakes_strong=(("S", strong),))
     assert parse(serialize(doc)) == doc
     assert validate_document(doc) == []
+
+
+def _labelled(inp):
+    """``inp`` with every morphism running from ``{FIELD.s}`` to ``{FIELD.t}``."""
+    fields = {
+        name: type(mor)((f"{name}.s",), (f"{name}.t",), ())
+        for name, mor in vars(inp).items()
+        if name != "inst"
+    }
+    return replace(inp, **fields)
+
+
+def test_serialize_reads_each_snake_row_object_from_a_fixed_field():
+    weak = _labelled(gen_snake_weak(GenConfig(seed=0)))
+    strong = _labelled(gen_snake_strong(GenConfig(seed=0)))
+    doc = Document(weak.inst, snakes_weak=(("W", weak),), snakes_strong=(("S", strong),))
+    assert serialize(doc).splitlines() == [
+        "instance set",
+        "",
+        "snake weak W:",
+        "  top: top_mono.s | top_mono.t | top_epi.s",
+        "  middle: mid_mono.s | mid_mono.t | mid_epi.s",
+        "  bottom: bot_mono.s | bot_mono.t | bot_epi.s",
+        "",
+        "snake strong S:",
+        "  top: left_up.t | top_mono.t | top_epi.s",
+        "  abar: top_mono.s",
+        "  middle: mid_mono.s | mid_mono.t | mid_epi.s",
+        "  cbar: extend_to_bot.s",
+        "  bottom: bot_mono.s | bot_mono.t | extend_to_bot.t",
+    ]
