@@ -24,8 +24,14 @@ assert the two agree:
 * :func:`factor_ver_via_section` and :func:`hor_between_cokers_via_section`
   build the two linear primitives from a section of a surjection and
   matrix products, where :class:`acgw.LinearInstance` solves one system
-  against an injection matrix.
+  against an injection matrix;
+* :func:`obj_from_text_per_token` and :func:`mor_from_text_per_token`
+  read a finite-set object or pair line by checking every token on its
+  own, where :class:`acgw.FinSetInstance` accepts a whole line with one
+  match.
 """
+
+import re
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from acgw import (
     HorChainMor,
     HorMor,
     Transition,
+    ValidationError,
     VerChainMor,
     VerMor,
     compose_flat,
@@ -324,3 +331,34 @@ def hor_between_cokers_via_section(inst, m, cp, cq):
     if mat_rank(n, p) != cp.source.dim:
         raise FactorizationError("induced complement morphism is not injective")
     return inst.hor(cp.source, cq.source, n)
+
+
+# ---------------------------------------------------------------------------
+# Finite-set document lines, one token at a time.
+# ---------------------------------------------------------------------------
+
+_ID_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
+
+
+def obj_from_text_per_token(text):
+    """:meth:`acgw.FinSetInstance.obj_from_text`: every whitespace-separated
+    token must be an id."""
+    ids = text.split()
+    for x in ids:
+        if not _ID_RE.match(x):
+            raise ValidationError([f"bad id {x!r}"])
+    return finset_obj(ids)
+
+
+def mor_from_text_per_token(mor_type, source, target, text):
+    """:meth:`acgw.FinSetInstance.mor_from_text` on a pair line: every
+    token must be ``src->tgt`` with two ids, and no source may repeat."""
+    out = {}
+    for chunk in text.split():
+        src, sep, tgt = chunk.partition("->")
+        if not sep or not _ID_RE.match(src) or not _ID_RE.match(tgt):
+            raise ValidationError([f"bad pair {chunk!r} (want src->tgt)"])
+        if src in out:
+            raise ValidationError([f"repeated pair source {src!r}"])
+        out[src] = tgt
+    return mor_type(source, target, tuple(sorted(out.items())))

@@ -1,5 +1,9 @@
 """Core double-category structure on the finite-set instance."""
 
+import copy
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +14,7 @@ from acgw import (
     FinSetInstance,
     HorMor,
     SquareClass,
+    ValidationError,
     VerMor,
     compose_flat,
     finset_obj,
@@ -24,7 +29,7 @@ from acgw import (
 )
 from acgw.finset import apply_to, mapping_of
 
-from reference import SORTED_FINSET
+from reference import SORTED_FINSET, mor_from_text_per_token, obj_from_text_per_token
 
 INST = FinSetInstance()
 
@@ -389,11 +394,25 @@ def _ids(draw, max_size=8):
 
 
 def _into(draw, mor_type, target, within=None):
-    """A random injection into ``target`` whose image lies in ``within``."""
+    """A random injection into ``target`` whose image lies in ``within``:
+    a relabelled one, or a literal inclusion built by the instance or by
+    hand."""
     room = target if within is None else finset_obj(within)
-    source = _ids(draw, max_size=len(room))
-    images = draw(st.permutations(room))[: len(source)]
-    return mor_type(source, target, tuple(zip(source, images)))
+    how = draw(st.sampled_from(("relabelled", "instance", "by hand")))
+    if how == "relabelled":
+        source = _ids(draw, max_size=len(room))
+        images = draw(st.permutations(room))[: len(source)]
+        return mor_type(source, target, tuple(zip(source, images)))
+    return _literal(mor_type, finset_obj(x for x in room if draw(st.booleans())), target, how)
+
+
+def _literal(mor_type, sub, ambient, how="instance"):
+    """The literal inclusion of ``sub`` into ``ambient``, from the
+    instance's constructor or built by hand from identity pairs."""
+    if how == "by hand":
+        return mor_type(sub, ambient, tuple(zip(sub, sub)))
+    include = INST.inclusion_hor if mor_type is HorMor else INST.inclusion_ver
+    return include(sub, ambient)
 
 
 def _assert_canonical(parts):
@@ -434,9 +453,223 @@ def test_primitives_stay_canonical(data):
     kp = _into(draw, HorMor, e.source, onto_kq)
     calls.append(("ver_between_kernels", (e, kp, kq)))
 
-    for name, args in calls:
-        got = getattr(INST, name)(*args)
-        if name == "mixed_pullback":
-            got = (got.corner, got.to_epi_source, got.to_mono_source)
-        _assert_canonical(got if isinstance(got, tuple) else (got,))
-        assert got == SORTED_FINSET[name](*args), name
+    # twice: the second call reads what the first one left on its arguments
+    for _ in range(2):
+        for name, args in calls:
+            got = getattr(INST, name)(*args)
+            if name == "mixed_pullback":
+                got = (got.corner, got.to_epi_source, got.to_mono_source)
+            _assert_canonical(got if isinstance(got, tuple) else (got,))
+            assert got == SORTED_FINSET[name](*args), name
+
+
+# ---------------------------------------------------------------------------
+# Failures through literal inclusions keep their messages.
+# ---------------------------------------------------------------------------
+
+FLAVOURS = pytest.mark.parametrize("mor_type", [HorMor, VerMor], ids=["hor", "ver"])
+BUILDS = pytest.mark.parametrize("how", ["instance", "by hand"])
+AMB = finset_obj("abcd")
+
+
+def _message(exc_type, fn, *args):
+    with pytest.raises(exc_type) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@BUILDS
+@FLAVOURS
+def test_factor_through_an_inclusion_names_the_first_pair_outside(mor_type, how):
+    factor = INST.factor_hor if mor_type is HorMor else INST.factor_ver
+    through = _literal(mor_type, finset_obj("ab"), AMB, how)
+    relabelled = mor_type(finset_obj("pqr"), AMB, (("p", "a"), ("q", "c"), ("r", "d")))
+    assert _message(FactorizationError, factor, relabelled, through) == (
+        "no factorization: q lands at c, outside the image of the given morphism"
+    )
+    included = _literal(mor_type, finset_obj("acd"), AMB, how)
+    assert _message(FactorizationError, factor, included, through) == (
+        "no factorization: c lands at c, outside the image of the given morphism"
+    )
+    elsewhere = _literal(mor_type, finset_obj("a"), finset_obj("ab"), how)
+    assert _message(FactorizationError, factor, elsewhere, through) == (
+        "factorization targets differ: {a b} vs {a b c d}"
+    )
+
+
+@BUILDS
+@FLAVOURS
+def test_compose_with_an_inclusion_names_the_mismatch(mor_type, how):
+    compose = INST.compose_hor if mor_type is HorMor else INST.compose_ver
+    f = _literal(mor_type, finset_obj("a"), finset_obj("ac"), how)
+    g = _literal(mor_type, finset_obj("ab"), AMB, how)
+    assert _message(CompositionError, compose, f, g) == "cannot compose: {a c} != {a b}"
+
+
+@BUILDS
+@FLAVOURS
+def test_chase_between_inclusions_names_the_first_element_outside(mor_type, how):
+    other = VerMor if mor_type is HorMor else HorMor
+    chase = INST.hor_between_cokers if mor_type is HorMor else INST.ver_between_kernels
+    mor = _literal(mor_type, finset_obj("abc"), AMB, how)
+    p_leg = _literal(other, finset_obj("bc"), mor.source, how)
+    q_leg = _literal(other, finset_obj("c"), AMB, how)
+    verb = "descend" if mor_type is HorMor else "restrict"
+    assert _message(FactorizationError, chase, mor, p_leg, q_leg) == (
+        f"morphism does not {verb} to complements: image of b is b, "
+        "not in the target complement"
+    )
+    stray = _literal(other, finset_obj("c"), finset_obj("cd"), how)
+    assert _message(FactorizationError, chase, mor, p_leg, stray) == (
+        f"complement presentations do not match {'m' if mor_type is HorMor else 'e'}"
+    )
+
+
+@BUILDS
+def test_mixed_pullback_of_an_inclusion_needs_a_shared_target(how):
+    m = _literal(HorMor, finset_obj("ab"), finset_obj("abc"), how)
+    e = _literal(VerMor, finset_obj("a"), finset_obj("ab"), how)
+    assert _message(FactorizationError, INST.mixed_pullback, m, e) == (
+        "mixed pullback needs a shared target: {a b c} vs {a b}"
+    )
+
+
+@BUILDS
+@FLAVOURS
+def test_lift_along_inclusions_names_the_missing_transition_element(mor_type, how):
+    lift = INST.lift_hor_bar if mor_type is HorMor else INST.lift_ver_bar
+    level = _literal(mor_type, finset_obj("ab"), finset_obj("abc"), how)
+    src_leg = _literal(mor_type, finset_obj("ab"), finset_obj("ab"), how)
+    tgt_leg = _literal(mor_type, finset_obj("a"), finset_obj("abc"), how)
+    side = "above" if mor_type is HorMor else "below"
+    assert _message(FactorizationError, lift, level, src_leg, tgt_leg) == (
+        f"no transition element {side} 'b'"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Morphisms read by the primitives stay the same values.
+# ---------------------------------------------------------------------------
+
+
+def _use(mor):
+    """Run every primitive that reads the maps of a horizontal ``mor``."""
+    _, leg = INST.coker(mor)
+    INST.ker(leg)
+    INST.is_complement_pair(mor, leg)
+    sq = INST.mixed_pullback(mor, leg)
+    INST.classify_mixed(sq.to_epi_source, sq.to_mono_source, sq.epi, sq.mono)
+    INST.factor_hor(mor, mor)
+    INST.compose_hor(INST.id_hor(mor.source), mor)
+    INST.compose_hor(mor, INST.id_hor(mor.target))
+    INST.hor_square_commutes(mor, INST.id_hor(mor.source), INST.id_hor(mor.target), mor)
+    INST.hor_between_cokers(mor, INST.zero_ver(mor.source), INST.zero_ver(mor.target))
+    INST.flat_key(INST.id_ver(mor.source), mor)
+    INST.lift_hor_bar(mor, INST.id_hor(mor.source), INST.id_hor(mor.target))
+    apply_to(mor, mor.source[0])
+    return leg
+
+
+@pytest.mark.parametrize("how", ["instance", "by hand", "relabelled"])
+def test_primitives_leave_a_morphism_the_same_value(how):
+    if how == "relabelled":
+        m = HorMor(finset_obj("pq"), AMB, (("p", "b"), ("q", "c")))
+    else:
+        m = _literal(HorMor, finset_obj("ab"), AMB, how)
+    twin = HorMor(m.source, m.target, m.data)
+    before = (repr(m), hash(m))
+    leg = _use(m)
+    assert (repr(m), hash(m)) == before
+    assert m == twin and twin == m
+    # mapping_of hands out a fresh dict: clearing it changes no answer
+    assert mapping_of(m) is not mapping_of(m)
+    mapping_of(m).clear()
+    assert INST.factor_hor(m, m) == INST.factor_hor(twin, twin)
+    assert INST.coker(m) == INST.coker(twin)
+    leg_twin = VerMor(leg.source, leg.target, leg.data)
+    for mor, equal in ((m, twin), (leg, leg_twin)):
+        for copied in (
+            pickle.loads(pickle.dumps(mor)),
+            copy.copy(mor),
+            copy.deepcopy(mor),
+            replace(mor),
+        ):
+            assert type(copied) is type(equal) and copied == equal
+            assert (repr(copied), hash(copied)) == (repr(equal), hash(equal))
+            assert INST.coker(copied) == INST.coker(equal)
+            assert INST.factor_hor(copied, copied) == INST.factor_hor(equal, equal)
+            assert INST.compose_hor(copied, INST.id_hor(equal.target)) == equal
+
+
+def test_a_replaced_morphism_computes_from_its_own_pairs():
+    m = _literal(HorMor, finset_obj("ab"), AMB)
+    _use(m)
+    moved = replace(m, source=("x",), data=(("x", "d"),))
+    assert INST.coker(moved) == SORTED_FINSET["coker"](moved)
+    assert _message(FactorizationError, INST.factor_hor, moved, m) == (
+        "no factorization: x lands at d, outside the image of the given morphism"
+    )
+    wider = replace(m, source=finset_obj("abd"), data=(("a", "a"), ("b", "b"), ("d", "d")))
+    assert INST.factor_hor(m, wider) == HorMor(finset_obj("ab"), finset_obj("abd"), m.data)
+
+
+# ---------------------------------------------------------------------------
+# Document lines: one match per line, the per-token messages on failure.
+# ---------------------------------------------------------------------------
+
+#: id characters, the pair arrow's two characters, whitespace that
+#: ``str.split`` splits on, and characters an id may not hold
+LINE_CHARS = "ab9_.+-> \t\n\x0b\x0c\x1c\x85\xa0\u2003\u3000!<é\u200b"
+PAIR_TOKENS = ("a->b", "b->a", "a-->b", "a->-b", "-->-", "a->", "->b", "a->b->c", "a>b", "a")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return exc.problems
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        st.text(alphabet=LINE_CHARS, max_size=24),
+        st.lists(
+            st.one_of(st.sampled_from(PAIR_TOKENS), st.text(alphabet=LINE_CHARS, max_size=5)),
+            max_size=6,
+        ).flatmap(lambda ts: st.sampled_from([" ", "  ", "\t", "\xa0"]).map(lambda sp: sp.join(ts))),
+    )
+)
+def test_line_readers_agree_with_the_per_token_loop(text):
+    assert _outcome(INST.obj_from_text, text) == _outcome(obj_from_text_per_token, text)
+    src, tgt = finset_obj("ab"), finset_obj("ab")
+    assert _outcome(INST.mor_from_text, HorMor, src, tgt, text) == _outcome(
+        mor_from_text_per_token, HorMor, src, tgt, text
+    )
+
+
+@pytest.mark.parametrize(
+    "text,problem",
+    [
+        ("a->x a->y !", "repeated pair source 'a'"),
+        ("a->x ! a->y", "bad pair '!' (want src->tgt)"),
+        ("a->x b->y->z c", "bad pair 'b->y->z' (want src->tgt)"),
+        ("a->x\xa0a->y", "repeated pair source 'a'"),
+    ],
+)
+def test_pair_line_reports_the_first_bad_token(text, problem):
+    src = finset_obj("abc")
+    assert _outcome(INST.mor_from_text, HorMor, src, src, text) == [problem]
+
+
+@pytest.mark.parametrize(
+    "text,problem",
+    [
+        ("a b! c!", "bad id 'b!'"),
+        ("a\u200bb", "bad id " + repr("a\u200bb")),
+        ("aéb", "bad id 'aéb'"),
+        ("a->b", "bad id 'a->b'"),
+    ],
+)
+def test_object_line_reports_the_first_bad_id(text, problem):
+    assert _outcome(INST.obj_from_text, text) == [problem]

@@ -4,11 +4,14 @@ Parses the package sources and checks that the generic layers import
 nothing from the two instance modules, that the document format imports
 only the two instance classes, that no module outside the instance
 modules compares an instance kind, that every matrix product goes
-through the exact mod-p kernel ``linear.matmul_mod``, and that each
-instance writes every hor/ver primitive pair as one function.
+through the exact mod-p kernel ``linear.matmul_mod``, that each
+instance writes every hor/ver primitive pair as one function, and that
+the public names of the package and of the finite-set module stay as
+they are.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,103 @@ MIRROR_PAIRS = (
 def test_each_mirror_pair_is_one_function(cls, pair):
     first, second = pair
     assert getattr(cls, second) is getattr(cls, first)
+
+
+#: the public names of the package and of the finite-set module
+PUBLIC = {
+    "acgw": [
+        "__version__",
+        "AcgwError",
+        "AcgwInstance",
+        "CapabilityError",
+        "CompositionError",
+        "FactorizationError",
+        "FlatMor",
+        "HorMor",
+        "PullbackSquare",
+        "SquareClass",
+        "ValidationError",
+        "VerMor",
+        "compose_flat",
+        "flat_is_iso",
+        "flat_is_zero",
+        "flat_of_hor",
+        "flat_of_ver",
+        "id_flat",
+        "span_equiv",
+        "validate_flat",
+        "zero_flat",
+        "FinSetInstance",
+        "finset_obj",
+        "LinearInstance",
+        "VectObj",
+        "ChainComplex",
+        "ChainMap",
+        "ChainSES",
+        "HorChainMor",
+        "Transition",
+        "VerChainMor",
+        "chain_map_of_hor",
+        "chain_map_of_ver",
+        "coker_hor",
+        "compose_chain_maps",
+        "id_chain_map",
+        "id_hor_chain",
+        "id_ver_chain",
+        "is_inclusion_mor",
+        "ker_ver",
+        "ses_from_injection",
+        "ses_from_projection",
+        "validate_chain_map",
+        "validate_chain_ses",
+        "validate_complex",
+        "validate_hor_chain_mor",
+        "validate_ver_chain_mor",
+        "HomologyGrid",
+        "check_functoriality",
+        "h_on_map",
+        "homology",
+        "homology_complex",
+        "homology_obj",
+        "homology_size",
+        "is_exact",
+        "is_quasi_iso",
+        "qiso_iff_complement_exact",
+        "ExactZigzag",
+        "SnakeInputStrong",
+        "SnakeInputWeak",
+        "flat_morphism",
+        "les_of_ses",
+        "snake_strong",
+        "snake_weak",
+        "validate_snake_strong",
+        "validate_snake_weak",
+        "validate_zigzag",
+        "zigzag_exactness",
+        "zigzag_is_exact",
+        "GenConfig",
+        "free_complex",
+        "gen_chain_map",
+        "gen_complex",
+        "gen_composable_chain_maps",
+        "gen_exact_complex",
+        "gen_hor_mor",
+        "gen_linear_complex",
+        "gen_ses",
+        "gen_snake_strong",
+        "gen_snake_weak",
+        "gen_ver_mor",
+        "rank_homology_dims",
+        "Document",
+        "ParseError",
+        "parse",
+        "serialize",
+        "validate_document",
+    ],
+    "acgw.finset": ["FinSetObj", "finset_obj", "FinSetInstance", "mapping_of", "apply_to"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_public_names_are_unchanged(module):
+    assert importlib.import_module(module).__all__ == PUBLIC[module]

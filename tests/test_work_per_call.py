@@ -16,6 +16,7 @@ from acgw import (
     LinearInstance,
     SquareClass,
     homology,
+    les_of_ses,
     parse,
     snake_weak,
     validate_document,
@@ -108,6 +109,27 @@ def test_validate_document_checks_each_morphism_once(monkeypatch):
     # morphism of S took 23 checks and 6 classify_mixed calls.
     assert counting.calls["validate_hor"] + counting.calls["validate_ver"] == 18
     assert counting.calls["classify_mixed"] == 4
+
+
+def test_les_of_ses_primitive_counts(monkeypatch):
+    counting = CountingInstance(FinSetInstance())
+    monkeypatch.setattr(FinSetInstance, "from_header", classmethod(lambda cls, prime: counting))
+    doc = parse(corpus_text("three_term_ses"))
+    counting.calls.clear()
+    zz = les_of_ses(doc.ses_named("S"))
+    assert [len(obj) for obj in zz.objects] == [0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0]
+    # One strong snake per degree 3, 2, 1, spliced; nothing is validated.
+    assert counting.calls == Counter(
+        coker=35,
+        ker=36,
+        factor_hor=27,
+        factor_ver=34,
+        compose_hor=15,
+        compose_ver=13,
+        hor_between_cokers=9,
+        ver_between_kernels=12,
+        mixed_pullback=7,
+    )
 
 
 @pytest.mark.parametrize(
