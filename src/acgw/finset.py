@@ -15,13 +15,27 @@ Only the entry points whose input order is arbitrary sort:
 and the document readers.  The primitives take canonical inputs and keep
 canonical order rather than sort again: they filter a sorted object, or
 walk pairs in source order, so their results come out sorted.
+
+A primitive builds a morphism's dict, inverse dict and image set at most
+once: they are memoized in the morphism's instance ``__dict__``, as
+``functools.cached_property`` does on a frozen dataclass, so dataclass
+``==``, ``hash`` and ``repr``, which read only the declared fields, never
+see them.  So is a flag for a literal inclusion (every pair ``(x, x)``):
+the constructors of inclusions set it, and any other morphism computes it
+once.  With inclusions the primitives skip the dicts: factoring through
+an inclusion, or composing with one, keeps the pairs of the first
+argument; a chase between inclusions keeps those of the source
+presentation; a mixed pullback along an inclusion filters the pairs of
+the other leg.  Each shortcut returns what the general loop returns, and
+any check that fails falls through to that loop, which names the fault.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from itertools import filterfalse, islice, repeat
-from operator import itemgetter, lt
+from itertools import compress, filterfalse, islice, repeat, starmap
+from operator import eq, itemgetter, lt
 from typing import Any, Hashable
 
 import numpy as np
@@ -43,6 +57,14 @@ __all__ = ["FinSetObj", "finset_obj", "FinSetInstance", "mapping_of", "apply_to"
 FinSetObj = tuple[str, ...]
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
+#: a whole object line: ids and whitespace (``\s`` is what ``str.split``
+#: splits on)
+_IDS_LINE_RE = re.compile(r"[A-Za-z0-9_.+\-\s]*")
+#: a whole pair line: ``src->tgt`` tokens of id characters separated by
+#: whitespace.  An id holds no ``>``, so a token's one ``->`` sits before
+#: its only ``>``; a failed match retries each position at most once,
+#: which keeps it linear in the line.
+_PAIRS_LINE_RE = re.compile(r"\s*(?:[A-Za-z0-9_.+-]+->[A-Za-z0-9_.+-]+(?:\s+|\Z))*")
 
 
 def finset_obj(ids: Any) -> FinSetObj:
@@ -57,7 +79,7 @@ def mapping_of(f: HorMor | VerMor) -> dict[str, str]:
 
 
 def apply_to(f: HorMor | VerMor, x: str) -> str:
-    return mapping_of(f)[x]
+    return _mapping(f)[x]
 
 
 def _pairs(mapping: dict[str, str]) -> tuple[tuple[str, str], ...]:
@@ -66,13 +88,68 @@ def _pairs(mapping: dict[str, str]) -> tuple[tuple[str, str], ...]:
 
 _first, _second = itemgetter(0), itemgetter(1)
 
+#: the keys under which a morphism's derived values are memoized
+_MEMO_KEYS = _MAP, _INVERSE, _IMAGE, _INCLUSION = (
+    "_finset_map",
+    "_finset_inverse",
+    "_finset_image",
+    "_finset_inclusion",
+)
 
+
+def _memoized(key: str):
+    """Compute a value of a morphism's pairs once per morphism object and
+    keep it under ``key`` in the object's ``__dict__``.  The primitives
+    only read these values; a caller gets fresh ones from
+    :func:`mapping_of`."""
+
+    def wrap(build):
+        @functools.wraps(build)
+        def get(f):
+            memo = f.__dict__
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = build(f)
+            return value
+
+        return get
+
+    return wrap
+
+
+@_memoized(_MAP)
+def _mapping(f: HorMor | VerMor) -> dict[str, str]:
+    return dict(f.data)
+
+
+@_memoized(_INCLUSION)
+def _is_inclusion(f: HorMor | VerMor) -> bool:
+    """Whether every pair of ``f`` is ``(x, x)``: on a valid morphism, the
+    literal inclusion of its source."""
+    return all(starmap(eq, f.data))
+
+
+@_memoized(_INVERSE)
+def _inverse(f: HorMor | VerMor) -> dict[str, str]:
+    if _is_inclusion(f):
+        return _mapping(f)
+    return dict(zip(map(_second, f.data), map(_first, f.data)))
+
+
+@_memoized(_IMAGE)
 def _image(f: HorMor | VerMor) -> frozenset[str]:
     return frozenset(map(_second, f.data))
 
 
-def _inverse(f: HorMor | VerMor) -> dict[str, str]:
-    return dict(zip(map(_second, f.data), map(_first, f.data)))
+def _inclusion(mor_type: type, sub: FinSetObj, ambient: FinSetObj) -> HorMor | VerMor:
+    """The literal inclusion of ``sub`` into ``ambient``, flagged as one."""
+    mor = mor_type(sub, ambient, tuple(zip(sub, sub)))
+    mor.__dict__[_INCLUSION] = True
+    return mor
+
+
+def _all_in(ids, within) -> bool:
+    return all(map(within.__contains__, ids))
 
 
 def _increasing(xs) -> bool:
@@ -115,16 +192,13 @@ class FinSetInstance(AcgwInstance):
         return []
 
     # ----- morphism helpers -----------------------------------------
-    def _inclusion_pairs(self, sub: FinSetObj) -> tuple[tuple[str, str], ...]:
-        return tuple(zip(sub, sub))
-
     def inclusion_hor(self, sub: FinSetObj, ambient: FinSetObj) -> HorMor:
         """Literal inclusion of a subset as a horizontal morphism."""
-        return HorMor(sub, ambient, self._inclusion_pairs(sub))
+        return _inclusion(HorMor, sub, ambient)
 
     def inclusion_ver(self, sub: FinSetObj, ambient: FinSetObj) -> VerMor:
         """Literal inclusion of a subset as a vertical morphism."""
-        return VerMor(sub, ambient, self._inclusion_pairs(sub))
+        return _inclusion(VerMor, sub, ambient)
 
     def hor(self, source, target, mapping: dict[str, str]) -> HorMor:
         return HorMor(finset_obj(source), finset_obj(target), _pairs(mapping))
@@ -134,16 +208,16 @@ class FinSetInstance(AcgwInstance):
 
     # ----- identities and zeros -------------------------------------
     def id_hor(self, obj: FinSetObj) -> HorMor:
-        return HorMor(obj, obj, self._inclusion_pairs(obj))
+        return _inclusion(HorMor, obj, obj)
 
     def id_ver(self, obj: FinSetObj) -> VerMor:
-        return VerMor(obj, obj, self._inclusion_pairs(obj))
+        return _inclusion(VerMor, obj, obj)
 
     def zero_hor(self, obj: FinSetObj) -> HorMor:
-        return HorMor((), obj, ())
+        return _inclusion(HorMor, (), obj)
 
     def zero_ver(self, obj: FinSetObj) -> VerMor:
-        return VerMor((), obj, ())
+        return _inclusion(VerMor, (), obj)
 
     # ----- validation ------------------------------------------------
     def validate_hor(self, f: HorMor | VerMor) -> list[str]:
@@ -183,10 +257,6 @@ class FinSetInstance(AcgwInstance):
     validate_ver = validate_hor
 
     # ----- composition -----------------------------------------------
-    def _compose(self, f, g):
-        gm = mapping_of(g)
-        return tuple((x, gm[y]) for x, y in f.data)
-
     def compose_hor(self, f: HorMor | VerMor, g: HorMor | VerMor) -> HorMor | VerMor:
         """``g . f`` for two morphisms of one flavour, of that flavour."""
         if f.target != g.source:
@@ -194,7 +264,10 @@ class FinSetInstance(AcgwInstance):
                 f"cannot compose: {self.obj_label(f.target)} != "
                 f"{self.obj_label(g.source)}"
             )
-        return type(f)(f.source, g.target, self._compose(f, g))
+        if _is_inclusion(g) and _all_in(map(_second, f.data), _image(g)):
+            return type(f)(f.source, g.target, f.data)
+        images = map(_mapping(g).__getitem__, map(_second, f.data))
+        return type(f)(f.source, g.target, tuple(zip(map(_first, f.data), images)))
 
     compose_ver = compose_hor
 
@@ -209,7 +282,7 @@ class FinSetInstance(AcgwInstance):
         included by a morphism of the other flavour."""
         rest = tuple(filterfalse(_image(f).__contains__, f.target))
         other = VerMor if isinstance(f, HorMor) else HorMor
-        return rest, other(rest, f.target, self._inclusion_pairs(rest))
+        return rest, _inclusion(other, rest, f.target)
 
     ker = coker
 
@@ -225,8 +298,14 @@ class FinSetInstance(AcgwInstance):
                 "mixed pullback needs a shared target: "
                 f"{self.obj_label(m.target)} vs {self.obj_label(e.target)}"
             )
-        m_inv = _inverse(m)
-        pairs = tuple((b, m_inv[y]) for b, y in e.data if y in m_inv)
+        if _is_inclusion(m):
+            # ``m`` inverts to the identity on its image: keep the pairs
+            # of ``e`` that land there
+            im_m = _image(m)
+            pairs = tuple(compress(e.data, map(im_m.__contains__, map(_second, e.data))))
+        else:
+            m_inv = _inverse(m)
+            pairs = tuple((b, m_inv[y]) for b, y in e.data if y in m_inv)
         corner = tuple(map(_first, pairs))
         hor_leg = self.inclusion_hor(corner, e.source)
         return PullbackSquare(corner, hor_leg, VerMor(corner, m.source, pairs), m, e)
@@ -241,12 +320,12 @@ class FinSetInstance(AcgwInstance):
             or right.target != bottom.target
         ):
             return SquareClass.NOT_SQUARE
-        tm, lm, rm, bm = (mapping_of(x) for x in (top, left, right, bottom))
+        tm, lm, rm, bm = map(_mapping, (top, left, right, bottom))
         if any(rm[tm[x]] != bm[lm[x]] for x in top.source):
             return SquareClass.NOT_SQUARE
         # Cartesian: the top picks out exactly the part of the right source
         # sitting over the bottom image.
-        bottom_image = set(bm.values())
+        bottom_image = _image(bottom)
         over = {b for b in right.source if rm[b] in bottom_image}
         if _image(top) == over:
             return SquareClass.CARTESIAN
@@ -267,7 +346,7 @@ class FinSetInstance(AcgwInstance):
             or right.target != bottom.target
         ):
             return False
-        tm, lm, rm, bm = (mapping_of(x) for x in (top, left, right, bottom))
+        tm, lm, rm, bm = map(_mapping, (top, left, right, bottom))
         return all(rm[tm[x]] == bm[lm[x]] for x in top.source)
 
     ver_square_commutes = hor_square_commutes
@@ -280,6 +359,8 @@ class FinSetInstance(AcgwInstance):
                 "factorization targets differ: "
                 f"{self.obj_label(f.target)} vs {self.obj_label(through.target)}"
             )
+        if _is_inclusion(through) and _all_in(map(_second, f.data), _image(through)):
+            return type(f)(f.source, through.source, f.data)
         t_inv = _inverse(through)
         out: dict[str, str] = {}
         for x, y in f.data:
@@ -301,7 +382,17 @@ class FinSetInstance(AcgwInstance):
             raise FactorizationError(
                 f"complement presentations do not match {'m' if hor else 'e'}"
             )
-        fm, qi = mapping_of(f), _inverse(q_leg)
+        if (
+            _is_inclusion(f)
+            and _is_inclusion(p_leg)
+            and _is_inclusion(q_leg)
+            and _all_in(map(_second, p_leg.data), _image(f))
+            and _all_in(map(_second, p_leg.data), _image(q_leg))
+        ):
+            # every id is its own image: ``f`` carries the source
+            # complement into the target one when it lies inside it
+            return type(f)(p_leg.source, q_leg.source, p_leg.data)
+        fm, qi = _mapping(f), _inverse(q_leg)
         out: dict[str, str] = {}
         for x, p in p_leg.data:
             q = fm[p]
@@ -317,7 +408,7 @@ class FinSetInstance(AcgwInstance):
 
     # ----- spans ---------------------------------------------------------
     def flat_key(self, back: VerMor, front: HorMor) -> Hashable:
-        fm = mapping_of(front)
+        fm = _mapping(front)
         return frozenset((y, fm[x]) for x, y in back.data)
 
     # ----- document format ---------------------------------------------
@@ -332,6 +423,9 @@ class FinSetInstance(AcgwInstance):
 
     def obj_from_text(self, text: str) -> FinSetObj:
         ids = text.split()
+        if _IDS_LINE_RE.fullmatch(text):
+            return finset_obj(ids)
+        # name the first bad id
         for x in ids:
             if not _ID_RE.match(x):
                 raise ValidationError([f"bad id {x!r}"])
@@ -344,9 +438,16 @@ class FinSetInstance(AcgwInstance):
         """Pairs ``src->tgt``; an omitted leg is the identity on the ids of
         its source, an omitted level has no pairs."""
         if text is None:
-            return mor_type(source, target, self._inclusion_pairs(source) if leg else ())
-        out: dict[str, str] = {}
-        for chunk in text.split():
+            return _inclusion(mor_type, source, target) if leg else mor_type(source, target, ())
+        chunks = text.split()
+        if _PAIRS_LINE_RE.fullmatch(text):
+            # every token holds one ``->``
+            out = dict(map(str.split, chunks, repeat("->")))
+            if len(out) == len(chunks):
+                return mor_type(source, target, _pairs(out))
+        # name the first bad token or repeated source
+        out = {}
+        for chunk in chunks:
             src, sep, tgt = chunk.partition("->")
             if not sep or not _ID_RE.match(src) or not _ID_RE.match(tgt):
                 raise ValidationError([f"bad pair {chunk!r} (want src->tgt)"])
@@ -356,11 +457,11 @@ class FinSetInstance(AcgwInstance):
         return mor_type(source, target, _pairs(out))
 
     def mor_text(self, mor, leg=False):
-        default = all(a == b for a, b in mor.data) if leg else not mor.data
-        return None if default else " ".join(f"{a}->{b}" for a, b in mor.data)
+        default = _is_inclusion(mor) if leg else not mor.data
+        return None if default else " ".join(map("->".join, mor.data))
 
     def lift_hor_bar(self, level, src_leg, tgt_leg) -> HorMor | VerMor:
-        leg, lmap, over = mapping_of(src_leg), mapping_of(level), _inverse(tgt_leg)
+        leg, lmap, over = _mapping(src_leg), _mapping(level), _inverse(tgt_leg)
         out: dict[str, str] = {}
         for t in src_leg.source:
             img = lmap.get(leg.get(t))
@@ -380,7 +481,7 @@ class FinSetInstance(AcgwInstance):
         where its two legs land."""
         cols = {x: k for k, x in enumerate(up.target)}
         rows = {x: k for k, x in enumerate(low.target)}
-        um, lm = mapping_of(up), mapping_of(low)
+        um, lm = _mapping(up), _mapping(low)
         d = np.zeros((len(rows), len(cols)), dtype=np.int64)
         for t in up.source:
             r, c = rows.get(lm.get(t)), cols.get(um.get(t))
@@ -396,7 +497,7 @@ class FinSetInstance(AcgwInstance):
         """Element chase: the middle keeps the ids of ``Z_i`` whose back
         image is a cycle of ``X`` and whose front image is not a boundary
         of ``Y``, renamed to their back images (a subset of ``H_i(X)``)."""
-        bm, fm = mapping_of(back), mapping_of(front)
+        bm, fm = _mapping(back), _mapping(front)
         cycles_x = set(gx.cycles)
         boundaries_y = set(gy.cycles) - set(gy.h)
         kept = {

@@ -5,7 +5,8 @@ nothing from the two instance modules, that the document format imports
 only the two instance classes, that no module outside the instance
 modules compares an instance kind, that every matrix product goes
 through the exact mod-p kernel ``linear.matmul_mod``, that each
-instance writes every hor/ver primitive pair as one function, and that
+instance writes every hor/ver primitive pair as one function, that only
+the finite-set module spells the keys of its per-morphism memo, and that
 the public names of the package and of the finite-set module stay as
 they are.
 """
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import acgw
-from acgw import FinSetInstance, LinearInstance
+from acgw import FinSetInstance, HorMor, LinearInstance, VerMor, finset
 
 SRC = Path(acgw.__file__).parent
 INSTANCE_MODULES = {"finset", "linear"}
@@ -118,6 +119,19 @@ MIRROR_PAIRS = (
 def test_each_mirror_pair_is_one_function(cls, pair):
     first, second = pair
     assert getattr(cls, second) is getattr(cls, first)
+
+
+def test_only_finset_spells_the_memo_keys():
+    keys = finset._MEMO_KEYS
+    assert keys and all(key.startswith("_") for key in keys)
+    # the memo sits beside the declared fields, never on one of them
+    fields = set(HorMor.__dataclass_fields__) | set(VerMor.__dataclass_fields__)
+    assert not set(keys) & fields
+    sources = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        for key in keys:
+            assert text.count(key) == (1 if path.stem == "finset" else 0), (path.name, key)
 
 
 #: the public names of the package and of the finite-set module
