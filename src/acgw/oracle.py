@@ -80,14 +80,11 @@ def free_complex(cx: ChainComplex) -> dict[int, np.ndarray]:
 
 
 def rank_homology_dims(cx: ChainComplex) -> dict[int, int]:
-    """Homology dimensions of the flattened complex, by matrix rank."""
+    """Homology dimensions of the flattened complex, by matrix rank; each
+    boundary matrix is ranked once."""
     p = cx.inst.prime
-    diffs = free_complex(cx)
-    out = {}
-    for i in cx.degrees():
-        n = cx.inst.obj_size(cx.obj(i))
-        out[i] = n - mat_rank(diffs[i], p) - mat_rank(diffs[i + 1], p)
-    return out
+    ranks = {i: mat_rank(d, p) for i, d in free_complex(cx).items()}
+    return {i: cx.inst.obj_size(cx.obj(i)) - ranks[i] - ranks[i + 1] for i in cx.degrees()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Rank-based homology oracle and the seeded generators."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,27 @@ def test_rank_dims_on_corpus():
     assert rank_homology_dims(doc.complex_named("X")) == {1: 0, 2: 1, 3: 0}
     Y = doc.complex_named("Y")
     assert set(rank_homology_dims(Y).values()) == {0}
+
+
+@pytest.mark.parametrize(
+    "cx",
+    [corpus_doc("inclusion_pair").complex_named("X"), gen_linear_complex(GenConfig(seed=3, prime=7))[0]],
+    ids=["set", "linear"],
+)
+def test_rank_dims_ranks_each_boundary_matrix_once(monkeypatch, cx):
+    oracle = importlib.import_module("acgw.oracle")
+    ranked = []
+
+    def mat_rank(d, p):
+        ranked.append(d.shape)
+        return rank(d, p)
+
+    rank = oracle.mat_rank
+    monkeypatch.setattr(oracle, "mat_rank", mat_rank)
+    dims = rank_homology_dims(cx)
+    # one rank per matrix of the free complex, degrees lo..hi+1
+    assert len(ranked) == cx.hi + 2 - cx.lo
+    assert dims == {i: homology_size(cx, i) for i in cx.degrees()}
 
 
 def test_rank_dims_on_exact_generator():
