@@ -317,12 +317,17 @@ class LinearInstance(AcgwInstance):
         return self.ver(self.initial(), obj, np.zeros((0, obj.dim), np.int64))
 
     # ----- validation --------------------------------------------------
-    def _checked_mat(self, f, rows: int, cols: int) -> tuple[list[str], np.ndarray | None]:
-        """The first problem of the stored ``rows x cols`` matrix of ``f``,
-        or none and the matrix as an int64 array."""
+    def _checked_mat(self, f: HorMor | VerMor) -> tuple[list[str], np.ndarray | None]:
+        """The first problem of the stored matrix of ``f`` (``target x
+        source`` for a horizontal morphism, ``source x target`` for a
+        vertical one), or none and the matrix as an int64 array.  The
+        objects are checked before their dimensions pick the shape."""
         problems = self.validate_obj(f.source) + self.validate_obj(f.target)
         if problems:
             return problems, None
+        rows, cols = (
+            (f.target.dim, f.source.dim) if isinstance(f, HorMor) else (f.source.dim, f.target.dim)
+        )
         data = f.data
         if not isinstance(data, tuple) or len(data) != rows:
             return [f"matrix must have {rows} rows, got {data!r}"], None
@@ -354,14 +359,14 @@ class LinearInstance(AcgwInstance):
         """Both flavours store a matrix of rank ``source.dim``: ``target x
         source`` for a horizontal morphism, ``source x target`` for a
         vertical one."""
-        hor = isinstance(f, HorMor)
-        rows, cols = (f.target.dim, f.source.dim) if hor else (f.source.dim, f.target.dim)
-        problems, arr = self._checked_mat(f, rows, cols)
+        problems, arr = self._checked_mat(f)
         if problems:
             return problems
         if mat_rank(arr, self.p) != f.source.dim:
             problems.append(
-                "horizontal matrix is not injective" if hor else "vertical matrix is not surjective"
+                "horizontal matrix is not injective"
+                if isinstance(f, HorMor)
+                else "vertical matrix is not surjective"
             )
         return problems
 

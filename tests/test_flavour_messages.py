@@ -219,3 +219,14 @@ def test_linear_validation_names_the_stored_layout_and_the_flavour(flavour):
     assert validate(bad_shape) == [shape_problem]
     assert validate(deficient) == [rank_problem]
     assert validate(L.zero_hor(V0) if flavour == "hor" else L.zero_ver(V0)) == []
+
+
+@pytest.mark.parametrize("mor_type", [HorMor, VerMor], ids=["hor", "ver"])
+def test_linear_validation_checks_the_objects_before_their_dimensions(mor_type):
+    validate = L.validate_hor if mor_type is HorMor else L.validate_ver
+    assert validate(mor_type("x", V1, ())) == ["object is not a vector space: 'x'"]
+    assert validate(mor_type(V1, "y", ())) == ["object is not a vector space: 'y'"]
+    assert validate(mor_type("x", "y", ())) == [
+        "object is not a vector space: 'x'",
+        "object is not a vector space: 'y'",
+    ]
