@@ -28,6 +28,8 @@ argument; a chase between inclusions keeps those of the source
 presentation; a mixed pullback along an inclusion filters the pairs of
 the other leg.  Each shortcut returns what the general loop returns, and
 any check that fails falls through to that loop, which names the fault.
+The document readers accept a whole line with one regex match; they walk
+its tokens only to name the first bad one.
 """
 
 from __future__ import annotations

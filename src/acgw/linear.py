@@ -359,14 +359,13 @@ class LinearInstance(AcgwInstance):
         """Both flavours store a matrix of rank ``source.dim``: ``target x
         source`` for a horizontal morphism, ``source x target`` for a
         vertical one."""
+        hor = isinstance(f, HorMor)
         problems, arr = self._checked_mat(f)
         if problems:
             return problems
         if mat_rank(arr, self.p) != f.source.dim:
             problems.append(
-                "horizontal matrix is not injective"
-                if isinstance(f, HorMor)
-                else "vertical matrix is not surjective"
+                "horizontal matrix is not injective" if hor else "vertical matrix is not surjective"
             )
         return problems
 
