@@ -86,6 +86,22 @@ def cmd_validate(args) -> int:
     return 0 if not problems else 1
 
 
+def _require_valid(doc: Document, section: str, complexes) -> None:
+    """Raise, naming ``section`` and then the problems of the first invalid
+    one of ``complexes``, unless all are valid: the constructions take
+    valid complexes."""
+    for cx in complexes:
+        problems = validate_complex(cx)
+        if problems:
+            name = doc.name_of(cx)
+            raise AcgwError(
+                "\n  ".join(
+                    [f"{section}: not checked, complex {name} is invalid"]
+                    + [f"complex {name}: {p}" for p in problems]
+                )
+            )
+
+
 def _selected_complexes(doc: Document, name: str | None) -> list[tuple[str, ChainComplex]]:
     if name is None:
         return list(doc.complexes)
@@ -98,7 +114,9 @@ def cmd_homology(args) -> int:
     lines: list[str] = []
     payload: dict = {}
     failed_law = False
-    for name, cx in _selected_complexes(doc, args.name):
+    chosen = _selected_complexes(doc, args.name)
+    _require_valid(doc, "homology", (cx for _, cx in chosen))
+    for name, cx in chosen:
         record: dict = {"homology": {}, "size_law": True}
         for i in cx.degrees():
             h = homology_obj(cx, i)
@@ -128,7 +146,9 @@ def cmd_exact(args) -> int:
     doc = _load(args.file)
     lines = []
     payload = {}
-    for name, cx in _selected_complexes(doc, args.name):
+    chosen = _selected_complexes(doc, args.name)
+    _require_valid(doc, "exact", (cx for _, cx in chosen))
+    for name, cx in chosen:
         bad = [i for i in cx.degrees() if homology_size(cx, i) > 0]
         payload[name] = {"exact": not bad, "nonzero_degrees": bad}
         if bad:
@@ -207,14 +227,9 @@ def cmd_les(args) -> int:
     doc = _load(args.file)
     hor_name = dict(doc.seses).get(args.ses)
     if hor_name is not None:
-        # Building the quotient composes along the transition legs, which
-        # takes valid complexes.
+        # Building the quotient composes along the transition legs.
         f = doc.hor_named(hor_name)
-        for cx in (f.source, f.target):
-            if validate_complex(cx):
-                raise AcgwError(
-                    f"ses {args.ses}: not checked, complex {doc.name_of(cx)} is invalid"
-                )
+        _require_valid(doc, f"ses {args.ses}", (f.source, f.target))
     ses = doc.ses_named(args.ses)
     zz = les_of_ses(ses)
     payload, lines = _zigzag_report(doc.inst, zz)
@@ -225,6 +240,7 @@ def cmd_les(args) -> int:
 def cmd_map_homology(args) -> int:
     doc = _load(args.file)
     f = doc.map_named(args.map)
+    _require_valid(doc, f"map {args.map}", (f.source, f.middle, f.target))
     inst = doc.inst
     spans: dict = {}
 

@@ -95,6 +95,12 @@ class SquareClass(IntEnum):
         return self >= SquareClass.PSEUDO_COMMUTATIVE
 
 
+def _reduce_to_fields(mor):
+    """Pickle and copy a morphism by its declared fields alone, leaving
+    out whatever an instance keeps beside them in its ``__dict__``."""
+    return type(mor), (mor.source, mor.target, mor.data)
+
+
 @dataclass(frozen=True)
 class HorMor:
     """A horizontal (inclusion-like) morphism ``source -> target``.
@@ -107,6 +113,8 @@ class HorMor:
     source: Any
     target: Any
     data: Hashable
+
+    __reduce__ = _reduce_to_fields
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,8 @@ class VerMor:
     source: Any
     target: Any
     data: Hashable
+
+    __reduce__ = _reduce_to_fields
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,38 @@ transposed matrix, a ``B x A`` injection like a horizontal one's, so
 each of their hor/ver pairs is one function under two names.
 
 Every product and row reduction goes through the mod-p kernel below
-(:func:`matmul_mod`, :func:`rref`), which picks the cheapest arithmetic
-that stays exact for the prime and the inner dimension k:
+(:func:`matmul_mod`, :func:`rref`, :func:`mat_rank`), which picks the
+cheapest arithmetic that stays exact for the prime and the inner
+dimension k:
 
 * float64, through BLAS, for products with k (p-1)^2 < 2^53;
 * int64 for products with k (p-1)^2 < 2^63, and for row reduction
   while (p-1)^2 < 2^63;
 * Python integers (object arrays) above that.
+
+Row reduction delays the reduction mod p.  Each pivot reduces only its
+own column, whose entries become the multipliers, and its own row when
+that row is scaled or subtracted, then subtracts one rank-1 product from
+the rows it clears, in place: from every row at once when most of the
+column is nonzero, else from the nonzero rows only.  Each product term lies in [0, (p-1)^2], so a bound
+with ``|entry| <= bound`` grows by (p-1)^2 per pivot; when the next
+update could pass 2^63 - 1, the block that later pivots still update
+(the columns right of the pivot, in every row for :func:`rref` and in
+the rows below it for :func:`mat_rank`) is reduced and the bound falls
+back to p-1.  At p = 65521 or 33554393 that takes billions or thousands
+of updates; at 2^31-1 it comes before every third update.  The
+Python-integer path reduces the updated rows at every pivot.
+:func:`rref` clears each pivot column above and below a pivot scaled to
+one; :func:`mat_rank` only counts pivots, so it clears below the pivot
+only and scales the multipliers instead of the row.
+
+Both kernels skip what cannot matter, which is exact for any p.
+:func:`mat_rank` drops the all-zero rows and columns before it
+eliminates.  :func:`matmul_mod` keeps only the inner indices k where
+column k of the left factor and row k of the right one are both
+nonzero, with the rows and columns they touch, when those indices are
+at most half of the inner range; a product of incidence matrices then
+costs its support rather than its shape.
 
 Because kernels and complements are produced in fresh coordinates, this
 instance does not expose canonical subobjects
@@ -65,6 +90,8 @@ __all__ = [
 
 Mat = tuple[tuple[int, ...], ...]
 
+_INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class VectObj:
@@ -96,10 +123,22 @@ def tuple_of(arr: np.ndarray, p: int) -> Mat:
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact ``a @ b`` mod p as an int64 array.
 
-    Entries are reduced first, so each dot product is a sum of k terms
+    When at most half of the inner indices carry both a nonzero column of
+    ``a`` and a nonzero row of ``b``, only those indices enter the
+    product, with only the rows of ``a`` and columns of ``b`` they touch.
+    Entries are reduced next, so each dot product is a sum of k terms
     below (p-1)^2: float64 holds it exactly below 2^53, int64 below 2^63.
     """
-    a, b = np.mod(a, p), np.mod(b, p)
+    shape = (a.shape[0], b.shape[1])
+    inner = (a.any(axis=0) & b.any(axis=1)).nonzero()[0]
+    if not inner.size:
+        return np.zeros(shape, dtype=np.int64)
+    trim = 2 * inner.size <= a.shape[1]
+    if trim:
+        a, b = a[:, inner], b[inner]
+        rows, cols = a.any(axis=1).nonzero()[0], b.any(axis=0).nonzero()[0]
+        a, b = a[rows], b[:, cols]
+    a, b = a % p, b % p
     bound = a.shape[1] * (p - 1) ** 2
     if bound < 2**53:
         prod = np.matmul(a, b, dtype=np.float64).astype(np.int64)
@@ -107,53 +146,93 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         prod = a @ b
     else:
         prod = a.astype(object) @ b.astype(object)
-    return np.mod(prod, p).astype(np.int64, copy=False)
+    prod = (prod % p).astype(np.int64, copy=False)
+    if not trim:
+        return prod
+    out = np.zeros(shape, dtype=np.int64)
+    out[np.ix_(rows, cols)] = prod
+    return out
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p, with the pivot column indices.
+def _eliminate(r: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
+    """Row-reduce ``r``, an int64 array reduced mod p, in place (or a copy
+    in Python integers when (p-1)^2 passes int64); return the working
+    array, whose entries are right only mod p, and the pivot columns.
 
-    One row operation per pivot: the pivot row is scaled once, and one
-    outer-product update clears the pivot column in the rows with a
-    nonzero entry there (few, in sparse matrices), from the pivot column
-    on (the pivot row is zero to its left).  Its products stay below
-    (p-1)^2.  Both steps are skipped when there is nothing to do, which
-    keeps small matrices cheap.
+    With ``reduced``, each pivot row is scaled to a leading one and its
+    column cleared in every other row (``r % p`` is then the rref);
+    without, the pivot column is cleared below the pivot only, by
+    multipliers scaled instead of the row (the pivots are the rank's).
     """
-    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
-    r = np.mod(np.asarray(a, dtype=np.int64), p).astype(dtype, copy=False)
+    wide = (p - 1) ** 2 > _INT64_MAX
+    if wide:
+        r = r.astype(object)
     rows, cols = r.shape
+    step, bound = (p - 1) ** 2, p - 1
     pivots: list[int] = []
     for col in range(cols):
         row = len(pivots)
         if row == rows:
             break
-        nonzero = r[:, col].nonzero()[0]
-        k = nonzero.searchsorted(row)
+        top = 0 if reduced else row
+        column = r[top:, col] % p
+        nonzero = column.nonzero()[0]
+        k = nonzero.searchsorted(row - top)
         if k == nonzero.size:
             continue
-        hit = int(nonzero[k])
+        hit = top + int(nonzero[k])
         if hit != row:
-            r[[row, hit]] = r[[hit, row]]
-            nonzero[k] = row
-        inverse = pow(int(r[row, col]), p - 2, p)
-        if inverse != 1:
-            r[row, col:] *= inverse
-            r[row, col:] %= p
-        if nonzero.size > 1:
-            # The update zeroes the pivot row too; it is written back after.
-            pivot_row = r[row, col:].copy()
-            block = r[nonzero, col:]
-            block -= block[:, :1] * pivot_row
-            block %= p
-            r[nonzero, col:] = block
-            r[row, col:] = pivot_row
+            swap = r[hit].copy()
+            r[hit] = r[row]
+            r[row] = swap
+        # ``column`` is not swapped: it is zero at ``row``, which now holds
+        # the old row; zeroed at ``hit`` too, it holds the multipliers of
+        # the rows to clear.
+        inverse = pow(int(column[hit - top]), p - 2, p)
+        column[hit - top] = 0
         pivots.append(col)
-    return r.astype(np.int64, copy=False), pivots
+        # A pivot row is reduced only to be scaled or subtracted: ``r % p``
+        # is taken at the end.
+        if reduced and inverse != 1:
+            prow = r[row, col:] % p * inverse % p
+            r[row, col:] = prow
+        elif nonzero.size > 1:
+            prow = r[row, col:] % p
+        if nonzero.size == 1:
+            continue
+        if not wide and bound > _INT64_MAX - step:
+            # Rows above ``top`` and columns before ``col`` never change again.
+            active = r[top:, col:]
+            np.remainder(active, p, out=active)
+            bound = p - 1
+        if 2 * (nonzero.size - 1) > column.size:
+            sel, mult = slice(top, None), column
+        else:
+            others = column.nonzero()[0]
+            sel, mult = others + top, column[others]
+        if not reduced and inverse != 1:
+            mult = mult * inverse % p
+        # The pivot column becomes a multiple of p in the cleared rows.
+        r[sel, col:] -= mult[:, None] * prow
+        if wide:
+            r[sel, col:] %= p
+        else:
+            bound += step
+    return r, pivots
+
+
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p, with the pivot column indices."""
+    r, pivots = _eliminate(np.asarray(a, dtype=np.int64) % p, p, reduced=True)
+    return (r % p).astype(np.int64, copy=False), pivots
 
 
 def mat_rank(a: np.ndarray, p: int) -> int:
-    return len(rref(a, p)[1])
+    """Rank mod p, by forward elimination of the nonzero rows and columns."""
+    r = np.asarray(a, dtype=np.int64)
+    r = r[r.any(axis=1)]
+    r = r[:, r.any(axis=0)]
+    return len(_eliminate(r % p, p, reduced=False)[1])
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

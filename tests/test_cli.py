@@ -561,13 +561,50 @@ def test_sections_over_an_invalid_complex_are_not_checked(tmp_path, capsys, name
     assert (out, err) == (json.dumps({"ok": False, "problems": expected}, indent=2) + "\n", "")
 
 
+#: the stderr lines, after ``error: <section>: ``, of a command that would
+#: compute on the invalid complex Y of ``partial_upper_leg``: the verdict,
+#: then Y's problems as ``validate`` prints them
+PARTIAL_UPPER_LEG_Y = (
+    "not checked, complex Y is invalid\n"
+    f"  {INVALID_COMPLEX_DOCS['partial_upper_leg'][1][0]}\n"
+)
+
+
 def test_les_over_an_invalid_complex_is_not_checked(tmp_path, capsys):
     text, _ = INVALID_COMPLEX_DOCS["partial_upper_leg"]
     path = tmp_path / "partial_upper_leg.acgw"
     path.write_text(text)
     for output in ("text", "json"):
         assert main(["les", str(path), "--ses", "S", "--output", output]) == 1
-        assert capsys.readouterr() == (
-            "",
-            "error: ses S: not checked, complex Y is invalid\n",
-        )
+        assert capsys.readouterr() == ("", f"error: ses S: {PARTIAL_UPPER_LEG_Y}")
+
+
+@pytest.mark.parametrize(
+    "argv, section",
+    [
+        (["homology"], "homology"),
+        (["homology", "--name", "Y"], "homology"),
+        (["exact"], "exact"),
+        (["map-homology", "--map", "F"], "map F"),
+        (["map-homology", "--map", "F", "--degree", "1"], "map F"),
+    ],
+)
+def test_reports_over_an_invalid_complex_are_not_computed(tmp_path, capsys, argv, section):
+    text, _ = INVALID_COMPLEX_DOCS["partial_upper_leg"]
+    path = tmp_path / "partial_upper_leg.acgw"
+    path.write_text(text)
+    for output in ("text", "json"):
+        assert main([argv[0], str(path), *argv[1:], "--output", output]) == 1
+        assert capsys.readouterr() == ("", f"error: {section}: {PARTIAL_UPPER_LEG_Y}")
+
+
+def test_reports_over_the_valid_complex_of_a_document_still_run(tmp_path, capsys):
+    text, _ = INVALID_COMPLEX_DOCS["partial_upper_leg"]
+    path = tmp_path / "partial_upper_leg.acgw"
+    path.write_text(text)
+    assert main(["homology", str(path), "--name", "X"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "X: size law |H_i| = |X_i| - |T_i| - |T_i+1| holds"
+    )
+    assert main(["exact", str(path), "--name", "X"]) == 0
+    assert capsys.readouterr().out == "X: not exact (homology at 1, 2)\n"

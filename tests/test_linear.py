@@ -212,6 +212,101 @@ def test_kernel_agrees_with_reference_at_thresholds(p, data):
     assert matmul_mod_reference(a, x, p) == consistent.tolist()
 
 
+#: primes whose int64 room lasts a few rank-1 updates of (p-1)^2 each:
+#: about nine at 10^9+7, two at 2^31-1 and one at 3037000493, so the
+#: elimination reduces its active block in mid-run; 3037000507 takes the
+#: Python-integer path, which reduces every step
+ROOM_PRIMES = (1000000007, 2147483647, 3037000493, 3037000507)
+
+
+@st.composite
+def kernel_matrix(draw, rows, cols, p):
+    """A ``rows x cols`` matrix mod p: dense, of rank at most three, or a
+    0/1 incidence matrix with at most one nonzero per column."""
+    kind = draw(st.sampled_from(("dense", "low rank", "incidence")))
+    if kind == "dense":
+        return draw(threshold_matrix(rows, cols, p))
+    if kind == "low rank":
+        rank = draw(st.integers(0, min(rows, cols, 3)))
+        left = draw(threshold_matrix(rows, rank, p))
+        right = draw(threshold_matrix(rank, cols, p))
+        prod = matmul_mod_reference(left, right, p)
+        return np.array(prod, dtype=np.int64).reshape(rows, cols)
+    out = np.zeros((rows, cols), dtype=np.int64)
+    if rows:
+        hits = draw(st.lists(st.none() | st.integers(0, rows - 1), min_size=cols, max_size=cols))
+        for col, row in enumerate(hits):
+            if row is not None:
+                out[row, col] = 1
+    return out
+
+
+def canonical_nullspace(r, pivots, p):
+    """The kernel basis read off a reference rref: one column per free
+    variable, that variable one and the other free ones zero."""
+    cols = len(r[0]) if r else 0
+    free = [c for c in range(cols) if c not in pivots]
+    out = [[int(c == f) for f in free] for c in range(cols)]
+    for k, c in enumerate(pivots):
+        out[c] = [-r[k][f] % p for f in free]
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from((2, 65521) + ROOM_PRIMES), st.data())
+def test_kernel_agrees_with_reference_up_to_24_by_24(p, data):
+    m, k, n = (data.draw(st.integers(0, 24)) for _ in range(3))
+    a = data.draw(kernel_matrix(m, k, p))
+    b = data.draw(kernel_matrix(k, n, p))
+    assert matmul_mod(a, b, p).tolist() == matmul_mod_reference(a, b, p)
+
+    want_r, want_pivots = rref_reference(a, p)
+    r, pivots = rref(a, p)
+    assert r.dtype == np.int64 and (r.tolist(), pivots) == (want_r, want_pivots)
+    assert mat_rank(a, p) == len(want_pivots)
+    null = nullspace(a, p)
+    assert null.shape == (k, k - len(want_pivots))
+    if m:
+        assert null.tolist() == canonical_nullspace(want_r, want_pivots, p)
+
+    # The reference's solution of ``a x = rhs`` sets the free variables
+    # to zero, like ``solve``.
+    width = min(n, 2)
+    rhs = np.array(matmul_mod_reference(a, b[:, :width], p), dtype=np.int64).reshape(m, width)
+    if m and data.draw(st.booleans()):
+        rhs = data.draw(kernel_matrix(m, width, p))
+    aug_r, aug_pivots = rref_reference(np.hstack([a, rhs]), p)
+    x = solve(a, rhs, p)
+    if any(c >= k for c in aug_pivots):
+        assert x is None
+    else:
+        want_x = np.zeros((k, width), dtype=np.int64)
+        for row, c in enumerate(aug_pivots):
+            want_x[c] = aug_r[row][k:]
+        assert x is not None and x.tolist() == want_x.tolist()
+
+
+def test_elimination_runs_out_of_int64_room_at_ten_to_the_nine():
+    p = 10**9 + 7
+    n = 40
+    full = np.full((n, n), p - 1, dtype=np.int64)
+    # Every pivot updates every other row.
+    dense = full + np.eye(n, dtype=np.int64)
+    # Ones on the diagonal, p-1 below it and in a right-hand block: every
+    # multiplier is p-1 and the first pivot rows end in entries near p,
+    # so each update subtracts close to (p-1)^2 and the room of about nine
+    # updates runs out again and again.  Without the mid-run reduction the
+    # entries wrap.
+    stair = np.hstack([np.tril(full, -1) + np.eye(n, dtype=np.int64), full])
+    for a in (dense, stair):
+        r, pivots = rref(a, p)
+        assert (r.tolist(), pivots) == rref_reference(a, p)
+        assert pivots == list(range(n))
+    assert mat_rank(dense, p) == n
+    dependent = np.vstack([stair, np.mod(stair[-1] + stair[-2], p)])
+    assert mat_rank(dependent, p) == mat_rank(dependent.T, p) == n
+
+
 def test_matmul_mod_does_not_overflow_at_two_to_the_31():
     p = 2**31 - 1
     full = np.full((3, 3), p - 1, dtype=np.int64)
