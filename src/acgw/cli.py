@@ -3,16 +3,18 @@
 Exit codes: 0 for success (including negative verdicts such as "not
 exact"), 1 for semantic failures (invalid documents, unknown names,
 unsupported capabilities), 2 for usage errors (bad arguments, missing
-files).
+files).  Any other exception is a defect: it is reported as ``internal
+error: <type>: <message>`` with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .chains import ChainComplex, validate_complex
+from .chains import ChainComplex, validate_chain_map, validate_chain_ses, validate_complex
 from .core import AcgwError, flat_is_iso
 from .documents import Document, ParseError, parse, serialize, validate_document
 from .homology import (
@@ -100,6 +102,14 @@ def _require_valid(doc: Document, section: str, complexes) -> None:
                     + [f"complex {name}: {p}" for p in problems]
                 )
             )
+
+
+def _require_no_problems(section: str, problems: list[str]) -> None:
+    """Raise the lines ``validate`` prints for ``section``, if it has
+    ``problems``: the constructions index its morphisms, which must be
+    valid."""
+    if problems:
+        raise AcgwError("\n  ".join(f"{section}: {p}" for p in problems))
 
 
 def _selected_complexes(doc: Document, name: str | None) -> list[tuple[str, ChainComplex]]:
@@ -231,6 +241,7 @@ def cmd_les(args) -> int:
         f = doc.hor_named(hor_name)
         _require_valid(doc, f"ses {args.ses}", (f.source, f.target))
     ses = doc.ses_named(args.ses)
+    _require_no_problems(f"ses {args.ses}", validate_chain_ses(ses))
     zz = les_of_ses(ses)
     payload, lines = _zigzag_report(doc.inst, zz)
     _emit(args, payload, lines)
@@ -241,6 +252,7 @@ def cmd_map_homology(args) -> int:
     doc = _load(args.file)
     f = doc.map_named(args.map)
     _require_valid(doc, f"map {args.map}", (f.source, f.middle, f.target))
+    _require_no_problems(f"map {args.map}", validate_chain_map(f))
     inst = doc.inst
     spans: dict = {}
 
@@ -416,7 +428,11 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``acgw`` parser, built on first use and then shared by every
+    ``main`` call: ``parse_args`` leaves it unchanged and returns a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="acgw",
         description="Complexes and homology over double-exact instances.",
@@ -482,9 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
@@ -495,6 +510,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A defect of acgw, not of the input: every known bad input has an
+        # ``error:`` line above.  Exit and interrupt still propagate.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

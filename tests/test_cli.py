@@ -1,14 +1,20 @@
 """End-to-end coverage of the command-line interface."""
 
+import contextlib
+import io
 import json
+import re
+import sys
 from importlib.resources import files
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acgw import parse, serialize, validate_document
 from acgw.cli import main
 
-from conftest import CORPUS_NAMES
+from conftest import CORPUS_NAMES, corpus_text
 
 CORPUS_DIR = files("acgw") / "corpus"
 
@@ -608,3 +614,116 @@ def test_reports_over_the_valid_complex_of_a_document_still_run(tmp_path, capsys
     )
     assert main(["exact", str(path), "--name", "X"]) == 0
     assert capsys.readouterr().out == "X: not exact (homology at 1, 2)\n"
+
+
+def test_map_over_valid_complexes_is_checked_before_its_spans(tmp_path, capsys):
+    # Without back 2, the back leg of F is not total: the spans would index it.
+    path = tmp_path / "span_legs.acgw"
+    path.write_text(SPAN_LEGS_WITHOUT_BACK_2)
+    line = (
+        "map F: back: level 2: morphism is not total on its source: "
+        "defined on [], source is ['b']"
+    )
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == (f"{line}\n", "")
+    for output in ("text", "json"):
+        assert main(["map-homology", str(path), "--map", "F", "--output", output]) == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every subcommand on mutated corpus documents exits 0, 1 or 2 with
+# no exception reaching the last-resort handler
+# ---------------------------------------------------------------------------
+
+SPAN_LEGS_WITHOUT_BACK_2 = corpus_text("span_legs").replace("  back 2: b->b\n", "")
+
+FUZZ_ARGVS = (
+    ("validate", "-"),
+    ("homology", "-"),
+    ("exact", "-"),
+    ("oracle", "-"),
+    ("render", "-"),
+    ("snake", "-"),
+    ("les", "-", "--ses", "S"),
+    ("map-homology", "-", "--map", "F"),
+)
+
+ID = re.compile(r"[A-Za-z]\w*")
+NUMBER = re.compile(r"-?\d+")
+
+
+def _replace_one(draw, line: str, pattern: re.Pattern, replacement: str) -> str:
+    found = list(pattern.finditer(line))
+    if not found:
+        return line
+    m = draw(st.sampled_from(found))
+    return line[: m.start()] + replacement + line[m.end():]
+
+
+def _reshape(draw, line: str) -> str:
+    """``line`` with the shape of its matrix changed, if it has one."""
+    head, bracket, body = line.partition("[")
+    try:
+        rows = json.loads(bracket + body)
+    except ValueError:
+        return line
+    if not rows or not all(isinstance(r, list) for r in rows):
+        return line
+    k = draw(st.integers(0, len(rows) - 1))
+    rows = draw(st.sampled_from([
+        rows[:k] + rows[k + 1:],
+        rows[: k + 1] + rows[k:],
+        [r[:-1] for r in rows],
+        [r + [1] for r in rows],
+    ]))
+    return head + json.dumps(rows)
+
+
+@st.composite
+def mutated_corpus_text(draw) -> str:
+    """A corpus document with lines dropped or duplicated, and ids, numbers
+    (matrix entries, degrees, dimensions, primes) or matrix shapes
+    perturbed."""
+    lines = corpus_text(draw(st.sampled_from(CORPUS_NAMES))).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "duplicate", "id", "number", "shape")))
+        if kind == "drop":
+            del lines[k]
+        elif kind == "duplicate":
+            lines.insert(k, lines[k])
+        elif kind == "id":
+            new_id = draw(st.sampled_from(("a", "b", "c", "p", "q", "z", "F", "S", "X", "Y")))
+            lines[k] = _replace_one(draw, lines[k], ID, new_id)
+        elif kind == "number":
+            lines[k] = _replace_one(draw, lines[k], NUMBER, str(draw(st.integers(-1, 4))))
+        else:
+            lines[k] = _reshape(draw, lines[k])
+        if not lines:
+            break
+    return "".join(f"{line}\n" for line in lines)
+
+
+def run_on_stdin(argv, text: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the CLI on ``argv`` with ``text`` as
+    standard input, run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=150)
+@given(mutated_corpus_text())
+@example(SPAN_LEGS_WITHOUT_BACK_2)
+def test_every_command_survives_mutated_corpus_documents(text):
+    for argv in FUZZ_ARGVS:
+        code, _, err = run_on_stdin(argv, text)
+        assert code in (0, 1, 2), (argv, code)
+        assert "internal error" not in err, (argv, err)

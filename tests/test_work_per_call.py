@@ -5,11 +5,21 @@ accidental extra work (a second route to the same answer) shows up as a
 changed count.
 """
 
+import argparse
+import contextlib
 import importlib
+import io
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from importlib.resources import files
+from pathlib import Path
 
 import pytest
+
+import acgw
 
 from acgw import (
     FinSetInstance,
@@ -21,7 +31,7 @@ from acgw import (
     snake_weak,
     validate_document,
 )
-from acgw.cli import main
+from acgw.cli import build_parser, main
 
 from conftest import corpus_doc, corpus_text
 
@@ -149,3 +159,45 @@ def test_classify_mixed_does_not_validate(monkeypatch, inst, ambient):
     monkeypatch.setattr(type(inst), "validate_ver", refuse)
     cls = inst.classify_mixed(sq.to_epi_source, sq.to_mono_source, sq.epi, sq.mono)
     assert cls is SquareClass.CARTESIAN
+
+
+def _in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv: list[str]) -> tuple[int, str, str]:
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(acgw.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "acgw.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_main_builds_the_parser_once_and_reuses_it(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = Counter()
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    ses = str(files("acgw") / "corpus" / "three_term_ses.acgw")
+    # A usage error and a help request end parsing early; the call after
+    # them must see the parser as it was built.
+    argvs = [
+        ["homology", "-", "--no-such-flag"],
+        ["validate", "--help"],
+        ["les", ses, "--ses", "S"],
+    ]
+    got = [_in_process(argv) for argv in argvs]
+    assert [code for code, _, _ in got] == [2, 0, 0]
+    # The parser and its nine subparsers; each call built all ten.
+    assert built["parsers"] == 10
+    assert got == [_fresh_process(argv) for argv in argvs]
