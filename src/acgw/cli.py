@@ -511,8 +511,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # A defect of acgw, not of the input: every known bad input has an
-        # ``error:`` line above.  Exit and interrupt still propagate.
+        # A defect of acgw: bad input gets an ``error:`` line above.
+        # SystemExit and KeyboardInterrupt are no Exception and propagate.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -616,27 +616,56 @@ def test_reports_over_the_valid_complex_of_a_document_still_run(tmp_path, capsys
     assert capsys.readouterr().out == "X: not exact (homology at 1, 2)\n"
 
 
-def test_map_over_valid_complexes_is_checked_before_its_spans(tmp_path, capsys):
-    # Without back 2, the back leg of F is not total: the spans would index it.
-    path = tmp_path / "span_legs.acgw"
-    path.write_text(SPAN_LEGS_WITHOUT_BACK_2)
-    line = (
-        "map F: back: level 2: morphism is not total on its source: "
-        "defined on [], source is ['b']"
-    )
-    assert main(["validate", str(path)]) == 1
-    assert capsys.readouterr() == (f"{line}\n", "")
-    for output in ("text", "json"):
-        assert main(["map-homology", str(path), "--map", "F", "--output", output]) == 1
-        assert capsys.readouterr() == ("", f"error: {line}\n")
-
-
 # ---------------------------------------------------------------------------
-# fuzzing: every subcommand on mutated corpus documents exits 0, 1 or 2 with
-# no exception reaching the last-resort handler
+# a map or ses section over valid complexes is checked before computing on
+# it; fuzzing: every subcommand on mutated corpus documents exits 0, 1 or 2
+# with no exception reaching the last-resort handler
 # ---------------------------------------------------------------------------
 
 SPAN_LEGS_WITHOUT_BACK_2 = corpus_text("span_legs").replace("  back 2: b->b\n", "")
+INCLUSION_PAIR_WITHOUT_LEVEL_2 = corpus_text("inclusion_pair").replace("  level 2: a->a\n", "")
+
+
+def run_on_stdin(argv, text: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the CLI on ``argv`` with ``text`` as
+    standard input, run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "text, argv, line",
+    [
+        (
+            SPAN_LEGS_WITHOUT_BACK_2,
+            ["map-homology", "-", "--map", "F"],
+            "map F: back: level 2: morphism is not total on its source: "
+            "defined on [], source is ['b']",
+        ),
+        (
+            INCLUSION_PAIR_WITHOUT_LEVEL_2,
+            ["les", "-", "--ses", "S"],
+            "ses S: sub: level 2: morphism is not total on its source: "
+            "defined on [], source is ['a']",
+        ),
+    ],
+    ids=["map", "ses"],
+)
+def test_section_over_valid_complexes_is_checked_before_computing(text, argv, line):
+    # The complexes are valid, but a level of the section is not total,
+    # and the construction would index it.
+    code, out, _ = run_on_stdin(["validate", "-"], text)
+    assert code == 1 and line in out.splitlines()
+    for output in ("text", "json"):
+        assert run_on_stdin([*argv, "--output", output], text) == (1, "", f"error: {line}\n")
+
 
 FUZZ_ARGVS = (
     ("validate", "-"),
@@ -705,23 +734,10 @@ def mutated_corpus_text(draw) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-def run_on_stdin(argv, text: str) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of the CLI on ``argv`` with ``text`` as
-    standard input, run in-process."""
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(deadline=None, max_examples=150)
 @given(mutated_corpus_text())
 @example(SPAN_LEGS_WITHOUT_BACK_2)
+@example(INCLUSION_PAIR_WITHOUT_LEVEL_2)
 def test_every_command_survives_mutated_corpus_documents(text):
     for argv in FUZZ_ARGVS:
         code, _, err = run_on_stdin(argv, text)
