@@ -73,6 +73,24 @@ def test_missing_file_is_usage_error(capsys):
     assert capsys.readouterr().err
 
 
+def test_an_unexpected_exception_is_an_internal_error_line(monkeypatch, capsys):
+    def broken(doc):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("acgw.cli.validate_document", broken)
+    assert main(["validate", corpus_path("inclusion_pair")]) == 1
+    assert capsys.readouterr() == ("", "internal error: RuntimeError: boom\n")
+
+
+def test_an_interrupt_is_not_caught(monkeypatch):
+    def interrupted(doc):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("acgw.cli.validate_document", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["validate", corpus_path("inclusion_pair")])
+
+
 def test_stdin_dash(tmp_path, capsys, monkeypatch):
     import io
     import sys
@@ -271,25 +289,29 @@ def test_homology_size_law_failure_unreachable_by_validated_docs(tmp_path, capsy
 # ---------------------------------------------------------------------------
 
 
-def run_stdin(monkeypatch, capsys, argv, text):
-    import io
-    import sys
+def run_on_stdin(argv, text: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the CLI on ``argv`` with ``text`` as
+    standard input, run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    code = main(argv)
-    out, err = capsys.readouterr()
-    assert "Traceback" not in out + err
-    return code, err
 
-
-def test_non_prime_field_order_is_an_error_line(monkeypatch, capsys):
+def test_non_prime_field_order_is_an_error_line():
     text = (CORPUS_DIR / "linear_small.acgw").read_text().replace("prime 2", "prime 4")
-    code, err = run_stdin(monkeypatch, capsys, ["exact", "-"], text)
+    code, _, err = run_on_stdin(["exact", "-"], text)
     assert code == 1
     assert err == "error: line 4: field order must be prime, got 4\n"
 
 
-def test_oracle_on_a_leg_that_misses_its_target_is_an_error_line(monkeypatch, capsys):
+def test_oracle_on_a_leg_that_misses_its_target_is_an_error_line():
     text = (
         "instance set\n"
         "complex X:\n"
@@ -299,12 +321,12 @@ def test_oracle_on_a_leg_that_misses_its_target_is_an_error_line(monkeypatch, ca
         "    up: t->missing\n"
         "    down: t->p\n"
     )
-    code, err = run_stdin(monkeypatch, capsys, ["oracle", "-"], text)
+    code, _, err = run_on_stdin(["oracle", "-"], text)
     assert code == 1
     assert err.startswith("error: transition 2:") and "'t'" in err
 
 
-def test_level_matrix_of_the_wrong_shape_is_an_error_line(monkeypatch, capsys):
+def test_level_matrix_of_the_wrong_shape_is_an_error_line():
     text = (
         "instance linear\n"
         "prime 7\n"
@@ -317,7 +339,7 @@ def test_level_matrix_of_the_wrong_shape_is_an_error_line(monkeypatch, capsys):
         "hor f: W -> X\n"
         "  level 1: [[1, 0], [0, 1]]\n"
     )
-    code, err = run_stdin(monkeypatch, capsys, ["homology", "-"], text)
+    code, _, err = run_on_stdin(["homology", "-"], text)
     assert code == 1
     assert err.startswith("error: line 9: degree 1:") and "4x4" in err
 
@@ -343,8 +365,8 @@ LINEAR_LEG = (
         ("render", "[[1, 0, 0]]"),
     ],
 )
-def test_bad_transition_matrix_is_an_error_line(monkeypatch, capsys, command, up):
-    code, err = run_stdin(monkeypatch, capsys, [command, "-"], LINEAR_LEG.format(up=up))
+def test_bad_transition_matrix_is_an_error_line(command, up):
+    code, _, err = run_on_stdin([command, "-"], LINEAR_LEG.format(up=up))
     assert code == 1
     assert err.startswith("error:") and "matrix" in err
 
@@ -624,20 +646,6 @@ def test_reports_over_the_valid_complex_of_a_document_still_run(tmp_path, capsys
 
 SPAN_LEGS_WITHOUT_BACK_2 = corpus_text("span_legs").replace("  back 2: b->b\n", "")
 INCLUSION_PAIR_WITHOUT_LEVEL_2 = corpus_text("inclusion_pair").replace("  level 2: a->a\n", "")
-
-
-def run_on_stdin(argv, text: str) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of the CLI on ``argv`` with ``text`` as
-    standard input, run in-process."""
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize(
