@@ -512,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except Exception as exc:
         # A defect of acgw: bad input gets an ``error:`` line above.
-        # SystemExit and KeyboardInterrupt are no Exception and propagate.
+        # SystemExit and KeyboardInterrupt are not Exceptions: they propagate.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
