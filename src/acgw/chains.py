@@ -63,7 +63,6 @@ __all__ = [
     "ses_from_injection",
     "ses_from_projection",
     "compose_chain_maps",
-    "is_inclusion_mor",
 ]
 
 
@@ -444,11 +443,6 @@ def ses_from_injection(f: HorChainMor) -> ChainSES:
 def ses_from_projection(g: VerChainMor) -> ChainSES:
     """Complete a vertical chain morphism to a short exact sequence."""
     return ChainSES(ker_ver(g), g)
-
-
-def is_inclusion_mor(mor: HorMor | VerMor) -> bool:
-    """Whether a finite-set morphism is a literal identity-pair inclusion."""
-    return all(a == b for a, b in mor.data)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,7 @@ import sys
 from .chains import ChainComplex, validate_chain_map, validate_chain_ses, validate_complex
 from .core import AcgwError, flat_is_iso
 from .documents import Document, ParseError, parse, serialize, validate_document
-from .homology import (
-    h_on_map,
-    homology_obj,
-    homology_size,
-    is_exact,
-)
+from .homology import h_on_map, homology_obj, homology_size
 from .oracle import (
     GenConfig,
     gen_chain_map,
@@ -30,7 +25,6 @@ from .oracle import (
     gen_composable_chain_maps,
     gen_exact_complex,
     gen_hor_mor,
-    gen_linear_complex,
     gen_ses,
     gen_snake_strong,
     gen_snake_weak,
@@ -378,42 +372,31 @@ def _gen_snake_strong(cfg: GenConfig) -> Document:
     return Document(s.inst, snakes_strong=(("S", s),))
 
 
-#: document builders for ``gen --kind``, per ``--instance``
+#: document builders for ``gen --kind``
 _GEN = {
-    "set": {
-        "complex": lambda cfg: _one_complex(gen_complex(cfg)[0]),
-        "exact": lambda cfg: _one_complex(gen_exact_complex(cfg)),
-        "hor": _gen_hor,
-        "ver": _gen_ver,
-        "map": _gen_map,
-        "pair": _gen_pair,
-        "ses": _gen_ses,
-        "snake-weak": _gen_snake_weak,
-        "snake-strong": _gen_snake_strong,
-    },
-    "linear": {
-        "complex": lambda cfg: _one_complex(gen_linear_complex(cfg)[0]),
-        "exact": lambda cfg: _one_complex(gen_linear_complex(cfg, exact=True)[0]),
-    },
+    "complex": lambda cfg: _one_complex(gen_complex(cfg)[0]),
+    "exact": lambda cfg: _one_complex(gen_exact_complex(cfg)),
+    "hor": _gen_hor,
+    "ver": _gen_ver,
+    "map": _gen_map,
+    "pair": _gen_pair,
+    "ses": _gen_ses,
+    "snake-weak": _gen_snake_weak,
+    "snake-strong": _gen_snake_strong,
 }
 
 
 def cmd_gen(args) -> int:
-    cfg = GenConfig(
-        seed=args.seed,
-        max_size=args.size,
-        instance=args.instance,
-        prime=args.prime,
-    )
-    build = _GEN[args.instance].get(args.kind)
-    if build is None:
+    cfg = GenConfig(args.seed, max_size=args.size, instance=args.instance, prime=args.prime)
+    doc = _GEN[args.kind](cfg)
+    if (doc.snakes_weak or doc.snakes_strong) and not doc.inst.has_canonical_subobjects:
         print(
-            f"gen --instance {args.instance} supports only --kind "
-            f"{' or '.join(_GEN[args.instance])}, not {args.kind!r}",
+            f"gen --instance {args.instance} cannot write --kind {args.kind}: "
+            "snake sections need an instance with literal subobjects",
             file=sys.stderr,
         )
         return 2
-    sys.stdout.write(serialize(build(cfg)))
+    sys.stdout.write(serialize(doc))
     return 0
 
 
@@ -487,10 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("gen", help="emit a random document")
-    p.add_argument("--kind", choices=tuple(_GEN["set"]), required=True)
+    p.add_argument("--kind", choices=tuple(_GEN), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=int, default=8, help="object size bound")
-    p.add_argument("--instance", choices=tuple(_GEN), default="set")
+    p.add_argument("--instance", choices=("set", "linear"), default="set")
     p.add_argument("--prime", type=int, default=2)
     p.set_defaults(func=cmd_gen)
 

@@ -78,6 +78,9 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
 #: the instance class of each ``instance KIND`` line
 _INSTANCES = {cls.kind: cls for cls in (FinSetInstance, LinearInstance)}
 
+#: the most degrees a complex may span; each one between its ends is built
+_MAX_DEGREES = 10_000
+
 
 class ParseError(AcgwError):
     """A document could not be read; carries the offending line number."""
@@ -385,6 +388,9 @@ def _build_complex(inst: AcgwInstance, raw: _RawComplex) -> ChainComplex:
     if not raw.objects:
         raise ParseError(raw.line, f"complex {raw.name!r} has no objects")
     lo, hi = min(raw.objects), max(raw.objects)
+    if hi - lo + 1 > _MAX_DEGREES:
+        what = f"complex {raw.name!r} spans degrees {lo}..{hi}, more than {_MAX_DEGREES:,}"
+        raise ParseError(raw.line, what)
     for deg, t in raw.transitions.items():
         if not lo + 1 <= deg <= hi:
             raise ParseError(

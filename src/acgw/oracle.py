@@ -5,13 +5,15 @@ homology dimensions by Gaussian elimination, without touching complement
 or pullback machinery, so it can cross-check the structural computations.
 The generators produce random — but reproducible — complexes, chain
 morphisms, chain maps, short exact sequences and snake inputs whose
-expected invariants are known by construction.
+expected invariants are known by construction.  Each draws a diagram of
+finite sets; over ``F_p`` it returns the linearization of that diagram,
+with the same sizes, in a random basis per object.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -25,9 +27,9 @@ from .chains import (
     _levelwise,
     ses_from_injection,
 )
-from .core import AcgwError, ValidationError
+from .core import AcgwError, AcgwInstance, HorMor, ValidationError, VerMor
 from .finset import FinSetInstance, finset_obj, mapping_of
-from .linear import LinearInstance, mat_rank, matmul_mod
+from .linear import LinearInstance, mat_rank, matmul_mod, solve
 from .snake import SnakeInputStrong, SnakeInputWeak, _snake_input
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "gen_ses",
     "gen_snake_weak",
     "gen_snake_strong",
-    "gen_linear_complex",
 ]
 
 _ATTEMPTS = 1000
@@ -101,8 +102,9 @@ class GenConfig:
         max_size: upper bound on the number of ids (or the dimension)
             of any generated object.
         max_support: upper bound on the number of degrees in a complex.
-        instance: ``"set"`` or ``"linear"``.
-        prime: field characteristic for linear instances.
+        instance: ``"set"`` for a finite-set diagram, or ``"linear"`` for
+            its linearization, drawn after it from the same seed.
+        prime: field characteristic of the linearization.
     """
 
     seed: int
@@ -110,6 +112,16 @@ class GenConfig:
     max_support: int = 6
     instance: str = "set"
     prime: int = 2
+
+
+def _generate(cfg: GenConfig, build):
+    """The set diagram ``build(rng)`` on an RNG seeded by ``cfg``, or its
+    linearization, which draws from the same RNG after it."""
+    if cfg.instance not in ("set", "linear"):
+        raise ValidationError([f"instance must be 'set' or 'linear', got {cfg.instance!r}"])
+    rng = random.Random(cfg.seed)
+    diagram = build(rng)
+    return diagram if cfg.instance == "set" else _linearize(diagram, cfg.prime, rng)
 
 
 def _span(rng: random.Random, cfg: GenConfig) -> tuple[int, int]:
@@ -164,14 +176,18 @@ def _pool_complex(
     return cx, {i: len(singles[i]) for i in range(lo, hi + 1)}
 
 
+def _pool(rng: random.Random, cfg: GenConfig) -> ChainComplex:
+    return _pool_complex(rng, cfg, exact=False)[0]
+
+
 def gen_complex(cfg: GenConfig) -> tuple[ChainComplex, dict[int, int]]:
-    """A random finite-set complex and its homology sizes by degree."""
-    return _pool_complex(random.Random(cfg.seed), cfg, exact=False)
+    """A random complex and its homology sizes by degree."""
+    return _generate(cfg, lambda rng: _pool_complex(rng, cfg, exact=False))
 
 
 def gen_exact_complex(cfg: GenConfig) -> ChainComplex:
-    """A random finite-set complex that is exact at every degree."""
-    return _pool_complex(random.Random(cfg.seed), cfg, exact=True)[0]
+    """A random complex that is exact at every degree."""
+    return _generate(cfg, lambda rng: _pool_complex(rng, cfg, exact=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -288,46 +304,42 @@ def _extend(
 
 def gen_hor_mor(cfg: GenConfig) -> HorChainMor:
     """A random horizontal chain morphism (an inclusion of complexes)."""
-    rng = random.Random(cfg.seed)
-    y, _ = _pool_complex(rng, cfg, exact=False)
-    return _hor_sub(rng, y)
+    return _generate(cfg, lambda rng: _hor_sub(rng, _pool(rng, cfg)))
 
 
 def gen_ver_mor(cfg: GenConfig) -> VerChainMor:
     """A random vertical chain morphism (an inclusion of complexes)."""
-    rng = random.Random(cfg.seed)
-    y, _ = _pool_complex(rng, cfg, exact=False)
-    return _ver_sub(rng, y)
+    return _generate(cfg, lambda rng: _ver_sub(rng, _pool(rng, cfg)))
 
 
-def gen_chain_map(cfg: GenConfig) -> ChainMap:
-    """A random chain map: a sub-complex of the target, extended away
-    from it to form the source."""
-    rng = random.Random(cfg.seed)
-    y, _ = _pool_complex(rng, cfg, exact=False)
+def _chain_map(rng: random.Random, cfg: GenConfig) -> ChainMap:
+    y = _pool(rng, cfg)
     front = _hor_sub(rng, y)
     x, _, back = _extend(rng, front.source, "a")
     return ChainMap(x, front.source, y, back, front)
 
 
+def gen_chain_map(cfg: GenConfig) -> ChainMap:
+    """A random chain map: a sub-complex of the target, extended away
+    from it to form the source."""
+    return _generate(cfg, lambda rng: _chain_map(rng, cfg))
+
+
+def _composable(rng: random.Random, cfg: GenConfig) -> tuple[ChainMap, ChainMap]:
+    first = _chain_map(rng, cfg)
+    back2 = _ver_sub(rng, first.target)
+    w, front2, _ = _extend(rng, back2.source, "b")
+    return first, ChainMap(first.target, back2.source, w, back2, front2)
+
+
 def gen_composable_chain_maps(cfg: GenConfig) -> tuple[ChainMap, ChainMap]:
     """Two chain maps sharing the middle complex ``Y`` as target/source."""
-    rng = random.Random(cfg.seed)
-    y, _ = _pool_complex(rng, cfg, exact=False)
-    front = _hor_sub(rng, y)
-    x, _, back = _extend(rng, front.source, "a")
-    first = ChainMap(x, front.source, y, back, front)
-    back2 = _ver_sub(rng, y)
-    w, front2, _ = _extend(rng, back2.source, "b")
-    second = ChainMap(y, back2.source, w, back2, front2)
-    return first, second
+    return _generate(cfg, lambda rng: _composable(rng, cfg))
 
 
 def gen_ses(cfg: GenConfig) -> ChainSES:
-    """A random short exact sequence of finite-set complexes."""
-    rng = random.Random(cfg.seed)
-    y, _ = _pool_complex(rng, cfg, exact=False)
-    return ses_from_injection(_hor_sub(rng, y))
+    """A random short exact sequence of complexes."""
+    return _generate(cfg, lambda rng: ses_from_injection(_hor_sub(rng, _pool(rng, cfg))))
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +356,16 @@ def _sample(rng: random.Random, pool: list[str]) -> set[str]:
 
 
 def gen_snake_weak(cfg: GenConfig) -> SnakeInputWeak:
-    """A random valid weak snake input on finite sets.
+    """A random valid weak snake input.
 
-    Everything is a literal subset: the middle row is a complement-style
-    pair inside ``Y``, the top row extends ``Y`` by fresh ids split
-    between the two sides, and the bottom row likewise.
+    On sets everything is a literal subset: the middle row is a
+    complement-style pair inside ``Y``, the top row extends ``Y`` by fresh
+    ids split between the two sides, and the bottom row likewise.
     """
-    rng = random.Random(cfg.seed)
+    return _generate(cfg, lambda rng: _snake_weak(rng, cfg))
+
+
+def _snake_weak(rng: random.Random, cfg: GenConfig) -> SnakeInputWeak:
     inst = FinSetInstance()
     n = max(2, min(cfg.max_size, 6))
     y = set(_sample(rng, _ids("y", n)))
@@ -370,13 +385,16 @@ def gen_snake_weak(cfg: GenConfig) -> SnakeInputWeak:
 
 
 def gen_snake_strong(cfg: GenConfig) -> SnakeInputStrong:
-    """A random valid strong snake input on finite sets.
+    """A random valid strong snake input.
 
     Like the weak case, but the top-left object gains ids outside the
     whole top row and the bottom-right object gains ids outside the whole
     bottom row, so only restricted versions of the outer morphisms exist.
     """
-    rng = random.Random(cfg.seed)
+    return _generate(cfg, lambda rng: _snake_strong(rng, cfg))
+
+
+def _snake_strong(rng: random.Random, cfg: GenConfig) -> SnakeInputStrong:
     inst = FinSetInstance()
     n = max(2, min(cfg.max_size, 6))
     y = set(_sample(rng, _ids("y", n)))
@@ -404,7 +422,7 @@ def gen_snake_strong(cfg: GenConfig) -> SnakeInputStrong:
 
 
 # ---------------------------------------------------------------------------
-# Linear complexes with prescribed homology.
+# Linearization: F_p diagrams from the set ones.
 # ---------------------------------------------------------------------------
 
 
@@ -422,56 +440,58 @@ def rand_gl(rng: random.Random, n: int, p: int) -> np.ndarray:
 
 
 def _inv_mod(g: np.ndarray, p: int) -> np.ndarray:
-    from .linear import solve
-
-    n = g.shape[0]
-    inv = solve(g, np.eye(n, dtype=np.int64), p)
-    if inv is None:
-        raise AcgwError("matrix is not invertible")
-    return inv
+    """The inverse of an invertible matrix over the prime field."""
+    return solve(g, np.eye(len(g), dtype=np.int64), p)
 
 
-def gen_linear_complex(
-    cfg: GenConfig, exact: bool = False
-) -> tuple[ChainComplex, dict[int, int]]:
-    """A random linear complex with known homology dimensions.
+def _linearize(diagram, p: int, rng: random.Random):
+    """The image of a finite-set ``diagram`` under ``F_p[-]``.
 
-    Built in a split basis — homology block, upper transition block,
-    lower transition block — and then conjugated by random invertible
-    matrices at every degree and transition, which preserves the
-    independence of the two transition images.  With ``exact=True`` the
-    homology blocks are empty.
-    """
-    rng = random.Random(cfg.seed)
-    inst = LinearInstance(cfg.prime)
-    p = cfg.prime
-    lo, hi = _span(rng, cfg)
-    h = {i: 0 if exact else rng.randint(0, 2) for i in range(lo, hi + 1)}
-    t = {i: rng.randint(0, 2) for i in range(lo + 1, hi + 1)}
-    t[lo] = 0
-    t[hi + 1] = 0
-    n = {i: h[i] + t[i] + t[i + 1] for i in range(lo, hi + 1)}
+    A set ``S`` becomes ``F_p^|S|`` in a basis drawn from ``rng`` when
+    ``S`` is first met.  A horizontal injection becomes its 0/1 matrix and
+    a vertical one the transpose, the coordinate projection, conjugated
+    by the bases of its ends, so every relation between set morphisms
+    holds between their images.  Equal complexes map to one complex.
+    Dataclasses and tuples are rebuilt around their images; other values
+    are kept."""
+    inst = LinearInstance(p)
+    bases: dict = {}
+    complexes: dict = {}
 
-    basis_change = {i: rand_gl(rng, n[i], p) for i in range(lo, hi + 1)}
-    objects = tuple(inst.obj(n[i]) for i in range(lo, hi + 1))
-    transitions = []
-    for i in range(lo + 1, hi + 1):
-        up = np.zeros((t[i], n[i]), dtype=np.int64)
-        for r in range(t[i]):
-            up[r, h[i] + r] = 1
-        low = np.zeros((n[i - 1], t[i]), dtype=np.int64)
-        for r in range(t[i]):
-            low[h[i - 1] + t[i - 1] + r, r] = 1
-        g = rand_gl(rng, t[i], p)
-        up = matmul_mod(matmul_mod(g, up, p), _inv_mod(basis_change[i], p), p)
-        low = matmul_mod(matmul_mod(basis_change[i - 1], low, p), _inv_mod(g, p), p)
-        tobj = inst.obj(t[i])
-        transitions.append(
-            Transition(
-                tobj,
-                inst.ver(tobj, objects[i - lo], up),
-                inst.hor(tobj, objects[i - 1 - lo], low),
-            )
-        )
-    cx = ChainComplex(inst, lo, hi, objects, tuple(transitions))
-    return cx, dict(h)
+    def obj(s):
+        if s not in bases:
+            g = rand_gl(rng, len(s), p)
+            bases[s] = g, _inv_mod(g, p)
+        return inst.obj(len(s))
+
+    def conj(out, m, into):  # ``m`` from the basis of ``into`` to that of ``out``
+        return matmul_mod(matmul_mod(bases[out][0], m, p), bases[into][1], p)
+
+    def mor(f):
+        source, target = obj(f.source), obj(f.target)
+        e = np.zeros((target.dim, source.dim), dtype=np.int64)
+        for a, b in f.data:
+            e[f.target.index(b), f.source.index(a)] = 1
+        if isinstance(f, HorMor):
+            return inst.hor(source, target, conj(f.target, e, f.source))
+        return inst.ver(source, target, conj(f.source, e.T, f.target))
+
+    def walk(x):
+        if isinstance(x, (HorMor, VerMor)):
+            return mor(x)
+        if isinstance(x, AcgwInstance):
+            return inst
+        if isinstance(x, ChainComplex):
+            if x not in complexes:
+                objects, transitions = tuple(map(obj, x.objects)), walk(x.transitions)
+                complexes[x] = ChainComplex(inst, x.lo, x.hi, objects, transitions)
+            return complexes[x]
+        if isinstance(x, Transition):
+            return Transition(obj(x.obj), walk(x.into_upper), walk(x.into_lower))
+        if isinstance(x, tuple):
+            return tuple(map(walk, x))
+        if is_dataclass(x):
+            return replace(x, **{f.name: walk(getattr(x, f.name)) for f in fields(x)})
+        return x
+
+    return walk(diagram)

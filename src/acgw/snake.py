@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .chains import ChainSES, Transition, is_inclusion_mor
+from .chains import ChainSES, Transition
 from .core import (
     AcgwError,
     AcgwInstance,
@@ -465,8 +465,9 @@ def _require_inclusion_ses(ses: ChainSES) -> None:
         raise CapabilityError(
             "long exact sequences need an instance with canonical subobjects"
         )
-    mors = list(ses.sub.levels) + list(ses.quot.levels)
-    if not all(is_inclusion_mor(m) for m in mors):
+    if any(m != inst.inclusion_hor(m.source, m.target) for m in ses.sub.levels) or any(
+        m != inst.inclusion_ver(m.source, m.target) for m in ses.quot.levels
+    ):
         raise CapabilityError(
             "long exact sequences need literal inclusion levels; "
             "rename the sub- and quotient complexes into the total complex first"

@@ -3,6 +3,7 @@
 from importlib.resources import files
 
 import pytest
+from hypothesis import strategies as st
 
 from acgw import Document, parse
 
@@ -13,6 +14,12 @@ CORPUS_NAMES = (
     "snake_weak_small",
     "linear_small",
 )
+
+#: the values of ``GenConfig.instance``; every generator honours both
+INSTANCES = ("set", "linear")
+
+#: the primes the linear generator properties draw from (unread on sets)
+PRIMES = st.sampled_from((2, 3, 5, 7))
 
 
 def corpus_text(name: str) -> str:

@@ -19,7 +19,6 @@ from acgw import (
     gen_complex,
     gen_composable_chain_maps,
     gen_hor_mor,
-    gen_linear_complex,
     gen_ses,
     gen_snake_strong,
     gen_snake_weak,
@@ -255,7 +254,7 @@ def test_criterion_10_linear_instance_parity():
     t0 = time.perf_counter()
     failures = 0
     for k in range(100):
-        cx, _ = gen_linear_complex(GenConfig(seed=950_000 + k, instance="linear"))
+        cx, _ = gen_complex(GenConfig(seed=950_000 + k, instance="linear"))
         for i in cx.degrees():
             expected = (
                 cx.obj(i).dim

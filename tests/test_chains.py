@@ -30,7 +30,6 @@ from acgw import (
     id_chain_map,
     id_hor_chain,
     id_ver_chain,
-    is_inclusion_mor,
     ker_ver,
     ses_from_injection,
     ses_from_projection,
@@ -137,7 +136,7 @@ def test_identity_chain_morphisms_validate():
     g = id_ver_chain(cx)
     assert validate_hor_chain_mor(f) == []
     assert validate_ver_chain_mor(g) == []
-    assert all(is_inclusion_mor(m) for m in f.levels)
+    assert all(m == INST.inclusion_hor(m.source, m.target) for m in f.levels)
     m = id_chain_map(cx)
     assert validate_chain_map(m) == []
 
@@ -168,10 +167,12 @@ def test_hor_chain_mor_validation_catches_broken_level():
     assert validate_hor_chain_mor(broken)
 
 
-def test_is_inclusion_mor():
-    amb = finset_obj(["a", "b"])
-    assert is_inclusion_mor(INST.inclusion_hor(finset_obj(["a"]), amb))
-    assert not is_inclusion_mor(INST.hor(finset_obj(["a"]), amb, {"a": "b"}))
+def test_inclusion_hooks_equal_the_literal_inclusions():
+    # les_of_ses recognises a literal inclusion level by equality with these.
+    amb, sub = finset_obj(["a", "b"]), finset_obj(["a"])
+    assert INST.inclusion_hor(sub, amb) == INST.hor(sub, amb, {"a": "a"})
+    assert INST.inclusion_ver(sub, amb) == INST.ver(sub, amb, {"a": "a"})
+    assert INST.inclusion_hor(sub, amb) != INST.hor(sub, amb, {"a": "b"})
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import sys
+import time
 from importlib.resources import files
 
 import pytest
@@ -224,20 +225,39 @@ def test_gen_output_parses_and_validates(capsys, kind):
     assert serialize(doc) == text
 
 
-@pytest.mark.parametrize("kind", ("complex", "exact"))
+@pytest.mark.parametrize("kind", SET_GEN_KINDS[:-2])
 def test_gen_linear_kinds(capsys, kind):
     rc = main(["gen", "--kind", kind, "--instance", "linear", "--prime", "3",
                "--seed", "5"])
     assert rc == 0
-    doc = parse(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    doc = parse(text)
     assert doc.kind == "linear" and doc.prime == 3
     assert validate_document(doc) == []
+    assert serialize(doc) == text
 
 
-def test_gen_linear_unsupported_kind_is_usage_error(capsys):
-    rc = main(["gen", "--kind", "ses", "--instance", "linear", "--seed", "1"])
+@pytest.mark.parametrize("kind", ("snake-weak", "snake-strong"))
+def test_gen_linear_unsupported_kind_is_usage_error(capsys, kind):
+    rc = main(["gen", "--kind", kind, "--instance", "linear", "--seed", "1"])
     assert rc == 2
-    assert capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"gen --instance linear cannot write --kind {kind}: "
+        "snake sections need an instance with literal subobjects\n"
+    )
+
+
+def test_gen_linear_map_pipe(tmp_path, capsys):
+    assert main(["gen", "--kind", "map", "--instance", "linear", "--prime", "5",
+                 "--seed", "3"]) == 0
+    path = tmp_path / "map.acgw"
+    path.write_text(capsys.readouterr().out)
+    assert main(["map-homology", str(path), "--map", "F"]) == 0
+    assert "quasi-isomorphism:" in capsys.readouterr().out
+    assert main(["oracle", str(path)]) == 0
+    assert "agree at all degrees" in capsys.readouterr().out
 
 
 def test_gen_deterministic(capsys):
@@ -302,6 +322,25 @@ def run_on_stdin(argv, text: str) -> tuple[int, str, str]:
         sys.stdin = saved
     assert "Traceback" not in out.getvalue() + err.getvalue()
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ("validate", "homology", "oracle", "render"))
+def test_a_huge_degree_range_is_refused_promptly(command):
+    text = "instance set\ncomplex X:\n  object 1: a\n  object 1000000000000: b\n"
+    started = time.perf_counter()
+    code, out, err = run_on_stdin([command, "-"], text)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    message = "line 2: complex 'X' spans degrees 1..1000000000000, more than 10,000\n"
+    assert out + err == (message if command == "validate" else f"error: {message}")
+
+
+def test_the_widest_allowed_degree_range_is_read():
+    text = "instance set\ncomplex X:\n  object -5000: a\n  object 4999: b\n"
+    assert run_on_stdin(["validate", "-"], text) == (0, "ok\n", "")
+    wider = text.replace("4999", "5000")
+    code, out, _ = run_on_stdin(["validate", "-"], wider)
+    assert (code, out) == (1, "line 2: complex 'X' spans degrees -5000..5000, more than 10,000\n")
 
 
 def test_non_prime_field_order_is_an_error_line():

@@ -9,8 +9,12 @@ from acgw import (
     Document,
     GenConfig,
     ParseError,
+    gen_chain_map,
+    gen_hor_mor,
+    gen_ses,
     gen_snake_strong,
     gen_snake_weak,
+    gen_ver_mor,
     parse,
     serialize,
     validate_document,
@@ -256,6 +260,30 @@ def test_generated_snake_inputs_round_trip(seed):
     doc = Document(weak.inst, snakes_weak=(("W", weak),), snakes_strong=(("S", strong),))
     assert parse(serialize(doc)) == doc
     assert validate_document(doc) == []
+
+
+@pytest.mark.parametrize("prime", (2, 3, 5, 7))
+def test_generated_linear_sections_round_trip(prime):
+    for seed in range(10):
+        cfg = GenConfig(seed=seed, instance="linear", prime=prime)
+        f, g, m, ses = gen_hor_mor(cfg), gen_ver_mor(cfg), gen_chain_map(cfg), gen_ses(cfg)
+        complexes = (
+            ("X", f.source), ("Y", f.target), ("Z", g.source), ("W", g.target),
+            ("S", m.source), ("M", m.middle), ("T", m.target),
+            ("A", ses.sub.source), ("B", ses.sub.target),
+        )
+        doc = Document(
+            f.source.inst,
+            complexes=complexes,
+            hors=(("f", f), ("s", ses.sub)),
+            vers=(("g", g),),
+            maps=(("F", m),),
+            seses=(("E", "s"),),
+        )
+        text = serialize(doc)
+        assert parse(text) == doc
+        assert serialize(parse(text)) == text
+        assert validate_document(doc) == []
 
 
 def _labelled(inp):

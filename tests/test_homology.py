@@ -1,5 +1,6 @@
 """Homology via double complements, induced spans, quasi-isomorphisms."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,7 @@ from acgw import (
     validate_ver_chain_mor,
 )
 
-from conftest import corpus_doc
+from conftest import INSTANCES, PRIMES, corpus_doc
 from reference import h_on_map_via_les, homology_quotient_first
 
 
@@ -112,10 +113,11 @@ def test_linear_corpus_homology_dimensions():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("instance", INSTANCES)
 @settings(deadline=None, max_examples=120)
-@given(st.integers(0, 10**6))
-def test_size_law_and_order_independence(seed):
-    cx, expected = gen_complex(GenConfig(seed=seed))
+@given(seed=st.integers(0, 10**6), prime=PRIMES)
+def test_size_law_and_order_independence(instance, seed, prime):
+    cx, expected = gen_complex(GenConfig(seed=seed, instance=instance, prime=prime))
     n = cx.inst.obj_size
     for i in cx.degrees():
         g = homology(cx, i)
@@ -126,10 +128,11 @@ def test_size_law_and_order_independence(seed):
         )
 
 
+@pytest.mark.parametrize("instance", INSTANCES)
 @settings(deadline=None, max_examples=60)
-@given(st.integers(0, 10**6))
-def test_exact_generator_yields_exact(seed):
-    assert is_exact(gen_exact_complex(GenConfig(seed=seed)))
+@given(seed=st.integers(0, 10**6), prime=PRIMES)
+def test_exact_generator_yields_exact(instance, seed, prime):
+    assert is_exact(gen_exact_complex(GenConfig(seed=seed, instance=instance, prime=prime)))
 
 
 @settings(deadline=None, max_examples=40)
@@ -141,20 +144,25 @@ def test_identity_map_is_quasi_iso(seed):
     assert is_quasi_iso(id_chain_map(cx))
 
 
+@pytest.mark.parametrize("instance", INSTANCES)
 @settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10**6))
-def test_functoriality_property(seed):
-    f, g = gen_composable_chain_maps(GenConfig(seed=seed))
+@given(seed=st.integers(0, 10**6), prime=PRIMES)
+def test_functoriality_property(instance, seed, prime):
+    f, g = gen_composable_chain_maps(GenConfig(seed=seed, instance=instance, prime=prime))
     assert check_functoriality(f, g)
 
 
+@pytest.mark.parametrize("instance", INSTANCES)
 @settings(deadline=None, max_examples=60)
-@given(st.integers(0, 10**6))
-def test_qiso_iff_complement_exact_agrees(seed):
-    a, b = qiso_iff_complement_exact(gen_hor_mor(GenConfig(seed=seed)))
-    assert a == b
-    a, b = qiso_iff_complement_exact(gen_ver_mor(GenConfig(seed=seed)))
-    assert a == b
+@given(seed=st.integers(0, 10**6), prime=PRIMES)
+def test_qiso_iff_complement_exact_agrees(instance, seed, prime):
+    cfg = GenConfig(seed=seed, instance=instance, prime=prime)
+    set_cfg = GenConfig(seed=seed)
+    for gen in (gen_hor_mor, gen_ver_mor):
+        a, b = qiso_iff_complement_exact(gen(cfg))
+        assert a == b
+        # The linearization keeps the verdicts of the set morphism.
+        assert (a, b) == qiso_iff_complement_exact(gen(set_cfg))
 
 
 @settings(deadline=None, max_examples=40)
@@ -172,10 +180,11 @@ def gen_chain_map_for(seed):
     return gen_chain_map(GenConfig(seed=seed))
 
 
+@pytest.mark.parametrize("instance", INSTANCES)
 @settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10**6))
-def test_homology_complex_property(seed):
-    cx, _ = gen_complex(GenConfig(seed=seed))
+@given(seed=st.integers(0, 10**6), prime=PRIMES)
+def test_homology_complex_property(instance, seed, prime):
+    cx, _ = gen_complex(GenConfig(seed=seed, instance=instance, prime=prime))
     h, hor, ver = homology_complex(cx)
     assert validate_hor_chain_mor(hor) == []
     assert validate_ver_chain_mor(ver) == []

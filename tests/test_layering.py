@@ -175,7 +175,6 @@ PUBLIC = {
         "id_chain_map",
         "id_hor_chain",
         "id_ver_chain",
-        "is_inclusion_mor",
         "ker_ver",
         "ses_from_injection",
         "ses_from_projection",
@@ -213,7 +212,6 @@ PUBLIC = {
         "gen_composable_chain_maps",
         "gen_exact_complex",
         "gen_hor_mor",
-        "gen_linear_complex",
         "gen_ses",
         "gen_snake_strong",
         "gen_snake_weak",

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from acgw import (
     GenConfig,
+    ValidationError,
+    check_functoriality,
     free_complex,
     gen_chain_map,
     gen_complex,
     gen_composable_chain_maps,
     gen_exact_complex,
     gen_hor_mor,
-    gen_linear_complex,
     gen_ses,
     gen_snake_strong,
     gen_snake_weak,
@@ -32,7 +33,7 @@ from acgw import (
     validate_ver_chain_mor,
 )
 
-from conftest import corpus_doc
+from conftest import INSTANCES, PRIMES, corpus_doc
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +78,7 @@ def test_rank_dims_on_corpus():
 
 @pytest.mark.parametrize(
     "cx",
-    [corpus_doc("inclusion_pair").complex_named("X"), gen_linear_complex(GenConfig(seed=3, prime=7))[0]],
+    [corpus_doc("inclusion_pair").complex_named("X"), gen_complex(GenConfig(seed=3, instance="linear", prime=7))[0]],
     ids=["set", "linear"],
 )
 def test_rank_dims_ranks_each_boundary_matrix_once(monkeypatch, cx):
@@ -102,13 +103,14 @@ def test_rank_dims_on_exact_generator():
         assert set(rank_homology_dims(cx).values()) <= {0}
 
 
+@pytest.mark.parametrize("instance", INSTANCES)
 @settings(deadline=None, max_examples=120)
-@given(st.integers(0, 10**6))
-def test_oracle_agreement_property(seed):
-    cx, _ = gen_complex(GenConfig(seed=seed))
+@given(seed=st.integers(0, 10**6), prime=PRIMES)
+def test_oracle_agreement_property(instance, seed, prime):
+    cx, expected = gen_complex(GenConfig(seed=seed, instance=instance, prime=prime))
     dims = rank_homology_dims(cx)
     for i in cx.degrees():
-        assert dims[i] == homology_size(cx, i)
+        assert dims[i] == homology_size(cx, i) == expected[i]
 
 
 def test_oracle_agreement_other_primes():
@@ -125,9 +127,10 @@ def test_oracle_agreement_other_primes():
 # ---------------------------------------------------------------------------
 
 
-def test_generator_soundness_all_kinds():
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_generator_soundness_all_kinds(instance):
     for seed in range(30):
-        cfg = GenConfig(seed=seed)
+        cfg = GenConfig(seed=seed, instance=instance, prime=(2, 3, 5, 7)[seed % 4])
         assert validate_complex(gen_complex(cfg)[0]) == []
         assert validate_complex(gen_exact_complex(cfg)) == []
         assert validate_hor_chain_mor(gen_hor_mor(cfg)) == []
@@ -141,8 +144,9 @@ def test_generator_soundness_all_kinds():
         assert validate_snake_strong(gen_snake_strong(cfg)) == []
 
 
-def test_generator_determinism():
-    cfg = GenConfig(seed=42)
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_generator_determinism(instance):
+    cfg = GenConfig(seed=42, instance=instance, prime=5)
     assert gen_complex(cfg) == gen_complex(cfg)
     assert gen_exact_complex(cfg) == gen_exact_complex(cfg)
     assert gen_hor_mor(cfg) == gen_hor_mor(cfg)
@@ -151,9 +155,17 @@ def test_generator_determinism():
     assert gen_ses(cfg) == gen_ses(cfg)
     assert gen_snake_weak(cfg) == gen_snake_weak(cfg)
     assert gen_snake_strong(cfg) == gen_snake_strong(cfg)
-    assert gen_linear_complex(GenConfig(seed=42, instance="linear"))[0] == (
-        gen_linear_complex(GenConfig(seed=42, instance="linear"))[0]
-    )
+
+
+@pytest.mark.parametrize("instance", ("", "Set", "F_3", None))
+def test_unknown_instance_is_rejected(instance):
+    with pytest.raises(ValidationError, match="instance must be 'set' or 'linear'"):
+        gen_ses(GenConfig(seed=1, instance=instance))
+
+
+def test_linear_prime_must_be_prime():
+    with pytest.raises(ValidationError, match="field order must be prime"):
+        gen_complex(GenConfig(seed=1, instance="linear", prime=4))
 
 
 def test_distinct_seeds_differ_somewhere():
@@ -170,15 +182,16 @@ def test_size_zero_gives_empty_complex():
 
 
 # ---------------------------------------------------------------------------
-# The linear generator.
+# The linearized generators.
 # ---------------------------------------------------------------------------
 
 
 def test_linear_generator_dims_and_law():
     for p in (2, 3):
         for seed in range(25):
-            cx, dims = gen_linear_complex(GenConfig(seed=seed, instance="linear", prime=p))
+            cx, dims = gen_complex(GenConfig(seed=seed, instance="linear", prime=p))
             assert validate_complex(cx) == []
+            assert cx.inst.prime == p
             for i in cx.degrees():
                 assert homology_size(cx, i) == dims[i]
                 assert dims[i] == (
@@ -192,8 +205,10 @@ def test_linear_generator_dims_and_law():
 def test_linear_generator_beyond_int64_products():
     # At 2^32 - 5 the products of two entries exceed int64; the generator
     # conjugates by random invertible matrices, so every product counts.
-    cx, dims = gen_linear_complex(GenConfig(seed=1, instance="linear", prime=4294967291))
+    cx, dims = gen_complex(GenConfig(seed=1, instance="linear", prime=4294967291))
     assert validate_complex(cx) == []
+    big = max(v for t in cx.transitions for row in t.into_lower.data for v in row)
+    assert big * big > 2**63
     by_rank = rank_homology_dims(cx)
     for i in cx.degrees():
         assert by_rank[i] == homology_size(cx, i) == dims[i]
@@ -201,8 +216,42 @@ def test_linear_generator_beyond_int64_products():
 
 def test_linear_generator_exact_variant():
     for seed in range(15):
-        cx, dims = gen_linear_complex(
-            GenConfig(seed=seed, instance="linear"), exact=True
-        )
-        assert set(dims.values()) <= {0}
+        cx = gen_exact_complex(GenConfig(seed=seed, instance="linear"))
+        assert validate_complex(cx) == []
+        assert set(rank_homology_dims(cx).values()) <= {0}
         assert is_exact(cx)
+
+
+def _sizes(cx):
+    size = cx.inst.obj_size
+    return [size(cx.obj(i)) for i in cx.degrees()], [
+        size(cx.transition(i).obj) for i in cx.transition_degrees()
+    ]
+
+
+def test_linear_diagram_is_the_set_one_in_other_coordinates():
+    for seed in range(20):
+        set_f = gen_chain_map(GenConfig(seed=seed))
+        lin_f = gen_chain_map(GenConfig(seed=seed, instance="linear", prime=3))
+        for part in ("source", "middle", "target"):
+            assert _sizes(getattr(lin_f, part)) == _sizes(getattr(set_f, part))
+        assert lin_f.front.source is lin_f.middle is lin_f.back.source
+        assert lin_f.back.target is lin_f.source and lin_f.front.target is lin_f.target
+
+
+def test_linear_composable_pair_shares_its_middle_complex():
+    for seed in range(20):
+        f, g = gen_composable_chain_maps(GenConfig(seed=seed, instance="linear", prime=5))
+        assert f.target is g.source
+        assert check_functoriality(f, g)
+
+
+def test_set_generators_draw_nothing_for_the_linearization():
+    # The set diagram comes first from the seeded RNG: the linear one has
+    # the same degrees, and the set one is what it was before.
+    for seed in range(20):
+        set_cx, set_dims = gen_complex(GenConfig(seed=seed))
+        lin_cx, lin_dims = gen_complex(GenConfig(seed=seed, instance="linear", prime=7))
+        assert set_dims == lin_dims
+        assert (lin_cx.lo, lin_cx.hi) == (set_cx.lo, set_cx.hi)
+        assert _sizes(lin_cx) == _sizes(set_cx)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from acgw import (
     AcgwError,
     CapabilityError,
+    ChainSES,
     GenConfig,
+    HorChainMor,
     LinearInstance,
     gen_ses,
     gen_snake_strong,
@@ -18,6 +20,7 @@ from acgw import (
     ses_from_injection,
     snake_strong,
     snake_weak,
+    validate_chain_ses,
     validate_snake_strong,
     validate_snake_weak,
     validate_zigzag,
@@ -25,8 +28,8 @@ from acgw import (
     zigzag_is_exact,
 )
 
-from conftest import corpus_doc
-from reference import connecting_object_dual, weak_closed_forms
+from conftest import INSTANCES, PRIMES, corpus_doc
+from reference import _relabel_complex, connecting_object_dual, weak_closed_forms
 
 
 # ---------------------------------------------------------------------------
@@ -89,37 +92,44 @@ def test_corpus_les_inclusion_pair():
 # ---------------------------------------------------------------------------
 
 
+def _assert_closed_forms(zz, instance, set_inp):
+    """The middle transition objects of ``zz`` are the closed forms of the
+    weak set input ``set_inp``: literally on sets, in size on ``F_p``."""
+    forms = weak_closed_forms(set_inp)
+    middle = [t.obj for t in zz.transitions[1:4]]
+    assert list(map(zz.inst.obj_size, middle)) == list(map(len, forms))
+    if instance == "set":
+        assert list(map(set, middle)) == list(forms)
+
+
+@pytest.mark.parametrize("instance", INSTANCES)
 @settings(deadline=None, max_examples=80)
-@given(st.integers(0, 10**6))
-def test_weak_snake_property(seed):
-    inp = gen_snake_weak(GenConfig(seed=seed, max_size=6))
+@given(seed=st.integers(0, 10**6), prime=PRIMES)
+def test_weak_snake_property(instance, seed, prime):
+    cfg = GenConfig(seed=seed, max_size=6)
+    inp = gen_snake_weak(replace(cfg, instance=instance, prime=prime))
     assert validate_snake_weak(inp) == []
     zz = snake_weak(inp)
     assert validate_zigzag(zz) == []
     assert zigzag_is_exact(zz)
-    d, w, d_prime = weak_closed_forms(inp)
-    assert set(zz.transitions[1].obj) == d
-    assert set(zz.transitions[2].obj) == w
-    assert set(zz.transitions[3].obj) == d_prime
+    _assert_closed_forms(zz, instance, gen_snake_weak(cfg))
     assert zz.transitions[2].obj == connecting_object_dual(inp)
 
 
+@pytest.mark.parametrize("instance", INSTANCES)
 @settings(deadline=None, max_examples=60)
-@given(st.integers(0, 10**6))
-def test_strong_snake_property(seed):
-    inp = gen_snake_strong(GenConfig(seed=seed, max_size=6))
+@given(seed=st.integers(0, 10**6), prime=PRIMES)
+def test_strong_snake_property(instance, seed, prime):
+    cfg = GenConfig(seed=seed, max_size=6)
+    inp = gen_snake_strong(replace(cfg, instance=instance, prime=prime))
     assert validate_snake_strong(inp) == []
     zz = snake_strong(inp)
     assert validate_zigzag(zz) == []
     assert zigzag_is_exact(zz)
     # Ends are not claimed exact, interior positions are.
     assert zz.non_exact_positions == frozenset({0, 5})
-    inner = inp.inner_weak()
-    d, w, d_prime = weak_closed_forms(inner)
-    assert set(zz.transitions[1].obj) == d
-    assert set(zz.transitions[2].obj) == w
-    assert set(zz.transitions[3].obj) == d_prime
-    assert zz.transitions[2].obj == connecting_object_dual(inner)
+    _assert_closed_forms(zz, instance, gen_snake_strong(cfg).inner_weak())
+    assert zz.transitions[2].obj == connecting_object_dual(inp.inner_weak())
 
 
 def test_strong_end_positions_can_fail_exactness():
@@ -165,22 +175,42 @@ def test_les_rejects_instances_without_canonical_subobjects():
 
 
 def test_les_rejects_non_inclusion_levels():
+    # Every id of the sub-complex renamed: a valid short exact sequence
+    # whose sub levels are not literal inclusions.
     ses = gen_ses(GenConfig(seed=5))
-    inst = ses.sub.source.inst
-    # Rename one sub level away from a literal inclusion.
-    i = next(
-        d for d in ses.sub.source.degrees() if ses.sub.level(d).data
+    inst, x, y = ses.sub.source.inst, ses.sub.source, ses.sub.target
+    names = {i: {v: f"renamed.{v}" for v in x.obj(i)} for i in x.degrees()}
+    bar_names = {
+        i: {v: f"renamed.{v}" for v in x.transition(i).obj} for i in x.transition_degrees()
+    }
+    renamed = _relabel_complex(x, names, bar_names)
+    sub = HorChainMor(
+        renamed,
+        y,
+        tuple(
+            inst.hor(renamed.obj(i), y.obj(i), {names[i][a]: b for a, b in ses.sub.level(i).data})
+            for i in x.degrees()
+        ),
+        tuple(
+            inst.hor(
+                renamed.transition(i).obj,
+                y.transition(i).obj,
+                {bar_names[i][a]: b for a, b in ses.sub.bar_level(i).data},
+            )
+            for i in x.transition_degrees()
+        ),
     )
-    lvl = ses.sub.level(i)
-    twisted_source = tuple(f"renamed.{v}" for v in lvl.source)
-    mapping = {f"renamed.{a}": b for a, b in lvl.data}
-    bad_level = inst.hor(twisted_source, lvl.target, mapping)
-    levels = tuple(
-        bad_level if d == i else ses.sub.level(d) for d in ses.sub.source.degrees()
-    )
-    sub = type(ses.sub)(ses.sub.source, ses.sub.target, levels, ses.sub.bar_levels)
-    with pytest.raises(CapabilityError):
-        les_of_ses(type(ses)(sub, ses.quot))
+    renamed_ses = ChainSES(sub, ses.quot)
+    assert validate_chain_ses(renamed_ses) == []
+    with pytest.raises(CapabilityError, match="literal inclusion levels"):
+        les_of_ses(renamed_ses)
+
+
+def test_les_rejects_a_generated_linear_ses():
+    ses = gen_ses(GenConfig(seed=5, instance="linear", prime=3))
+    assert validate_chain_ses(ses) == []
+    with pytest.raises(CapabilityError, match="canonical subobjects"):
+        les_of_ses(ses)
 
 
 WEAK_ORDER = (
