@@ -295,7 +295,7 @@ def test_criterion_11_format_round_trip():
     ] + [
         ["gen", "--kind", kind, "--instance", "linear", "--prime", "2",
          "--seed", str(seed)]
-        for kind in ("complex", "exact")
+        for kind in ("complex", "exact", "hor", "ver", "map", "pair", "ses")
         for seed in (1, 2)
     ]
     for argv in gen_cases:
