@@ -405,6 +405,17 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _size(text: str) -> int:
+    """A ``--size`` value: a non-negative integer."""
+    try:
+        size = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if size < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {size}")
+    return size
+
+
 def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--output", choices=("text", "json"), default="text", help="report format"
@@ -472,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a random document")
     p.add_argument("--kind", choices=tuple(_GEN), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--size", type=int, default=8, help="object size bound")
+    p.add_argument("--size", type=_size, default=8, help="object size bound")
     p.add_argument("--instance", choices=("set", "linear"), default="set")
     p.add_argument("--prime", type=int, default=2)
     p.set_defaults(func=cmd_gen)

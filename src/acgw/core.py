@@ -105,9 +105,10 @@ def _reduce_to_fields(mor):
 class HorMor:
     """A horizontal (inclusion-like) morphism ``source -> target``.
 
-    The ``data`` payload is instance-specific but always hashable: sorted
-    ``(source_id, target_id)`` pairs for finite sets, a full-column-rank
-    matrix as a tuple of rows for the linear instance.
+    The ``data`` payload is instance-specific but always hashable: for
+    finite sets a ``(sources, images)`` pair of equal-length id tuples,
+    the sources in increasing order; for the linear instance a
+    full-column-rank matrix as a tuple of rows.
     """
 
     source: Any
@@ -121,9 +122,10 @@ class HorMor:
 class VerMor:
     """A vertical (projection-like) morphism ``source => target``.
 
-    For finite sets the payload is again an injection of ids; for the
-    linear instance it is the matrix of the underlying surjection
-    ``target ->> source`` (shape ``source.dim x target.dim``).
+    For finite sets the payload is again an injection of ids as
+    ``(sources, images)``; for the linear instance it is the matrix of the
+    underlying surjection ``target ->> source`` (shape
+    ``source.dim x target.dim``).
     """
 
     source: Any

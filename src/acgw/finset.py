@@ -1,43 +1,40 @@
 """Finite sets with injections as both horizontal and vertical morphisms.
 
 Objects are finite sets of string identifiers, canonically stored as
-sorted tuples.  A horizontal morphism is an injection recorded as sorted
-``(source_id, target_id)`` pairs; a vertical morphism ``A => B`` is also
-backed by an injection of ``A`` into ``B`` — the two classes differ only
-in the role they play.  Complements are literal set differences, which
-makes every canonical construction a genuine subset of its ambient object
-(``has_canonical_subobjects`` is true).  In documents an object is written
-as its ids and a morphism as ``src->tgt`` pairs; the rank oracle reads a
-complex over ``F_2`` with one basis vector per id.
+sorted tuples.  A morphism's payload is ``(sources, images)``: two
+tuples of equal length, the sources in increasing order and each image
+at the position of its source.  A horizontal morphism is such an
+injection; a vertical morphism ``A => B`` is also backed by an injection
+of ``A`` into ``B`` — the two classes differ only in the role they play.
+A literal inclusion is ``(sub, sub)``: it shares its object's tuple.
+Complements are literal set differences, which makes every canonical
+construction a genuine subset of its ambient object
+(``has_canonical_subobjects`` is true).  In documents an object is
+written as its ids and a morphism as ``src->tgt`` pairs; the rank oracle
+reads a complex over ``F_2`` with one basis vector per id.
 
 Only the entry points whose input order is arbitrary sort:
 :func:`finset_obj`, :meth:`FinSetInstance.hor`/:meth:`~FinSetInstance.ver`
 and the document readers.  The primitives take canonical inputs and keep
 canonical order rather than sort again: they filter a sorted object, or
-walk pairs in source order, so their results come out sorted.
+map the images of a payload in source order.
 
 A primitive builds a morphism's dict, inverse dict and image set at most
 once: they are memoized in the morphism's instance ``__dict__``, as
 ``functools.cached_property`` does on a frozen dataclass, so dataclass
 ``==``, ``hash`` and ``repr``, which read only the declared fields, never
-see them.  So is a flag for a literal inclusion (every pair ``(x, x)``):
-the constructors of inclusions set it, and any other morphism computes it
-once.  With inclusions the primitives skip the dicts: factoring through
-an inclusion, or composing with one, keeps the pairs of the first
-argument; a chase between inclusions keeps those of the source
-presentation; a mixed pullback along an inclusion filters the pairs of
-the other leg.  Each shortcut returns what the general loop returns, and
-any check that fails falls through to that loop, which names the fault.
-The document readers accept a whole line with one regex match; they walk
-its tokens only to name the first bad one.
+see them.  Each primitive maps a payload through these dicts in one pass;
+when a lookup fails, a scan names the first element at fault.  The
+document readers accept a whole line with one regex match; they walk its
+tokens only to name the first bad one.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from itertools import compress, filterfalse, islice, repeat, starmap
-from operator import eq, itemgetter, lt
+from itertools import chain, compress, filterfalse, islice, repeat
+from operator import lt
 from typing import Any, Hashable
 
 import numpy as np
@@ -77,30 +74,25 @@ def finset_obj(ids: Any) -> FinSetObj:
 
 def mapping_of(f: HorMor | VerMor) -> dict[str, str]:
     """The underlying injection of a finite-set morphism as a dict."""
-    return dict(f.data)
+    return dict(zip(*f.data))
 
 
 def apply_to(f: HorMor | VerMor, x: str) -> str:
     return _mapping(f)[x]
 
 
-def _pairs(mapping: dict[str, str]) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(mapping.items()))
+def _payload(mapping: dict[str, str]) -> tuple[FinSetObj, FinSetObj]:
+    """The ``(sources, images)`` payload of an injection given as a dict."""
+    sources = tuple(sorted(mapping))
+    return sources, tuple(map(mapping.__getitem__, sources))
 
-
-_first, _second = itemgetter(0), itemgetter(1)
 
 #: the keys under which a morphism's derived values are memoized
-_MEMO_KEYS = _MAP, _INVERSE, _IMAGE, _INCLUSION = (
-    "_finset_map",
-    "_finset_inverse",
-    "_finset_image",
-    "_finset_inclusion",
-)
+_MEMO_KEYS = _MAP, _INVERSE, _IMAGE = ("_finset_map", "_finset_inverse", "_finset_image")
 
 
 def _memoized(key: str):
-    """Compute a value of a morphism's pairs once per morphism object and
+    """Compute a value of a morphism's payload once per morphism object and
     keep it under ``key`` in the object's ``__dict__``.  The primitives
     only read these values; a caller gets fresh ones from
     :func:`mapping_of`."""
@@ -121,37 +113,23 @@ def _memoized(key: str):
 
 @_memoized(_MAP)
 def _mapping(f: HorMor | VerMor) -> dict[str, str]:
-    return dict(f.data)
-
-
-@_memoized(_INCLUSION)
-def _is_inclusion(f: HorMor | VerMor) -> bool:
-    """Whether every pair of ``f`` is ``(x, x)``: on a valid morphism, the
-    literal inclusion of its source."""
-    return all(starmap(eq, f.data))
+    return dict(zip(*f.data))
 
 
 @_memoized(_INVERSE)
 def _inverse(f: HorMor | VerMor) -> dict[str, str]:
-    if _is_inclusion(f):
-        return _mapping(f)
-    return dict(zip(map(_second, f.data), map(_first, f.data)))
+    sources, images = f.data
+    return dict(zip(images, sources))
 
 
 @_memoized(_IMAGE)
 def _image(f: HorMor | VerMor) -> frozenset[str]:
-    return frozenset(map(_second, f.data))
+    return frozenset(f.data[1])
 
 
 def _inclusion(mor_type: type, sub: FinSetObj, ambient: FinSetObj) -> HorMor | VerMor:
-    """The literal inclusion of ``sub`` into ``ambient``, flagged as one."""
-    mor = mor_type(sub, ambient, tuple(zip(sub, sub)))
-    mor.__dict__[_INCLUSION] = True
-    return mor
-
-
-def _all_in(ids, within) -> bool:
-    return all(map(within.__contains__, ids))
+    """The literal inclusion of ``sub`` into ``ambient``."""
+    return mor_type(sub, ambient, (sub, sub))
 
 
 def _increasing(xs) -> bool:
@@ -203,10 +181,10 @@ class FinSetInstance(AcgwInstance):
         return _inclusion(VerMor, sub, ambient)
 
     def hor(self, source, target, mapping: dict[str, str]) -> HorMor:
-        return HorMor(finset_obj(source), finset_obj(target), _pairs(mapping))
+        return HorMor(finset_obj(source), finset_obj(target), _payload(mapping))
 
     def ver(self, source, target, mapping: dict[str, str]) -> VerMor:
-        return VerMor(finset_obj(source), finset_obj(target), _pairs(mapping))
+        return VerMor(finset_obj(source), finset_obj(target), _payload(mapping))
 
     # ----- identities and zeros -------------------------------------
     def id_hor(self, obj: FinSetObj) -> HorMor:
@@ -229,20 +207,18 @@ class FinSetInstance(AcgwInstance):
             return problems
         if not isinstance(f.data, tuple):
             return [f"morphism data is not a tuple: {f.data!r}"]
-        try:
-            mapping = dict(f.data)
-        except (TypeError, ValueError):
-            return [f"morphism data is not a pair list: {f.data!r}"]
-        # The pairs are sorted exactly when they are tuples whose sources
-        # strictly increase (then no source repeats and ``mapping`` keeps
-        # every pair).
-        sources = list(mapping)
         if not (
-            len(sources) == len(f.data)
+            len(f.data) == 2
             and all(map(isinstance, f.data, repeat(tuple)))
-            and _increasing(sources)
+            and len(f.data[0]) == len(f.data[1])
         ):
+            return [f"morphism data is not sources and images of one length: {f.data!r}"]
+        sources, images = f.data
+        if not all(map(isinstance, chain(sources, images), repeat(str))):
+            return [f"morphism has non-string ids: {f.data!r}"]
+        if not _increasing(sources):
             problems.append("morphism pairs are not sorted by source id")
+        mapping = dict(zip(sources, images))
         if set(mapping) != set(f.source):
             problems.append(
                 f"morphism is not total on its source: defined on "
@@ -266,10 +242,8 @@ class FinSetInstance(AcgwInstance):
                 f"cannot compose: {self.obj_label(f.target)} != "
                 f"{self.obj_label(g.source)}"
             )
-        if _is_inclusion(g) and _all_in(map(_second, f.data), _image(g)):
-            return type(f)(f.source, g.target, f.data)
-        images = map(_mapping(g).__getitem__, map(_second, f.data))
-        return type(f)(f.source, g.target, tuple(zip(map(_first, f.data), images)))
+        sources, images = f.data
+        return type(f)(f.source, g.target, (sources, tuple(map(_mapping(g).__getitem__, images))))
 
     compose_ver = compose_hor
 
@@ -300,17 +274,14 @@ class FinSetInstance(AcgwInstance):
                 "mixed pullback needs a shared target: "
                 f"{self.obj_label(m.target)} vs {self.obj_label(e.target)}"
             )
-        if _is_inclusion(m):
-            # ``m`` inverts to the identity on its image: keep the pairs
-            # of ``e`` that land there
-            im_m = _image(m)
-            pairs = tuple(compress(e.data, map(im_m.__contains__, map(_second, e.data))))
-        else:
-            m_inv = _inverse(m)
-            pairs = tuple((b, m_inv[y]) for b, y in e.data if y in m_inv)
-        corner = tuple(map(_first, pairs))
+        # keep the elements of ``e`` that land in the image of ``m``
+        m_inv = _inverse(m)
+        sources, images = e.data
+        over = list(map(m_inv.__contains__, images))
+        corner = tuple(compress(sources, over))
+        pulled = tuple(map(m_inv.__getitem__, compress(images, over)))
         hor_leg = self.inclusion_hor(corner, e.source)
-        return PullbackSquare(corner, hor_leg, VerMor(corner, m.source, pairs), m, e)
+        return PullbackSquare(corner, hor_leg, VerMor(corner, m.source, (corner, pulled)), m, e)
 
     def classify_mixed(
         self, top: HorMor, left: VerMor, right: VerMor, bottom: HorMor
@@ -361,18 +332,17 @@ class FinSetInstance(AcgwInstance):
                 "factorization targets differ: "
                 f"{self.obj_label(f.target)} vs {self.obj_label(through.target)}"
             )
-        if _is_inclusion(through) and _all_in(map(_second, f.data), _image(through)):
-            return type(f)(f.source, through.source, f.data)
         t_inv = _inverse(through)
-        out: dict[str, str] = {}
-        for x, y in f.data:
-            if y not in t_inv:
-                raise FactorizationError(
-                    f"no factorization: {x} lands at {y}, outside "
-                    f"the image of the given morphism"
-                )
-            out[x] = t_inv[y]
-        return type(f)(f.source, through.source, tuple(out.items()))
+        sources, images = f.data
+        try:
+            out = tuple(map(t_inv.__getitem__, images))
+        except KeyError:
+            x, y = next((x, y) for x, y in zip(sources, images) if y not in t_inv)
+            raise FactorizationError(
+                f"no factorization: {x} lands at {y}, outside "
+                f"the image of the given morphism"
+            ) from None
+        return type(f)(f.source, through.source, (sources, out))
 
     factor_ver = factor_hor
 
@@ -384,34 +354,24 @@ class FinSetInstance(AcgwInstance):
             raise FactorizationError(
                 f"complement presentations do not match {'m' if hor else 'e'}"
             )
-        if (
-            _is_inclusion(f)
-            and _is_inclusion(p_leg)
-            and _is_inclusion(q_leg)
-            and _all_in(map(_second, p_leg.data), _image(f))
-            and _all_in(map(_second, p_leg.data), _image(q_leg))
-        ):
-            # every id is its own image: ``f`` carries the source
-            # complement into the target one when it lies inside it
-            return type(f)(p_leg.source, q_leg.source, p_leg.data)
         fm, qi = _mapping(f), _inverse(q_leg)
-        out: dict[str, str] = {}
-        for x, p in p_leg.data:
-            q = fm[p]
-            if q not in qi:
-                raise FactorizationError(
-                    f"morphism does not {'descend' if hor else 'restrict'} to "
-                    f"complements: image of {x} is {q}, not in the target complement"
-                )
-            out[x] = qi[q]
-        return type(f)(p_leg.source, q_leg.source, tuple(out.items()))
+        sources, images = p_leg.data
+        try:
+            out = tuple(map(qi.__getitem__, map(fm.__getitem__, images)))
+        except KeyError:
+            x, q = next((x, fm[p]) for x, p in zip(sources, images) if fm[p] not in qi)
+            raise FactorizationError(
+                f"morphism does not {'descend' if hor else 'restrict'} to "
+                f"complements: image of {x} is {q}, not in the target complement"
+            ) from None
+        return type(f)(p_leg.source, q_leg.source, (sources, out))
 
     ver_between_kernels = hor_between_cokers
 
     # ----- spans ---------------------------------------------------------
     def flat_key(self, back: VerMor, front: HorMor) -> Hashable:
-        fm = _mapping(front)
-        return frozenset((y, fm[x]) for x, y in back.data)
+        sources, images = back.data
+        return frozenset(zip(images, map(_mapping(front).__getitem__, sources)))
 
     # ----- document format ---------------------------------------------
     @classmethod
@@ -440,13 +400,15 @@ class FinSetInstance(AcgwInstance):
         """Pairs ``src->tgt``; an omitted leg is the identity on the ids of
         its source, an omitted level has no pairs."""
         if text is None:
-            return _inclusion(mor_type, source, target) if leg else mor_type(source, target, ())
+            if leg:
+                return _inclusion(mor_type, source, target)
+            return mor_type(source, target, ((), ()))
         chunks = text.split()
         if _PAIRS_LINE_RE.fullmatch(text):
             # every token holds one ``->``
             out = dict(map(str.split, chunks, repeat("->")))
             if len(out) == len(chunks):
-                return mor_type(source, target, _pairs(out))
+                return mor_type(source, target, _payload(out))
         # name the first bad token or repeated source
         out = {}
         for chunk in chunks:
@@ -456,15 +418,16 @@ class FinSetInstance(AcgwInstance):
             if src in out:
                 raise ValidationError([f"repeated pair source {src!r}"])
             out[src] = tgt
-        return mor_type(source, target, _pairs(out))
+        return mor_type(source, target, _payload(out))
 
     def mor_text(self, mor, leg=False):
-        default = _is_inclusion(mor) if leg else not mor.data
-        return None if default else " ".join(map("->".join, mor.data))
+        sources, images = mor.data
+        default = sources == images if leg else not sources
+        return None if default else " ".join(map("{}->{}".format, sources, images))
 
     def lift_hor_bar(self, level, src_leg, tgt_leg) -> HorMor | VerMor:
         leg, lmap, over = _mapping(src_leg), _mapping(level), _inverse(tgt_leg)
-        out: dict[str, str] = {}
+        out = []
         for t in src_leg.source:
             img = lmap.get(leg.get(t))
             if img is None:
@@ -472,8 +435,8 @@ class FinSetInstance(AcgwInstance):
             if img not in over:
                 side = "above" if isinstance(level, HorMor) else "below"
                 raise FactorizationError(f"no transition element {side} {img!r}")
-            out[t] = over[img]
-        return type(level)(src_leg.source, tgt_leg.source, _pairs(out))
+            out.append(over[img])
+        return type(level)(src_leg.source, tgt_leg.source, (src_leg.source, tuple(out)))
 
     lift_ver_bar = lift_hor_bar
 
@@ -507,13 +470,13 @@ class FinSetInstance(AcgwInstance):
             for z in back.source
             if bm[z] in cycles_x and fm[z] not in boundaries_y
         }
-        middle = finset_obj(kept)
+        middle, images = _payload(kept)
         return FlatMor(
             gx.h,
             middle,
             gy.h,
             self.inclusion_ver(middle, gx.h),
-            HorMor(middle, gy.h, _pairs(kept)),
+            HorMor(middle, gy.h, (middle, images)),
         )
 
     def homology_embedding(self, grid, boundaries: HorMor) -> tuple[HorMor, VerMor]:

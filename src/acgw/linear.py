@@ -48,8 +48,8 @@ Because kernels and complements are produced in fresh coordinates, this
 instance does not expose canonical subobjects
 (``has_canonical_subobjects`` is false), which rules out the
 constructions that splice literal subsets — everything else works.  In
-documents an object is written ``dim N`` and a morphism as its stored
-matrix in JSON.
+documents an object is written ``dim N``, with N at most 4,096, and a
+morphism as its stored matrix in JSON.
 """
 
 from __future__ import annotations
@@ -91,6 +91,10 @@ __all__ = [
 Mat = tuple[tuple[int, ...], ...]
 
 _INT64_MAX = 2**63 - 1
+
+#: the largest dimension a document may give an object: the kernel holds
+#: dense n x n int64 matrices, 128 MiB each at this bound
+_MAX_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -605,7 +609,10 @@ class LinearInstance(AcgwInstance):
         m = re.match(r"dim\s+(\d+)\Z", text)
         if not m:
             raise ValidationError([f"want: dim N, got {text!r}"])
-        return self.obj(int(m.group(1)))
+        dim = int(m.group(1))
+        if dim > _MAX_DIM:
+            raise ValidationError([f"dimension {dim} exceeds {_MAX_DIM}"])
+        return self.obj(dim)
 
     def obj_text(self, obj: VectObj) -> str:
         return f"dim {obj.dim}"

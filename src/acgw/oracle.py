@@ -447,11 +447,11 @@ def _inv_mod(g: np.ndarray, p: int) -> np.ndarray:
 def _linearize(diagram, p: int, rng: random.Random):
     """The image of a finite-set ``diagram`` under ``F_p[-]``.
 
-    A set ``S`` becomes ``F_p^|S|`` in a basis drawn from ``rng`` when
-    ``S`` is first met.  A horizontal injection becomes its 0/1 matrix and
-    a vertical one the transpose, the coordinate projection, conjugated
-    by the bases of its ends, so every relation between set morphisms
-    holds between their images.  Equal complexes map to one complex.
+    A set ``S`` becomes ``F_p^|S|`` in a basis drawn from ``rng``, and its
+    ids are indexed, when ``S`` is first met.  A horizontal injection
+    becomes its 0/1 matrix and a vertical one the transpose, the
+    coordinate projection, conjugated by the bases of its ends, so every
+    relation between set morphisms holds between their images.  Equal complexes map to one complex.
     Dataclasses and tuples are rebuilt around their images; other values
     are kept."""
     inst = LinearInstance(p)
@@ -461,7 +461,7 @@ def _linearize(diagram, p: int, rng: random.Random):
     def obj(s):
         if s not in bases:
             g = rand_gl(rng, len(s), p)
-            bases[s] = g, _inv_mod(g, p)
+            bases[s] = g, _inv_mod(g, p), {x: k for k, x in enumerate(s)}
         return inst.obj(len(s))
 
     def conj(out, m, into):  # ``m`` from the basis of ``into`` to that of ``out``
@@ -470,8 +470,9 @@ def _linearize(diagram, p: int, rng: random.Random):
     def mor(f):
         source, target = obj(f.source), obj(f.target)
         e = np.zeros((target.dim, source.dim), dtype=np.int64)
-        for a, b in f.data:
-            e[f.target.index(b), f.source.index(a)] = 1
+        col, row = bases[f.source][2], bases[f.target][2]
+        for a, b in mapping_of(f).items():
+            e[row[b], col[a]] = 1
         if isinstance(f, HorMor):
             return inst.hor(source, target, conj(f.target, e, f.source))
         return inst.ver(source, target, conj(f.source, e.T, f.target))

@@ -73,10 +73,10 @@ def qiso_at_degree(f, i) -> bool:
     invertible at degree ``i``, by chasing ids: nothing of either
     homology is missed, collapsed or created."""
     x, z, y = f.source, f.middle, f.target
-    up_x = {b for _, b in x.transition(i).into_upper.data}
-    low_x = {b for _, b in x.transition(i + 1).into_lower.data}
-    up_y = {b for _, b in y.transition(i).into_upper.data}
-    low_y = {b for _, b in y.transition(i + 1).into_lower.data}
+    up_x = set(mapping_of(x.transition(i).into_upper).values())
+    low_x = set(mapping_of(x.transition(i + 1).into_lower).values())
+    up_y = set(mapping_of(y.transition(i).into_upper).values())
+    low_y = set(mapping_of(y.transition(i + 1).into_lower).values())
     back = mapping_of(f.back.level(i))
     front = mapping_of(f.front.level(i))
     missed_x = set(x.obj(i)) - up_x - low_x - set(back.values())
@@ -125,15 +125,13 @@ def _relabel_complex(z, level_map, bar_map):
         t = z.transition(i)
         up, low = mapping_of(t.into_upper), mapping_of(t.into_lower)
         obj = finset_obj(bar_map[i][tid] for tid in t.obj)
-        up_pairs = sorted((bar_map[i][tid], level_map[i][up[tid]]) for tid in t.obj)
-        low_pairs = sorted(
-            (bar_map[i][tid], level_map[i - 1][low[tid]]) for tid in t.obj
-        )
+        up_map = {bar_map[i][tid]: level_map[i][up[tid]] for tid in t.obj}
+        low_map = {bar_map[i][tid]: level_map[i - 1][low[tid]] for tid in t.obj}
         transitions.append(
             Transition(
                 obj,
-                VerMor(obj, objects[i - z.lo], tuple(up_pairs)),
-                HorMor(obj, objects[i - 1 - z.lo], tuple(low_pairs)),
+                VerMor(obj, objects[i - z.lo], _sorted_payload(up_map)),
+                HorMor(obj, objects[i - 1 - z.lo], _sorted_payload(low_map)),
             )
         )
     return ChainComplex(z.inst, z.lo, z.hi, objects, tuple(transitions))
@@ -187,9 +185,7 @@ def h_on_map_via_les(f, i):
     relabel = HorMor(
         zx.obj(i),
         zy.obj(i),
-        tuple(
-            sorted((back_levels[i][zid], front_levels[i][zid]) for zid in z.obj(i))
-        ),
+        _sorted_payload({back_levels[i][zid]: front_levels[i][zid] for zid in z.obj(i)}),
     )
     cycles_map = inst.factor_hor(
         inst.compose_hor(gx.cycles_hor, relabel), gy.cycles_hor
@@ -240,43 +236,51 @@ def rref_reference(a, p):
 # ---------------------------------------------------------------------------
 
 
-def _sorted_pairs(mapping):
-    return tuple(sorted(mapping.items()))
+def _sorted_payload(mapping):
+    """The ``(sources, images)`` payload of an injection given as a dict,
+    built by sorting its items."""
+    items = sorted(mapping.items())
+    return tuple(s for s, _ in items), tuple(t for _, t in items)
+
+
+def _inverse(mor):
+    return {t: s for s, t in mapping_of(mor).items()}
 
 
 def _complement(mor, make):
-    rest = finset_obj(set(mor.target) - {t for _, t in mor.data})
-    return rest, make(rest, mor.target, tuple((x, x) for x in rest))
+    rest = finset_obj(set(mor.target) - set(mapping_of(mor).values()))
+    return rest, make(rest, mor.target, _sorted_payload({x: x for x in rest}))
 
 
 def _factor_sorted(f, through):
-    t_inv = {t: s for s, t in through.data}
-    return _sorted_pairs({x: t_inv[y] for x, y in f.data})
+    t_inv = _inverse(through)
+    return _sorted_payload({x: t_inv[y] for x, y in mapping_of(f).items()})
 
 
 def _compose_sorted(f, g):
     gm = mapping_of(g)
-    return _sorted_pairs({x: gm[y] for x, y in f.data})
+    return _sorted_payload({x: gm[y] for x, y in mapping_of(f).items()})
 
 
 def _mixed_pullback_sorted(m, e):
-    m_inv = {t: s for s, t in m.data}
-    corner = finset_obj(b for b, y in e.data if y in m_inv)
+    m_inv = _inverse(m)
     em = mapping_of(e)
+    corner = finset_obj(b for b, y in em.items() if y in m_inv)
     return (
         corner,
-        HorMor(corner, e.source, tuple((x, x) for x in corner)),
-        VerMor(corner, m.source, _sorted_pairs({b: m_inv[em[b]] for b in corner})),
+        HorMor(corner, e.source, _sorted_payload({x: x for x in corner})),
+        VerMor(corner, m.source, _sorted_payload({b: m_inv[em[b]] for b in corner})),
     )
 
 
 def _between_sorted(mor, p_leg, q_leg, make):
-    mm, qi = mapping_of(mor), {t: s for s, t in q_leg.data}
-    return make(p_leg.source, q_leg.source, _sorted_pairs({x: qi[mm[p]] for x, p in p_leg.data}))
+    mm, qi = mapping_of(mor), _inverse(q_leg)
+    out = {x: qi[mm[p]] for x, p in mapping_of(p_leg).items()}
+    return make(p_leg.source, q_leg.source, _sorted_payload(out))
 
 
 #: each finite-set primitive by name, built by sorting every object and
-#: pair list it returns
+#: payload it returns
 SORTED_FINSET = {
     "ker": lambda e: _complement(e, HorMor),
     "coker": lambda m: _complement(m, VerMor),
@@ -361,4 +365,4 @@ def mor_from_text_per_token(mor_type, source, target, text):
         if src in out:
             raise ValidationError([f"repeated pair source {src!r}"])
         out[src] = tgt
-    return mor_type(source, target, tuple(sorted(out.items())))
+    return mor_type(source, target, _sorted_payload(out))

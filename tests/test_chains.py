@@ -76,7 +76,7 @@ def test_degrees_and_accessors():
     assert cx.obj(99) == INST.initial()
     t = cx.transition(7)
     assert INST.is_initial(t.obj)
-    assert t.into_upper.data == () and t.into_lower.data == ()
+    assert t.into_upper.data == ((), ()) and t.into_lower.data == ((), ())
 
 
 def test_empty_complex_is_valid():
@@ -144,8 +144,8 @@ def test_identity_chain_morphisms_validate():
 def test_levels_outside_range_are_zero():
     cx = two_step_complex()
     f = id_hor_chain(cx)
-    assert f.level(42).data == ()
-    assert f.bar_level(-5).data == ()
+    assert f.level(42).data == ((), ())
+    assert f.bar_level(-5).data == ((), ())
 
 
 def test_generated_morphisms_validate():
@@ -329,13 +329,13 @@ def _set_case(flavour: str, case: str):
     if case == "count":
         return replace(f, bar_levels=())
     if case == "level":
-        return replace(f, levels=(mor(PQ, PQ, (("p", "p"), ("q", "p"))), f.levels[1]))
+        return replace(f, levels=(mor(PQ, PQ, (("p", "q"), ("p", "p"))), f.levels[1]))
     if case == "bar_level":
-        return replace(f, bar_levels=(mor(T, T, (("t", "z"),)),))
+        return replace(f, bar_levels=(mor(T, T, (("t",), ("z",))),))
     if case == "level_endpoints":
-        return replace(f, levels=(mor((), PQ, ()), f.levels[1]))
+        return replace(f, levels=(mor((), PQ, ((), ())), f.levels[1]))
     if case == "bar_endpoints":
-        return replace(f, bar_levels=(mor((), T, ()),))
+        return replace(f, bar_levels=(mor((), T, ((), ())),))
     if case == "distinguished":
         return unlifted(flavour, INST)
     return swapped(flavour, INST, 1 if flavour == "hor" else 2)

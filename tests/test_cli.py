@@ -260,6 +260,16 @@ def test_gen_linear_map_pipe(tmp_path, capsys):
     assert "agree at all degrees" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", SET_GEN_KINDS)
+def test_gen_negative_size_is_usage_error(capsys, kind):
+    assert main(["gen", "--kind", kind, "--seed", "1", "--size", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("acgw gen: error: argument --size: must be at least 0, got -1\n")
+    assert main(["gen", "--kind", kind, "--seed", "1", "--size", "0"]) == 0
+    assert validate_document(parse(capsys.readouterr().out)) == []
+
+
 def test_gen_deterministic(capsys):
     assert main(["gen", "--kind", "map", "--seed", "42"]) == 0
     first = capsys.readouterr().out
@@ -341,6 +351,27 @@ def test_the_widest_allowed_degree_range_is_read():
     wider = text.replace("4999", "5000")
     code, out, _ = run_on_stdin(["validate", "-"], wider)
     assert (code, out) == (1, "line 2: complex 'X' spans degrees -5000..5000, more than 10,000\n")
+
+
+@pytest.mark.parametrize("command", ("validate", "homology", "oracle", "render"))
+def test_a_huge_dimension_is_refused_promptly(command):
+    text = "instance linear\nprime 2\ncomplex X:\n  object 0: dim 100000\n  object 1: dim 2\n"
+    started = time.perf_counter()
+    code, out, err = run_on_stdin([command, "-"], text)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    message = "line 4: object 0: dimension 100000 exceeds 4096\n"
+    assert out + err == (message if command == "validate" else f"error: {message}")
+
+
+def test_the_largest_allowed_dimension_is_read():
+    text = (
+        "instance linear\nprime 2\ncomplex X:\n"
+        "  object 0: dim 4096\n  object 1: dim 1\n  transition 1: dim 0\n"
+    )
+    assert run_on_stdin(["validate", "-"], text) == (0, "ok\n", "")
+    code, out, _ = run_on_stdin(["validate", "-"], text.replace("dim 0", "dim 4097"))
+    assert (code, out) == (1, "line 6: transition 1: dimension 4097 exceeds 4096\n")
 
 
 def test_non_prime_field_order_is_an_error_line():
@@ -773,7 +804,8 @@ def mutated_corpus_text(draw) -> str:
             new_id = draw(st.sampled_from(("a", "b", "c", "p", "q", "z", "F", "S", "X", "Y")))
             lines[k] = _replace_one(draw, lines[k], ID, new_id)
         elif kind == "number":
-            lines[k] = _replace_one(draw, lines[k], NUMBER, str(draw(st.integers(-1, 4))))
+            number = draw(st.one_of(st.integers(-1, 4), st.just(100_000)))
+            lines[k] = _replace_one(draw, lines[k], NUMBER, str(number))
         else:
             lines[k] = _reshape(draw, lines[k])
         if not lines:

@@ -75,7 +75,9 @@ def test_inclusion_hor_is_identity_pairs():
     amb = finset_obj(["a", "b"])
     m = INST.inclusion_hor(sub, amb)
     assert m.source == sub and m.target == amb
-    assert m.data == (("a", "a"),)
+    # sources and images are the object's own tuple: no pairs are built
+    assert m.data == (("a",), ("a",))
+    assert m.data[0] is sub and m.data[1] is sub
     assert mapping_of(m) == {"a": "a"}
     assert apply_to(m, "a") == "a"
 
@@ -128,7 +130,7 @@ def test_identity_and_zero():
     assert INST.is_iso_hor(INST.id_hor(A))
     assert INST.is_iso_ver(INST.id_ver(A))
     z = INST.zero_hor(A)
-    assert z.source == () and z.target == A and z.data == ()
+    assert z.source == () and z.target == A and z.data == ((), ())
     zv = INST.zero_ver(A)
     assert zv.source == () and zv.target == A
 
@@ -370,13 +372,40 @@ def test_validate_obj_accepts_canonical_objects():
 @pytest.mark.parametrize(
     "data,problems",
     [
-        ((("b", "x"), ("a", "y")), ["morphism pairs are not sorted by source id"]),
-        ((("a", "x"), ("a", "x"), ("b", "y")), ["morphism pairs are not sorted by source id"]),
+        ((("b", "a"), ("x", "y")), ["morphism pairs are not sorted by source id"]),
+        ((("a", "a", "b"), ("x", "x", "y")), ["morphism pairs are not sorted by source id"]),
         (
-            (("b", "x"), ("a", "x")),
+            (("b", "a"), ("x", "x")),
             ["morphism pairs are not sorted by source id", "morphism is not injective"],
         ),
-        ((["a", "x"], ("b", "y")), ["morphism pairs are not sorted by source id"]),
+        (
+            (["a", "b"], ("x", "y")),
+            [
+                "morphism data is not sources and images of one length: "
+                "(['a', 'b'], ('x', 'y'))"
+            ],
+        ),
+        (
+            (("a", "b"), ("x",)),
+            ["morphism data is not sources and images of one length: (('a', 'b'), ('x',))"],
+        ),
+        (
+            (("a", "x"), ("b", "y")),
+            [
+                "morphism is not total on its source: defined on ['a', 'x'], "
+                "source is ['a', 'b']",
+                "morphism maps outside its target: ['b']",
+            ],
+        ),
+        (
+            (("a", "b"), ("x", "y"), ()),
+            [
+                "morphism data is not sources and images of one length: "
+                "(('a', 'b'), ('x', 'y'), ())"
+            ],
+        ),
+        ((("a", "b"), ("x", 1)), ["morphism has non-string ids: (('a', 'b'), ('x', 1))"]),
+        ([("a", "b"), ("x", "y")], ["morphism data is not a tuple: [('a', 'b'), ('x', 'y')]"]),
     ],
 )
 def test_validate_hor_reports_unsorted_pairs(data, problems):
@@ -402,15 +431,15 @@ def _into(draw, mor_type, target, within=None):
     if how == "relabelled":
         source = _ids(draw, max_size=len(room))
         images = draw(st.permutations(room))[: len(source)]
-        return mor_type(source, target, tuple(zip(source, images)))
+        return mor_type(source, target, (source, tuple(images)))
     return _literal(mor_type, finset_obj(x for x in room if draw(st.booleans())), target, how)
 
 
 def _literal(mor_type, sub, ambient, how="instance"):
     """The literal inclusion of ``sub`` into ``ambient``, from the
-    instance's constructor or built by hand from identity pairs."""
+    instance's constructor or built by hand from copies of ``sub``."""
     if how == "by hand":
-        return mor_type(sub, ambient, tuple(zip(sub, sub)))
+        return mor_type(sub, ambient, (tuple([*sub]), tuple([*sub])))
     include = INST.inclusion_hor if mor_type is HorMor else INST.inclusion_ver
     return include(sub, ambient)
 
@@ -445,11 +474,11 @@ def test_primitives_stay_canonical(data):
         assert getattr(INST, f"factor_{kind}")(f, through) == h
     # complement presentations that the morphism carries into each other
     cq = _into(draw, VerMor, m.target)
-    onto_cq = {p for p, q in m.data if q in mapping_of(cq).values()}
+    onto_cq = {p for p, q in mapping_of(m).items() if q in mapping_of(cq).values()}
     cp = _into(draw, VerMor, m.source, onto_cq)
     calls.append(("hor_between_cokers", (m, cp, cq)))
     kq = _into(draw, HorMor, e.target)
-    onto_kq = {p for p, q in e.data if q in mapping_of(kq).values()}
+    onto_kq = {p for p, q in mapping_of(e).items() if q in mapping_of(kq).values()}
     kp = _into(draw, HorMor, e.source, onto_kq)
     calls.append(("ver_between_kernels", (e, kp, kq)))
 
@@ -483,7 +512,7 @@ def _message(exc_type, fn, *args):
 def test_factor_through_an_inclusion_names_the_first_pair_outside(mor_type, how):
     factor = INST.factor_hor if mor_type is HorMor else INST.factor_ver
     through = _literal(mor_type, finset_obj("ab"), AMB, how)
-    relabelled = mor_type(finset_obj("pqr"), AMB, (("p", "a"), ("q", "c"), ("r", "d")))
+    relabelled = mor_type(finset_obj("pqr"), AMB, (("p", "q", "r"), ("a", "c", "d")))
     assert _message(FactorizationError, factor, relabelled, through) == (
         "no factorization: q lands at c, outside the image of the given morphism"
     )
@@ -573,7 +602,7 @@ def _use(mor):
 @pytest.mark.parametrize("how", ["instance", "by hand", "relabelled"])
 def test_primitives_leave_a_morphism_the_same_value(how):
     if how == "relabelled":
-        m = HorMor(finset_obj("pq"), AMB, (("p", "b"), ("q", "c")))
+        m = HorMor(finset_obj("pq"), AMB, (("p", "q"), ("b", "c")))
     else:
         m = _literal(HorMor, finset_obj("ab"), AMB, how)
     twin = HorMor(m.source, m.target, m.data)
@@ -609,12 +638,12 @@ def test_primitives_leave_a_morphism_the_same_value(how):
 def test_a_replaced_morphism_computes_from_its_own_pairs():
     m = _literal(HorMor, finset_obj("ab"), AMB)
     _use(m)
-    moved = replace(m, source=("x",), data=(("x", "d"),))
+    moved = replace(m, source=("x",), data=(("x",), ("d",)))
     assert INST.coker(moved) == SORTED_FINSET["coker"](moved)
     assert _message(FactorizationError, INST.factor_hor, moved, m) == (
         "no factorization: x lands at d, outside the image of the given morphism"
     )
-    wider = replace(m, source=finset_obj("abd"), data=(("a", "a"), ("b", "b"), ("d", "d")))
+    wider = replace(m, source=finset_obj("abd"), data=(finset_obj("abd"), finset_obj("abd")))
     assert INST.factor_hor(m, wider) == HorMor(finset_obj("ab"), finset_obj("abd"), m.data)
 
 

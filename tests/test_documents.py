@@ -95,8 +95,8 @@ def test_parse_transition_with_explicit_legs():
     )
     X = parse(text).complex_named("X")
     assert X.transition(1).obj == ("t",)
-    assert X.transition(1).into_upper.data == (("t", "q"),)
-    assert X.transition(1).into_lower.data == (("t", "p"),)
+    assert X.transition(1).into_upper.data == (("t",), ("q",))
+    assert X.transition(1).into_lower.data == (("t",), ("p",))
     assert validate_complex(X) == []
 
 
@@ -109,8 +109,8 @@ def test_parse_identity_legs_by_default():
         "  transition 1: p\n"
     )
     X = parse(text).complex_named("X")
-    assert X.transition(1).into_upper.data == (("p", "p"),)
-    assert X.transition(1).into_lower.data == (("p", "p"),)
+    assert X.transition(1).into_upper.data == (("p",), ("p",))
+    assert X.transition(1).into_lower.data == (("p",), ("p",))
 
 
 def test_parse_linear_document_defaults():

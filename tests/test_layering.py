@@ -6,9 +6,10 @@ only the two instance classes, that no module outside the instance
 modules compares an instance kind, that every matrix product goes
 through the exact mod-p kernel ``linear.matmul_mod``, that each
 instance writes every hor/ver primitive pair as one function, that only
-the finite-set module spells the keys of its per-morphism memo, and that
-the public names of the package and of the finite-set module stay as
-they are.
+the instance modules and the pickling in ``core`` read a morphism's
+payload, that only the finite-set module spells the keys of its
+per-morphism memo, and that the public names of the package and of the
+finite-set module stay as they are.
 """
 
 import ast
@@ -121,9 +122,27 @@ def test_each_mirror_pair_is_one_function(cls, pair):
     assert getattr(cls, second) is getattr(cls, first)
 
 
+def data_reads(tree: ast.Module) -> list[int]:
+    """Line numbers of ``.data`` attribute reads."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "data"
+    ]
+
+
+def test_only_the_instances_and_pickling_read_a_payload():
+    modules = {p.stem for p in SRC.glob("*.py")}
+    readers = {name for name in modules if data_reads(parsed(name))}
+    assert readers == INSTANCE_MODULES | {"core"}
+    # core reads it once, to pickle a morphism by its declared fields
+    assert len(data_reads(parsed("core"))) == 1
+
+
 def test_only_finset_spells_the_memo_keys():
     keys = finset._MEMO_KEYS
-    assert keys and all(key.startswith("_") for key in keys)
+    # the dict, the inverse dict and the image set
+    assert len(keys) == 3 and all(key.startswith("_") for key in keys)
     # the memo sits beside the declared fields, never on one of them
     fields = set(HorMor.__dataclass_fields__) | set(VerMor.__dataclass_fields__)
     assert not set(keys) & fields

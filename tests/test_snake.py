@@ -27,6 +27,7 @@ from acgw import (
     zigzag_exactness,
     zigzag_is_exact,
 )
+from acgw.finset import mapping_of
 
 from conftest import INSTANCES, PRIMES, corpus_doc
 from reference import _relabel_complex, connecting_object_dual, weak_closed_forms
@@ -188,14 +189,18 @@ def test_les_rejects_non_inclusion_levels():
         renamed,
         y,
         tuple(
-            inst.hor(renamed.obj(i), y.obj(i), {names[i][a]: b for a, b in ses.sub.level(i).data})
+            inst.hor(
+                renamed.obj(i),
+                y.obj(i),
+                {names[i][a]: b for a, b in mapping_of(ses.sub.level(i)).items()},
+            )
             for i in x.degrees()
         ),
         tuple(
             inst.hor(
                 renamed.transition(i).obj,
                 y.transition(i).obj,
-                {bar_names[i][a]: b for a, b in ses.sub.bar_level(i).data},
+                {bar_names[i][a]: b for a, b in mapping_of(ses.sub.bar_level(i)).items()},
             )
             for i in x.transition_degrees()
         ),
@@ -232,7 +237,7 @@ WEAK_ORDER = (
 def _all_partial(inp):
     """``inp`` with every morphism replaced by one that is not total."""
     fields = {
-        name: type(value)(("a",), ("a",), ())
+        name: type(value)(("a",), ("a",), ((), ()))
         for name, value in vars(inp).items()
         if name != "inst"
     }
