@@ -20,6 +20,7 @@ instances ship with the library: finite sets with injections on both sides
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import IntEnum
@@ -101,6 +102,31 @@ def _reduce_to_fields(mor):
     return type(mor), (mor.source, mor.target, mor.data)
 
 
+def _memoized(key: str):
+    """Compute a value of a morphism's payload once per morphism object and
+    keep it under ``key`` in the object's ``__dict__``, as
+    ``functools.cached_property`` does on a frozen dataclass: ``==``,
+    ``hash``, ``repr`` and pickling read only the declared fields, so they
+    never see it.  A build that returns None stores nothing and runs again
+    on the next call.  An instance may also store the value itself when it
+    builds the morphism."""
+
+    def wrap(build):
+        @functools.wraps(build)
+        def get(f):
+            memo = f.__dict__
+            value = memo.get(key)
+            if value is None:
+                value = build(f)
+                if value is not None:
+                    memo[key] = value
+            return value
+
+        return get
+
+    return wrap
+
+
 @dataclass(frozen=True)
 class HorMor:
     """A horizontal (inclusion-like) morphism ``source -> target``.
@@ -108,7 +134,11 @@ class HorMor:
     The ``data`` payload is instance-specific but always hashable: for
     finite sets a ``(sources, images)`` pair of equal-length id tuples,
     the sources in increasing order; for the linear instance a
-    full-column-rank matrix as a tuple of rows.
+    full-column-rank matrix as a tuple of rows.  Beside ``data``, in the
+    instance ``__dict__`` and outside ``==``, ``hash``, ``repr`` and
+    pickling, the finite-set instance memoizes the morphism's dict,
+    inverse dict and image set, and the linear instance its matrix as a
+    read-only int64 array.
     """
 
     source: Any
@@ -125,7 +155,8 @@ class VerMor:
     For finite sets the payload is again an injection of ids as
     ``(sources, images)``; for the linear instance it is the matrix of the
     underlying surjection ``target ->> source`` (shape
-    ``source.dim x target.dim``).
+    ``source.dim x target.dim``).  The instances keep the same memos
+    beside ``data`` as for :class:`HorMor`.
     """
 
     source: Any

@@ -20,18 +20,19 @@ canonical order rather than sort again: they filter a sorted object, or
 map the images of a payload in source order.
 
 A primitive builds a morphism's dict, inverse dict and image set at most
-once: they are memoized in the morphism's instance ``__dict__``, as
-``functools.cached_property`` does on a frozen dataclass, so dataclass
-``==``, ``hash`` and ``repr``, which read only the declared fields, never
-see them.  Each primitive maps a payload through these dicts in one pass;
-when a lookup fails, a scan names the first element at fault.  The
-document readers accept a whole line with one regex match; they walk its
-tokens only to name the first bad one.
+once: they are memoized in the morphism's instance ``__dict__`` by
+:func:`acgw.core._memoized`, as ``functools.cached_property`` does on a
+frozen dataclass, so dataclass ``==``, ``hash`` and ``repr``, which read
+only the declared fields, never see them.  The primitives only read
+these values; a caller gets a fresh dict from :func:`mapping_of`.  Each
+primitive maps a payload through these dicts in one pass; when a lookup
+fails, a scan names the first element at fault.  The document readers
+accept a whole line with one regex match; they walk its tokens only to
+name the first bad one.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from itertools import chain, compress, filterfalse, islice, repeat
 from operator import lt
@@ -49,6 +50,7 @@ from .core import (
     SquareClass,
     ValidationError,
     VerMor,
+    _memoized,
 )
 
 __all__ = ["FinSetObj", "finset_obj", "FinSetInstance", "mapping_of", "apply_to"]
@@ -89,26 +91,6 @@ def _payload(mapping: dict[str, str]) -> tuple[FinSetObj, FinSetObj]:
 
 #: the keys under which a morphism's derived values are memoized
 _MEMO_KEYS = _MAP, _INVERSE, _IMAGE = ("_finset_map", "_finset_inverse", "_finset_image")
-
-
-def _memoized(key: str):
-    """Compute a value of a morphism's payload once per morphism object and
-    keep it under ``key`` in the object's ``__dict__``.  The primitives
-    only read these values; a caller gets fresh ones from
-    :func:`mapping_of`."""
-
-    def wrap(build):
-        @functools.wraps(build)
-        def get(f):
-            memo = f.__dict__
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = build(f)
-            return value
-
-        return get
-
-    return wrap
 
 
 @_memoized(_MAP)

@@ -4,8 +4,16 @@ Objects are :class:`VectObj` values recording a dimension and the prime.
 A horizontal morphism ``A -> B`` is backed by a full-column-rank matrix
 ``B x A`` (a mono); a vertical morphism ``A => B`` is backed by a
 full-row-rank matrix ``A x B``, the underlying surjection ``B ->> A``.
-Matrices are stored as tuples of row tuples with entries reduced mod p
-and decoded into numpy int64 arrays, so the prime must lie below 2^63.
+Matrices are stored as tuples of row tuples with entries reduced mod p,
+so the prime must lie below 2^63.  Each morphism also keeps its matrix
+as a read-only numpy int64 array in its instance ``__dict__``, memoized
+by :func:`acgw.core._memoized` as the finite-set dicts are, so ``==``,
+``hash``, ``repr`` and pickling never see it.  The constructors keep the
+reduced array they build the rows from; a morphism built by hand decodes
+its rows once, when numpy reads them as int64 rows.  Only an array of
+the shape its objects give is kept: rows of another shape, empty rows
+built by hand and other entry types are decoded, and checked entry by
+entry, on every call, with the messages they always had.
 Operations that do not mix the flavours read a vertical morphism as its
 transposed matrix, a ``B x A`` injection like a horizontal one's, so
 each of their hor/ver pairs is one function under two names.
@@ -44,6 +52,13 @@ nonzero, with the rows and columns they touch, when those indices are
 at most half of the inner range; a product of incidence matrices then
 costs its support rather than its shape.
 
+:func:`solve` row-reduces nothing when every column j of its matrix has
+a row equal to ``e_j`` mod p, as the bases from :func:`nullspace` and
+:func:`colbasis` do: the matrix then has full column rank, so the one
+candidate solution, those rows of the right-hand side, is checked by one
+product.  Factoring through cycles, kernels and column bases takes that
+path.
+
 Because kernels and complements are produced in fresh coordinates, this
 instance does not expose canonical subobjects
 (``has_canonical_subobjects`` is false), which rules out the
@@ -73,6 +88,7 @@ from .core import (
     SquareClass,
     ValidationError,
     VerMor,
+    _memoized,
 )
 
 __all__ = [
@@ -239,10 +255,32 @@ def mat_rank(a: np.ndarray, p: int) -> int:
     return len(_eliminate(r % p, p, reduced=False)[1])
 
 
+def _unit_rows(r: np.ndarray) -> np.ndarray | None:
+    """For each column j of ``r``, reduced mod p, the first row equal to
+    ``e_j``; None when some column has no such row."""
+    units = (r == 1) & (np.count_nonzero(r, axis=1) == 1)[:, None]
+    if not units.any(axis=0).all():
+        return None
+    # with no rows, only a matrix with no columns gets here
+    return units.argmax(axis=0) if len(units) else np.zeros(0, dtype=np.intp)
+
+
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """Some ``x`` with ``a @ x == b`` mod p (free variables zero), or None."""
+    """Some ``x`` with ``a @ x == b`` mod p (free variables zero), or None.
+
+    When every column j of ``a`` has a row equal to ``e_j`` mod p, as in
+    every basis :func:`nullspace` and :func:`colbasis` return, ``a`` has
+    full column rank: a solution is unique, and must be those rows of
+    ``b``.  One product checks it.  Any other ``a`` is row-reduced with
+    ``b``.
+    """
     m, n = a.shape
     k = b.shape[1]
+    reduced = a % p
+    units = _unit_rows(reduced)
+    if units is not None:
+        x = b[units] % p
+        return x if np.array_equal(matmul_mod(reduced, x, p), b % p) else None
     r, pivots = rref(np.hstack([a, b]), p)
     if any(c >= n for c in pivots):
         return None
@@ -266,6 +304,42 @@ def colbasis(a: np.ndarray, p: int) -> np.ndarray:
     """Canonical basis of the column space (rref rows of the transpose)."""
     r, pivots = rref(a.T, p)
     return r[: len(pivots)].T.copy()
+
+
+#: the key under which a morphism keeps its matrix as an int64 array
+_MEMO_KEYS = (_ARRAY,) = ("_linear_array",)
+
+
+def _layout(f: HorMor | VerMor) -> tuple[int, int] | None:
+    """The shape of the stored matrix of ``f``: ``target x source`` for a
+    horizontal morphism, ``source x target`` for a vertical one; None when
+    an end is not a vector space."""
+    s, t = f.source, f.target
+    if not (isinstance(s, VectObj) and isinstance(t, VectObj)):
+        return None
+    return (t.dim, s.dim) if isinstance(f, HorMor) else (s.dim, t.dim)
+
+
+@_memoized(_ARRAY)
+def _array(f: HorMor | VerMor) -> np.ndarray | None:
+    """The kept array of ``f``, decoded from ``f.data`` once for a morphism
+    built by hand; None when numpy does not read ``data`` as int64 rows of
+    the layout's shape (ragged or empty rows, other entry types)."""
+    try:
+        arr = np.asarray(f.data)
+    except ValueError:  # rows of different lengths
+        return None
+    if arr.dtype != np.int64 or arr.shape != _layout(f):
+        return None
+    arr.setflags(write=False)
+    return arr
+
+
+def _stored(f: HorMor | VerMor, rows: int, cols: int) -> np.ndarray:
+    """The stored matrix of ``f`` as a ``rows x cols`` int64 array: the
+    kept one when it has that shape, else decoded by :func:`mat_of`."""
+    arr = _array(f)
+    return arr if arr is not None and arr.shape == (rows, cols) else mat_of(f.data, rows, cols)
 
 
 def _greedy_extend(base: np.ndarray, pool: np.ndarray, target_rank: int, p: int):
@@ -361,20 +435,30 @@ class LinearInstance(AcgwInstance):
 
     # ----- matrix access --------------------------------------------
     def hor_matrix(self, f: HorMor) -> np.ndarray:
-        """The mono ``source -> target`` as a ``target.dim x source.dim``
-        array."""
-        return mat_of(f.data, f.target.dim, f.source.dim)
+        """The mono ``source -> target`` as a read-only ``target.dim x
+        source.dim`` array."""
+        return _stored(f, f.target.dim, f.source.dim)
 
     def ver_matrix(self, f: VerMor) -> np.ndarray:
-        """The underlying surjection ``target ->> source`` as a
+        """The underlying surjection ``target ->> source`` as a read-only
         ``source.dim x target.dim`` array."""
-        return mat_of(f.data, f.source.dim, f.target.dim)
+        return _stored(f, f.source.dim, f.target.dim)
+
+    def _mor(self, mor_type: type, source, target, arr) -> HorMor | VerMor:
+        """The morphism of class ``mor_type`` storing ``arr`` mod p; it keeps
+        the reduced array, read-only, when its shape is the layout's."""
+        arr = np.mod(np.asarray(arr, dtype=np.int64), self.p)
+        mor = mor_type(source, target, tuple(map(tuple, arr.tolist())))
+        if arr.shape == _layout(mor):
+            arr.setflags(write=False)
+            mor.__dict__[_ARRAY] = arr
+        return mor
 
     def hor(self, source: VectObj, target: VectObj, arr) -> HorMor:
-        return HorMor(source, target, tuple_of(np.asarray(arr), self.p))
+        return self._mor(HorMor, source, target, arr)
 
     def ver(self, source: VectObj, target: VectObj, arr) -> VerMor:
-        return VerMor(source, target, tuple_of(np.asarray(arr), self.p))
+        return self._mor(VerMor, source, target, arr)
 
     def _inj(self, f: HorMor | VerMor) -> np.ndarray:
         """Either flavour as an injection matrix ``target.dim x source.dim``:
@@ -384,7 +468,7 @@ class LinearInstance(AcgwInstance):
     def _of_inj(self, mor_type: type, source: VectObj, target: VectObj, inj) -> HorMor | VerMor:
         """The morphism of class ``mor_type`` whose injection matrix is
         ``inj``, stored in the layout of its class."""
-        return mor_type(source, target, tuple_of(inj if mor_type is HorMor else inj.T, self.p))
+        return self._mor(mor_type, source, target, inj if mor_type is HorMor else inj.T)
 
     # ----- identities and zeros ---------------------------------------
     def id_hor(self, obj: VectObj) -> HorMor:
@@ -408,27 +492,16 @@ class LinearInstance(AcgwInstance):
         problems = self.validate_obj(f.source) + self.validate_obj(f.target)
         if problems:
             return problems, None
-        rows, cols = (
-            (f.target.dim, f.source.dim) if isinstance(f, HorMor) else (f.source.dim, f.target.dim)
-        )
+        rows, cols = _layout(f)
         data = f.data
         if not isinstance(data, tuple) or len(data) != rows:
             return [f"matrix must have {rows} rows, got {data!r}"], None
-        # One numpy pass checks shape, dtype and range; the entries are
-        # walked only to name the first bad one (or for an empty matrix,
-        # whose dtype numpy cannot infer).
+        # The kept array settles shape and dtype, and one numpy pass the
+        # range; the entries are walked only to name the first bad one (or
+        # for an empty matrix, whose dtype numpy cannot infer).
         if all(map(isinstance, data, repeat(tuple))):
-            try:
-                arr = np.asarray(data)
-            except ValueError:  # rows of different lengths
-                arr = None
-            if (
-                arr is not None
-                and arr.dtype == np.int64
-                and arr.shape == (rows, cols)
-                and arr.min() >= 0
-                and arr.max() < self.p
-            ):
+            arr = _array(f)
+            if arr is not None and arr.size and arr.min() >= 0 and arr.max() < self.p:
                 return [], arr
         for row in data:
             if not isinstance(row, tuple) or len(row) != cols:
@@ -621,7 +694,7 @@ class LinearInstance(AcgwInstance):
         """A JSON list of integer rows; an omitted leg or level is zero."""
         if text is None:
             shape = (target.dim, source.dim) if mor_type is HorMor else (source.dim, target.dim)
-            return mor_type(source, target, tuple_of(np.zeros(shape, np.int64), self.p))
+            return self._mor(mor_type, source, target, np.zeros(shape, np.int64))
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -642,11 +715,10 @@ class LinearInstance(AcgwInstance):
                 arr = np.asarray(data, dtype=np.int64)
             except (ValueError, OverflowError) as exc:
                 raise ValidationError([f"bad matrix: {exc}"]) from None
-        return mor_type(source, target, tuple_of(arr, self.p))
+        return self._mor(mor_type, source, target, arr)
 
     def mor_text(self, mor, leg=False):
-        arr = self.hor_matrix(mor) if isinstance(mor, HorMor) else self.ver_matrix(mor)
-        return json.dumps(arr.tolist())
+        return json.dumps(mor.data)
 
     def lift_hor_bar(self, level, src_leg, tgt_leg) -> HorMor | VerMor:
         x = self._induced(level, src_leg, tgt_leg)

@@ -7,7 +7,7 @@ modules compares an instance kind, that every matrix product goes
 through the exact mod-p kernel ``linear.matmul_mod``, that each
 instance writes every hor/ver primitive pair as one function, that only
 the instance modules and the pickling in ``core`` read a morphism's
-payload, that only the finite-set module spells the keys of its
+payload, that each instance module alone spells the keys of its
 per-morphism memo, and that the public names of the package and of the
 finite-set module stay as they are.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import acgw
-from acgw import FinSetInstance, HorMor, LinearInstance, VerMor, finset
+from acgw import FinSetInstance, HorMor, LinearInstance, VerMor, finset, linear
 
 SRC = Path(acgw.__file__).parent
 INSTANCE_MODULES = {"finset", "linear"}
@@ -139,18 +139,25 @@ def test_only_the_instances_and_pickling_read_a_payload():
     assert len(data_reads(parsed("core"))) == 1
 
 
-def test_only_finset_spells_the_memo_keys():
-    keys = finset._MEMO_KEYS
-    # the dict, the inverse dict and the image set
-    assert len(keys) == 3 and all(key.startswith("_") for key in keys)
+#: each instance module's memo keys: the finite-set dict, inverse dict
+#: and image set, and the linear int64 array
+MEMO_KEYS = {"finset": (finset._MEMO_KEYS, 3), "linear": (linear._MEMO_KEYS, 1)}
+
+
+def test_each_instance_alone_spells_its_memo_keys():
+    every = [key for keys, _ in MEMO_KEYS.values() for key in keys]
+    assert len(set(every)) == len(every)
+    for keys, count in MEMO_KEYS.values():
+        assert len(keys) == count and all(key.startswith("_") for key in keys)
     # the memo sits beside the declared fields, never on one of them
     fields = set(HorMor.__dataclass_fields__) | set(VerMor.__dataclass_fields__)
-    assert not set(keys) & fields
+    assert not set(every) & fields
     sources = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     for path in sources:
         text = path.read_text(encoding="utf-8")
-        for key in keys:
-            assert text.count(key) == (1 if path.stem == "finset" else 0), (path.name, key)
+        for owner, (keys, _) in MEMO_KEYS.items():
+            for key in keys:
+                assert text.count(key) == (1 if path.stem == owner else 0), (path.name, key)
 
 
 #: the public names of the package and of the finite-set module

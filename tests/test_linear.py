@@ -1,5 +1,7 @@
 """Exact linear algebra over prime fields and the linear instance."""
 
+import copy
+import pickle
 import time
 
 import numpy as np
@@ -14,8 +16,11 @@ from acgw import (
     LinearInstance,
     SquareClass,
     ValidationError,
+    VerMor,
 )
 from acgw.linear import (
+    _ARRAY,
+    _unit_rows,
     colbasis,
     mat_of,
     mat_rank,
@@ -286,6 +291,49 @@ def test_kernel_agrees_with_reference_up_to_24_by_24(p, data):
         assert x is not None and x.tolist() == want_x.tolist()
 
 
+#: primes at the two ends of the float64 product path and past it
+UNIT_ROW_PRIMES = (2, 65521, 2**31 - 1)
+
+
+@st.composite
+def unit_row_matrix(draw, p):
+    """A matrix with a row equal to ``e_j`` mod p for every column j: the
+    rows of ``I_c``, some of them repeated, over random rows, in a random
+    row order, each entry sometimes raised by p."""
+    c = draw(st.integers(0, 6))
+    units = list(range(c)) + draw(st.lists(st.integers(0, c - 1), max_size=3) if c else st.just([]))
+    extra = draw(threshold_matrix(draw(st.integers(0, 5)), c, p))
+    a = np.vstack([np.eye(c, dtype=np.int64)[units], extra])
+    a = a[draw(st.permutations(range(a.shape[0])))] if a.shape[0] else a
+    lift = draw(st.lists(st.integers(0, 1), min_size=a.size, max_size=a.size))
+    return a + p * np.array(lift, dtype=np.int64).reshape(a.shape)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(UNIT_ROW_PRIMES), st.data())
+def test_solve_against_unit_rows_agrees_with_the_reference(p, data):
+    a = data.draw(unit_row_matrix(p))
+    m, c = a.shape
+    assert _unit_rows(a % p) is not None
+    k = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        # inside the column span
+        x = data.draw(threshold_matrix(c, k, p))
+        b = np.array(matmul_mod_reference(a, x, p), dtype=np.int64).reshape(m, k)
+    else:
+        b = data.draw(threshold_matrix(m, k, p))
+    r, pivots = rref_reference(np.hstack([a, b]), p)
+    x = solve(a, b, p)
+    if any(col >= c for col in pivots):
+        assert x is None
+    else:
+        # every column of ``a`` is a pivot: the solution is unique
+        assert pivots == list(range(c))
+        assert x is not None and x.dtype == np.int64
+        assert x.tolist() == [row[c:] for row in r[:c]]
+        assert matmul_mod_reference(a, x, p) == (b % p).tolist()
+
+
 def test_elimination_runs_out_of_int64_room_at_ten_to_the_nine():
     p = 10**9 + 7
     n = 40
@@ -479,6 +527,81 @@ def test_stored_matrix_entries_are_checked(data, problem):
     L = LinearInstance(p=7)
     two = L.obj(2)
     assert L.validate_hor(HorMor(two, two, data)) == ([problem] if problem else [])
+
+
+def test_a_morphism_keeps_its_array_read_only_beside_its_value():
+    L = LinearInstance(p=7)
+    m = L.hor(L.obj(2), L.obj(3), [[1, 0], [0, 8], [3, -4]])
+    kept = vars(m)[_ARRAY]
+    assert L.hor_matrix(m) is kept and kept.tolist() == [[1, 0], [0, 1], [3, 3]]
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0, 0] = 5
+    _, leg = L.coker(m)
+    assert isinstance(leg, VerMor) and L.ver_matrix(leg) is vars(leg)[_ARRAY]
+    # a morphism built by hand decodes its data once
+    fresh = HorMor(m.source, m.target, m.data)
+    assert _ARRAY not in vars(fresh)
+    assert L.hor_matrix(fresh) is L.hor_matrix(fresh) is vars(fresh)[_ARRAY]
+    assert not vars(fresh)[_ARRAY].flags.writeable
+    for mor in (m, leg):
+        twin = type(mor)(mor.source, mor.target, mor.data)
+        assert mor == twin and twin == mor
+        assert (hash(mor), repr(mor)) == (hash(twin), repr(twin))
+        # only the declared fields are pickled or copied
+        assert pickle.dumps(mor) == pickle.dumps(twin)
+        for copied in (pickle.loads(pickle.dumps(mor)), copy.copy(mor), copy.deepcopy(mor)):
+            assert _ARRAY not in vars(copied)
+            assert copied == mor and L.validate_hor(copied) == []
+            assert L.coker(copied) == L.coker(twin)
+
+
+def test_a_read_matrix_of_another_shape_is_not_kept():
+    L = LinearInstance(p=7)
+    two = L.obj(2)
+    m = L.mor_from_text(HorMor, two, two, "[[1, 0]]")
+    assert _ARRAY not in vars(m)
+    assert L.validate_hor(m) == ["matrix must have 2 rows, got ((1, 0),)"]
+    assert L.mor_text(L.mor_from_text(HorMor, two, two, "[[8, 0], [0, 1]]")) == "[[1, 0], [0, 1]]"
+    assert L.mor_text(L.zero_hor(two)) == "[[], []]" and L.mor_text(L.zero_ver(two)) == "[]"
+
+
+def _matrix_outcome(matrix, f):
+    try:
+        return matrix(f).tolist()
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "mor_type,data,matrix,problem",
+    [
+        (HorMor, ((1,),), "matrix must be 2x1, got ((1,),)", "matrix must have 2 rows, got ((1,),)"),
+        (
+            HorMor,
+            ((1, 0), (0, 1)),
+            "matrix must be 2x1, got ((1, 0), (0, 1))",
+            "matrix rows must have 1 entries, got (1, 0)",
+        ),
+        (
+            HorMor,
+            ((1,), (0, 1)),
+            "matrix must be 2x1, got ((1,), (0, 1))",
+            "matrix rows must have 1 entries, got (0, 1)",
+        ),
+        (HorMor, ((1, 0),), [[1], [0]], "matrix must have 2 rows, got ((1, 0),)"),
+        (VerMor, ((1,), (0,)), [[1, 0]], "matrix must have 1 rows, got ((1,), (0,))"),
+        (HorMor, ((1.0,), (0,)), [[1], [0]], "matrix entry out of F7: 1.0"),
+        (VerMor, ((), ()), "matrix must be 1x2, got ((), ())", "matrix must have 1 rows, got ((), ())"),
+    ],
+)
+def test_a_hand_built_matrix_of_another_shape_reads_as_before(mor_type, data, matrix, problem):
+    L = LinearInstance(p=7)
+    f = mor_type(L.obj(1), L.obj(2), data)
+    read = L.hor_matrix if mor_type is HorMor else L.ver_matrix
+    for _ in range(2):
+        assert _matrix_outcome(read, f) == matrix
+        assert L.validate_hor(f) == [problem]
+    assert _ARRAY not in vars(f)
 
 
 # ---------------------------------------------------------------------------
