@@ -26,6 +26,13 @@ commuting square, checked by ``hor_square_commutes`` or
 pull the target's transitions back along horizontal levels through one
 helper; :func:`coker_hor` pulls back along vertical levels and has its
 own loop.
+
+A document's short exact sequence is validated, tested for exactness and
+spliced into a long exact sequence from one horizontal chain morphism,
+so :func:`coker_hor` keeps the quotient it builds in that morphism's
+``__dict__`` (by :func:`acgw.core._memoized`), as the finite-set
+instance keeps a morphism's dicts.  A chain morphism pickles and copies
+by its four declared fields, so the quotient never leaves the process.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .core import (
     HorMor,
     SquareClass,
     VerMor,
+    _memoized,
 )
 
 __all__ = [
@@ -178,6 +186,11 @@ class _ChainMor:
         if self.source.lo + 1 <= i <= self.source.hi:
             return self.bar_levels[i - self.source.lo - 1]
         return self._zero(self.target.transition(i).obj)
+
+    def __reduce__(self):
+        # pickle and copy by the declared fields, without the quotient
+        # that coker_hor keeps beside them
+        return type(self), (self.source, self.target, self.levels, self.bar_levels)
 
 
 class HorChainMor(_ChainMor):
@@ -371,12 +384,19 @@ def chain_map_of_ver(g: VerChainMor) -> ChainMap:
 # ---------------------------------------------------------------------------
 
 
+#: the key under which a horizontal chain morphism keeps its quotient
+_COKER = "_chain_coker"
+
+
+@_memoized(_COKER)
 def coker_hor(f: HorChainMor) -> VerChainMor:
     """Levelwise complement of a horizontal chain morphism.
 
     Produces the quotient-side complex ``Z`` with ``Z_i`` the complement
     of ``f_i`` and transition objects obtained by pulling the target's
-    lower legs back along the complement presentations.
+    lower legs back along the complement presentations.  The quotient is
+    built once per chain morphism object and kept in its ``__dict__``,
+    outside ``==``, ``hash``, ``repr``, pickling and copying.
     """
     inst = f.source.inst
     y = f.target

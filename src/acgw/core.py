@@ -103,13 +103,15 @@ def _reduce_to_fields(mor):
 
 
 def _memoized(key: str):
-    """Compute a value of a morphism's payload once per morphism object and
-    keep it under ``key`` in the object's ``__dict__``, as
+    """Compute a value of a morphism once per morphism object and keep it
+    under ``key`` in the object's ``__dict__``, as
     ``functools.cached_property`` does on a frozen dataclass: ``==``,
     ``hash``, ``repr`` and pickling read only the declared fields, so they
-    never see it.  A build that returns None stores nothing and runs again
-    on the next call.  An instance may also store the value itself when it
-    builds the morphism."""
+    never see it.  The instances keep values of a morphism's payload this
+    way, and :func:`acgw.chains.coker_hor` the quotient of a horizontal
+    chain morphism.  A build that returns None stores nothing and runs
+    again on the next call.  An instance may also store the value itself
+    when it builds the morphism."""
 
     def wrap(build):
         @functools.wraps(build)

@@ -28,16 +28,22 @@ assert the two agree:
 * :func:`obj_from_text_per_token` and :func:`mor_from_text_per_token`
   read a finite-set object or pair line by checking every token on its
   own, where :class:`acgw.FinSetInstance` accepts a whole line with one
-  match.
+  match;
+* :func:`validate_hor_reference` checks a finite-set payload through a
+  dict of its pairs and four sets, where
+  :meth:`acgw.FinSetInstance.validate_hor` first compares its sources
+  with the source tuple.
 """
 
 import re
+from itertools import chain, repeat
 
 import numpy as np
 
 from acgw import (
     ChainComplex,
     FactorizationError,
+    FinSetInstance,
     HorChainMor,
     HorMor,
     Transition,
@@ -53,7 +59,7 @@ from acgw import (
     ses_from_injection,
     ses_from_projection,
 )
-from acgw.finset import mapping_of
+from acgw.finset import _increasing, mapping_of
 from acgw.linear import mat_rank, matmul_mod, nullspace, solve
 
 
@@ -292,6 +298,41 @@ SORTED_FINSET = {
     "hor_between_cokers": lambda m, cp, cq: _between_sorted(m, cp, cq, HorMor),
     "ver_between_kernels": lambda e, kp, kq: _between_sorted(e, kp, kq, VerMor),
 }
+
+
+def validate_hor_reference(f):
+    """:meth:`acgw.FinSetInstance.validate_hor` through a dict of the
+    pairs and a set for each of its checks."""
+    self = FinSetInstance()
+    problems = self.validate_obj(f.source) + self.validate_obj(f.target)
+    if problems:
+        return problems
+    if not isinstance(f.data, tuple):
+        return [f"morphism data is not a tuple: {f.data!r}"]
+    if not (
+        len(f.data) == 2
+        and all(map(isinstance, f.data, repeat(tuple)))
+        and len(f.data[0]) == len(f.data[1])
+    ):
+        return [f"morphism data is not sources and images of one length: {f.data!r}"]
+    sources, images = f.data
+    if not all(map(isinstance, chain(sources, images), repeat(str))):
+        return [f"morphism has non-string ids: {f.data!r}"]
+    if not _increasing(sources):
+        problems.append("morphism pairs are not sorted by source id")
+    mapping = dict(zip(sources, images))
+    if set(mapping) != set(f.source):
+        problems.append(
+            f"morphism is not total on its source: defined on "
+            f"{sorted(mapping)}, source is {list(f.source)}"
+        )
+    values = list(mapping.values())
+    if len(set(values)) != len(values):
+        problems.append("morphism is not injective")
+    stray = set(values) - set(f.target)
+    if stray:
+        problems.append(f"morphism maps outside its target: {sorted(stray)}")
+    return problems
 
 
 # ---------------------------------------------------------------------------

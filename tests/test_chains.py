@@ -1,5 +1,7 @@
 """Chain complexes, chain morphisms, and short exact sequences."""
 
+import copy
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -229,6 +231,28 @@ def test_ses_from_injection_levels_are_complements():
         assert validate_chain_ses(ses) == []
         for i in f.target.degrees():
             assert INST.is_complement_pair(ses.sub.level(i), ses.quot.level(i))
+
+
+def test_coker_hor_keeps_its_quotient_out_of_pickles_and_copies():
+    f = gen_hor_mor(GenConfig(seed=3))
+    fresh = HorChainMor(f.source, f.target, f.levels, f.bar_levels)
+    quot = coker_hor(f)
+    # the quotient is built once per chain morphism object
+    assert coker_hor(f) is quot
+    assert f == fresh and (repr(f), hash(f)) == (repr(fresh), hash(fresh))
+    # only the declared fields are pickled: a used chain morphism gives
+    # the bytes of a fresh one
+    assert pickle.dumps(f) == pickle.dumps(fresh)
+    for copied in (
+        pickle.loads(pickle.dumps(f)),
+        copy.copy(f),
+        copy.deepcopy(f),
+        replace(f),
+    ):
+        assert type(copied) is HorChainMor and copied == fresh
+        assert vars(copied).keys() == vars(fresh).keys()
+        again = coker_hor(copied)
+        assert again is not quot and again == quot
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import copy
 import pickle
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,12 @@ from acgw import (
 )
 from acgw.finset import apply_to, mapping_of
 
-from reference import SORTED_FINSET, mor_from_text_per_token, obj_from_text_per_token
+from reference import (
+    SORTED_FINSET,
+    mor_from_text_per_token,
+    obj_from_text_per_token,
+    validate_hor_reference,
+)
 
 INST = FinSetInstance()
 
@@ -444,6 +450,54 @@ def _literal(mor_type, sub, ambient, how="instance"):
     return include(sub, ambient)
 
 
+#: ids outside every object drawn from NUMERIC_IDS, and values that are
+#: not ids at all
+STRAY_IDS = ["x", "y"]
+NON_STRINGS = [1, None, b"a"]
+
+
+@st.composite
+def payloads(draw):
+    """A morphism between canonical objects whose payload may break each
+    check of ``validate_hor``: sources that are the source, a copy of it,
+    permuted, repeated, or missing and adding ids; images that are the
+    sources themselves, a relabelling into the target, or drawn with
+    repeats, stray ids and non-strings."""
+    source, target = _ids(draw), _ids(draw)
+    how = draw(st.sampled_from(("source", "copy", "permuted", "repeated", "drawn")))
+    if how == "source":
+        sources = source
+    elif how == "copy":
+        sources = tuple([*source])
+    elif how == "permuted":
+        sources = tuple(draw(st.permutations(source)))
+    elif how == "repeated" and source:
+        again = draw(st.lists(st.sampled_from(source), min_size=1))
+        sources = tuple(sorted([*source, *again]))
+    else:
+        ids = draw(st.lists(st.sampled_from(NUMERIC_IDS + STRAY_IDS), max_size=8))
+        sources = tuple(sorted(set(ids))) if draw(st.booleans()) else tuple(ids)
+    images_how = draw(st.sampled_from(("sources", "relabelled", "drawn")))
+    if images_how == "sources":
+        images = sources
+    elif images_how == "relabelled" and len(target) >= len(sources):
+        images = tuple(draw(st.permutations(target))[: len(sources)])
+    else:
+        pool = list(target) + STRAY_IDS + NON_STRINGS
+        drawn = st.lists(st.sampled_from(pool), min_size=len(sources), max_size=len(sources))
+        images = tuple(draw(drawn))
+    mor_type = draw(st.sampled_from((HorMor, VerMor)))
+    return mor_type(source, target, (sources, images))
+
+
+@settings(deadline=None, max_examples=400)
+@given(payloads())
+def test_validate_hor_agrees_with_the_dict_and_sets_reference(f):
+    expected = validate_hor_reference(f)
+    assert INST.validate_hor(f) == expected
+    assert INST.validate_ver(f) == expected
+
+
 def _assert_canonical(parts):
     for part in parts:
         if isinstance(part, HorMor):
@@ -664,6 +718,18 @@ def _outcome(fn, *args):
         return exc.problems
 
 
+#: whitespace runs between the tokens of a line
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\xa0", " \t", "\u3000"])
+
+
+def _joined(tokens):
+    """``tokens`` on one line, each gap and either end a separator of its
+    own."""
+    return st.lists(SEPARATORS, min_size=len(tokens) + 1, max_size=len(tokens) + 1).map(
+        lambda seps: "".join(chain.from_iterable(zip(seps, tokens))) + seps[-1]
+    )
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     st.one_of(
@@ -672,6 +738,10 @@ def _outcome(fn, *args):
             st.one_of(st.sampled_from(PAIR_TOKENS), st.text(alphabet=LINE_CHARS, max_size=5)),
             max_size=6,
         ).flatmap(lambda ts: st.sampled_from([" ", "  ", "\t", "\xa0"]).map(lambda sp: sp.join(ts))),
+        # a canonical object line: sorted, unique ids in mixed whitespace
+        st.lists(st.sampled_from(NUMERIC_IDS + ["a", "b-c", "_"]), unique=True, max_size=8)
+        .map(sorted)
+        .flatmap(_joined),
     )
 )
 def test_line_readers_agree_with_the_per_token_loop(text):

@@ -8,7 +8,8 @@ through the exact mod-p kernel ``linear.matmul_mod``, that each
 instance writes every hor/ver primitive pair as one function, that only
 the instance modules and the pickling in ``core`` read a morphism's
 payload, that each instance module alone spells the keys of its
-per-morphism memo, and that the public names of the package and of the
+per-morphism memo, and ``chains`` alone the key of a chain morphism's
+quotient, and that the public names of the package and of the
 finite-set module stay as they are.
 """
 
@@ -19,7 +20,16 @@ from pathlib import Path
 import pytest
 
 import acgw
-from acgw import FinSetInstance, HorMor, LinearInstance, VerMor, finset, linear
+from acgw import (
+    FinSetInstance,
+    HorChainMor,
+    HorMor,
+    LinearInstance,
+    VerMor,
+    chains,
+    finset,
+    linear,
+)
 
 SRC = Path(acgw.__file__).parent
 INSTANCE_MODULES = {"finset", "linear"}
@@ -139,9 +149,13 @@ def test_only_the_instances_and_pickling_read_a_payload():
     assert len(data_reads(parsed("core"))) == 1
 
 
-#: each instance module's memo keys: the finite-set dict, inverse dict
-#: and image set, and the linear int64 array
-MEMO_KEYS = {"finset": (finset._MEMO_KEYS, 3), "linear": (linear._MEMO_KEYS, 1)}
+#: each module's memo keys: the finite-set dict, inverse dict and image
+#: set, the linear int64 array, and a horizontal chain morphism's quotient
+MEMO_KEYS = {
+    "finset": (finset._MEMO_KEYS, 3),
+    "linear": (linear._MEMO_KEYS, 1),
+    "chains": ((chains._COKER,), 1),
+}
 
 
 def test_each_instance_alone_spells_its_memo_keys():
@@ -150,7 +164,11 @@ def test_each_instance_alone_spells_its_memo_keys():
     for keys, count in MEMO_KEYS.values():
         assert len(keys) == count and all(key.startswith("_") for key in keys)
     # the memo sits beside the declared fields, never on one of them
-    fields = set(HorMor.__dataclass_fields__) | set(VerMor.__dataclass_fields__)
+    fields = (
+        set(HorMor.__dataclass_fields__)
+        | set(VerMor.__dataclass_fields__)
+        | set(HorChainMor.__dataclass_fields__)
+    )
     assert not set(every) & fields
     sources = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     for path in sources:

@@ -28,6 +28,7 @@ from acgw import (
     homology,
     les_of_ses,
     parse,
+    qiso_iff_complement_exact,
     snake_weak,
     validate_document,
 )
@@ -140,6 +141,21 @@ def test_les_of_ses_primitive_counts(monkeypatch):
         ver_between_kernels=12,
         mixed_pullback=7,
     )
+
+
+def test_one_quotient_per_chain_morphism(monkeypatch):
+    counting = CountingInstance(FinSetInstance())
+    monkeypatch.setattr(FinSetInstance, "from_header", classmethod(lambda cls, prime: counting))
+    doc = parse(corpus_text("three_term_ses"))
+    counting.calls.clear()
+    assert validate_document(doc) == []
+    assert qiso_iff_complement_exact(doc.hor_named("f")) == (False, False)
+    les_of_ses(doc.ses_named("S"))
+    # validate_document builds the quotient of f with one mixed pullback
+    # (Y has one transition); the exactness test and les_of_ses reuse it,
+    # and les_of_ses adds its own 6.  Building the quotient in each of the
+    # three calls took 9.
+    assert counting.calls["mixed_pullback"] == 7
 
 
 @pytest.mark.parametrize(
