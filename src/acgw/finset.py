@@ -25,12 +25,20 @@ once: they are memoized in the morphism's instance ``__dict__`` by
 frozen dataclass, so dataclass ``==``, ``hash`` and ``repr``, which read
 only the declared fields, never see them.  The primitives only read
 these values; a caller gets a fresh dict from :func:`mapping_of`.  Each
-primitive maps a payload through these dicts in one pass; when a lookup
-fails, a scan names the first element at fault.  The document readers
-accept a whole line with one regex match; they walk its tokens only to
-name the first bad one.  An object line whose ids are already strictly
-increasing, as every written document's are, is taken as it stands,
-without a sort.
+primitive maps ids forward or back along a morphism in one pass
+(``_forward``, ``_backward``).  A literal inclusion, whose two tuples
+are one object, maps ids to themselves and builds no dict: mapping
+forward returns the ids as they are, and mapping back checks them
+against its image set.  When a lookup fails, a scan names the first
+element at fault.
+
+The document readers accept a whole line with one regex match; they
+walk its tokens only to name the first bad one.  A line whose ids, or
+pair sources, are already strictly increasing, as every written
+document's are, is taken as it stands, without a dict or a sort.  A
+pair line's sources equal to its source object are that object's
+tuple, and images equal to its sources are the sources tuple, so a
+line that spells out an inclusion reads as one.
 
 :meth:`FinSetInstance.validate_hor` checks a payload once its source is
 known to be valid: sources equal to that source tuple are sorted, total
@@ -114,6 +122,28 @@ def _inverse(f: HorMor | VerMor) -> dict[str, str]:
 @_memoized(_IMAGE)
 def _image(f: HorMor | VerMor) -> frozenset[str]:
     return frozenset(f.data[1])
+
+
+def _forward(g: HorMor | VerMor, xs: FinSetObj) -> FinSetObj:
+    """The images under ``g`` of ids ``xs`` of its source; a literal
+    inclusion maps them to themselves."""
+    sources, images = g.data
+    if sources is images:
+        return xs
+    return tuple(map(_mapping(g).__getitem__, xs))
+
+
+def _backward(g: HorMor | VerMor, ys: FinSetObj) -> FinSetObj | None:
+    """The ids of ``g``'s source that ``g`` maps to ``ys``, or None when
+    one of ``ys`` is not an image."""
+    sources, images = g.data
+    if sources is images:
+        return ys if _image(g).issuperset(ys) else None
+    inverse = _inverse(g)
+    try:
+        return tuple(map(inverse.__getitem__, ys))
+    except KeyError:
+        return None
 
 
 def _inclusion(mor_type: type, sub: FinSetObj, ambient: FinSetObj) -> HorMor | VerMor:
@@ -239,7 +269,7 @@ class FinSetInstance(AcgwInstance):
                 f"{self.obj_label(g.source)}"
             )
         sources, images = f.data
-        return type(f)(f.source, g.target, (sources, tuple(map(_mapping(g).__getitem__, images))))
+        return type(f)(f.source, g.target, (sources, _forward(g, images)))
 
     compose_ver = compose_hor
 
@@ -261,8 +291,10 @@ class FinSetInstance(AcgwInstance):
     def is_complement_pair(self, m: HorMor, e: VerMor) -> bool:
         if m.target != e.target:
             return False
-        im_m, im_e = _image(m), _image(e)
-        return not (im_m & im_e) and (im_m | im_e) == set(m.target)
+        # two injections into one target cover it exactly when their
+        # images are disjoint and their sizes add up to its size
+        covers = len(m.source) + len(e.source) == len(m.target)
+        return covers and _image(m).isdisjoint(e.data[1])
 
     def mixed_pullback(self, m: HorMor, e: VerMor) -> PullbackSquare:
         if m.target != e.target:
@@ -271,11 +303,10 @@ class FinSetInstance(AcgwInstance):
                 f"{self.obj_label(m.target)} vs {self.obj_label(e.target)}"
             )
         # keep the elements of ``e`` that land in the image of ``m``
-        m_inv = _inverse(m)
         sources, images = e.data
-        over = list(map(m_inv.__contains__, images))
+        over = list(map(_image(m).__contains__, images))
         corner = tuple(compress(sources, over))
-        pulled = tuple(map(m_inv.__getitem__, compress(images, over)))
+        pulled = _backward(m, corner if images is sources else tuple(compress(images, over)))
         hor_leg = self.inclusion_hor(corner, e.source)
         return PullbackSquare(corner, hor_leg, VerMor(corner, m.source, (corner, pulled)), m, e)
 
@@ -289,14 +320,13 @@ class FinSetInstance(AcgwInstance):
             or right.target != bottom.target
         ):
             return SquareClass.NOT_SQUARE
-        tm, lm, rm, bm = map(_mapping, (top, left, right, bottom))
-        if any(rm[tm[x]] != bm[lm[x]] for x in top.source):
+        if _forward(right, top.data[1]) != _forward(bottom, left.data[1]):
             return SquareClass.NOT_SQUARE
         # Cartesian: the top picks out exactly the part of the right source
-        # sitting over the bottom image.
-        bottom_image = _image(bottom)
-        over = {b for b in right.source if rm[b] in bottom_image}
-        if _image(top) == over:
+        # sitting over the bottom image.  A commuting square's top already
+        # lands in that part, so it is Cartesian when the sizes agree.
+        over = sum(map(_image(bottom).__contains__, right.data[1]))
+        if over == len(top.source):
             return SquareClass.CARTESIAN
         return SquareClass.COMMUTING
 
@@ -315,8 +345,7 @@ class FinSetInstance(AcgwInstance):
             or right.target != bottom.target
         ):
             return False
-        tm, lm, rm, bm = map(_mapping, (top, left, right, bottom))
-        return all(rm[tm[x]] == bm[lm[x]] for x in top.source)
+        return _forward(right, top.data[1]) == _forward(bottom, left.data[1])
 
     ver_square_commutes = hor_square_commutes
 
@@ -328,16 +357,15 @@ class FinSetInstance(AcgwInstance):
                 "factorization targets differ: "
                 f"{self.obj_label(f.target)} vs {self.obj_label(through.target)}"
             )
-        t_inv = _inverse(through)
         sources, images = f.data
-        try:
-            out = tuple(map(t_inv.__getitem__, images))
-        except KeyError:
-            x, y = next((x, y) for x, y in zip(sources, images) if y not in t_inv)
+        out = _backward(through, images)
+        if out is None:
+            image = _image(through)
+            x, y = next((x, y) for x, y in zip(sources, images) if y not in image)
             raise FactorizationError(
                 f"no factorization: {x} lands at {y}, outside "
                 f"the image of the given morphism"
-            ) from None
+            )
         return type(f)(f.source, through.source, (sources, out))
 
     factor_ver = factor_hor
@@ -350,16 +378,16 @@ class FinSetInstance(AcgwInstance):
             raise FactorizationError(
                 f"complement presentations do not match {'m' if hor else 'e'}"
             )
-        fm, qi = _mapping(f), _inverse(q_leg)
         sources, images = p_leg.data
-        try:
-            out = tuple(map(qi.__getitem__, map(fm.__getitem__, images)))
-        except KeyError:
-            x, q = next((x, fm[p]) for x, p in zip(sources, images) if fm[p] not in qi)
+        reached = _forward(f, images)
+        out = _backward(q_leg, reached)
+        if out is None:
+            image = _image(q_leg)
+            x, q = next((x, q) for x, q in zip(sources, reached) if q not in image)
             raise FactorizationError(
                 f"morphism does not {'descend' if hor else 'restrict'} to "
                 f"complements: image of {x} is {q}, not in the target complement"
-            ) from None
+            )
         return type(f)(p_leg.source, q_leg.source, (sources, out))
 
     ver_between_kernels = hor_between_cokers
@@ -400,15 +428,24 @@ class FinSetInstance(AcgwInstance):
             if leg:
                 return _inclusion(mor_type, source, target)
             return mor_type(source, target, ((), ()))
-        chunks = text.split()
         if _PAIRS_LINE_RE.fullmatch(text):
-            # every token holds one ``->``
-            out = dict(map(str.split, chunks, repeat("->")))
-            if len(out) == len(chunks):
+            # every token holds one ``->``: its ids alternate source, image
+            ids = text.replace("->", " ").split()
+            sources, images = tuple(ids[::2]), tuple(ids[1::2])
+            if _increasing(sources):
+                # a line written in canonical order needs no dict or sort;
+                # an inclusion shares its source's tuple
+                if sources == source:
+                    sources = source
+                if images == sources:
+                    images = sources
+                return mor_type(source, target, (sources, images))
+            out = dict(zip(sources, images))
+            if len(out) == len(sources):
                 return mor_type(source, target, _payload(out))
         # name the first bad token or repeated source
         out = {}
-        for chunk in chunks:
+        for chunk in text.split():
             src, sep, tgt = chunk.partition("->")
             if not sep or not _ID_RE.match(src) or not _ID_RE.match(tgt):
                 raise ValidationError([f"bad pair {chunk!r} (want src->tgt)"])

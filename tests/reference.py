@@ -32,7 +32,12 @@ assert the two agree:
 * :func:`validate_hor_reference` checks a finite-set payload through a
   dict of its pairs and four sets, where
   :meth:`acgw.FinSetInstance.validate_hor` first compares its sources
-  with the source tuple.
+  with the source tuple;
+* :func:`classify_mixed_reference`, :func:`hor_square_commutes_reference`
+  and :func:`is_complement_pair_reference` look every id up in the dicts
+  of a square's or a pair's morphisms and compare image sets, where
+  :class:`acgw.FinSetInstance` compares mapped tuples, reads a literal
+  inclusion as the identity and counts instead of building sets.
 """
 
 import re
@@ -46,6 +51,7 @@ from acgw import (
     FinSetInstance,
     HorChainMor,
     HorMor,
+    SquareClass,
     Transition,
     ValidationError,
     VerChainMor,
@@ -333,6 +339,55 @@ def validate_hor_reference(f):
     if stray:
         problems.append(f"morphism maps outside its target: {sorted(stray)}")
     return problems
+
+
+def _image(mor):
+    return frozenset(mor.data[1])
+
+
+def classify_mixed_reference(top, left, right, bottom):
+    """:meth:`acgw.FinSetInstance.classify_mixed` by a dict lookup per id
+    and a set of the right source sitting over the bottom image."""
+    if (
+        top.source != left.source
+        or top.target != right.source
+        or left.target != bottom.source
+        or right.target != bottom.target
+    ):
+        return SquareClass.NOT_SQUARE
+    tm, lm, rm, bm = map(mapping_of, (top, left, right, bottom))
+    if any(rm[tm[x]] != bm[lm[x]] for x in top.source):
+        return SquareClass.NOT_SQUARE
+    # Cartesian: the top picks out exactly the part of the right source
+    # sitting over the bottom image.
+    bottom_image = _image(bottom)
+    over = {b for b in right.source if rm[b] in bottom_image}
+    if _image(top) == over:
+        return SquareClass.CARTESIAN
+    return SquareClass.COMMUTING
+
+
+def hor_square_commutes_reference(top, left, right, bottom):
+    """:meth:`acgw.FinSetInstance.hor_square_commutes` by a dict lookup
+    per id."""
+    if (
+        top.source != left.source
+        or top.target != right.source
+        or left.target != bottom.source
+        or right.target != bottom.target
+    ):
+        return False
+    tm, lm, rm, bm = map(mapping_of, (top, left, right, bottom))
+    return all(rm[tm[x]] == bm[lm[x]] for x in top.source)
+
+
+def is_complement_pair_reference(m, e):
+    """:meth:`acgw.FinSetInstance.is_complement_pair` by the intersection
+    and the union of the two image sets."""
+    if m.target != e.target:
+        return False
+    im_m, im_e = _image(m), _image(e)
+    return not (im_m & im_e) and (im_m | im_e) == set(m.target)
 
 
 # ---------------------------------------------------------------------------

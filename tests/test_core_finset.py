@@ -24,14 +24,21 @@ from acgw import (
     flat_of_hor,
     flat_of_ver,
     id_flat,
+    parse,
+    serialize,
     span_equiv,
     validate_flat,
     zero_flat,
 )
 from acgw.finset import apply_to, mapping_of
 
+from conftest import corpus_text
+
 from reference import (
     SORTED_FINSET,
+    classify_mixed_reference,
+    hor_square_commutes_reference,
+    is_complement_pair_reference,
     mor_from_text_per_token,
     obj_from_text_per_token,
     validate_hor_reference,
@@ -423,22 +430,25 @@ def test_validate_hor_reports_unsorted_pairs(data, problems):
 NUMERIC_IDS = [str(n) for n in range(12)]
 
 
-def _ids(draw, max_size=8):
-    ids = st.lists(st.sampled_from(NUMERIC_IDS), unique=True, max_size=max_size)
+def _ids(draw, max_size=8, min_size=0):
+    ids = st.lists(
+        st.sampled_from(NUMERIC_IDS), unique=True, min_size=min_size, max_size=max_size
+    )
     return finset_obj(draw(ids))
 
 
-def _into(draw, mor_type, target, within=None):
-    """A random injection into ``target`` whose image lies in ``within``:
-    a relabelled one, or a literal inclusion built by the instance or by
-    hand."""
+def _into(draw, mor_type, target, within=None, onto=False):
+    """A random injection into ``target`` whose image lies in ``within``
+    (is all of it, if ``onto``): a relabelled one, or a literal inclusion
+    built by the instance or by hand."""
     room = target if within is None else finset_obj(within)
     how = draw(st.sampled_from(("relabelled", "instance", "by hand")))
     if how == "relabelled":
-        source = _ids(draw, max_size=len(room))
+        source = _ids(draw, max_size=len(room), min_size=len(room) if onto else 0)
         images = draw(st.permutations(room))[: len(source)]
         return mor_type(source, target, (source, tuple(images)))
-    return _literal(mor_type, finset_obj(x for x in room if draw(st.booleans())), target, how)
+    sub = room if onto else finset_obj(x for x in room if draw(st.booleans()))
+    return _literal(mor_type, sub, target, how)
 
 
 def _literal(mor_type, sub, ambient, how="instance"):
@@ -544,6 +554,101 @@ def test_primitives_stay_canonical(data):
                 got = (got.corner, got.to_epi_source, got.to_mono_source)
             _assert_canonical(got if isinstance(got, tuple) else (got,))
             assert got == SORTED_FINSET[name](*args), name
+
+
+def _forced(draw, mor_type, source, target, mapping):
+    """The morphism ``source -> target`` of ``mapping``: a literal
+    inclusion, built by the instance or by hand, when ``mapping`` is the
+    identity, and relabelled otherwise."""
+    if all(x == y for x, y in mapping.items()):
+        return _literal(mor_type, source, target, draw(st.sampled_from(("instance", "by hand"))))
+    return mor_type(source, target, (source, tuple(map(mapping.__getitem__, source))))
+
+
+@st.composite
+def squares(draw, hor, ver):
+    """Valid morphisms ``top: A -> B``, ``left: A => C``, ``right: B => D``
+    and ``bottom: C -> D`` (``top``, ``bottom`` of flavour ``hor`` and
+    ``left``, ``right`` of flavour ``ver``), and how the square was built:
+    ``"cartesian"`` (``top`` onto the part of ``B`` over the bottom image,
+    ``left`` forced), ``"commuting"`` (``top`` onto that part less one id,
+    ``left`` forced), ``"broken"`` (``top`` into that part, a forced
+    ``left`` changed at one id) or ``"drawn"`` (``top`` and ``left`` drawn
+    on their own).  A square that cannot be built as asked (no id to
+    leave out, none to change) is named for what it is."""
+    d = _ids(draw)
+    right, bottom = _into(draw, ver, d), _into(draw, hor, d)
+    rm = mapping_of(right)
+    under = {y: x for x, y in mapping_of(bottom).items()}
+    over = [b for b in right.source if rm[b] in under]
+    how = draw(st.sampled_from(("cartesian", "commuting", "broken", "drawn")))
+    if how == "drawn":
+        top, left = _into(draw, hor, right.source), _into(draw, ver, bottom.source)
+        return how, (top, left, right, bottom)
+    if how == "commuting":
+        if over:
+            del over[draw(st.integers(0, len(over) - 1))]
+        else:
+            how = "cartesian"
+    top = _into(draw, hor, right.source, within=over, onto=how != "broken")
+    lm = {x: under[rm[t]] for x, t in mapping_of(top).items()}
+    a, c = top.source, bottom.source
+    if how == "broken":
+        if len(a) >= 2:
+            lm[a[0]], lm[a[1]] = lm[a[1]], lm[a[0]]
+        elif a and len(c) >= 2:
+            lm[a[0]] = next(y for y in c if y != lm[a[0]])
+        else:
+            how = "cartesian" if len(a) == len(over) else "commuting"
+    return how, (top, _forced(draw, ver, a, c, lm), right, bottom)
+
+
+@settings(deadline=None, max_examples=300)
+@given(squares(HorMor, VerMor))
+def test_classify_mixed_agrees_with_the_dict_reference(square):
+    how, sq = square
+    got = INST.classify_mixed(*sq)
+    assert got is classify_mixed_reference(*sq)
+    expected = {
+        "cartesian": SquareClass.CARTESIAN,
+        "commuting": SquareClass.COMMUTING,
+        "broken": SquareClass.NOT_SQUARE,
+    }.get(how)
+    assert expected is None or got is expected
+    assert (got is not SquareClass.NOT_SQUARE) == hor_square_commutes_reference(*sq)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from((HorMor, VerMor)).flatmap(lambda t: squares(t, t)))
+def test_square_commutes_agrees_with_the_dict_reference(square):
+    how, sq = square
+    got = INST.hor_square_commutes(*sq)
+    assert got == INST.ver_square_commutes(*sq) == hor_square_commutes_reference(*sq)
+    if how in ("cartesian", "commuting"):
+        assert got
+    elif how == "broken":
+        assert not got
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_is_complement_pair_agrees_with_the_sets_reference(data):
+    """Pairs whose second leg is onto the rest of the target, into it
+    (a gap), drawn anywhere (an overlap), or into another object."""
+    draw = data.draw
+    c = _ids(draw)
+    m = _into(draw, HorMor, c)
+    rest = [x for x in c if x not in set(m.data[1])]
+    how = draw(st.sampled_from(("onto", "into", "anywhere", "elsewhere")))
+    if how == "elsewhere":
+        e = _into(draw, VerMor, _ids(draw))
+    elif how == "anywhere":
+        e = _into(draw, VerMor, c)
+    else:
+        e = _into(draw, VerMor, c, within=rest, onto=how == "onto")
+    got = INST.is_complement_pair(m, e)
+    assert got == is_complement_pair_reference(m, e)
+    assert got or how != "onto"
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +835,11 @@ def _joined(tokens):
     )
 
 
+#: ids of canonical pair lines, "a" and "b" among them so that some
+#: lines are total on the reader's source
+PAIR_IDS = ["a", "b", "b-c", "9", "10", "_"]
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     st.one_of(
@@ -742,14 +852,47 @@ def _joined(tokens):
         st.lists(st.sampled_from(NUMERIC_IDS + ["a", "b-c", "_"]), unique=True, max_size=8)
         .map(sorted)
         .flatmap(_joined),
+        # a canonical pair line: sorted, unique sources mapped to
+        # themselves or relabelled, in mixed whitespace
+        st.lists(st.sampled_from(PAIR_IDS), unique=True, max_size=len(PAIR_IDS))
+        .map(sorted)
+        .flatmap(
+            lambda sources: st.one_of(
+                st.just(sources), st.permutations(PAIR_IDS).map(lambda ids: ids[: len(sources)])
+            ).map(lambda images: list(map("{}->{}".format, sources, images)))
+        )
+        .flatmap(_joined),
     )
 )
 def test_line_readers_agree_with_the_per_token_loop(text):
+    # the reader's source ("a", "b") is among the canonical pair lines
     assert _outcome(INST.obj_from_text, text) == _outcome(obj_from_text_per_token, text)
     src, tgt = finset_obj("ab"), finset_obj("ab")
     assert _outcome(INST.mor_from_text, HorMor, src, tgt, text) == _outcome(
         mor_from_text_per_token, HorMor, src, tgt, text
     )
+
+
+def test_a_canonical_inclusion_line_reads_as_its_source_tuple():
+    src, tgt = finset_obj("abc"), finset_obj("abcd")
+    got = INST.mor_from_text(HorMor, src, tgt, " a->a\tb->b\xa0 c->c ")
+    assert got.data[0] is got.data[1] is src
+    copied = HorMor(src, tgt, (tuple([*src]), tuple([*src])))
+    assert got == copied and hash(got) == hash(copied) and repr(got) == repr(copied)
+    assert INST.mor_text(got) == INST.mor_text(copied) == "a->a b->b c->c"
+    assert INST.mor_text(got, leg=True) is INST.mor_text(copied, leg=True) is None
+    # a partial inclusion shares one tuple; a relabelling shares its sources
+    part = INST.mor_from_text(HorMor, src, tgt, "a->a c->c")
+    assert part.data[0] is part.data[1] and part.data[0] == ("a", "c")
+    moved = INST.mor_from_text(VerMor, src, tgt, "a->b b->c c->d")
+    assert moved.data[0] is src and moved.data[1] == ("b", "c", "d")
+    # a level line of a document, written back as it was read
+    text = corpus_text("three_term_ses")
+    doc = parse(text)
+    level = doc.hor_named("f").level(1)
+    assert level.data[0] is level.data[1] is level.source
+    assert "  level 1: c->c\n" in serialize(doc)
+    assert parse(serialize(doc)) == doc
 
 
 @pytest.mark.parametrize(
