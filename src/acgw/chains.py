@@ -27,6 +27,15 @@ pull the target's transitions back along horizontal levels through one
 helper; :func:`coker_hor` pulls back along vertical levels and has its
 own loop.
 
+Validation checks each object once.  :func:`validate_complex` checks the
+objects and transition objects, then only the payloads of the legs
+between them (:meth:`AcgwInstance.validate_payload`); the chain
+morphism validators take valid complexes and check only the payloads of
+levels that run between their objects.  A morphism with other endpoints
+is checked in full, so each message is the one ``validate_hor`` gives.
+The complexes a sequence or a composite builds, which no
+:func:`validate_complex` covers, have their objects checked once each.
+
 A document's short exact sequence is validated, tested for exactness and
 spliced into a long exact sequence from one horizontal chain morphism,
 so :func:`coker_hor` keeps the quotient it builds in that morphism's
@@ -123,7 +132,22 @@ class ChainComplex:
         )
 
 
+def _mor_problems(
+    inst: AcgwInstance, validate, f, source: Any, source_problems: list[str], target: Any
+) -> list[str]:
+    """The problems of ``f`` as ``validate`` would give them, for ``f``
+    meant to run from ``source``, whose problems are ``source_problems``,
+    to ``target``, a valid object.  When ``f`` has those endpoints only its
+    payload is checked; otherwise ``validate`` checks all of it."""
+    if inst.obj_eq(f.source, source) and inst.obj_eq(f.target, target):
+        return source_problems or inst.validate_payload(f)
+    return validate(f)
+
+
 def validate_complex(cx: ChainComplex) -> list[str]:
+    """The problems of a complex.  Each object and transition object is
+    checked once; a transition leg between them has only its payload
+    checked."""
     inst = cx.inst
     problems: list[str] = []
     if cx.hi < cx.lo:
@@ -138,9 +162,10 @@ def validate_complex(cx: ChainComplex) -> list[str]:
         return problems
     for i in cx.transition_degrees():
         t = cx.transition(i)
-        for p in inst.validate_ver(t.into_upper):
+        found = inst.validate_obj(t.obj)
+        for p in _mor_problems(inst, inst.validate_ver, t.into_upper, t.obj, found, cx.obj(i)):
             problems.append(f"transition {i} upper leg: {p}")
-        for p in inst.validate_hor(t.into_lower):
+        for p in _mor_problems(inst, inst.validate_hor, t.into_lower, t.obj, found, cx.obj(i - 1)):
             problems.append(f"transition {i} lower leg: {p}")
         if problems:
             continue
@@ -213,54 +238,56 @@ def validate_hor_chain_mor(f: HorChainMor) -> list[str]:
     """The problems of a horizontal chain morphism between valid
     complexes.  At each transition degree the upper square must be
     distinguished and the lower one must commute."""
-    inst = f.source.inst
-
-    def squares(i: int, tx: Transition, ty: Transition) -> tuple[SquareClass, bool]:
-        return (
-            inst.classify_mixed(f.bar_level(i), tx.into_upper, ty.into_upper, f.level(i)),
-            inst.hor_square_commutes(
-                tx.into_lower, f.bar_level(i), f.level(i - 1), ty.into_lower
-            ),
-        )
-
-    return _chain_mor_problems(f, inst.validate_hor, squares, "upper", "lower")
+    return _chain_mor_problems(f, True)
 
 
 def validate_ver_chain_mor(g: VerChainMor) -> list[str]:
     """The problems of a vertical chain morphism between valid complexes.
     At each transition degree the lower square must be distinguished and
     the upper one must commute."""
-    inst = g.source.inst
+    return _chain_mor_problems(g, True)
 
-    def squares(i: int, tz: Transition, ty: Transition) -> tuple[SquareClass, bool]:
+
+def _squares(f: _ChainMor, i: int, tx: Transition, ty: Transition) -> tuple[SquareClass, bool]:
+    """The class of the distinguished square of ``f`` at transition degree
+    ``i`` and whether its commuting square commutes, from the transitions
+    ``tx`` of its source and ``ty`` of its target there."""
+    inst, bar = f.source.inst, f.bar_level(i)
+    if isinstance(f, HorChainMor):
         return (
-            inst.classify_mixed(tz.into_lower, g.bar_level(i), g.level(i - 1), ty.into_lower),
-            inst.ver_square_commutes(
-                tz.into_upper, g.bar_level(i), g.level(i), ty.into_upper
-            ),
+            inst.classify_mixed(bar, tx.into_upper, ty.into_upper, f.level(i)),
+            inst.hor_square_commutes(tx.into_lower, bar, f.level(i - 1), ty.into_lower),
         )
+    return (
+        inst.classify_mixed(tx.into_lower, bar, f.level(i - 1), ty.into_lower),
+        inst.ver_square_commutes(tx.into_upper, bar, f.level(i), ty.into_upper),
+    )
 
-    return _chain_mor_problems(g, inst.validate_ver, squares, "lower", "upper")
 
-
-def _chain_mor_problems(
-    f: _ChainMor, validate, squares, distinguished: str, commuting: str
-) -> list[str]:
-    """Range, count, level and endpoint checks, then the two squares that
-    ``squares(i, source transition, target transition)`` returns: the
-    class of the ``distinguished`` one and whether the ``commuting`` one
-    commutes."""
+def _chain_mor_problems(f: _ChainMor, source_checked: bool) -> list[str]:
+    """Range, count, level and endpoint checks, then the two squares of
+    :func:`_squares` at each transition degree.  The target's objects are
+    valid, and so are the source's when ``source_checked``; otherwise
+    each is checked here once."""
     x, y, inst = f.source, f.target, f.source.inst
+    hor = isinstance(f, HorChainMor)
+    validate = inst.validate_hor if hor else inst.validate_ver
+    distinguished, commuting = ("upper", "lower") if hor else ("lower", "upper")
     if (x.lo, x.hi) != (y.lo, y.hi):
         return [f"degree ranges differ: {x.lo}..{x.hi} vs {y.lo}..{y.hi}"]
     if len(f.levels) != x.hi - x.lo + 1 or len(f.bar_levels) != x.hi - x.lo:
         return ["wrong number of levels or bar levels"]
+
+    def problems_of(g, a, b) -> list[str]:
+        found = [] if source_checked else inst.validate_obj(a)
+        return _mor_problems(inst, validate, g, a, found, b)
+
     problems: list[str] = []
     for i in x.degrees():
-        for p in validate(f.level(i)):
+        for p in problems_of(f.level(i), x.obj(i), y.obj(i)):
             problems.append(f"level {i}: {p}")
     for i in x.transition_degrees():
-        for p in validate(f.bar_level(i)):
+        for p in problems_of(f.bar_level(i), x.transition(i).obj, y.transition(i).obj):
             problems.append(f"bar level {i}: {p}")
     if problems:
         return problems
@@ -278,7 +305,7 @@ def _chain_mor_problems(
     if problems:
         return problems
     for i in x.transition_degrees():
-        cls, commutes = squares(i, x.transition(i), y.transition(i))
+        cls, commutes = _squares(f, i, x.transition(i), y.transition(i))
         if not cls.is_distinguished:
             problems.append(
                 f"{distinguished} square at degree {i} is not distinguished ({cls.name})"
@@ -300,6 +327,12 @@ class ChainMap:
 
 
 def validate_chain_map(f: ChainMap) -> list[str]:
+    return _chain_map_problems(f, True)
+
+
+def _chain_map_problems(f: ChainMap, middle_checked: bool) -> list[str]:
+    """:func:`validate_chain_map` between valid complexes, from a middle
+    complex whose objects are checked here unless ``middle_checked``."""
     problems: list[str] = []
     if f.back.source != f.middle or f.front.source != f.middle:
         problems.append("legs do not start at the middle complex")
@@ -307,8 +340,8 @@ def validate_chain_map(f: ChainMap) -> list[str]:
         problems.append("back leg does not land in the source complex")
     if f.front.target != f.target:
         problems.append("front leg does not land in the target complex")
-    problems += [f"back: {p}" for p in validate_ver_chain_mor(f.back)]
-    problems += [f"front: {p}" for p in validate_hor_chain_mor(f.front)]
+    problems += [f"back: {p}" for p in _chain_mor_problems(f.back, middle_checked)]
+    problems += [f"front: {p}" for p in _chain_mor_problems(f.front, middle_checked)]
     return problems
 
 
@@ -321,14 +354,18 @@ class ChainSES:
 
 
 def validate_chain_ses(ses: ChainSES) -> list[str]:
-    return _ses_problems(ses, validate_hor_chain_mor(ses.sub))
+    """The problems of a short exact sequence into a valid complex; the
+    objects of the sub and quotient complexes are checked here."""
+    return _ses_problems(ses, _chain_mor_problems(ses.sub, False))
 
 
 def _ses_problems(ses: ChainSES, sub_problems: list[str]) -> list[str]:
     """The problems of ``ses``, given those of its sub morphism (a
-    document that names the sub morphism has them already)."""
+    document that names the sub morphism has them already).  Nothing else
+    checks the quotient complex, which :func:`coker_hor` builds, so its
+    objects are checked here, once each."""
     problems = [f"sub: {p}" for p in sub_problems]
-    problems += [f"quot: {p}" for p in validate_ver_chain_mor(ses.quot)]
+    problems += [f"quot: {p}" for p in _chain_mor_problems(ses.quot, False)]
     if problems:
         return problems
     if ses.sub.target != ses.quot.target:
@@ -508,7 +545,7 @@ def compose_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
         VerChainMor(middle, f.source, tuple(backs), back_bars),
         HorChainMor(middle, w, tuple(fronts), front_bars),
     )
-    problems = validate_chain_map(out)
+    problems = _chain_map_problems(out, False)
     if problems:
         raise CompositionError(
             "composite chain map is not valid: " + "; ".join(problems[:5])

@@ -110,8 +110,10 @@ def _memoized(key: str):
     never see it.  The instances keep values of a morphism's payload this
     way, and :func:`acgw.chains.coker_hor` the quotient of a horizontal
     chain morphism.  A build that returns None stores nothing and runs
-    again on the next call.  An instance may also store the value itself
-    when it builds the morphism."""
+    again on the next call.  An instance may also store a value itself
+    when it builds the morphism: the finite-set ``coker``/``ker`` keep in
+    each complement leg the image set it complements, which is never
+    built from the leg's own payload."""
 
     def wrap(build):
         @functools.wraps(build)
@@ -139,8 +141,9 @@ class HorMor:
     full-column-rank matrix as a tuple of rows.  Beside ``data``, in the
     instance ``__dict__`` and outside ``==``, ``hash``, ``repr`` and
     pickling, the finite-set instance memoizes the morphism's dict,
-    inverse dict and image set, and the linear instance its matrix as a
-    read-only int64 array.
+    inverse dict and image set (and a complement leg keeps the image it
+    complements), and the linear instance its matrix as a read-only int64
+    array.
     """
 
     source: Any
@@ -279,11 +282,21 @@ class AcgwInstance(ABC):
     def zero_ver(self, obj: Any) -> VerMor:
         """The unique vertical morphism from the initial object."""
 
-    @abstractmethod
-    def validate_hor(self, f: HorMor) -> list[str]: ...
+    def validate_hor(self, f: HorMor | VerMor) -> list[str]:
+        """The problems of a morphism of either flavour: those of its two
+        endpoint objects or, when they have none, those of its payload."""
+        return (
+            self.validate_obj(f.source) + self.validate_obj(f.target)
+            or self.validate_payload(f)
+        )
+
+    validate_ver = validate_hor
 
     @abstractmethod
-    def validate_ver(self, f: VerMor) -> list[str]: ...
+    def validate_payload(self, f: HorMor | VerMor) -> list[str]:
+        """The problems of the payload of a morphism of either flavour whose
+        endpoints are valid objects.  The chain validators call it alone
+        on a morphism whose endpoints equal objects they have checked."""
 
     @abstractmethod
     def compose_hor(self, f: HorMor, g: HorMor) -> HorMor:

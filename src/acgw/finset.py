@@ -29,8 +29,11 @@ primitive maps ids forward or back along a morphism in one pass
 (``_forward``, ``_backward``).  A literal inclusion, whose two tuples
 are one object, maps ids to themselves and builds no dict: mapping
 forward returns the ids as they are, and mapping back checks them
-against its image set.  When a lookup fails, a scan names the first
-element at fault.
+against its image set.  The leg that ``coker``/``ker`` return keeps the
+image set of its argument, the image it complements: mapping back along
+the leg checks ids against that set, and the leg's own complement is
+that image, so no set is built from the leg.  When a lookup fails, a
+scan names the first element at fault.
 
 The document readers accept a whole line with one regex match; they
 walk its tokens only to name the first bad one.  A line whose ids, or
@@ -40,8 +43,8 @@ pair line's sources equal to its source object are that object's
 tuple, and images equal to its sources are the sources tuple, so a
 line that spells out an inclusion reads as one.
 
-:meth:`FinSetInstance.validate_hor` checks a payload once its source is
-known to be valid: sources equal to that source tuple are sorted, total
+:meth:`FinSetInstance.validate_payload` checks a payload whose endpoints
+are valid: sources equal to that source tuple are sorted, total
 and of strings in one comparison, and only a payload whose sources
 differ goes through a dict of its pairs to name what is wrong.
 """
@@ -85,8 +88,7 @@ _PAIRS_LINE_RE = re.compile(r"\s*(?:[A-Za-z0-9_.+-]+->[A-Za-z0-9_.+-]+(?:\s+|\Z)
 
 def finset_obj(ids: Any) -> FinSetObj:
     """Build the canonical object on the given ids (sorted, deduplicated)."""
-    out = tuple(sorted(set(map(str, ids))))
-    return out
+    return tuple(sorted(set(map(str, ids))))
 
 
 def mapping_of(f: HorMor | VerMor) -> dict[str, str]:
@@ -104,8 +106,10 @@ def _payload(mapping: dict[str, str]) -> tuple[FinSetObj, FinSetObj]:
     return sources, tuple(map(mapping.__getitem__, sources))
 
 
-#: the keys under which a morphism's derived values are memoized
-_MEMO_KEYS = _MAP, _INVERSE, _IMAGE = ("_finset_map", "_finset_inverse", "_finset_image")
+#: the memo keys of a morphism's derived values and of a complement leg's kept image
+_MEMO_KEYS = _MAP, _INVERSE, _IMAGE, _KEPT = (
+    "_finset_map", "_finset_inverse", "_finset_image", "_finset_kept"
+)
 
 
 @_memoized(_MAP)
@@ -133,17 +137,27 @@ def _forward(g: HorMor | VerMor, xs: FinSetObj) -> FinSetObj:
     return tuple(map(_mapping(g).__getitem__, xs))
 
 
-def _backward(g: HorMor | VerMor, ys: FinSetObj) -> FinSetObj | None:
-    """The ids of ``g``'s source that ``g`` maps to ``ys``, or None when
-    one of ``ys`` is not an image."""
+def _partial(g: HorMor | VerMor, xs: FinSetObj, table) -> FinSetObj | None:
+    """``xs`` looked up in ``table(g)``, or None when one is missing; a
+    literal inclusion looks the ids of its image up as themselves."""
     sources, images = g.data
     if sources is images:
-        return ys if _image(g).issuperset(ys) else None
-    inverse = _inverse(g)
+        return xs if _image(g).issuperset(xs) else None
+    lookup = table(g)
     try:
-        return tuple(map(inverse.__getitem__, ys))
+        return tuple(map(lookup.__getitem__, xs))
     except KeyError:
         return None
+
+
+def _backward(g: HorMor | VerMor, ys: FinSetObj) -> FinSetObj | None:
+    """The ids of ``g``'s source that ``g`` maps to ``ys`` (ids of its
+    target), or None when one of ``ys`` is not an image.  A complement
+    leg's images are the target ids outside the image it complements."""
+    kept = g.__dict__.get(_KEPT)
+    if kept is not None:
+        return ys if kept.isdisjoint(ys) else None
+    return _partial(g, ys, _inverse)
 
 
 def _inclusion(mor_type: type, sub: FinSetObj, ambient: FinSetObj) -> HorMor | VerMor:
@@ -219,11 +233,8 @@ class FinSetInstance(AcgwInstance):
         return _inclusion(VerMor, (), obj)
 
     # ----- validation ------------------------------------------------
-    def validate_hor(self, f: HorMor | VerMor) -> list[str]:
+    def validate_payload(self, f: HorMor | VerMor) -> list[str]:
         """Both flavours are injections; the checks are the same."""
-        problems = self.validate_obj(f.source) + self.validate_obj(f.target)
-        if problems:
-            return problems
         if not isinstance(f.data, tuple):
             return [f"morphism data is not a tuple: {f.data!r}"]
         if not (
@@ -232,6 +243,7 @@ class FinSetInstance(AcgwInstance):
             and len(f.data[0]) == len(f.data[1])
         ):
             return [f"morphism data is not sources and images of one length: {f.data!r}"]
+        problems = []
         sources, images = f.data
         # sources equal to the valid source are string ids, sorted and
         # total; only other sources go through a dict of the pairs to name
@@ -258,8 +270,6 @@ class FinSetInstance(AcgwInstance):
             problems.append(f"morphism maps outside its target: {sorted(stray)}")
         return problems
 
-    validate_ver = validate_hor
-
     # ----- composition -----------------------------------------------
     def compose_hor(self, f: HorMor | VerMor, g: HorMor | VerMor) -> HorMor | VerMor:
         """``g . f`` for two morphisms of one flavour, of that flavour."""
@@ -281,10 +291,19 @@ class FinSetInstance(AcgwInstance):
     # ----- complement structure ---------------------------------------
     def coker(self, f: HorMor | VerMor) -> tuple[FinSetObj, HorMor | VerMor]:
         """The complement of either flavour: the rest of its target,
-        included by a morphism of the other flavour."""
-        rest = tuple(filterfalse(_image(f).__contains__, f.target))
-        other = VerMor if isinstance(f, HorMor) else HorMor
-        return rest, _inclusion(other, rest, f.target)
+        included by a morphism of the other flavour.  The leg keeps the
+        image of ``f``; the complement of a leg that keeps one is that
+        image, which becomes the image set of the new leg."""
+        kept = f.__dict__.get(_KEPT)
+        if kept is not None:
+            rest, memo = tuple(filter(kept.__contains__, f.target)), {_IMAGE: kept}
+        else:
+            kept = _image(f)
+            rest = tuple(filterfalse(kept.__contains__, f.target)) if kept else f.target
+            memo = {_KEPT: kept}
+        leg = _inclusion(VerMor if isinstance(f, HorMor) else HorMor, rest, f.target)
+        leg.__dict__.update(memo)
+        return rest, leg
 
     ker = coker
 
@@ -313,14 +332,8 @@ class FinSetInstance(AcgwInstance):
     def classify_mixed(
         self, top: HorMor, left: VerMor, right: VerMor, bottom: HorMor
     ) -> SquareClass:
-        if (
-            top.source != left.source
-            or top.target != right.source
-            or left.target != bottom.source
-            or right.target != bottom.target
-        ):
-            return SquareClass.NOT_SQUARE
-        if _forward(right, top.data[1]) != _forward(bottom, left.data[1]):
+        # both flavours are injections: it commutes as a one-flavour square
+        if not self.hor_square_commutes(top, left, right, bottom):
             return SquareClass.NOT_SQUARE
         # Cartesian: the top picks out exactly the part of the right source
         # sitting over the bottom image.  A commuting square's top already
@@ -330,13 +343,7 @@ class FinSetInstance(AcgwInstance):
             return SquareClass.CARTESIAN
         return SquareClass.COMMUTING
 
-    def hor_square_commutes(
-        self,
-        top: HorMor | VerMor,
-        left: HorMor | VerMor,
-        right: HorMor | VerMor,
-        bottom: HorMor | VerMor,
-    ) -> bool:
+    def hor_square_commutes(self, top, left, right, bottom) -> bool:
         """Whether a square of morphisms of one flavour commutes."""
         if (
             top.source != left.source
@@ -460,16 +467,25 @@ class FinSetInstance(AcgwInstance):
         return None if default else " ".join(map("{}->{}".format, sources, images))
 
     def lift_hor_bar(self, level, src_leg, tgt_leg) -> HorMor | VerMor:
-        leg, lmap, over = _mapping(src_leg), _mapping(level), _inverse(tgt_leg)
-        out = []
-        for t in src_leg.source:
-            img = lmap.get(leg.get(t))
-            if img is None:
-                raise FactorizationError(f"level is undefined on the image of {t!r}")
-            if img not in over:
-                side = "above" if isinstance(level, HorMor) else "below"
-                raise FactorizationError(f"no transition element {side} {img!r}")
-            out.append(over[img])
+        try:
+            # chase a total leg's images; a failed step, or a payload that
+            # is not two tuples, is left to the loop below to name
+            sources, images = src_leg.data
+            reached = _partial(level, images, _mapping) if sources == src_leg.source else None
+            out = None if reached is None else _partial(tgt_leg, reached, _inverse)
+        except ValueError:
+            out = None
+        if out is None:
+            leg, lmap, over = _mapping(src_leg), _mapping(level), _inverse(tgt_leg)
+            out = []
+            for t in src_leg.source:
+                img = lmap.get(leg.get(t))
+                if img is None:
+                    raise FactorizationError(f"level is undefined on the image of {t!r}")
+                if img not in over:
+                    side = "above" if isinstance(level, HorMor) else "below"
+                    raise FactorizationError(f"no transition element {side} {img!r}")
+                out.append(over[img])
         return type(level)(src_leg.source, tgt_leg.source, (src_leg.source, tuple(out)))
 
     lift_ver_bar = lift_hor_bar
@@ -496,13 +512,13 @@ class FinSetInstance(AcgwInstance):
         """Element chase: the middle keeps the ids of ``Z_i`` whose back
         image is a cycle of ``X`` and whose front image is not a boundary
         of ``Y``, renamed to their back images (a subset of ``H_i(X)``)."""
-        bm, fm = _mapping(back), _mapping(front)
         cycles_x = set(gx.cycles)
         boundaries_y = set(gy.cycles) - set(gy.h)
+        # the images of a valid morphism are those of its source ids
         kept = {
-            bm[z]: fm[z]
-            for z in back.source
-            if bm[z] in cycles_x and fm[z] not in boundaries_y
+            b: f
+            for b, f in zip(back.data[1], front.data[1])
+            if b in cycles_x and f not in boundaries_y
         }
         middle, images = _payload(kept)
         return FlatMor(

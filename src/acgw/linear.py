@@ -488,10 +488,7 @@ class LinearInstance(AcgwInstance):
         """The first problem of the stored matrix of ``f`` (``target x
         source`` for a horizontal morphism, ``source x target`` for a
         vertical one), or none and the matrix as an int64 array.  The
-        objects are checked before their dimensions pick the shape."""
-        problems = self.validate_obj(f.source) + self.validate_obj(f.target)
-        if problems:
-            return problems, None
+        objects are valid, so their dimensions pick the shape."""
         rows, cols = _layout(f)
         data = f.data
         if not isinstance(data, tuple) or len(data) != rows:
@@ -511,7 +508,7 @@ class LinearInstance(AcgwInstance):
                     return [f"matrix entry out of F{self.p}: {v!r}"], None
         return [], mat_of(data, rows, cols)
 
-    def validate_hor(self, f: HorMor | VerMor) -> list[str]:
+    def validate_payload(self, f: HorMor | VerMor) -> list[str]:
         """Both flavours store a matrix of rank ``source.dim``: ``target x
         source`` for a horizontal morphism, ``source x target`` for a
         vertical one."""
@@ -524,8 +521,6 @@ class LinearInstance(AcgwInstance):
                 "horizontal matrix is not injective" if hor else "vertical matrix is not surjective"
             )
         return problems
-
-    validate_ver = validate_hor
 
     # ----- composition ----------------------------------------------------
     def compose_hor(self, f: HorMor | VerMor, g: HorMor | VerMor) -> HorMor | VerMor:

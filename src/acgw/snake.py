@@ -211,6 +211,16 @@ _WEAK_TRANSITION_LABELS = (
 def snake_weak(inp: SnakeInputWeak) -> ExactZigzag:
     """The six-term exact zigzag of a weak snake input."""
     inst = inp.inst
+    return _snake_weak(inp, inst.coker(inp.mid_mono), inst.ker(inp.mid_epi))[0]
+
+
+def _snake_weak(
+    inp: SnakeInputWeak, mid_coker: tuple, mid_ker: tuple
+) -> tuple[ExactZigzag, HorMor, VerMor]:
+    """:func:`snake_weak` from the complements of the middle row's mono
+    and epi, with the complement legs of ``left_up`` and ``right_down``
+    it builds."""
+    inst = inp.inst
 
     o1, kleg1 = inst.ker(inp.left_up)
     o2, kleg2 = inst.ker(inp.mid_up)
@@ -232,10 +242,10 @@ def snake_weak(inp: SnakeInputWeak) -> ExactZigzag:
         inst.factor_hor(sq.to_epi_source, kleg3),
     )
 
-    rest, cleg_rest = inst.coker(inp.mid_mono)
+    rest, cleg_rest = mid_coker
     lifted_epi = inst.factor_ver(inp.mid_epi, cleg_rest)  # Z => rest
     conn, conn_hor = inst.ker(lifted_epi)  # conn -> rest
-    _, kleg_mid = inst.ker(inp.mid_epi)  # ker g -> Y
+    _, kleg_mid = mid_ker  # ker g -> Y
     rest_to_top = inst.factor_ver(
         inst.compose_ver(cleg_rest, inp.mid_up), inp.top_epi
     )  # rest => C
@@ -260,14 +270,10 @@ def snake_weak(inp: SnakeInputWeak) -> ExactZigzag:
         inst.id_hor(o6),
     )
 
-    return ExactZigzag(
-        inst,
-        (o1, o2, o3, o4, o5, o6),
-        (t1, t2, t3, t4, t5),
-        _WEAK_LABELS,
-        _WEAK_TRANSITION_LABELS,
-        frozenset(),
+    zz = ExactZigzag(
+        inst, (o1, o2, o3, o4, o5, o6), (t1, t2, t3, t4, t5), _WEAK_LABELS, _WEAK_TRANSITION_LABELS
     )
+    return zz, kleg1, cleg6
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +433,18 @@ _STRONG_TRANSITION_LABELS = _WEAK_TRANSITION_LABELS
 def snake_strong(inp: SnakeInputStrong) -> ExactZigzag:
     """The six-term zigzag of a strong input, exact at the interior."""
     inst = inp.inst
-    inner = snake_weak(inp.inner_weak())
+    return _snake_strong(inp, inst.coker(inp.mid_mono), inst.ker(inp.mid_epi))
+
+
+def _snake_strong(inp: SnakeInputStrong, mid_coker: tuple, mid_ker: tuple) -> ExactZigzag:
+    """:func:`snake_strong` from the complements of the middle row's mono
+    and epi.  The inner weak snake builds the complement legs of the
+    restricted outer columns."""
+    inst = inp.inst
+    inner, inner_kleg1, inner_cleg6 = _snake_weak(inp.inner_weak(), mid_coker, mid_ker)
 
     o1, kleg1 = inst.ker(inp.left_up)
     o6, cleg6 = inst.coker(inp.right_down())
-    _, inner_kleg1 = inst.ker(inp.left_up_restricted)
-    _, inner_cleg6 = inst.coker(inp.right_down_restricted)
 
     t1 = Transition(
         inner.objects[0],
@@ -474,9 +486,13 @@ def _require_inclusion_ses(ses: ChainSES) -> None:
         )
 
 
-def _strong_input_at(ses: ChainSES, i: int) -> SnakeInputStrong:
+def _strong_input_at(
+    ses: ChainSES, i: int, k_bar: HorMor, cleg_rest: VerMor
+) -> SnakeInputStrong:
     """Assemble the strong snake input for one degree of a short exact
-    sequence of complexes (all morphisms literal inclusions)."""
+    sequence of complexes (all morphisms literal inclusions), given the
+    complement legs ``k_bar`` of the quotient's bar level at ``i + 1`` and
+    ``cleg_rest`` of the sub morphism's bar level at ``i - 1``."""
     inst = ses.sub.source.inst
     x, y, z = ses.sub.source, ses.sub.target, ses.quot.source
 
@@ -484,7 +500,6 @@ def _strong_input_at(ses: ChainSES, i: int) -> SnakeInputStrong:
     _, cleg_b = inst.coker(y.transition(i + 1).into_lower)
     _, cleg_c = inst.coker(z.transition(i + 1).into_lower)
 
-    _, k_bar = inst.ker(ses.quot.bar_level(i + 1))
     into_level = inst.compose_hor(k_bar, y.transition(i + 1).into_lower)
     k_in_x = inst.factor_hor(into_level, ses.sub.level(i))
     _, cleg_abar = inst.coker(k_in_x)
@@ -508,7 +523,6 @@ def _strong_input_at(ses: ChainSES, i: int) -> SnakeInputStrong:
     left_down = inst.factor_hor(x.transition(i).into_lower, kleg_a2)
     mid_down = inst.factor_hor(y.transition(i).into_lower, kleg_b2)
 
-    _, cleg_rest = inst.coker(ses.sub.bar_level(i - 1))
     onto_quot = inst.factor_ver(
         inst.compose_ver(cleg_rest, y.transition(i - 1).into_upper),
         ses.quot.level(i - 1),
@@ -546,7 +560,9 @@ def les_of_ses(ses: ChainSES) -> ExactZigzag:
     Runs the strong snake at every degree from one above the top of the
     range down to its bottom and splices the results: consecutive blocks
     must overlap in their last and first three objects (and two
-    transitions), which is checked.  The result is exact everywhere.
+    transitions), which is checked.  The result is exact everywhere.  The
+    complements of the bar levels of both chain morphisms are built once
+    per degree: the block of that degree and a neighbour read them.
 
     Only available for instances with canonical subobjects, and only when
     both chain morphisms of the sequence are literal inclusions.
@@ -556,9 +572,12 @@ def les_of_ses(ses: ChainSES) -> ExactZigzag:
     x = ses.sub.source
     lo, hi = x.lo, x.hi
 
+    cokers = {j: inst.coker(ses.sub.bar_level(j)) for j in range(lo - 1, hi + 2)}
+    kers = {j: inst.ker(ses.quot.bar_level(j)) for j in range(lo, hi + 3)}
     blocks: list[tuple[int, ExactZigzag]] = []
     for i in range(hi + 1, lo - 1, -1):
-        blocks.append((i, snake_strong(_strong_input_at(ses, i))))
+        inp = _strong_input_at(ses, i, kers[i + 1][1], cokers[i - 1][1])
+        blocks.append((i, _snake_strong(inp, cokers[i], kers[i])))
 
     for (i, zz), (_, nxt) in zip(blocks, blocks[1:]):
         if zz.objects[3:6] != nxt.objects[0:3]:

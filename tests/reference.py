@@ -37,7 +37,11 @@ assert the two agree:
   and :func:`is_complement_pair_reference` look every id up in the dicts
   of a square's or a pair's morphisms and compare image sets, where
   :class:`acgw.FinSetInstance` compares mapped tuples, reads a literal
-  inclusion as the identity and counts instead of building sets.
+  inclusion as the identity and counts instead of building sets;
+* :func:`lift_hor_bar_reference` lifts a bar level one transition
+  element at a time through dicts of the three payloads, where
+  :meth:`acgw.FinSetInstance.lift_hor_bar` chases a total leg's images
+  in one pass per morphism.
 """
 
 import re
@@ -462,3 +466,22 @@ def mor_from_text_per_token(mor_type, source, target, text):
             raise ValidationError([f"repeated pair source {src!r}"])
         out[src] = tgt
     return mor_type(source, target, _sorted_payload(out))
+
+
+def lift_hor_bar_reference(level, src_leg, tgt_leg):
+    """:meth:`acgw.FinSetInstance.lift_hor_bar` (and ``lift_ver_bar``)
+    through a dict of each payload, one transition element at a time.  A
+    target leg whose payload is not two tuples raises ``ValueError``."""
+    leg, lmap = mapping_of(src_leg), mapping_of(level)
+    sources, images = tgt_leg.data
+    over = dict(zip(images, sources))
+    out = []
+    for t in src_leg.source:
+        img = lmap.get(leg.get(t))
+        if img is None:
+            raise FactorizationError(f"level is undefined on the image of {t!r}")
+        if img not in over:
+            side = "above" if isinstance(level, HorMor) else "below"
+            raise FactorizationError(f"no transition element {side} {img!r}")
+        out.append(over[img])
+    return type(level)(src_leg.source, tgt_leg.source, (src_leg.source, tuple(out)))

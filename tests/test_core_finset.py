@@ -3,7 +3,7 @@
 import copy
 import pickle
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, compress
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +30,7 @@ from acgw import (
     validate_flat,
     zero_flat,
 )
+from acgw import finset
 from acgw.finset import apply_to, mapping_of
 
 from conftest import corpus_text
@@ -39,6 +40,7 @@ from reference import (
     classify_mixed_reference,
     hor_square_commutes_reference,
     is_complement_pair_reference,
+    lift_hor_bar_reference,
     mor_from_text_per_token,
     obj_from_text_per_token,
     validate_hor_reference,
@@ -209,6 +211,52 @@ def test_complement_round_trip_property(pair):
     k2_obj, k2leg = INST.ker(e)
     c2_obj, c2leg = INST.coker(k2leg)
     assert c2_obj == sub and c2leg.data == e.data
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_complement_legs_agree_with_the_sorting_reference(data):
+    """A complement leg keeps the image it complements.  The complements
+    of a valid injection and of its leg, and factoring and descending
+    through such legs, equal the constructions that sort their results;
+    the injection's image is drawn empty, whole or in between."""
+    draw = data.draw
+    mor_type = draw(st.sampled_from((HorMor, VerMor)))
+    kind, other = ("hor", "ver") if mor_type is HorMor else ("ver", "hor")
+    name, back = ("coker", "ker") if mor_type is HorMor else ("ker", "coker")
+    extent = draw(st.sampled_from(("empty", "whole", "drawn")))
+    q = _ids(draw)
+    f = _into(draw, mor_type, q, within=() if extent == "empty" else None, onto=extent == "whole")
+    rest, q_leg = getattr(INST, name)(f)
+    assert (rest, q_leg) == SORTED_FINSET[name](f)
+    # the complement of the leg is the image of f, which its leg keeps as
+    # its image set
+    image, leg = getattr(INST, back)(q_leg)
+    assert (image, leg) == SORTED_FINSET[back](q_leg)
+    assert finset._image(leg) == frozenset(image) == frozenset(f.data[1])
+    h = _into(draw, mor_type, image)
+    g = SORTED_FINSET[f"compose_{kind}"](h, leg)
+    assert getattr(INST, f"factor_{kind}")(g, leg) == h
+    # factoring through the leg: what lands in the complement factors,
+    # what also meets the image of f does not
+    h = _into(draw, type(q_leg), rest)
+    g = SORTED_FINSET[f"compose_{other}"](h, q_leg)
+    assert getattr(INST, f"factor_{other}")(g, q_leg) == h
+    if f.data[1]:
+        stray = INST.id_hor(q) if type(q_leg) is HorMor else INST.id_ver(q)
+        with pytest.raises(FactorizationError):
+            getattr(INST, f"factor_{other}")(stray, q_leg)
+    # descending m: P -> Q along complement legs: the leg of P complements
+    # an injection whose image holds every id that m sends into f's image
+    m = _into(draw, mor_type, q)
+    into_rest = [p for p, y in mapping_of(m).items() if y in rest]
+    dropped = finset_obj(p for p in into_rest if draw(st.booleans()))
+    kept = finset_obj(set(m.source) - set(dropped))
+    _, p_leg = getattr(INST, name)(_into(draw, mor_type, m.source, within=kept, onto=True))
+    between = "hor_between_cokers" if mor_type is HorMor else "ver_between_kernels"
+    got = getattr(INST, between)(m, p_leg, q_leg)
+    assert got == SORTED_FINSET[between](m, p_leg, q_leg)
+    assert INST.validate_hor(got) == []
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +788,57 @@ def test_lift_along_inclusions_names_the_missing_transition_element(mor_type, ho
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def _loosened(draw, mor):
+    """``mor``, or ``mor`` with its payload emptied, with its sources
+    renamed off its source, with pairs dropped, or with pairs drawn on its
+    ids and on ids outside its objects."""
+    how = draw(st.sampled_from(("as it is", "no payload", "renamed", "dropped", "drawn")))
+    if how == "as it is":
+        return mor
+    if how == "no payload":
+        return type(mor)(mor.source, mor.target, ())
+    if how == "renamed":
+        sources, images = mor.data
+        return type(mor)(mor.source, mor.target, (tuple(x + "'" for x in sources), images))
+    if how == "dropped":
+        keep = [draw(st.booleans()) for _ in mor.data[0]]
+        data = tuple(tuple(compress(part, keep)) for part in mor.data)
+        return type(mor)(mor.source, mor.target, data)
+    ids = st.sampled_from([*mor.source, *STRAY_IDS])
+    sources = tuple(draw(st.lists(ids, unique=True, max_size=8)))
+    size = len(sources)
+    targets = st.sampled_from([*mor.target, *STRAY_IDS])
+    images = tuple(draw(st.lists(targets, min_size=size, max_size=size)))
+    return type(mor)(mor.source, mor.target, (sources, images))
+
+
+def _lift_outcome(lift, *args):
+    try:
+        return lift(*args)
+    except (FactorizationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_lift_agrees_with_the_dict_reference(data):
+    """A bar level lifted along valid legs and levels, one of them maybe
+    loosened as in a document not yet validated, is the one the dict
+    reference gives, or fails with its message."""
+    draw = data.draw
+    mor_type = draw(st.sampled_from((HorMor, VerMor)))
+    leg_type = VerMor if mor_type is HorMor else HorMor
+    level = _into(draw, mor_type, _ids(draw))
+    src_leg = _into(draw, leg_type, level.source)
+    tgt_leg = _into(draw, leg_type, level.target)
+    args = [level, src_leg, tgt_leg]
+    loose = draw(st.integers(0, 2))
+    args[loose] = draw(_loosened(args[loose]))
+    lift = INST.lift_hor_bar if mor_type is HorMor else INST.lift_ver_bar
+    assert _lift_outcome(lift, *args) == _lift_outcome(lift_hor_bar_reference, *args)
+
+
 def _use(mor):
     """Run every primitive that reads the maps of a horizontal ``mor``."""
     _, leg = INST.coker(mor)
@@ -775,6 +874,9 @@ def test_primitives_leave_a_morphism_the_same_value(how):
     assert INST.factor_hor(m, m) == INST.factor_hor(twin, twin)
     assert INST.coker(m) == INST.coker(twin)
     leg_twin = VerMor(leg.source, leg.target, leg.data)
+    # the leg keeps the image of m, beside its declared fields
+    assert vars(leg)[finset._KEPT] == frozenset(m.data[1])
+    assert (leg == leg_twin, hash(leg), repr(leg)) == (True, hash(leg_twin), repr(leg_twin))
     for mor, equal in ((m, twin), (leg, leg_twin)):
         # only the declared fields are pickled: a used morphism gives the
         # bytes of a fresh one
@@ -788,6 +890,7 @@ def test_primitives_leave_a_morphism_the_same_value(how):
             replace(mor),
         ):
             assert type(copied) is type(equal) and copied == equal
+            assert finset._KEPT not in vars(copied)
             assert (repr(copied), hash(copied)) == (repr(equal), hash(equal))
             assert INST.coker(copied) == INST.coker(equal)
             assert INST.factor_hor(copied, copied) == INST.factor_hor(equal, equal)

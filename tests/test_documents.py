@@ -8,6 +8,7 @@ from acgw import (
     AcgwError,
     Document,
     GenConfig,
+    HorMor,
     ParseError,
     gen_chain_map,
     gen_hor_mor,
@@ -21,7 +22,9 @@ from acgw import (
     validate_complex,
     validate_snake_strong,
     validate_snake_weak,
+    VerMor,
 )
+from acgw.chains import Transition
 
 from conftest import CORPUS_NAMES, corpus_doc, corpus_text
 
@@ -315,3 +318,112 @@ def test_serialize_reads_each_snake_row_object_from_a_fixed_field():
         "  cbar: extend_to_bot.s",
         "  bottom: bot_mono.s | bot_mono.t | extend_to_bot.t",
     ]
+
+
+# ---------------------------------------------------------------------------
+# Messages of broken documents.  Validation checks each object once and a
+# morphism between checked objects by its payload alone; a morphism on
+# other objects is checked in full, so every message stays as it was.
+# ---------------------------------------------------------------------------
+
+
+def _with_levels(levels):
+    """The ``three_term_ses`` corpus document with ``levels(X, Y)`` as the
+    levels of its ``hor`` section."""
+    doc = corpus_doc("three_term_ses")
+    (name, f), = doc.hors
+    return replace(doc, hors=((name, replace(f, levels=levels(f.source, f.target))),))
+
+
+def _with_transition(transition):
+    """A one-transition complex with ``transition(T)`` in place of its
+    transition ``T``."""
+    doc = parse("instance set\ncomplex X:\n  object 1: a b\n  object 2: a b\n  transition 2: a b\n")
+    (name, x), = doc.complexes
+    x = replace(x, transitions=(transition(x.transitions[0]),))
+    return replace(doc, complexes=((name, x),))
+
+
+#: a leg on a non-canonical object: the transition object itself, or only
+#: the source of the upper leg
+UNSORTED = ("b", "a")
+UNSORTED_UP = lambda t: VerMor(UNSORTED, t.into_upper.target, (UNSORTED, UNSORTED))
+
+#: the sub-complex {a} of Y, whose transition t runs from a in it to b
+#: outside it: the quotient has no transition leg for t
+NOT_SPLIT = """instance set
+complex X:
+  object 0:
+  object 1: a
+complex Y:
+  object 0: b
+  object 1: a
+  transition 1: t
+    up: t->a
+    down: t->b
+hor f: X -> Y
+  level 1: a->a
+ses S: f
+"""
+
+BROKEN_DOCUMENTS = {
+    "level off its objects with a bad payload, level with a bad payload": (
+        lambda: _with_levels(
+            lambda x, y: (
+                HorMor(("c", "e"), y.obj(1), (("c", "e"), ("c", "c"))),
+                HorMor(x.obj(2), y.obj(2), (("x",), ("c",))),
+            )
+        ),
+        [
+            "hor f: level 1: morphism is not injective",
+            "hor f: level 2: morphism is not total on its source: defined on ['x'], source is []",
+            "ses S: sub: level 1: morphism is not injective",
+            "ses S: sub: level 2: morphism is not total on its source: defined on ['x'], "
+            "source is []",
+        ],
+    ),
+    "level with wrong endpoints": (
+        lambda: _with_levels(
+            lambda x, y: (
+                HorMor(("c",), ("c", "d", "e"), (("c",), ("c",))),
+                HorMor(x.obj(2), y.obj(2), ((), ())),
+            )
+        ),
+        [
+            "hor f: level 1 has wrong endpoints",
+            "ses S: cannot build the quotient (mixed pullback needs a shared target: "
+            "{c d} vs {c d e})",
+        ],
+    ),
+    "transition on a non-canonical object": (
+        lambda: _with_transition(
+            lambda t: Transition(
+                UNSORTED,
+                UNSORTED_UP(t),
+                HorMor(UNSORTED, t.into_lower.target, (UNSORTED, UNSORTED)),
+            )
+        ),
+        [
+            f"complex X: transition 2 {leg} leg: object ids are not sorted and unique: ('b', 'a')"
+            for leg in ("upper", "lower")
+        ],
+    ),
+    "leg from a non-canonical object": (
+        lambda: _with_transition(lambda t: Transition(t.obj, UNSORTED_UP(t), t.into_lower)),
+        ["complex X: transition 2 upper leg: object ids are not sorted and unique: ('b', 'a')"],
+    ),
+    "quotient that does not split": (
+        lambda: parse(NOT_SPLIT),
+        [
+            "hor f: upper square at degree 1 is not distinguished (COMMUTING)",
+            "ses S: cannot build the quotient (no factorization: b lands at a, outside the "
+            "image of the given morphism)",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_DOCUMENTS, ids=str)
+def test_broken_set_documents_keep_their_messages(case):
+    build, expected = BROKEN_DOCUMENTS[case]
+    assert validate_document(build()) == expected

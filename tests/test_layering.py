@@ -150,9 +150,10 @@ def test_only_the_instances_and_pickling_read_a_payload():
 
 
 #: each module's memo keys: the finite-set dict, inverse dict and image
-#: set, the linear int64 array, and a horizontal chain morphism's quotient
+#: set and a complement leg's kept image, the linear int64 array, and a
+#: horizontal chain morphism's quotient
 MEMO_KEYS = {
-    "finset": (finset._MEMO_KEYS, 3),
+    "finset": (finset._MEMO_KEYS, 4),
     "linear": (linear._MEMO_KEYS, 1),
     "chains": ((chains._COKER,), 1),
 }
