@@ -107,9 +107,9 @@ def _memoized(key: str):
     under ``key`` in the object's ``__dict__``, as
     ``functools.cached_property`` does on a frozen dataclass: ``==``,
     ``hash``, ``repr`` and pickling read only the declared fields, so they
-    never see it.  The instances keep values of a morphism's payload this
-    way, and :func:`acgw.chains.coker_hor` the quotient of a horizontal
-    chain morphism.  A build that returns None stores nothing and runs
+    never see it.  The finite-set instance keeps values of a morphism's
+    payload this way, and :func:`acgw.chains.coker_hor` the quotient of a
+    horizontal chain morphism.  A build that returns None stores nothing and runs
     again on the next call.  An instance may also store a value itself
     when it builds the morphism: the finite-set ``coker``/``ker`` keep in
     each complement leg the image set it complements, which is never
@@ -138,12 +138,11 @@ class HorMor:
     The ``data`` payload is instance-specific but always hashable: for
     finite sets a ``(sources, images)`` pair of equal-length id tuples,
     the sources in increasing order; for the linear instance a
-    full-column-rank matrix as a tuple of rows.  Beside ``data``, in the
-    instance ``__dict__`` and outside ``==``, ``hash``, ``repr`` and
-    pickling, the finite-set instance memoizes the morphism's dict,
-    inverse dict and image set (and a complement leg keeps the image it
-    complements), and the linear instance its matrix as a read-only int64
-    array.
+    full-column-rank matrix, held as a read-only int64 array whose
+    ``repr`` is its tuple of rows.  Beside ``data``, in the instance
+    ``__dict__`` and outside ``==``, ``hash``, ``repr`` and pickling, the
+    finite-set instance memoizes the morphism's dict, inverse dict and
+    image set (and a complement leg keeps the image it complements).
     """
 
     source: Any
@@ -160,8 +159,9 @@ class VerMor:
     For finite sets the payload is again an injection of ids as
     ``(sources, images)``; for the linear instance it is the matrix of the
     underlying surjection ``target ->> source`` (shape
-    ``source.dim x target.dim``).  The instances keep the same memos
-    beside ``data`` as for :class:`HorMor`.
+    ``source.dim x target.dim``), held as for :class:`HorMor`.  The
+    finite-set instance keeps the same memos beside ``data`` as for
+    :class:`HorMor`.
     """
 
     source: Any

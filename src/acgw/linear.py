@@ -4,16 +4,10 @@ Objects are :class:`VectObj` values recording a dimension and the prime.
 A horizontal morphism ``A -> B`` is backed by a full-column-rank matrix
 ``B x A`` (a mono); a vertical morphism ``A => B`` is backed by a
 full-row-rank matrix ``A x B``, the underlying surjection ``B ->> A``.
-Matrices are stored as tuples of row tuples with entries reduced mod p,
-so the prime must lie below 2^63.  Each morphism also keeps its matrix
-as a read-only numpy int64 array in its instance ``__dict__``, memoized
-by :func:`acgw.core._memoized` as the finite-set dicts are, so ``==``,
-``hash``, ``repr`` and pickling never see it.  The constructors keep the
-reduced array they build the rows from; a morphism built by hand decodes
-its rows once, when numpy reads them as int64 rows.  Only an array of
-the shape its objects give is kept: rows of another shape, empty rows
-built by hand and other entry types are decoded, and checked entry by
-entry, on every call, with the messages they always had.
+A morphism's payload is its matrix as a read-only int64 array, with
+entries reduced mod p (so the prime must lie below 2^63), wrapped so
+that ``==`` and ``hash`` read its shape and entries and ``repr`` shows
+its rows as tuples.
 Operations that do not mix the flavours read a vertical morphism as its
 transposed matrix, a ``B x A`` injection like a horizontal one's, so
 each of their hor/ver pairs is one function under two names.
@@ -72,7 +66,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Hashable
 
 import numpy as np
@@ -88,14 +81,11 @@ from .core import (
     SquareClass,
     ValidationError,
     VerMor,
-    _memoized,
 )
 
 __all__ = [
     "VectObj",
     "LinearInstance",
-    "mat_of",
-    "tuple_of",
     "matmul_mod",
     "rref",
     "mat_rank",
@@ -103,8 +93,6 @@ __all__ = [
     "nullspace",
     "colbasis",
 ]
-
-Mat = tuple[tuple[int, ...], ...]
 
 _INT64_MAX = 2**63 - 1
 
@@ -124,20 +112,6 @@ class VectObj:
 # ---------------------------------------------------------------------------
 # Matrix arithmetic mod p.
 # ---------------------------------------------------------------------------
-
-
-def mat_of(data: Mat, rows: int, cols: int) -> np.ndarray:
-    """Decode stored row tuples into a ``rows x cols`` int64 array; raises
-    :class:`ValidationError` when they do not have that shape."""
-    try:
-        return np.asarray(data, dtype=np.int64).reshape(rows, cols)
-    except ValueError:
-        raise ValidationError([f"matrix must be {rows}x{cols}, got {data!r}"]) from None
-
-
-def tuple_of(arr: np.ndarray, p: int) -> Mat:
-    arr = np.mod(np.asarray(arr, dtype=np.int64), p)
-    return tuple(map(tuple, arr.tolist()))
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -306,40 +280,45 @@ def colbasis(a: np.ndarray, p: int) -> np.ndarray:
     return r[: len(pivots)].T.copy()
 
 
-#: the key under which a morphism keeps its matrix as an int64 array
-_MEMO_KEYS = (_ARRAY,) = ("_linear_array",)
+@dataclass(frozen=True, eq=False, repr=False)
+class _Matrix:
+    """The payload of an ``F_p`` morphism: its matrix as a read-only int64
+    array.  ``==`` compares shape and entries, ``hash`` reads the shape
+    and bytes, and ``repr`` shows the rows as tuples, so a message that
+    quotes a payload names its entries."""
+
+    array: np.ndarray
+
+    def __post_init__(self):
+        self.array.setflags(write=False)
+
+    def __eq__(self, other):
+        return isinstance(other, _Matrix) and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.array.shape, self.array.tobytes()))
+
+    def __repr__(self):
+        return repr(tuple(map(tuple, self.array.tolist())))
+
+    def __reduce__(self):
+        # an unpickled or deep-copied array is writable until wrapped again
+        return _Matrix, (self.array,)
 
 
-def _layout(f: HorMor | VerMor) -> tuple[int, int] | None:
-    """The shape of the stored matrix of ``f``: ``target x source`` for a
-    horizontal morphism, ``source x target`` for a vertical one; None when
-    an end is not a vector space."""
-    s, t = f.source, f.target
-    if not (isinstance(s, VectObj) and isinstance(t, VectObj)):
-        return None
-    return (t.dim, s.dim) if isinstance(f, HorMor) else (s.dim, t.dim)
+def _shape(mor_type: type, source: VectObj, target: VectObj) -> tuple[int, int]:
+    """The shape of the stored matrix: ``target x source`` for a horizontal
+    morphism, ``source x target`` for a vertical one."""
+    return (target.dim, source.dim) if issubclass(mor_type, HorMor) else (source.dim, target.dim)
 
 
-@_memoized(_ARRAY)
-def _array(f: HorMor | VerMor) -> np.ndarray | None:
-    """The kept array of ``f``, decoded from ``f.data`` once for a morphism
-    built by hand; None when numpy does not read ``data`` as int64 rows of
-    the layout's shape (ragged or empty rows, other entry types)."""
-    try:
-        arr = np.asarray(f.data)
-    except ValueError:  # rows of different lengths
-        return None
-    if arr.dtype != np.int64 or arr.shape != _layout(f):
-        return None
-    arr.setflags(write=False)
+def _matrix(f: HorMor | VerMor, rows: int, cols: int) -> np.ndarray:
+    """The array of ``f``, after one check that it is ``rows x cols``: the
+    oracle and bar lifting read matrices of unvalidated documents."""
+    arr = f.data.array
+    if arr.shape != (rows, cols):
+        raise ValidationError([f"matrix must be {rows}x{cols}, got {f.data!r}"])
     return arr
-
-
-def _stored(f: HorMor | VerMor, rows: int, cols: int) -> np.ndarray:
-    """The stored matrix of ``f`` as a ``rows x cols`` int64 array: the
-    kept one when it has that shape, else decoded by :func:`mat_of`."""
-    arr = _array(f)
-    return arr if arr is not None and arr.shape == (rows, cols) else mat_of(f.data, rows, cols)
 
 
 def _greedy_extend(base: np.ndarray, pool: np.ndarray, target_rank: int, p: int):
@@ -437,22 +416,16 @@ class LinearInstance(AcgwInstance):
     def hor_matrix(self, f: HorMor) -> np.ndarray:
         """The mono ``source -> target`` as a read-only ``target.dim x
         source.dim`` array."""
-        return _stored(f, f.target.dim, f.source.dim)
+        return _matrix(f, f.target.dim, f.source.dim)
 
     def ver_matrix(self, f: VerMor) -> np.ndarray:
         """The underlying surjection ``target ->> source`` as a read-only
         ``source.dim x target.dim`` array."""
-        return _stored(f, f.source.dim, f.target.dim)
+        return _matrix(f, f.source.dim, f.target.dim)
 
     def _mor(self, mor_type: type, source, target, arr) -> HorMor | VerMor:
-        """The morphism of class ``mor_type`` storing ``arr`` mod p; it keeps
-        the reduced array, read-only, when its shape is the layout's."""
-        arr = np.mod(np.asarray(arr, dtype=np.int64), self.p)
-        mor = mor_type(source, target, tuple(map(tuple, arr.tolist())))
-        if arr.shape == _layout(mor):
-            arr.setflags(write=False)
-            mor.__dict__[_ARRAY] = arr
-        return mor
+        """The morphism of class ``mor_type`` storing ``arr`` mod p."""
+        return mor_type(source, target, _Matrix(np.mod(np.asarray(arr, dtype=np.int64), self.p)))
 
     def hor(self, source: VectObj, target: VectObj, arr) -> HorMor:
         return self._mor(HorMor, source, target, arr)
@@ -484,43 +457,31 @@ class LinearInstance(AcgwInstance):
         return self.ver(self.initial(), obj, np.zeros((0, obj.dim), np.int64))
 
     # ----- validation --------------------------------------------------
-    def _checked_mat(self, f: HorMor | VerMor) -> tuple[list[str], np.ndarray | None]:
-        """The first problem of the stored matrix of ``f`` (``target x
-        source`` for a horizontal morphism, ``source x target`` for a
-        vertical one), or none and the matrix as an int64 array.  The
-        objects are valid, so their dimensions pick the shape."""
-        rows, cols = _layout(f)
-        data = f.data
-        if not isinstance(data, tuple) or len(data) != rows:
-            return [f"matrix must have {rows} rows, got {data!r}"], None
-        # The kept array settles shape and dtype, and one numpy pass the
-        # range; the entries are walked only to name the first bad one (or
-        # for an empty matrix, whose dtype numpy cannot infer).
-        if all(map(isinstance, data, repeat(tuple))):
-            arr = _array(f)
-            if arr is not None and arr.size and arr.min() >= 0 and arr.max() < self.p:
-                return [], arr
-        for row in data:
-            if not isinstance(row, tuple) or len(row) != cols:
-                return [f"matrix rows must have {cols} entries, got {row!r}"], None
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < self.p:
-                    return [f"matrix entry out of F{self.p}: {v!r}"], None
-        return [], mat_of(data, rows, cols)
-
     def validate_payload(self, f: HorMor | VerMor) -> list[str]:
         """Both flavours store a matrix of rank ``source.dim``: ``target x
         source`` for a horizontal morphism, ``source x target`` for a
-        vertical one."""
+        vertical one.  The objects are valid, so their dimensions pick the
+        shape."""
+        data = f.data
+        if not isinstance(data, _Matrix):
+            return [f"payload is not a matrix: {data!r}"]
+        rows, cols = _shape(type(f), f.source, f.target)
+        arr = data.array
+        if len(arr) != rows:
+            return [f"matrix must have {rows} rows, got {data!r}"]
+        if arr.shape != (rows, cols):
+            # rows of one array have one length: name the first, if any
+            if not rows:
+                return [f"matrix must be 0x{cols}, got {data!r}"]
+            return [f"matrix rows must have {cols} entries, got {tuple(arr[0].tolist())!r}"]
+        # read as unsigned, a negative entry lies above every prime
+        out = arr.view(np.uint64) >= self.p
+        if out.any():
+            return [f"matrix entry out of F{self.p}: {int(arr[out][0])!r}"]
+        if mat_rank(arr, self.p) == f.source.dim:
+            return []
         hor = isinstance(f, HorMor)
-        problems, arr = self._checked_mat(f)
-        if problems:
-            return problems
-        if mat_rank(arr, self.p) != f.source.dim:
-            problems.append(
-                "horizontal matrix is not injective" if hor else "vertical matrix is not surjective"
-            )
-        return problems
+        return ["horizontal matrix is not injective" if hor else "vertical matrix is not surjective"]
 
     # ----- composition ----------------------------------------------------
     def compose_hor(self, f: HorMor | VerMor, g: HorMor | VerMor) -> HorMor | VerMor:
@@ -662,8 +623,7 @@ class LinearInstance(AcgwInstance):
 
     # ----- spans ---------------------------------------------------------------
     def flat_key(self, back: VerMor, front: HorMor) -> Hashable:
-        composite = matmul_mod(self.hor_matrix(front), self.ver_matrix(back), self.p)
-        return (composite.shape, tuple_of(composite, self.p))
+        return _Matrix(matmul_mod(self.hor_matrix(front), self.ver_matrix(back), self.p))
 
     # ----- document format -----------------------------------------------------
     @classmethod
@@ -686,14 +646,18 @@ class LinearInstance(AcgwInstance):
         return f"dim {obj.dim}"
 
     def mor_from_text(self, mor_type, source, target, text, leg=False):
-        """A JSON list of integer rows; an omitted leg or level is zero."""
+        """A JSON list of integer rows; an omitted leg or level is zero, and
+        ``[]`` a matrix with no rows."""
+        shape = _shape(mor_type, source, target)
         if text is None:
-            shape = (target.dim, source.dim) if mor_type is HorMor else (source.dim, target.dim)
             return self._mor(mor_type, source, target, np.zeros(shape, np.int64))
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # a RecursionError is a list nested too deeply to decode
             raise ValidationError([f"bad matrix: {exc}"]) from None
+        if data == []:
+            return self._mor(mor_type, source, target, np.zeros((0, shape[1]), np.int64))
         # numpy infers int64 for a 2-D list of JSON integers (true and false
         # among them count as 1 and 0) that fit in int64.  Anything else is
         # walked entry by entry to accept it or name what is wrong.
@@ -713,7 +677,7 @@ class LinearInstance(AcgwInstance):
         return self._mor(mor_type, source, target, arr)
 
     def mor_text(self, mor, leg=False):
-        return json.dumps(mor.data)
+        return json.dumps(mor.data.array.tolist())
 
     def lift_hor_bar(self, level, src_leg, tgt_leg) -> HorMor | VerMor:
         x = self._induced(level, src_leg, tgt_leg)

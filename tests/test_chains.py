@@ -310,23 +310,24 @@ FLAVOURS = {
 
 def swap_complex(inst) -> tuple[ChainComplex, object]:
     """Degrees 1..2 on two ids (dim 2) with one transition element whose
-    legs both hit the first, and the levelwise swap of the two."""
+    legs both hit the first, and the levelwise swap of the two, as the
+    instance's ``hor``/``ver`` take it."""
     if inst is INST:
         t = Transition(T, INST.ver(T, PQ, {"t": "p"}), INST.hor(T, PQ, {"t": "p"}))
-        return ChainComplex(INST, 1, 2, (PQ, PQ), (t,)), (("p", "q"), ("q", "p"))
+        return ChainComplex(INST, 1, 2, (PQ, PQ), (t,)), {"p": "q", "q": "p"}
     two, one = LIN.obj(2), LIN.obj(1)
     t = Transition(one, LIN.ver(one, two, [[1, 0]]), LIN.hor(one, two, [[1], [0]]))
-    return ChainComplex(LIN, 1, 2, (two, two), (t,)), ((0, 1), (1, 0))
+    return ChainComplex(LIN, 1, 2, (two, two), (t,)), [[0, 1], [1, 0]]
 
 
 def swapped(flavour: str, inst, degree: int):
     """The identity of :func:`swap_complex` with the swap at ``degree``:
     the square at degree 2 on that side does not commute."""
-    _, mor, ident = FLAVOURS[flavour]
+    _, _, ident = FLAVOURS[flavour]
     cx, swap = swap_complex(inst)
     f = ident(cx)
     levels = list(f.levels)
-    levels[degree - 1] = mor(cx.obj(degree), cx.obj(degree), swap)
+    levels[degree - 1] = getattr(inst, flavour)(cx.obj(degree), cx.obj(degree), swap)
     return replace(f, levels=tuple(levels))
 
 

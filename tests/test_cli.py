@@ -441,6 +441,19 @@ def test_bad_transition_matrix_is_an_error_line(command, up):
     assert err.startswith("error:") and "matrix" in err
 
 
+#: a leg nested far deeper than the JSON decoder recurses
+DEEP_LEG = LINEAR_LEG.format(up="[" * 100_000 + "]" * 100_000)
+
+
+@pytest.mark.parametrize("command", ("validate", "homology", "oracle"))
+def test_a_deeply_nested_matrix_is_an_error_line(command):
+    code, out, err = run_on_stdin([command, "-"], DEEP_LEG)
+    assert code == 1 and "internal error" not in err
+    # validate reports the problem on stdout, the others as an error
+    message = out if command == "validate" else err.removeprefix("error: ")
+    assert message.startswith("line 7: up: bad matrix: maximum recursion depth exceeded")
+
+
 # ---------------------------------------------------------------------------
 # invalid SES documents: each problem of the hor section is reported again
 # under the ses built on it, exactly as before the sub morphism was checked
@@ -519,9 +532,9 @@ LINEAR_LEVEL = (
 @pytest.mark.parametrize(
     "level,reduced",
     [
-        ("[[-6, 0], [0, 1]]", ((1, 0), (0, 1))),  # negative entry
-        ("[[8, 0], [0, 15]]", ((1, 0), (0, 1))),  # entries >= p
-        ("[[true, 0], [0, 1]]", ((1, 0), (0, 1))),  # JSON true is the integer 1
+        ("[[-6, 0], [0, 1]]", [[1, 0], [0, 1]]),  # negative entry
+        ("[[8, 0], [0, 15]]", [[1, 0], [0, 1]]),  # entries >= p
+        ("[[true, 0], [0, 1]]", [[1, 0], [0, 1]]),  # JSON true is the integer 1
     ],
 )
 def test_integer_matrix_entries_are_reduced_mod_p(tmp_path, capsys, level, reduced):
@@ -529,7 +542,8 @@ def test_integer_matrix_entries_are_reduced_mod_p(tmp_path, capsys, level, reduc
     path.write_text(LINEAR_LEVEL.format(level=level))
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr().out == "ok\n"
-    assert parse(path.read_text()).hor_named("f").levels[0].data == reduced
+    doc = parse(path.read_text())
+    assert doc.inst.hor_matrix(doc.hor_named("f").levels[0]).tolist() == reduced
 
 
 @pytest.mark.parametrize(

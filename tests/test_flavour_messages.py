@@ -198,15 +198,15 @@ def test_flavour_specific_error_text(case):
 #: wrong number of rows, and one whose stored matrix has rank 1
 LINEAR_VALIDATION = {
     "hor": (
-        HorMor(V1, V2, ((1,),)),
+        L.hor(V1, V2, [[1]]),
         "matrix must have 2 rows, got ((1,),)",
-        HorMor(V2, V2, ((1, 1), (1, 1))),
+        L.hor(V2, V2, [[1, 1], [1, 1]]),
         "horizontal matrix is not injective",
     ),
     "ver": (
-        VerMor(V1, V2, ((1,), (0,))),
+        L.ver(V1, V2, [[1], [0]]),
         "matrix must have 1 rows, got ((1,), (0,))",
-        VerMor(V2, V2, ((1, 1), (1, 1))),
+        L.ver(V2, V2, [[1, 1], [1, 1]]),
         "vertical matrix is not surjective",
     ),
 }

@@ -150,11 +150,10 @@ def test_only_the_instances_and_pickling_read_a_payload():
 
 
 #: each module's memo keys: the finite-set dict, inverse dict and image
-#: set and a complement leg's kept image, the linear int64 array, and a
-#: horizontal chain morphism's quotient
+#: set and a complement leg's kept image, and a horizontal chain
+#: morphism's quotient; an ``F_p`` morphism keeps nothing beside its payload
 MEMO_KEYS = {
     "finset": (finset._MEMO_KEYS, 4),
-    "linear": (linear._MEMO_KEYS, 1),
     "chains": ((chains._COKER,), 1),
 }
 
@@ -171,6 +170,8 @@ def test_each_instance_alone_spells_its_memo_keys():
         | set(HorChainMor.__dataclass_fields__)
     )
     assert not set(every) & fields
+    # an F_p morphism's payload is its array: the instance memoizes nothing
+    assert "_memoized" not in (SRC / "linear.py").read_text(encoding="utf-8")
     sources = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     for path in sources:
         text = path.read_text(encoding="utf-8")

@@ -1,6 +1,7 @@
 """Exact linear algebra over prime fields and the linear instance."""
 
 import copy
+import json
 import pickle
 import time
 
@@ -19,16 +20,14 @@ from acgw import (
     VerMor,
 )
 from acgw.linear import (
-    _ARRAY,
+    _Matrix,
     _unit_rows,
     colbasis,
-    mat_of,
     mat_rank,
     matmul_mod,
     nullspace,
     rref,
     solve,
-    tuple_of,
 )
 
 from reference import (
@@ -362,14 +361,6 @@ def test_matmul_mod_does_not_overflow_at_two_to_the_31():
     assert matmul_mod(full, full, p).tolist() == [[3] * 3] * 3
 
 
-def test_mat_of_tuple_of_round_trip():
-    data = ((1, 2), (0, 1))
-    arr = mat_of(data, 2, 2)
-    assert tuple_of(arr, 3) == data
-    assert tuple_of(np.array([[1, 7]]), 5) == ((1, 2),)
-    assert mat_of((), 0, 3).shape == (0, 3)
-
-
 # ---------------------------------------------------------------------------
 # The prime-field instance.
 # ---------------------------------------------------------------------------
@@ -507,20 +498,27 @@ def test_mixed_pullback_dimension_formula():
     assert not L.validate_ver(sq.to_mono_source)
 
 
+def _payload(rows) -> _Matrix:
+    """The payload of an ``F_p`` morphism storing ``rows`` as they are."""
+    return _Matrix(np.array(rows, dtype=np.int64))
+
+
 @pytest.mark.parametrize(
     "data,problem",
     [
-        (((1, 0), (0, 1)), None),
-        (((True, 0), (0, 1)), None),
-        (((1, 0), (0, 1.0)), "matrix entry out of F7: 1.0"),
-        (((1, 0), (0, -1)), "matrix entry out of F7: -1"),
-        (((1, 0), (0, 7)), "matrix entry out of F7: 7"),
-        (((1, 0), (0, 10**23)), "matrix entry out of F7: 100000000000000000000000"),
-        (((1, 0), (0,)), "matrix rows must have 2 entries, got (0,)"),
-        (((1, 0), [0, 1]), "matrix rows must have 2 entries, got [0, 1]"),
-        (((7, 0), (0,)), "matrix entry out of F7: 7"),
-        (((1, 0),), "matrix must have 2 rows, got ((1, 0),)"),
-        (((1, 0), (1, 0)), "horizontal matrix is not injective"),
+        (_payload([[1, 0], [0, 1]]), None),
+        (_payload([[1, 0], [0, -1]]), "matrix entry out of F7: -1"),
+        (_payload([[1, 0], [0, 7]]), "matrix entry out of F7: 7"),
+        (_payload([[1, 0], [0, 2**62]]), "matrix entry out of F7: 4611686018427387904"),
+        (_payload([[1, 0], [0, -(2**63)]]), "matrix entry out of F7: -9223372036854775808"),
+        (_payload([[7, 0], [0, -1]]), "matrix entry out of F7: 7"),
+        (_payload([[1], [0]]), "matrix rows must have 2 entries, got (1,)"),
+        (_payload([[1, 0, 0], [0, 1, 0]]), "matrix rows must have 2 entries, got (1, 0, 0)"),
+        (_payload([[1, 0]]), "matrix must have 2 rows, got ((1, 0),)"),
+        (_payload([[1, 0], [1, 0]]), "horizontal matrix is not injective"),
+        # row tuples are not a payload
+        (((1, 0), (0, 1)), "payload is not a matrix: ((1, 0), (0, 1))"),
+        (None, "payload is not a matrix: None"),
     ],
 )
 def test_stored_matrix_entries_are_checked(data, problem):
@@ -529,40 +527,53 @@ def test_stored_matrix_entries_are_checked(data, problem):
     assert L.validate_hor(HorMor(two, two, data)) == ([problem] if problem else [])
 
 
-def test_a_morphism_keeps_its_array_read_only_beside_its_value():
+def test_a_matrix_with_no_rows_is_checked_by_its_shape():
+    L = LinearInstance(p=7)
+    none, two = L.obj(0), L.obj(2)
+    assert L.validate_ver(L.ver(none, two, np.zeros((0, 2), np.int64))) == []
+    wide = VerMor(none, two, _payload(np.zeros((0, 3))))
+    assert L.validate_ver(wide) == ["matrix must be 0x2, got ()"]
+    with pytest.raises(ValidationError, match=r"matrix must be 0x2, got \(\)"):
+        L.ver_matrix(wide)
+
+
+def test_a_morphism_holds_its_matrix_as_one_read_only_array():
     L = LinearInstance(p=7)
     m = L.hor(L.obj(2), L.obj(3), [[1, 0], [0, 8], [3, -4]])
-    kept = vars(m)[_ARRAY]
-    assert L.hor_matrix(m) is kept and kept.tolist() == [[1, 0], [0, 1], [3, 3]]
+    arr = m.data.array
+    assert L.hor_matrix(m) is arr and arr.tolist() == [[1, 0], [0, 1], [3, 3]]
     with pytest.raises(ValueError, match="read-only"):
-        kept[0, 0] = 5
+        arr[0, 0] = 5
     _, leg = L.coker(m)
-    assert isinstance(leg, VerMor) and L.ver_matrix(leg) is vars(leg)[_ARRAY]
-    # a morphism built by hand decodes its data once
-    fresh = HorMor(m.source, m.target, m.data)
-    assert _ARRAY not in vars(fresh)
-    assert L.hor_matrix(fresh) is L.hor_matrix(fresh) is vars(fresh)[_ARRAY]
-    assert not vars(fresh)[_ARRAY].flags.writeable
+    assert isinstance(leg, VerMor) and L.ver_matrix(leg) is leg.data.array
+    # reading and checking a morphism keeps nothing beside its fields
+    assert L.validate_hor(m) == [] and L.validate_ver(leg) == []
     for mor in (m, leg):
-        twin = type(mor)(mor.source, mor.target, mor.data)
+        assert set(vars(mor)) == {"source", "target", "data"}
+        twin = type(mor)(mor.source, mor.target, _payload(mor.data.array))
         assert mor == twin and twin == mor
         assert (hash(mor), repr(mor)) == (hash(twin), repr(twin))
-        # only the declared fields are pickled or copied
         assert pickle.dumps(mor) == pickle.dumps(twin)
         for copied in (pickle.loads(pickle.dumps(mor)), copy.copy(mor), copy.deepcopy(mor)):
-            assert _ARRAY not in vars(copied)
+            assert not copied.data.array.flags.writeable
             assert copied == mor and L.validate_hor(copied) == []
             assert L.coker(copied) == L.coker(twin)
 
 
-def test_a_read_matrix_of_another_shape_is_not_kept():
+def test_a_read_matrix_of_another_shape_keeps_its_messages():
     L = LinearInstance(p=7)
-    two = L.obj(2)
+    none, two = L.obj(0), L.obj(2)
     m = L.mor_from_text(HorMor, two, two, "[[1, 0]]")
-    assert _ARRAY not in vars(m)
     assert L.validate_hor(m) == ["matrix must have 2 rows, got ((1, 0),)"]
+    with pytest.raises(ValidationError, match=r"matrix must be 2x2, got \(\(1, 0\),\)"):
+        L.hor_matrix(m)
     assert L.mor_text(L.mor_from_text(HorMor, two, two, "[[8, 0], [0, 1]]")) == "[[1, 0], [0, 1]]"
     assert L.mor_text(L.zero_hor(two)) == "[[], []]" and L.mor_text(L.zero_ver(two)) == "[]"
+    # ``[]`` is a matrix with no rows, whatever its flavour
+    assert L.mor_from_text(VerMor, none, two, "[]") == L.zero_ver(two)
+    assert L.validate_hor(L.mor_from_text(HorMor, none, two, "[]")) == [
+        "matrix must have 2 rows, got ()"
+    ]
 
 
 def _matrix_outcome(matrix, f):
@@ -575,33 +586,87 @@ def _matrix_outcome(matrix, f):
 @pytest.mark.parametrize(
     "mor_type,data,matrix,problem",
     [
-        (HorMor, ((1,),), "matrix must be 2x1, got ((1,),)", "matrix must have 2 rows, got ((1,),)"),
+        (HorMor, [[1]], "matrix must be 2x1, got ((1,),)", "matrix must have 2 rows, got ((1,),)"),
         (
             HorMor,
-            ((1, 0), (0, 1)),
+            [[1, 0], [0, 1]],
             "matrix must be 2x1, got ((1, 0), (0, 1))",
             "matrix rows must have 1 entries, got (1, 0)",
         ),
+        (HorMor, [[1, 0]], "matrix must be 2x1, got ((1, 0),)", "matrix must have 2 rows, got ((1, 0),)"),
         (
-            HorMor,
-            ((1,), (0, 1)),
-            "matrix must be 2x1, got ((1,), (0, 1))",
-            "matrix rows must have 1 entries, got (0, 1)",
+            VerMor,
+            [[1], [0]],
+            "matrix must be 1x2, got ((1,), (0,))",
+            "matrix must have 1 rows, got ((1,), (0,))",
         ),
-        (HorMor, ((1, 0),), [[1], [0]], "matrix must have 2 rows, got ((1, 0),)"),
-        (VerMor, ((1,), (0,)), [[1, 0]], "matrix must have 1 rows, got ((1,), (0,))"),
-        (HorMor, ((1.0,), (0,)), [[1], [0]], "matrix entry out of F7: 1.0"),
-        (VerMor, ((), ()), "matrix must be 1x2, got ((), ())", "matrix must have 1 rows, got ((), ())"),
+        (HorMor, [[1], [0]], [[1], [0]], None),
+        (VerMor, [[1, 0]], [[1, 0]], None),
+        (
+            VerMor,
+            np.zeros((2, 0)),
+            "matrix must be 1x2, got ((), ())",
+            "matrix must have 1 rows, got ((), ())",
+        ),
     ],
 )
-def test_a_hand_built_matrix_of_another_shape_reads_as_before(mor_type, data, matrix, problem):
+def test_a_hand_built_matrix_of_another_shape_is_refused(mor_type, data, matrix, problem):
+    # a matrix whose entries would fit its shape is not reshaped
     L = LinearInstance(p=7)
-    f = mor_type(L.obj(1), L.obj(2), data)
+    f = mor_type(L.obj(1), L.obj(2), _payload(data))
     read = L.hor_matrix if mor_type is HorMor else L.ver_matrix
-    for _ in range(2):
-        assert _matrix_outcome(read, f) == matrix
-        assert L.validate_hor(f) == [problem]
-    assert _ARRAY not in vars(f)
+    assert _matrix_outcome(read, f) == matrix
+    assert L.validate_hor(f) == ([problem] if problem else [])
+
+
+#: the primes the payload properties run at: 2^32 - 5 has entries whose
+#: products pass int64
+PAYLOAD_PRIMES = (2, 65521, 2**31 - 1, 2**32 - 5)
+
+
+@st.composite
+def linear_morphism(draw):
+    """A prime, and a morphism over it of either flavour between spaces of
+    dimension 0 to 4, whose matrix is any matrix of its shape."""
+    L = LinearInstance(draw(st.sampled_from(PAYLOAD_PRIMES)))
+    mor_type = draw(st.sampled_from((HorMor, VerMor)))
+    source, target = (L.obj(draw(st.integers(0, 4))) for _ in range(2))
+    rows, cols = (target.dim, source.dim) if mor_type is HorMor else (source.dim, target.dim)
+    entries = draw(st.lists(st.integers(0, L.p - 1), min_size=rows * cols, max_size=rows * cols))
+    arr = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    build = L.hor if mor_type is HorMor else L.ver
+    return L, build(source, target, arr)
+
+
+@settings(deadline=None, max_examples=150)
+@given(linear_morphism())
+def test_a_payload_round_trips_hashes_and_prints_as_its_rows(drawn):
+    L, f = drawn
+    rows = tuple(map(tuple, f.data.array.tolist()))
+    assert L.mor_from_text(type(f), f.source, f.target, L.mor_text(f)) == f
+    assert L.mor_text(f) == json.dumps(rows)
+    assert repr(f) == f"{type(f).__name__}(source={f.source!r}, target={f.target!r}, data={rows!r})"
+    # equal payloads hash equal, whatever the memory layout of the array
+    twin = type(f)(f.source, f.target, _Matrix(np.asfortranarray(f.data.array)))
+    assert twin == f and hash(twin) == hash(f) and hash(twin.data) == hash(f.data)
+    for copied in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert copied == f and hash(copied) == hash(f)
+        assert not copied.data.array.flags.writeable
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(PAYLOAD_PRIMES), st.integers(0, 4), st.data())
+def test_equal_bytes_in_other_shapes_are_other_payloads(p, k, data):
+    empty = [_payload(np.zeros(shape)) for shape in ((0, k), (k, 0))]
+    four = data.draw(st.lists(st.integers(0, p - 1), min_size=4, max_size=4))
+    square = [_payload(np.reshape(four, shape)) for shape in ((1, 4), (4, 1), (2, 2))]
+    for payloads in (empty, square):
+        assert len({a.array.tobytes() for a in payloads}) == 1
+        for a in payloads:
+            for b in payloads:
+                assert (a == b) == (a.array.shape == b.array.shape)
+    # with k = 0 both empty shapes are 0 x 0
+    assert len(set(empty)) == (2 if k else 1) and len(set(square)) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def test_linear_generator_beyond_int64_products():
     # conjugates by random invertible matrices, so every product counts.
     cx, dims = gen_complex(GenConfig(seed=1, instance="linear", prime=4294967291))
     assert validate_complex(cx) == []
-    big = max(v for t in cx.transitions for row in t.into_lower.data for v in row)
+    big = max(int(cx.inst.hor_matrix(t.into_lower).max(initial=0)) for t in cx.transitions)
     assert big * big > 2**63
     by_rank = rank_homology_dims(cx)
     for i in cx.degrees():
