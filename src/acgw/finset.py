@@ -323,7 +323,9 @@ class FinSetInstance(AcgwInstance):
             )
         # keep the elements of ``e`` that land in the image of ``m``
         sources, images = e.data
-        over = list(map(_image(m).__contains__, images))
+        kept = m.__dict__.get(_KEPT)  # a complement leg's image: the rest of its target
+        inside = _image(m).__contains__ if kept is None else lambda y: y not in kept
+        over = list(map(inside, images))
         corner = tuple(compress(sources, over))
         pulled = _backward(m, corner if images is sources else tuple(compress(images, over)))
         hor_leg = self.inclusion_hor(corner, e.source)

@@ -20,7 +20,9 @@ dimension k:
 * float64, through BLAS, for products with k (p-1)^2 < 2^53;
 * int64 for products with k (p-1)^2 < 2^63, and for row reduction
   while (p-1)^2 < 2^63;
-* Python integers (object arrays) above that.
+* int64 for larger products, in limbs of s >= 8 bits of the right factor
+  with k (p-1) (2^s-1) < 2^63 (every product at p < 2^32 and k <= 4096);
+* Python integers (object arrays) where no such limb fits.
 
 Row reduction delays the reduction mod p.  Each pivot reduces only its
 own column, whose entries become the multipliers, and its own row when
@@ -39,12 +41,14 @@ one; :func:`mat_rank` only counts pivots, so it clears below the pivot
 only and scales the multipliers instead of the row.
 
 Both kernels skip what cannot matter, which is exact for any p.
-:func:`mat_rank` drops the all-zero rows and columns before it
-eliminates.  :func:`matmul_mod` keeps only the inner indices k where
-column k of the left factor and row k of the right one are both
-nonzero, with the rows and columns they touch, when those indices are
-at most half of the inner range; a product of incidence matrices then
-costs its support rather than its shape.
+:func:`mat_rank` drops the all-zero rows and columns, then eliminates
+nothing when, oriented tall, every column holds the one nonzero entry of
+some row, as in a leg ``[I; A]``: that monomial submatrix proves full
+rank.  :func:`matmul_mod` keeps only the inner indices k where column k
+of the left factor and row k of the right one are both nonzero, with the
+rows and columns they touch, when those indices are at most half of the
+inner range; a product of incidence matrices then costs its support
+rather than its shape.
 
 :func:`solve` row-reduces nothing when every column j of its matrix has
 a row equal to ``e_j`` mod p, as the bases from :func:`nullspace` and
@@ -122,6 +126,11 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     product, with only the rows of ``a`` and columns of ``b`` they touch.
     Entries are reduced next, so each dot product is a sum of k terms
     below (p-1)^2: float64 holds it exactly below 2^53, int64 below 2^63.
+    Above that, ``b`` is split into limbs of s bits, with the largest s
+    such that k (p-1) (2^s-1) fits in int64 (k counted as at least 2, so
+    each step below fits too): each ``a @ limb`` is exact, and the limbs
+    are combined from the top, the sum reduced mod p before each shift.
+    Python integers take over when s < 8.
     """
     shape = (a.shape[0], b.shape[1])
     inner = (a.any(axis=0) & b.any(axis=1)).nonzero()[0]
@@ -134,10 +143,17 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         a, b = a[rows], b[:, cols]
     a, b = a % p, b % p
     bound = a.shape[1] * (p - 1) ** 2
+    s = (_INT64_MAX // (max(a.shape[1], 2) * (p - 1)) + 1).bit_length() - 1
     if bound < 2**53:
         prod = np.matmul(a, b, dtype=np.float64).astype(np.int64)
     elif bound < 2**63:
         prod = a @ b
+    elif s >= 8:
+        mask = (1 << s) - 1
+        limbs = [(b >> shift) & mask for shift in range(0, (p - 1).bit_length(), s)]
+        prod = a @ limbs.pop()
+        for limb in reversed(limbs):
+            prod = ((prod % p) << s) + (a @ limb) % p
     else:
         prod = a.astype(object) @ b.astype(object)
     prod = (prod % p).astype(np.int64, copy=False)
@@ -222,11 +238,16 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def mat_rank(a: np.ndarray, p: int) -> int:
-    """Rank mod p, by forward elimination of the nonzero rows and columns."""
+    """Rank mod p: full, with nothing row-reduced, when the nonzero rows
+    and columns, oriented tall, hold a monomial submatrix (a row whose one
+    nonzero entry lies in each column); else by forward elimination."""
     r = np.asarray(a, dtype=np.int64)
     r = r[r.any(axis=1)]
-    r = r[:, r.any(axis=0)]
-    return len(_eliminate(r % p, p, reduced=False)[1])
+    r = r[:, r.any(axis=0)] % p
+    tall = r if r.shape[0] >= r.shape[1] else r.T
+    if tall[np.count_nonzero(tall, axis=1) == 1].any(axis=0).all():
+        return tall.shape[1]
+    return len(_eliminate(r, p, reduced=False)[1])
 
 
 def _unit_rows(r: np.ndarray) -> np.ndarray | None:

@@ -839,6 +839,20 @@ def test_lift_agrees_with_the_dict_reference(data):
     assert _lift_outcome(lift, *args) == _lift_outcome(lift_hor_bar_reference, *args)
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_mixed_pullback_reads_a_complement_leg_through_the_set_it_keeps(data):
+    draw = data.draw
+    c = _ids(draw)
+    _, m = INST.coker(_into(draw, VerMor, c))
+    e = _into(draw, VerMor, c)
+    sq = INST.mixed_pullback(m, e)
+    # the leg's image is the rest of its target: no image set is built
+    assert finset._KEPT in vars(m) and finset._IMAGE not in vars(m)
+    got = (sq.corner, sq.to_epi_source, sq.to_mono_source)
+    assert got == SORTED_FINSET["mixed_pullback"](m, e)
+
+
 def _use(mor):
     """Run every primitive that reads the maps of a horizontal ``mor``."""
     _, leg = INST.coker(mor)

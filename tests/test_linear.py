@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from acgw import (
     ValidationError,
     VerMor,
 )
+from acgw import linear
 from acgw.linear import (
     _Matrix,
     _unit_rows,
@@ -359,6 +361,109 @@ def test_matmul_mod_does_not_overflow_at_two_to_the_31():
     full = np.full((3, 3), p - 1, dtype=np.int64)
     # (p-1)^2 = 1 mod p, summed three times; int64 products wrap here.
     assert matmul_mod(full, full, p).tolist() == [[3] * 3] * 3
+
+
+#: the primes of the rank certificate: the float64 and int64 product
+#: ends, delayed-reduction elimination with little int64 room, and the
+#: Python-integer elimination
+CERTIFICATE_PRIMES = (2, 65521, 2**31 - 1, 3037000507)
+
+
+@st.composite
+def monomial_matrix(draw, p):
+    """A matrix whose nonzero rows and columns hold a monomial submatrix
+    (one row with a single nonzero entry per column, scaled by non-units),
+    under dense rows, permuted, with zero rows and columns added and maybe
+    transposed; or a near miss, where one column loses its single row or
+    two single rows gain a second entry.  Returns the matrix and the size
+    of the monomial submatrix, or None for a near miss."""
+    c = draw(st.integers(0, 5))
+    scales = np.array(draw(st.lists(st.integers(1, p - 1), min_size=c, max_size=c)), dtype=np.int64)
+    dense = draw(threshold_matrix(draw(st.integers(0, 4)), c, p))
+    a = np.vstack([np.diag(scales).reshape(c, c), dense])
+    miss = draw(st.sampled_from(("none", "uncovered", "second entry"))) if c else "none"
+    if miss == "uncovered":
+        a[draw(st.integers(0, c - 1))] = 0
+    elif miss == "second entry":
+        # a second entry in column k, and the single row of k a multiple of
+        # the result: without dense rows the rank falls by one
+        j = draw(st.integers(0, c - 1))
+        k = (j + draw(st.integers(1, max(c - 1, 1)))) % c
+        a[j, k] = draw(st.integers(1, p - 1))
+        if k != j:
+            scale = draw(st.integers(1, p - 1))
+            a[k] = [v * scale % p for v in a[j].tolist()]
+    # an entry raised by p is the same entry mod p
+    lift = draw(st.lists(st.integers(0, 1), min_size=a.size, max_size=a.size))
+    a = a + p * np.array(lift, dtype=np.int64).reshape(a.shape)
+    a = a[draw(st.permutations(range(a.shape[0])))][:, draw(st.permutations(range(c)))]
+    for axis in (0, 1):
+        at = draw(st.lists(st.integers(0, a.shape[axis]), max_size=3))
+        a = np.insert(a, at, 0, axis=axis)
+    return (a.T if draw(st.booleans()) else a), c if miss == "none" else None
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(CERTIFICATE_PRIMES), st.data())
+def test_rank_certificate_agrees_with_the_reference(p, data):
+    a, planted = data.draw(monomial_matrix(p))
+    eliminate, calls = linear._eliminate, []
+
+    def counted(r, p, reduced):
+        calls.append(r.shape)
+        return eliminate(r, p, reduced)
+
+    with mock.patch.object(linear, "_eliminate", counted):
+        rank = mat_rank(a, p)
+    assert rank == mat_rank(a.T, p) == len(rref_reference(a, p)[1])
+    if planted is not None:
+        # full rank, certified by the monomial rows without elimination
+        assert rank == planted and calls == []
+
+
+#: primes whose products pass int64 from small k: at 2^31-1 and 2^32-5
+#: every product up to k = 4096 takes int64 limbs, at 3037000507 even
+#: k = 1 does, at 2^40-87 the limbs narrow to 10 bits at k = 4096, and
+#: at 2^61-1 no limb of 8 bits fits, so Python integers multiply
+LIMB_PRIMES = (2**31 - 1, 3037000507, 2**32 - 5, 2**40 - 87, 2**61 - 1)
+
+
+def _limb_edges(p, top=4096):
+    """Inner dimensions k up to ``top`` on both sides of each change of the
+    limb width s, the largest with k (p-1) (2^s-1) < 2^63, and of the
+    int64 product's bound k (p-1)^2 < 2^63."""
+    ks = {1, 2, top}
+    for bound in [(p - 1) ** 2] + [(p - 1) * ((1 << s) - 1) for s in range(1, 64)]:
+        edge = (2**63 - 1) // bound
+        ks |= {edge, edge + 1}
+    return sorted(k for k in ks if 1 <= k <= top)
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(0, 2**32 - 1))
+def test_limb_products_agree_with_the_reference(seed):
+    rng = np.random.default_rng(seed)
+    for p in LIMB_PRIMES:
+
+        def biased(shape):
+            """Entries mostly 0, 1 or p-1, the others uniform."""
+            extreme = np.array([0, 1, p - 1], dtype=np.int64)[rng.integers(0, 3, size=shape)]
+            return np.where(rng.random(shape) < 0.75, extreme, rng.integers(0, p, size=shape))
+
+        for k in _limb_edges(p):
+            m, n = rng.integers(1, 4, size=2)
+            a, b = biased((m, k)), biased((k, n))
+            prod = matmul_mod(a, b, p)
+            assert prod.dtype == np.int64
+            assert prod.tolist() == matmul_mod_reference(a, b, p), (p, k)
+
+
+def test_limb_product_of_the_largest_entries_at_the_largest_dimension():
+    p, k = 2**32 - 5, 4096
+    a = np.full((2, k), p - 1, dtype=np.int64)
+    b = np.full((k, 3), p - 1, dtype=np.int64)
+    # (p-1)^2 = 1 mod p, summed k times
+    assert matmul_mod(a, b, p).tolist() == [[k] * 3] * 2 == matmul_mod_reference(a, b, p)
 
 
 # ---------------------------------------------------------------------------

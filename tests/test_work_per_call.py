@@ -21,11 +21,15 @@ import pytest
 
 import acgw
 import acgw.finset as finset
+import acgw.linear as linear
 
 from acgw import (
+    Document,
     FinSetInstance,
+    GenConfig,
     LinearInstance,
     SquareClass,
+    gen_complex,
     homology,
     les_of_ses,
     parse,
@@ -36,6 +40,7 @@ from acgw import (
 from acgw.cli import build_parser, main
 
 from conftest import corpus_doc, corpus_text
+from reference import rref_reference
 
 PRIMITIVES = (
     "ker",
@@ -217,6 +222,83 @@ def test_classify_mixed_does_not_validate(monkeypatch, inst, ambient):
     monkeypatch.setattr(type(inst), "validate_ver", refuse)
     cls = inst.classify_mixed(sq.to_epi_source, sq.to_mono_source, sq.epi, sq.mono)
     assert cls is SquareClass.CARTESIAN
+
+
+#: a complex over F_7 whose legs into X_1 are ``[I; A]`` and ``M[-A | I]``
+#: (A = [[1, 2], [3, 4]], M a scaled swap), so their composite is zero,
+#: and whose other legs are monomial: every leg holds a monomial submatrix
+BLOCK_LEGS = """\
+instance linear
+prime 7
+
+complex X:
+  object 0: dim 2
+  object 1: dim 4
+  object 2: dim 2
+  transition 1: dim 2
+    up: [[1, 6, 0, 2], [4, 1, 3, 0]]
+    down: [[1, 0], [0, 1]]
+  transition 2: dim 2
+    up: [[0, 3], [5, 0]]
+    down: [[1, 0], [0, 1], [1, 2], [3, 4]]
+"""
+
+
+def _count_eliminations(monkeypatch) -> Counter:
+    """Count the row reductions of ``acgw.linear``, by whether they are
+    full (rref) or forward only (rank)."""
+    calls = Counter()
+    eliminate = linear._eliminate
+
+    def counted(r, p, reduced):
+        calls["rref" if reduced else "rank"] += 1
+        return eliminate(r, p, reduced)
+
+    monkeypatch.setattr(linear, "_eliminate", counted)
+    return calls
+
+
+def test_legs_holding_an_identity_are_not_row_reduced_for_their_rank(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    assert validate_document(parse(BLOCK_LEGS)) == []
+    # The one rref is the column basis of the chain condition's mixed
+    # pullback; eliminating each of the four legs for its rank took four
+    # rank reductions more.
+    assert calls == Counter(rref=1)
+
+
+def _reference_rank(a, p):
+    return len(rref_reference(a, p)[1])
+
+
+def _spoiled(cx):
+    """``cx`` with the lower leg of its first nonzero transition made
+    non-injective, its last column a copy of its first or, when it has
+    one column, zero; None when every transition is zero."""
+    inst = cx.inst
+    for k, t in enumerate(cx.transitions):
+        leg = inst.hor_matrix(t.into_lower)
+        if leg.shape[1]:
+            bad = leg.copy()
+            bad[:, -1] = bad[:, 0] if leg.shape[1] > 1 else 0
+            t = replace(t, into_lower=inst.hor(t.obj, t.into_lower.target, bad))
+            return replace(cx, transitions=cx.transitions[:k] + (t,) + cx.transitions[k + 1 :])
+    return None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_basis_complexes_validate_as_with_elimination(monkeypatch, seed):
+    cx, _ = gen_complex(GenConfig(seed, instance="linear", prime=(2, 5, 65521)[seed % 3]))
+    docs = [Document(cx.inst, (("X", cx),))]
+    spoiled = _spoiled(cx)
+    if spoiled is not None:
+        docs.append(Document(cx.inst, (("X", spoiled),)))
+    got = [validate_document(doc) for doc in docs]
+    monkeypatch.setattr(linear, "mat_rank", _reference_rank)
+    assert got == [validate_document(doc) for doc in docs]
+    assert got[0] == []
+    if spoiled is not None:
+        assert "horizontal matrix is not injective" in " ".join(got[1])
 
 
 def _in_process(argv: list[str]) -> tuple[int, str, str]:
