@@ -1,6 +1,8 @@
 """Rank-based homology oracle and the seeded generators."""
 
+import hashlib
 import importlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from acgw import (
     homology_size,
     is_exact,
     rank_homology_dims,
+    serialize,
     validate_chain_map,
     validate_chain_ses,
     validate_complex,
@@ -31,6 +34,7 @@ from acgw import (
     validate_snake_weak,
     validate_ver_chain_mor,
 )
+from acgw.cli import _GEN
 
 from conftest import INSTANCES, PRIMES, corpus_doc
 
@@ -250,3 +254,46 @@ def test_linear_diagrams_share_their_complexes():
         assert f.back.target is f.source and f.front.target is f.target
         f, g = gen_composable_chain_maps(GenConfig(seed=seed, instance="linear", prime=5))
         assert f.target is g.source
+
+
+# ---------------------------------------------------------------------------
+# Generator output, pinned for seeds 0-49.
+# ---------------------------------------------------------------------------
+
+#: sha256 over the serialized documents of ``gen --kind`` for seeds 0-49, by
+#: instance (``F_3`` for linear) and kind.  A snake section writes only its
+#: objects, so the payloads of its morphisms are hashed after it.
+GEN_DIGESTS = {
+    ("set", "complex"): "24943f73926b1eb6a216fd76282d8780b4b04e2656e8223193aeb62b2570ff7c",
+    ("set", "exact"): "7769fc16300d512845a34ebb68b7b52fb05f16a435cafd0a5327157d884ea72e",
+    ("set", "hor"): "edd3ffd18c972c1295b7168683045c1bd63ca0dc4347950c0f5cab92bf5eddd6",
+    ("set", "ver"): "5e3733db0067bd61c093c79488db5ecd653ac4777f90eece09f21fb42cfce8d9",
+    ("set", "map"): "67ab2f11c44047031020307cd7a67654791c9b70ae448fbe5c84df8bdea26ecf",
+    ("set", "pair"): "fe4c0bfdeb09a81cf3760efbe54420619e003a7519bbb146567809c780237482",
+    ("set", "ses"): "04af6d040d91611573d9cee0ef7313a359a3982b495e4a0a769dffd8c3fc937e",
+    ("set", "snake-weak"): "b35fad929256523dd7ec9f195ce9e03ef499498d7903e2153ef92f86009acdd6",
+    ("set", "snake-strong"): "4d8f10caf0d7963c715a6541ed3c7611c07bf978afea087ac2dd577080f9a882",
+    ("linear", "complex"): "ca420c51a59bea2bf27cce57624363e9d10d4696550f8738bd75b59649d769fa",
+    ("linear", "exact"): "e28e215756781a3c4101a7a1644d363e811913982c92f5e16a3cad10192fcd52",
+    ("linear", "hor"): "ef5bfd5eb8d1c030e053a5f2b40d60d1722105b7d6ac3abd760cc7732aa2fac3",
+    ("linear", "ver"): "b3548bb5442854ffd1c30d383eb04d01b8c7e09122e3b6c339f034d1d79f8296",
+    ("linear", "map"): "0050940ce7b8cb6473e6ce7b3980dad992d5be5c87b0ae6dee2de5b25f215057",
+    ("linear", "pair"): "9d2d4e851a6c76b862d24b736285f6650bf715d895aa6a11de14c46219283509",
+    ("linear", "ses"): "a238223834acdae102079e2ab3ed4df6f9f44d6598e783dfe5b30e953e76bd88",
+    ("linear", "snake-weak"): "7f98c918da3cdd704ce3a233fc44ddeeb669d7d290834db720fd8e81c437cb42",
+    ("linear", "snake-strong"): "5b87d02fdf2b289b429d58257ba4c1605b85cbe5a4b35bc8866de32afa4d5daa",
+}
+
+
+@pytest.mark.parametrize("instance,kind", GEN_DIGESTS, ids="-".join)
+def test_generated_documents_match_their_digest(instance, kind):
+    build = _GEN[kind]
+    digest = hashlib.sha256()
+    for seed in range(50):
+        doc = build(GenConfig(seed, instance=instance, prime=3))
+        digest.update(serialize(doc).encode())
+        for _, snake in doc.snakes_weak + doc.snakes_strong:
+            for f in fields(snake):
+                if f.name != "inst":
+                    digest.update(repr(getattr(snake, f.name).data).encode())
+    assert digest.hexdigest() == GEN_DIGESTS[instance, kind]
