@@ -284,6 +284,8 @@ def cmd_oracle(args) -> int:
     all_agree = True
     for name, cx in _selected_complexes(doc, args.name):
         by_rank = rank_homology_dims(cx)
+        # after the ranks, whose errors name the leg that cannot be read
+        _require_valid(doc, "oracle", (cx,))
         structural = {i: homology_size(cx, i) for i in cx.degrees()}
         agree = by_rank == structural
         all_agree = all_agree and agree

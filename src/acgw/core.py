@@ -292,6 +292,15 @@ class AcgwInstance(ABC):
 
     validate_ver = validate_hor
 
+    def is_iso_hor(self, f: HorMor | VerMor) -> bool:
+        """Whether ``f`` is invertible.  It takes valid morphisms, like the
+        other primitives: a valid horizontal morphism is a mono and a valid
+        vertical one an epi, so either is an iso exactly when its two ends
+        have one size.  On an invalid morphism the answer is unspecified."""
+        return self.obj_size(f.source) == self.obj_size(f.target)
+
+    is_iso_ver = is_iso_hor
+
     @abstractmethod
     def validate_payload(self, f: HorMor | VerMor) -> list[str]:
         """The problems of the payload of a morphism of either flavour whose
@@ -305,12 +314,6 @@ class AcgwInstance(ABC):
     @abstractmethod
     def compose_ver(self, f: VerMor, g: VerMor) -> VerMor:
         """``f: A => B`` then ``g: B => C``, giving ``A => C``."""
-
-    @abstractmethod
-    def is_iso_hor(self, f: HorMor) -> bool: ...
-
-    @abstractmethod
-    def is_iso_ver(self, f: VerMor) -> bool: ...
 
     # ----- complement structure ------------------------------------
     @abstractmethod

@@ -283,11 +283,6 @@ class FinSetInstance(AcgwInstance):
 
     compose_ver = compose_hor
 
-    def is_iso_hor(self, f: HorMor | VerMor) -> bool:
-        return len(f.source) == len(f.target)
-
-    is_iso_ver = is_iso_hor
-
     # ----- complement structure ---------------------------------------
     def coker(self, f: HorMor | VerMor) -> tuple[FinSetObj, HorMor | VerMor]:
         """The complement of either flavour: the rest of its target,

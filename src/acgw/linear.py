@@ -11,6 +11,11 @@ its rows as tuples.
 Operations that do not mix the flavours read a vertical morphism as its
 transposed matrix, a ``B x A`` injection like a horizontal one's, so
 each of their hor/ver pairs is one function under two names.
+A commuting mixed square of valid morphisms is Cartesian: its mono top
+after its epi left leg is an epi-mono factorization of the diagonal, as
+the canonical pullback's is, and such a factorization is unique up to a
+unique isomorphism; so :meth:`LinearInstance.classify_mixed` only tests
+that the square commutes.
 
 Every product and row reduction goes through the mod-p kernel below
 (:func:`matmul_mod`, :func:`rref`, :func:`mat_rank`), which picks the
@@ -342,22 +347,14 @@ def _matrix(f: HorMor | VerMor, rows: int, cols: int) -> np.ndarray:
     return arr
 
 
-def _greedy_extend(base: np.ndarray, pool: np.ndarray, target_rank: int, p: int):
-    """Columns of ``pool`` that extend ``base`` to rank ``target_rank``."""
-    cur = base
-    chosen: list[int] = []
-    rank = mat_rank(cur, p)
-    for j in range(pool.shape[1]):
-        if rank == target_rank:
-            break
-        cand = np.hstack([cur, pool[:, j : j + 1]])
-        cand_rank = mat_rank(cand, p)
-        if cand_rank > rank:
-            cur, rank = cand, cand_rank
-            chosen.append(j)
-    if rank != target_rank:
+def _extend_basis(base: np.ndarray, pool: np.ndarray, target_rank: int, p: int):
+    """Columns of ``pool`` that extend ``base`` to rank ``target_rank``: the
+    pivot columns past ``base`` of one elimination of ``[base | pool]``,
+    which are the columns a left-to-right greedy choice keeps."""
+    pivots = _eliminate(np.hstack([base, pool]) % p, p, reduced=False)[1]
+    if len(pivots) != target_rank:
         raise AcgwError("could not extend basis to the requested rank")
-    return pool[:, chosen]
+    return pool[:, [c - base.shape[1] for c in pivots if c >= base.shape[1]]]
 
 
 #: the first thirteen primes: as Miller–Rabin witnesses they decide every
@@ -515,11 +512,6 @@ class LinearInstance(AcgwInstance):
 
     compose_ver = compose_hor
 
-    def is_iso_hor(self, f: HorMor | VerMor) -> bool:
-        return f.source.dim == f.target.dim and mat_rank(self._inj(f), self.p) == f.source.dim
-
-    is_iso_ver = is_iso_hor
-
     # ----- complement structure ---------------------------------------------
     def coker(self, f: HorMor | VerMor) -> tuple[VectObj, HorMor | VerMor]:
         """The complement of either flavour: the kernel of its transposed
@@ -557,6 +549,9 @@ class LinearInstance(AcgwInstance):
     def classify_mixed(
         self, top: HorMor, left: VerMor, right: VerMor, bottom: HorMor
     ) -> SquareClass:
+        """A commuting square is Cartesian: ``top . left`` is then an
+        epi-mono factorization of ``right . bottom``, which is unique up to
+        a unique isomorphism, so it is the canonical pullback's."""
         if (
             top.source != left.source
             or top.target != right.source
@@ -566,19 +561,7 @@ class LinearInstance(AcgwInstance):
             return SquareClass.NOT_SQUARE
         lhs = matmul_mod(self.hor_matrix(top), self.ver_matrix(left), self.p)
         rhs = matmul_mod(self.ver_matrix(right), self.hor_matrix(bottom), self.p)
-        if not np.array_equal(lhs, rhs):
-            return SquareClass.NOT_SQUARE
-        # Compare against the canonical pullback of the outer cospan.
-        sq = self.mixed_pullback(bottom, right)
-        if sq.corner != top.source:
-            return SquareClass.COMMUTING
-        u = solve(self.hor_matrix(sq.to_epi_source), self.hor_matrix(top), self.p)
-        if u is None or mat_rank(u, self.p) != top.source.dim:
-            return SquareClass.COMMUTING
-        cmp_left = matmul_mod(u, self.ver_matrix(left), self.p)
-        if np.mod(cmp_left - self.ver_matrix(sq.to_mono_source), self.p).any():
-            return SquareClass.COMMUTING
-        return SquareClass.CARTESIAN
+        return SquareClass.CARTESIAN if np.array_equal(lhs, rhs) else SquareClass.NOT_SQUARE
 
     def hor_square_commutes(self, top, left, right, bottom) -> bool:
         """Whether a square of morphisms of one flavour commutes."""
@@ -752,9 +735,9 @@ class LinearInstance(AcgwInstance):
         n = ambient.dim
         bnd = self.hor_matrix(boundaries)
         cycles = self.hor_matrix(grid.cycles_hor)
-        h_section = _greedy_extend(bnd, cycles, cycles.shape[1], p)
+        h_section = _extend_basis(bnd, cycles, cycles.shape[1], p)
         spanning = np.hstack([bnd, h_section])
-        rest = _greedy_extend(spanning, np.eye(n, dtype=np.int64), n, p)
+        rest = _extend_basis(spanning, np.eye(n, dtype=np.int64), n, p)
         inverse = solve(np.hstack([spanning, rest]), np.eye(n, dtype=np.int64), p)
         assert inverse is not None
         t_low, h_dim = bnd.shape[1], h_section.shape[1]

@@ -195,11 +195,31 @@ def gen_exact_complex(cfg: GenConfig) -> ChainComplex:
 # ---------------------------------------------------------------------------
 
 
-def _sub_inclusion(chain, include, y: ChainComplex, chosen: dict, bar_ids: dict):
-    """The inclusion into ``y``, of class ``chain`` by ``include``, of its
-    sub-complex on the ``chosen`` ids of each degree and the ``bar_ids`` of
-    each transition object, with the legs of ``y`` restricted to them."""
-    inst = y.inst
+def _sub(rng: random.Random, y: ChainComplex, chain: type) -> HorChainMor | VerChainMor:
+    """A random sub-complex of ``y``, with the legs of ``y`` restricted to
+    it, and its inclusion into ``y``, of class ``chain``.
+
+    A horizontal inclusion is drawn downward: each chosen degree pulls in
+    the transition elements above it and forces their lower images into
+    the next degree, which is exactly the distinguished-square condition
+    for the inclusion.  A vertical one is the mirror image: drawn upward,
+    it pulls in the transition elements below.
+    """
+    inst, hor = y.inst, chain is HorChainMor
+    chosen: dict[int, set[str]] = {}
+    bar_ids: dict[int, set[str]] = {}
+    forced: set[str] = set()
+    for i in range(y.hi, y.lo - 1, -1) if hor else range(y.lo, y.hi + 1):
+        chosen[i] = forced | {a for a in y.obj(i) if a not in forced and rng.random() < 0.4}
+        # the transition away from degree i in the walk's direction
+        j, forced = (i if hor else i + 1), set()
+        if y.lo < j <= y.hi:
+            t = y.transition(j)
+            up, low = mapping_of(t.into_upper), mapping_of(t.into_lower)
+            near, far = (up, low) if hor else (low, up)
+            bar_ids[j] = {tid for tid in t.obj if near[tid] in chosen[i]}
+            forced = {far[tid] for tid in bar_ids[j]}
+
     objects = tuple(finset_obj(chosen[i]) for i in y.degrees())
     transitions = []
     for i in y.transition_degrees():
@@ -214,51 +234,7 @@ def _sub_inclusion(chain, include, y: ChainComplex, chosen: dict, bar_ids: dict)
             )
         )
     sub = ChainComplex(inst, y.lo, y.hi, objects, tuple(transitions))
-    return _levelwise(chain, include, sub, y)
-
-
-def _hor_sub(rng: random.Random, y: ChainComplex) -> HorChainMor:
-    """A random sub-complex whose inclusion is horizontal.
-
-    Working downward, each chosen degree pulls in the transition elements
-    above it and forces their lower images into the next degree, which is
-    exactly the distinguished-square condition for the inclusion.
-    """
-    inst = y.inst
-    chosen: dict[int, set[str]] = {}
-    bar_ids: dict[int, set[str]] = {}
-    forced: set[str] = set()
-    for i in range(y.hi, y.lo - 1, -1):
-        chosen[i] = forced | {a for a in y.obj(i) if a not in forced and rng.random() < 0.4}
-        if i > y.lo:
-            t = y.transition(i)
-            up, low = mapping_of(t.into_upper), mapping_of(t.into_lower)
-            bar_ids[i] = {tid for tid in t.obj if up[tid] in chosen[i]}
-            forced = {low[tid] for tid in bar_ids[i]}
-        else:
-            forced = set()
-
-    return _sub_inclusion(HorChainMor, inst.inclusion_hor, y, chosen, bar_ids)
-
-
-def _ver_sub(rng: random.Random, y: ChainComplex) -> VerChainMor:
-    """A random sub-complex whose inclusion is vertical (mirror image:
-    works upward, pulling in transition elements below)."""
-    inst = y.inst
-    chosen: dict[int, set[str]] = {}
-    bar_ids: dict[int, set[str]] = {}
-    forced: set[str] = set()
-    for i in range(y.lo, y.hi + 1):
-        chosen[i] = forced | {a for a in y.obj(i) if a not in forced and rng.random() < 0.4}
-        t = y.transition(i + 1)
-        if i < y.hi:
-            up, low = mapping_of(t.into_upper), mapping_of(t.into_lower)
-            bar_ids[i + 1] = {tid for tid in t.obj if low[tid] in chosen[i]}
-            forced = {up[tid] for tid in bar_ids[i + 1]}
-        else:
-            forced = set()
-
-    return _sub_inclusion(VerChainMor, inst.inclusion_ver, y, chosen, bar_ids)
+    return _levelwise(chain, inst.inclusion_hor if hor else inst.inclusion_ver, sub, y)
 
 
 def _extend(
@@ -304,17 +280,17 @@ def _extend(
 
 def gen_hor_mor(cfg: GenConfig) -> HorChainMor:
     """A random horizontal chain morphism (an inclusion of complexes)."""
-    return _generate(cfg, lambda rng: _hor_sub(rng, _pool(rng, cfg)))
+    return _generate(cfg, lambda rng: _sub(rng, _pool(rng, cfg), HorChainMor))
 
 
 def gen_ver_mor(cfg: GenConfig) -> VerChainMor:
     """A random vertical chain morphism (an inclusion of complexes)."""
-    return _generate(cfg, lambda rng: _ver_sub(rng, _pool(rng, cfg)))
+    return _generate(cfg, lambda rng: _sub(rng, _pool(rng, cfg), VerChainMor))
 
 
 def _chain_map(rng: random.Random, cfg: GenConfig) -> ChainMap:
     y = _pool(rng, cfg)
-    front = _hor_sub(rng, y)
+    front = _sub(rng, y, HorChainMor)
     x, _, back = _extend(rng, front.source, "a")
     return ChainMap(x, front.source, y, back, front)
 
@@ -327,7 +303,7 @@ def gen_chain_map(cfg: GenConfig) -> ChainMap:
 
 def _composable(rng: random.Random, cfg: GenConfig) -> tuple[ChainMap, ChainMap]:
     first = _chain_map(rng, cfg)
-    back2 = _ver_sub(rng, first.target)
+    back2 = _sub(rng, first.target, VerChainMor)
     w, front2, _ = _extend(rng, back2.source, "b")
     return first, ChainMap(first.target, back2.source, w, back2, front2)
 
@@ -339,7 +315,7 @@ def gen_composable_chain_maps(cfg: GenConfig) -> tuple[ChainMap, ChainMap]:
 
 def gen_ses(cfg: GenConfig) -> ChainSES:
     """A random short exact sequence of complexes."""
-    return _generate(cfg, lambda rng: ses_from_injection(_hor_sub(rng, _pool(rng, cfg))))
+    return _generate(cfg, lambda rng: ses_from_injection(_sub(rng, _pool(rng, cfg), HorChainMor)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,26 +338,7 @@ def gen_snake_weak(cfg: GenConfig) -> SnakeInputWeak:
     complement-style pair inside ``Y``, the top row extends ``Y`` by fresh
     ids split between the two sides, and the bottom row likewise.
     """
-    return _generate(cfg, lambda rng: _snake_weak(rng, cfg))
-
-
-def _snake_weak(rng: random.Random, cfg: GenConfig) -> SnakeInputWeak:
-    inst = FinSetInstance()
-    n = max(2, min(cfg.max_size, 6))
-    y = set(_sample(rng, _ids("y", n)))
-    x = _sample(rng, sorted(y))
-    z = _sample(rng, sorted(y - x))
-    top_fresh = _ids("b", rng.randint(0, 3))
-    b = y | set(top_fresh)
-    a = x | _sample(rng, top_fresh)
-    c = b - a
-    bot_fresh = _ids("p", rng.randint(0, 3))
-    b2 = y | set(bot_fresh)
-    c2 = z | _sample(rng, bot_fresh)
-    a2 = b2 - c2
-
-    rows = {"top": (a, b, c), "middle": (x, y, z), "bottom": (a2, b2, c2)}
-    return _snake_input(inst, {k: tuple(map(finset_obj, v)) for k, v in rows.items()})
+    return _generate(cfg, lambda rng: _snake(rng, cfg, strong=False))
 
 
 def gen_snake_strong(cfg: GenConfig) -> SnakeInputStrong:
@@ -391,10 +348,14 @@ def gen_snake_strong(cfg: GenConfig) -> SnakeInputStrong:
     whole top row and the bottom-right object gains ids outside the whole
     bottom row, so only restricted versions of the outer morphisms exist.
     """
-    return _generate(cfg, lambda rng: _snake_strong(rng, cfg))
+    return _generate(cfg, lambda rng: _snake(rng, cfg, strong=True))
 
 
-def _snake_strong(rng: random.Random, cfg: GenConfig) -> SnakeInputStrong:
+def _snake(
+    rng: random.Random, cfg: GenConfig, strong: bool
+) -> SnakeInputWeak | SnakeInputStrong:
+    """The weak snake input, or with ``strong`` the strong one: its top-left
+    and bottom-right objects grow past ``abar`` and ``cbar``."""
     inst = FinSetInstance()
     n = max(2, min(cfg.max_size, 6))
     y = set(_sample(rng, _ids("y", n)))
@@ -404,20 +365,16 @@ def _snake_strong(rng: random.Random, cfg: GenConfig) -> SnakeInputStrong:
     b = y | set(top_fresh)
     abar = x | _sample(rng, top_fresh)
     c = b - abar
-    a = abar | set(_ids("a", rng.randint(0, 2)))
+    a = abar | set(_ids("a", rng.randint(0, 2))) if strong else abar
     bot_fresh = _ids("p", rng.randint(0, 3))
     b2 = y | set(bot_fresh)
     cbar2 = z | _sample(rng, bot_fresh)
     a2 = b2 - cbar2
-    c2 = cbar2 | set(_ids("q", rng.randint(0, 2)))
+    c2 = cbar2 | set(_ids("q", rng.randint(0, 2))) if strong else cbar2
 
-    rows = {
-        "top": (a, b, c),
-        "abar": (abar,),
-        "middle": (x, y, z),
-        "cbar": (cbar2,),
-        "bottom": (a2, b2, c2),
-    }
+    rows = {"top": (a, b, c), "middle": (x, y, z), "bottom": (a2, b2, c2)}
+    if strong:
+        rows.update(abar=(abar,), cbar=(cbar2,))
     return _snake_input(inst, {k: tuple(map(finset_obj, v)) for k, v in rows.items()})
 
 

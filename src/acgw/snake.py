@@ -191,7 +191,8 @@ def validate_snake_weak(inp: SnakeInputWeak) -> list[str]:
     return problems
 
 
-_WEAK_LABELS = (
+#: the object and transition labels of a snake zigzag, weak or strong
+_LABELS = (
     "ker of left column",
     "ker of middle column",
     "ker of right column",
@@ -199,7 +200,7 @@ _WEAK_LABELS = (
     "coker of middle column",
     "coker of right column",
 )
-_WEAK_TRANSITION_LABELS = (
+_TRANSITION_LABELS = (
     "kernel-side step",
     "kernel pullback",
     "connecting step",
@@ -271,7 +272,7 @@ def _snake_weak(
     )
 
     zz = ExactZigzag(
-        inst, (o1, o2, o3, o4, o5, o6), (t1, t2, t3, t4, t5), _WEAK_LABELS, _WEAK_TRANSITION_LABELS
+        inst, (o1, o2, o3, o4, o5, o6), (t1, t2, t3, t4, t5), _LABELS, _TRANSITION_LABELS
     )
     return zz, kleg1, cleg6
 
@@ -426,10 +427,6 @@ def validate_snake_strong(inp: SnakeInputStrong) -> list[str]:
     return problems
 
 
-_STRONG_LABELS = _WEAK_LABELS
-_STRONG_TRANSITION_LABELS = _WEAK_TRANSITION_LABELS
-
-
 def snake_strong(inp: SnakeInputStrong) -> ExactZigzag:
     """The six-term zigzag of a strong input, exact at the interior."""
     inst = inp.inst
@@ -460,8 +457,8 @@ def _snake_strong(inp: SnakeInputStrong, mid_coker: tuple, mid_ker: tuple) -> Ex
         inst,
         (o1,) + inner.objects[1:5] + (o6,),
         (t1,) + inner.transitions[1:4] + (t5,),
-        _STRONG_LABELS,
-        _STRONG_TRANSITION_LABELS,
+        _LABELS,
+        _TRANSITION_LABELS,
         frozenset({0, 5}),
     )
 

@@ -25,6 +25,14 @@ assert the two agree:
   build the two linear primitives from a section of a surjection and
   matrix products, where :class:`acgw.LinearInstance` solves one system
   against an injection matrix;
+* :func:`classify_mixed_via_pullback` classifies a commuting ``F_p``
+  square by comparing it with the canonical pullback of its cospan, and
+  :func:`is_iso_by_rank` decides an ``F_p`` isomorphism by rank, where
+  :class:`acgw.LinearInstance` reads both off valid morphisms without
+  row reduction;
+* :func:`homology_embedding_greedy` extends a basis by ranking one matrix
+  per candidate column, where :class:`acgw.LinearInstance` row-reduces
+  the candidates once;
 * :func:`obj_from_text_per_token` and :func:`mor_from_text_per_token`
   read a finite-set object or pair line by checking every token on its
   own, where :class:`acgw.FinSetInstance` accepts a whole line with one
@@ -435,6 +443,77 @@ def hor_between_cokers_via_section(inst, m, cp, cq):
     if mat_rank(n, p) != cp.source.dim:
         raise FactorizationError("induced complement morphism is not injective")
     return inst.hor(cp.source, cq.source, n)
+
+
+def classify_mixed_via_pullback(inst, top, left, right, bottom):
+    """:meth:`acgw.LinearInstance.classify_mixed`: a commuting square is
+    Cartesian when its top factors through the horizontal leg of the
+    canonical pullback of its outer cospan by an invertible matrix that
+    carries its left leg onto the pullback's vertical one."""
+    if (
+        top.source != left.source
+        or top.target != right.source
+        or left.target != bottom.source
+        or right.target != bottom.target
+    ):
+        return SquareClass.NOT_SQUARE
+    p = inst.p
+    lhs = matmul_mod(inst.hor_matrix(top), inst.ver_matrix(left), p)
+    rhs = matmul_mod(inst.ver_matrix(right), inst.hor_matrix(bottom), p)
+    if not np.array_equal(lhs, rhs):
+        return SquareClass.NOT_SQUARE
+    sq = inst.mixed_pullback(bottom, right)
+    if sq.corner != top.source:
+        return SquareClass.COMMUTING
+    u = solve(inst.hor_matrix(sq.to_epi_source), inst.hor_matrix(top), p)
+    if u is None or mat_rank(u, p) != top.source.dim:
+        return SquareClass.COMMUTING
+    cmp_left = matmul_mod(u, inst.ver_matrix(left), p)
+    if np.mod(cmp_left - inst.ver_matrix(sq.to_mono_source), p).any():
+        return SquareClass.COMMUTING
+    return SquareClass.CARTESIAN
+
+
+def is_iso_by_rank(inst, f):
+    """:meth:`acgw.LinearInstance.is_iso_hor`: square and of full rank."""
+    matrix = inst.hor_matrix(f) if isinstance(f, HorMor) else inst.ver_matrix(f)
+    return f.source.dim == f.target.dim and mat_rank(matrix, inst.p) == f.source.dim
+
+
+def _greedy_extend(base, pool, target_rank, p):
+    """Columns of ``pool`` that extend ``base`` to rank ``target_rank``,
+    taken from the left whenever one raises the rank."""
+    cur = base
+    chosen = []
+    rank = mat_rank(cur, p)
+    for j in range(pool.shape[1]):
+        if rank == target_rank:
+            break
+        cand = np.hstack([cur, pool[:, j : j + 1]])
+        cand_rank = mat_rank(cand, p)
+        if cand_rank > rank:
+            cur, rank = cand, cand_rank
+            chosen.append(j)
+    assert rank == target_rank, "could not extend basis to the requested rank"
+    return pool[:, chosen]
+
+
+def homology_embedding_greedy(inst, grid, boundaries):
+    """:meth:`acgw.LinearInstance.homology_embedding`, ranking one matrix
+    per candidate column to extend the boundaries by cycles, then by unit
+    vectors."""
+    p = inst.p
+    ambient = grid.cycles_hor.target
+    n = ambient.dim
+    bnd = inst.hor_matrix(boundaries)
+    cycles = inst.hor_matrix(grid.cycles_hor)
+    h_section = _greedy_extend(bnd, cycles, cycles.shape[1], p)
+    spanning = np.hstack([bnd, h_section])
+    rest = _greedy_extend(spanning, np.eye(n, dtype=np.int64), n, p)
+    inverse = solve(np.hstack([spanning, rest]), np.eye(n, dtype=np.int64), p)
+    assert inverse is not None
+    t_low, h_dim = bnd.shape[1], h_section.shape[1]
+    return h_section, inverse[t_low : t_low + h_dim, :]
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,28 @@ def test_oracle_on_a_leg_that_misses_its_target_is_an_error_line():
     assert err.startswith("error: transition 2:") and "'t'" in err
 
 
+def test_oracle_on_an_invalid_complex_is_not_checked():
+    # Both legs have the right shape, so the ranks can be taken; the upper
+    # leg is not surjective, so no structural homology is computed on it.
+    text = (
+        "instance linear\n"
+        "prime 3\n"
+        "complex X:\n"
+        "  object 1: dim 1\n"
+        "  object 2: dim 1\n"
+        "  transition 2: dim 1\n"
+        "    up: [[0]]\n"
+        "    down: [[1]]\n"
+    )
+    code, out, err = run_on_stdin(["oracle", "-"], text)
+    assert code == 1
+    assert "DISAGREE" not in out + err
+    assert err.splitlines() == [
+        "error: oracle: not checked, complex X is invalid",
+        "  complex X: transition 2 upper leg: vertical matrix is not surjective",
+    ]
+
+
 def test_level_matrix_of_the_wrong_shape_is_an_error_line():
     text = (
         "instance linear\n"

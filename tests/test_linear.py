@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import random
 import time
 from unittest import mock
 
@@ -14,11 +15,17 @@ from hypothesis import strategies as st
 from acgw import (
     CompositionError,
     FactorizationError,
+    GenConfig,
     HorMor,
     LinearInstance,
     SquareClass,
     ValidationError,
     VerMor,
+    gen_complex,
+    gen_hor_mor,
+    gen_ver_mor,
+    homology,
+    homology_complex,
 )
 from acgw import linear
 from acgw.linear import (
@@ -31,10 +38,14 @@ from acgw.linear import (
     rref,
     solve,
 )
+from acgw.oracle import rand_gl
 
 from reference import (
+    classify_mixed_via_pullback,
     factor_ver_via_section,
+    homology_embedding_greedy,
     hor_between_cokers_via_section,
+    is_iso_by_rank,
     matmul_mod_reference,
     rref_reference,
 )
@@ -601,6 +612,90 @@ def test_mixed_pullback_dimension_formula():
     assert sq.corner.dim == 1
     assert not L.validate_hor(sq.to_epi_source)
     assert not L.validate_ver(sq.to_mono_source)
+
+
+#: the primes of the classification properties: 2, a small odd prime, the
+#: largest with float64 products, and one whose products need int64 limbs
+CLASSIFY_PRIMES = (2, 7, 65521, 2**31 - 1)
+
+
+def _cospan_squares(L, rng):
+    """A random mono/epi cospan's pullback square with its corner
+    conjugated by a random invertible matrix, and the same square with
+    one entry of its top or left leg changed, when that leg stays valid."""
+    p = L.p
+    a, b, extra = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3)
+    c = max(a, b) + extra
+    mono = L.hor(L.obj(a), L.obj(c), rand_gl(rng, c, p)[:, :a])
+    epi = L.ver(L.obj(b), L.obj(c), rand_gl(rng, c, p)[:b])
+    sq = L.mixed_pullback(mono, epi)
+    g = rand_gl(rng, sq.corner.dim, p)
+    top = L.hor(sq.corner, epi.source, matmul_mod(L.hor_matrix(sq.to_epi_source), g, p))
+    g_inv = solve(g, np.eye(len(g), dtype=np.int64), p)
+    left = L.ver(sq.corner, mono.source, matmul_mod(g_inv, L.ver_matrix(sq.to_mono_source), p))
+    squares = [(top, left, epi, mono)]
+    leg = rng.choice(("top", "left"))
+    matrix = np.array(L.hor_matrix(top) if leg == "top" else L.ver_matrix(left))
+    if matrix.size:
+        i, j = rng.randrange(matrix.shape[0]), rng.randrange(matrix.shape[1])
+        matrix[i, j] = (matrix[i, j] + rng.randrange(1, p)) % p
+        if leg == "top":
+            top = L.hor(top.source, top.target, matrix)
+        else:
+            left = L.ver(left.source, left.target, matrix)
+        if not (L.validate_hor(top) or L.validate_ver(left)):
+            squares.append((top, left, epi, mono))
+    return squares
+
+
+def _chain_mor_squares(L, seed):
+    """The distinguished squares of a generated horizontal and vertical
+    chain morphism over ``L``, at each transition degree."""
+    cfg = GenConfig(seed=seed, instance="linear", prime=L.p)
+    f, g = gen_hor_mor(cfg), gen_ver_mor(cfg)
+    squares = []
+    for i in f.source.transition_degrees():
+        tx, ty = f.source.transition(i), f.target.transition(i)
+        squares.append((f.bar_level(i), tx.into_upper, ty.into_upper, f.level(i)))
+    for i in g.source.transition_degrees():
+        tx, ty = g.source.transition(i), g.target.transition(i)
+        squares.append((tx.into_lower, g.bar_level(i), g.level(i - 1), ty.into_lower))
+    return squares
+
+
+@pytest.mark.parametrize("p", CLASSIFY_PRIMES)
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10**6))
+def test_classify_mixed_agrees_with_the_pullback_comparison(p, seed):
+    # A commuting square of a mono top and an epi left leg is an epi-mono
+    # factorization of its diagonal, so it is the canonical pullback up to
+    # one isomorphism: comparing with that pullback finds it Cartesian.
+    L = LinearInstance(p)
+    rng = random.Random(seed)
+    cospan = _cospan_squares(L, rng)
+    assert L.classify_mixed(*cospan[0]) is SquareClass.CARTESIAN
+    generated = _chain_mor_squares(L, seed)
+    for square in cospan + generated:
+        assert L.classify_mixed(*square) is classify_mixed_via_pullback(L, *square)
+    # Every morphism here is valid, and so are two invertible ones.
+    n = L.obj(rng.randint(0, 4))
+    gl = [L.hor(n, n, rand_gl(rng, n.dim, p)), L.ver(n, n, rand_gl(rng, n.dim, p))]
+    for f in gl + [f for square in cospan + generated for f in square]:
+        assert L.is_iso_hor(f) == L.is_iso_ver(f) == is_iso_by_rank(L, f)
+    assert all(map(L.is_iso_hor, gl))
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521))
+def test_homology_complex_agrees_with_greedy_basis_extension(p):
+    L = LinearInstance(p)
+    for seed in range(25):
+        cx, _ = gen_complex(GenConfig(seed=seed, max_size=12, instance="linear", prime=p))
+        _, hor, ver = homology_complex(cx)
+        for i in cx.degrees():
+            boundaries = cx.transition(i + 1).into_lower
+            h_section, projection = homology_embedding_greedy(L, homology(cx, i), boundaries)
+            assert np.array_equal(L.hor_matrix(hor.level(i)), h_section)
+            assert np.array_equal(L.ver_matrix(ver.level(i)), projection)
 
 
 def _payload(rows) -> _Matrix:
