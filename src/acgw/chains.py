@@ -6,7 +6,10 @@ vertically into the upper object (``T_i => X_i``) and horizontally into
 the lower one (``T_i -> X_{i-1}``).  The pair of legs is an epi-mono
 presentation of the usual differential; the chain condition asks that the
 mixed pullback of consecutive legs over ``X_i`` is trivial (the images
-are independent), which replaces ``d . d == 0``.
+are independent), which replaces ``d . d == 0``.  :func:`validate_complex`
+tests it without building that pullback, by
+:meth:`~acgw.core.AcgwInstance.meets_trivially`: the square with an
+initial corner over the two legs must be Cartesian.
 
 Morphisms of complexes come in the same two flavours as morphisms of
 objects.  A horizontal chain morphism carries levelwise horizontal
@@ -182,8 +185,7 @@ def validate_complex(cx: ChainComplex) -> list[str]:
     for i in cx.transition_degrees():
         if i + 1 > cx.hi:
             continue
-        sq = inst.mixed_pullback(cx.transition(i + 1).into_lower, cx.transition(i).into_upper)
-        if not inst.is_initial(sq.corner):
+        if not inst.meets_trivially(cx.transition(i + 1).into_lower, cx.transition(i).into_upper):
             problems.append(
                 f"chain condition fails at degree {i}: transition images overlap "
                 f"in {inst.obj_label(cx.obj(i))}"

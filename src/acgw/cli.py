@@ -311,6 +311,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_render(args) -> int:
     doc = _load(args.file)
+    _require_valid(doc, "render", (cx for _, cx in doc.complexes))
     dot = render_dot(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -228,6 +228,12 @@ class AcgwInstance(ABC):
       :func:`acgw.homology_complex`);
     * literal subobjects, for instances with canonical subobjects only:
       :meth:`inclusion_hor` and :meth:`inclusion_ver`.
+
+    The checks that follow from those primitives are derived here, and an
+    instance does not write them: :meth:`is_initial`, :meth:`obj_eq`,
+    :meth:`validate_hor`, :meth:`is_iso_hor`, :meth:`square_fits`,
+    :meth:`hor_square_commutes` (each ``ver`` name an alias),
+    :meth:`meets_trivially` and :meth:`is_complement_pair`.
     """
 
     #: short tag used by documents and the CLI ("set" or "linear")
@@ -250,11 +256,13 @@ class AcgwInstance(ABC):
     def initial(self) -> Any:
         """The shared initial object of both morphism classes."""
 
-    @abstractmethod
-    def is_initial(self, obj: Any) -> bool: ...
+    def is_initial(self, obj: Any) -> bool:
+        """Whether ``obj`` is initial: the one object of size zero."""
+        return self.obj_size(obj) == 0
 
-    @abstractmethod
-    def obj_eq(self, a: Any, b: Any) -> bool: ...
+    def obj_eq(self, a: Any, b: Any) -> bool:
+        """Objects are values: equal objects are one object."""
+        return a == b
 
     @abstractmethod
     def obj_size(self, obj: Any) -> int:
@@ -326,10 +334,21 @@ class AcgwInstance(ABC):
         """Complement of ``e: A => B``: object ``B \\ A`` with its
         canonical horizontal morphism into ``B``."""
 
-    @abstractmethod
     def is_complement_pair(self, m: HorMor, e: VerMor) -> bool:
-        """Whether ``m: A -> B`` and ``e: C => B`` are complements of each
-        other in ``B`` (the two-sided exactness condition)."""
+        """Whether valid ``m: A -> B`` and ``e: C => B`` are complements of
+        each other in ``B`` (the two-sided exactness condition): their
+        sizes add up to that of ``B`` and they meet trivially."""
+        sizes = self.obj_size(m.source) + self.obj_size(e.source)
+        return sizes == self.obj_size(m.target) and self.meets_trivially(m, e)
+
+    def meets_trivially(self, m: HorMor, e: VerMor) -> bool:
+        """Whether valid ``m: A -> C`` and ``e: B => C`` have an initial
+        pullback corner, without building the pullback: whether the square
+        with an initial corner over the cospan is Cartesian.  On finite
+        sets no element of ``e`` lands in the image of ``m``; over ``F_p``
+        ``ver(e) @ hor(m)`` is zero."""
+        top, left = self.zero_hor(e.source), self.zero_ver(m.source)
+        return self.classify_mixed(top, left, e, m) is SquareClass.CARTESIAN
 
     @abstractmethod
     def mixed_pullback(self, m: HorMor, e: VerMor) -> PullbackSquare:
@@ -353,19 +372,26 @@ class AcgwInstance(ABC):
         morphisms the class is unspecified.
         """
 
-    @abstractmethod
-    def hor_square_commutes(
-        self, top: HorMor, left: HorMor, right: HorMor, bottom: HorMor
-    ) -> bool:
-        """All-horizontal square: ``top: P -> B``, ``left: P -> A``,
-        ``right: B -> C``, ``bottom: A -> C``; commutes iff
-        ``right . top == bottom . left``."""
+    def square_fits(self, top, left, right, bottom) -> bool:
+        """Whether the ends of a square's morphisms meet, in the
+        orientation ``top: P -> B``, ``left: P -> A``, ``right: B -> C``,
+        ``bottom: A -> C``, of any flavours."""
+        return (
+            top.source == left.source
+            and top.target == right.source
+            and left.target == bottom.source
+            and right.target == bottom.target
+        )
 
-    @abstractmethod
-    def ver_square_commutes(
-        self, top: VerMor, left: VerMor, right: VerMor, bottom: VerMor
-    ) -> bool:
-        """All-vertical square with the same orientation convention."""
+    def hor_square_commutes(self, top, left, right, bottom) -> bool:
+        """Whether a square of valid morphisms of one flavour, oriented as
+        for :meth:`square_fits`, commutes: ``right . top == bottom . left``
+        as morphisms."""
+        compose = self.compose_hor if isinstance(top, HorMor) else self.compose_ver
+        fits = self.square_fits(top, left, right, bottom)
+        return fits and compose(top, right) == compose(left, bottom)
+
+    ver_square_commutes = hor_square_commutes
 
     # ----- factorization and induced morphisms ---------------------
     @abstractmethod

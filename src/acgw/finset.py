@@ -130,9 +130,9 @@ def _image(f: HorMor | VerMor) -> frozenset[str]:
 
 def _forward(g: HorMor | VerMor, xs: FinSetObj) -> FinSetObj:
     """The images under ``g`` of ids ``xs`` of its source; a literal
-    inclusion maps them to themselves."""
+    inclusion maps them to themselves, and no ids map to none."""
     sources, images = g.data
-    if sources is images:
+    if sources is images or not xs:
         return xs
     return tuple(map(_mapping(g).__getitem__, xs))
 
@@ -182,12 +182,6 @@ class FinSetInstance(AcgwInstance):
     # ----- objects -------------------------------------------------
     def initial(self) -> FinSetObj:
         return ()
-
-    def is_initial(self, obj: FinSetObj) -> bool:
-        return obj == ()
-
-    def obj_eq(self, a: FinSetObj, b: FinSetObj) -> bool:
-        return a == b
 
     def obj_size(self, obj: FinSetObj) -> int:
         return len(obj)
@@ -302,14 +296,6 @@ class FinSetInstance(AcgwInstance):
 
     ker = coker
 
-    def is_complement_pair(self, m: HorMor, e: VerMor) -> bool:
-        if m.target != e.target:
-            return False
-        # two injections into one target cover it exactly when their
-        # images are disjoint and their sizes add up to its size
-        covers = len(m.source) + len(e.source) == len(m.target)
-        return covers and _image(m).isdisjoint(e.data[1])
-
     def mixed_pullback(self, m: HorMor, e: VerMor) -> PullbackSquare:
         if m.target != e.target:
             raise FactorizationError(
@@ -329,8 +315,12 @@ class FinSetInstance(AcgwInstance):
     def classify_mixed(
         self, top: HorMor, left: VerMor, right: VerMor, bottom: HorMor
     ) -> SquareClass:
-        # both flavours are injections: it commutes as a one-flavour square
-        if not self.hor_square_commutes(top, left, right, bottom):
+        # both flavours are injections: it commutes when both paths send
+        # the corner's ids to the same ids
+        if not (
+            self.square_fits(top, left, right, bottom)
+            and _forward(right, top.data[1]) == _forward(bottom, left.data[1])
+        ):
             return SquareClass.NOT_SQUARE
         # Cartesian: the top picks out exactly the part of the right source
         # sitting over the bottom image.  A commuting square's top already
@@ -339,19 +329,6 @@ class FinSetInstance(AcgwInstance):
         if over == len(top.source):
             return SquareClass.CARTESIAN
         return SquareClass.COMMUTING
-
-    def hor_square_commutes(self, top, left, right, bottom) -> bool:
-        """Whether a square of morphisms of one flavour commutes."""
-        if (
-            top.source != left.source
-            or top.target != right.source
-            or left.target != bottom.source
-            or right.target != bottom.target
-        ):
-            return False
-        return _forward(right, top.data[1]) == _forward(bottom, left.data[1])
-
-    ver_square_commutes = hor_square_commutes
 
     # ----- factorization -----------------------------------------------
     def factor_hor(self, f: HorMor | VerMor, through: HorMor | VerMor) -> HorMor | VerMor:

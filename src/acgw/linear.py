@@ -409,12 +409,6 @@ class LinearInstance(AcgwInstance):
     def initial(self) -> VectObj:
         return VectObj(0, self.p)
 
-    def is_initial(self, obj: VectObj) -> bool:
-        return obj.dim == 0
-
-    def obj_eq(self, a: VectObj, b: VectObj) -> bool:
-        return a == b
-
     def obj_size(self, obj: VectObj) -> int:
         return obj.dim
 
@@ -523,13 +517,6 @@ class LinearInstance(AcgwInstance):
 
     ker = coker
 
-    def is_complement_pair(self, m: HorMor, e: VerMor) -> bool:
-        if m.target != e.target:
-            return False
-        if m.source.dim + e.source.dim != m.target.dim:
-            return False
-        return not matmul_mod(self.ver_matrix(e), self.hor_matrix(m), self.p).any()
-
     def mixed_pullback(self, m: HorMor, e: VerMor) -> PullbackSquare:
         if m.target != e.target:
             raise FactorizationError("mixed pullback needs a shared target")
@@ -552,31 +539,11 @@ class LinearInstance(AcgwInstance):
         """A commuting square is Cartesian: ``top . left`` is then an
         epi-mono factorization of ``right . bottom``, which is unique up to
         a unique isomorphism, so it is the canonical pullback's."""
-        if (
-            top.source != left.source
-            or top.target != right.source
-            or left.target != bottom.source
-            or right.target != bottom.target
-        ):
+        if not self.square_fits(top, left, right, bottom):
             return SquareClass.NOT_SQUARE
         lhs = matmul_mod(self.hor_matrix(top), self.ver_matrix(left), self.p)
         rhs = matmul_mod(self.ver_matrix(right), self.hor_matrix(bottom), self.p)
         return SquareClass.CARTESIAN if np.array_equal(lhs, rhs) else SquareClass.NOT_SQUARE
-
-    def hor_square_commutes(self, top, left, right, bottom) -> bool:
-        """Whether a square of morphisms of one flavour commutes."""
-        if (
-            top.source != left.source
-            or top.target != right.source
-            or left.target != bottom.source
-            or right.target != bottom.target
-        ):
-            return False
-        lhs = matmul_mod(self._inj(right), self._inj(top), self.p)
-        rhs = matmul_mod(self._inj(bottom), self._inj(left), self.p)
-        return np.array_equal(lhs, rhs)
-
-    ver_square_commutes = hor_square_commutes
 
     # ----- factorization -----------------------------------------------------
     def factor_hor(self, f: HorMor | VerMor, through: HorMor | VerMor) -> HorMor | VerMor:

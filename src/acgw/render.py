@@ -64,7 +64,8 @@ def _level_edges(
 
 
 def render_dot(doc: Document) -> str:
-    """The document as Graphviz ``dot`` source text."""
+    """The document as Graphviz ``dot`` source text.  It takes a document
+    whose complexes are valid: it computes their homology."""
     out = [
         "digraph document {",
         "  rankdir=BT;",

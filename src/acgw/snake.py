@@ -167,13 +167,10 @@ def validate_snake_weak(inp: SnakeInputWeak) -> list[str]:
         problems.append("top row is not a complement pair")
     if not inst.is_complement_pair(inp.bot_mono, inp.bot_epi):
         problems.append("bottom row is not a complement pair")
-    if inst.obj_eq(inp.mid_mono.target, inp.mid_epi.target):
-        if not inst.is_initial(
-            inst.mixed_pullback(inp.mid_mono, inp.mid_epi).corner
-        ):
-            problems.append("middle row has a nontrivial mixed pullback")
-    else:
+    if not inst.obj_eq(inp.mid_mono.target, inp.mid_epi.target):
         problems.append("middle row morphisms do not share a target")
+    elif not inst.meets_trivially(inp.mid_mono, inp.mid_epi):
+        problems.append("middle row has a nontrivial mixed pullback")
     cls = inst.classify_mixed(inp.mid_mono, inp.left_up, inp.mid_up, inp.top_mono)
     if not cls.is_distinguished:
         problems.append(f"upper-left square is not distinguished ({cls.name})")

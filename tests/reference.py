@@ -45,7 +45,14 @@ assert the two agree:
   and :func:`is_complement_pair_reference` look every id up in the dicts
   of a square's or a pair's morphisms and compare image sets, where
   :class:`acgw.FinSetInstance` compares mapped tuples, reads a literal
-  inclusion as the identity and counts instead of building sets;
+  inclusion as the identity and counts instead of building sets, and
+  :class:`acgw.AcgwInstance` compares composite morphisms and classifies
+  the square with an initial corner over a pair;
+* :func:`is_complement_pair_by_product` and
+  :func:`square_commutes_by_products` decide an ``F_p`` complement pair
+  and a commuting one-flavour square by matrix products, where
+  :class:`acgw.AcgwInstance` compares sizes, classifies a square and
+  compares composite morphisms;
 * :func:`lift_hor_bar_reference` lifts a bar level one transition
   element at a time through dicts of the three payloads, where
   :meth:`acgw.FinSetInstance.lift_hor_bar` chases a total leg's images
@@ -380,8 +387,8 @@ def classify_mixed_reference(top, left, right, bottom):
 
 
 def hor_square_commutes_reference(top, left, right, bottom):
-    """:meth:`acgw.FinSetInstance.hor_square_commutes` by a dict lookup
-    per id."""
+    """:meth:`acgw.AcgwInstance.hor_square_commutes` on finite sets by a
+    dict lookup per id."""
     if (
         top.source != left.source
         or top.target != right.source
@@ -394,8 +401,8 @@ def hor_square_commutes_reference(top, left, right, bottom):
 
 
 def is_complement_pair_reference(m, e):
-    """:meth:`acgw.FinSetInstance.is_complement_pair` by the intersection
-    and the union of the two image sets."""
+    """:meth:`acgw.AcgwInstance.is_complement_pair` on finite sets by the
+    intersection and the union of the two image sets."""
     if m.target != e.target:
         return False
     im_m, im_e = _image(m), _image(e)
@@ -472,6 +479,37 @@ def classify_mixed_via_pullback(inst, top, left, right, bottom):
     if np.mod(cmp_left - inst.ver_matrix(sq.to_mono_source), p).any():
         return SquareClass.COMMUTING
     return SquareClass.CARTESIAN
+
+
+def is_complement_pair_by_product(inst, m, e):
+    """:meth:`acgw.AcgwInstance.is_complement_pair` over ``F_p``: the
+    dimensions add up and the surjection of ``e`` kills the image of
+    ``m``."""
+    if m.target != e.target:
+        return False
+    if m.source.dim + e.source.dim != m.target.dim:
+        return False
+    return not matmul_mod(inst.ver_matrix(e), inst.hor_matrix(m), inst.p).any()
+
+
+def _injection(inst, f):
+    """A morphism of either flavour as its injection matrix."""
+    return inst.hor_matrix(f) if isinstance(f, HorMor) else inst.ver_matrix(f).T
+
+
+def square_commutes_by_products(inst, top, left, right, bottom):
+    """:meth:`acgw.AcgwInstance.hor_square_commutes` over ``F_p``: the
+    products of the injection matrices along both paths agree."""
+    if (
+        top.source != left.source
+        or top.target != right.source
+        or left.target != bottom.source
+        or right.target != bottom.target
+    ):
+        return False
+    lhs = matmul_mod(_injection(inst, right), _injection(inst, top), inst.p)
+    rhs = matmul_mod(_injection(inst, bottom), _injection(inst, left), inst.p)
+    return np.array_equal(lhs, rhs)
 
 
 def is_iso_by_rank(inst, f):

@@ -396,26 +396,65 @@ def test_oracle_on_a_leg_that_misses_its_target_is_an_error_line():
     assert err.startswith("error: transition 2:") and "'t'" in err
 
 
+#: an F_3 complex whose upper leg is not surjective, though both legs have
+#: the right shape
+NOT_SURJECTIVE = (
+    "instance linear\n"
+    "prime 3\n"
+    "complex X:\n"
+    "  object 1: dim 1\n"
+    "  object 2: dim 1\n"
+    "  transition 2: dim 1\n"
+    "    up: [[0]]\n"
+    "    down: [[1]]\n"
+)
+
+#: a set complex whose legs into X_1 overlap in ``a``
+OVERLAPPING_LEGS = (
+    "instance set\n"
+    "complex X:\n"
+    "  object 0: p\n"
+    "  object 1: a\n"
+    "  object 2: b\n"
+    "  transition 1: s\n"
+    "    up: s->a\n"
+    "    down: s->p\n"
+    "  transition 2: t\n"
+    "    up: t->b\n"
+    "    down: t->a\n"
+)
+
+
 def test_oracle_on_an_invalid_complex_is_not_checked():
-    # Both legs have the right shape, so the ranks can be taken; the upper
-    # leg is not surjective, so no structural homology is computed on it.
-    text = (
-        "instance linear\n"
-        "prime 3\n"
-        "complex X:\n"
-        "  object 1: dim 1\n"
-        "  object 2: dim 1\n"
-        "  transition 2: dim 1\n"
-        "    up: [[0]]\n"
-        "    down: [[1]]\n"
-    )
-    code, out, err = run_on_stdin(["oracle", "-"], text)
+    # The ranks can be taken; no structural homology is computed.
+    code, out, err = run_on_stdin(["oracle", "-"], NOT_SURJECTIVE)
     assert code == 1
     assert "DISAGREE" not in out + err
     assert err.splitlines() == [
         "error: oracle: not checked, complex X is invalid",
         "  complex X: transition 2 upper leg: vertical matrix is not surjective",
     ]
+
+
+@pytest.mark.parametrize(
+    "text,problem",
+    [
+        (NOT_SURJECTIVE, "transition 2 upper leg: vertical matrix is not surjective"),
+        (OVERLAPPING_LEGS, "chain condition fails at degree 1: transition images overlap in {a}"),
+    ],
+    ids=["linear", "set"],
+)
+def test_render_of_an_invalid_complex_is_not_checked(tmp_path, text, problem):
+    # Rendering colours the degrees with homology, which is computed only
+    # on a valid complex: nothing is written to stdout or to the -o file.
+    source, target = tmp_path / "in.acgw", tmp_path / "out.dot"
+    source.write_text(text, encoding="utf-8")
+    expected = ["error: render: not checked, complex X is invalid", f"  complex X: {problem}"]
+    code, out, err = run_on_stdin(["render", "-"], text)
+    assert (code, out, err.splitlines()) == (1, "", expected)
+    code, out, err = run_on_stdin(["render", "-o", str(target), str(source)], "")
+    assert (code, out, err.splitlines()) == (1, "", expected)
+    assert not target.exists()
 
 
 def test_level_matrix_of_the_wrong_shape_is_an_error_line():

@@ -839,6 +839,25 @@ def test_lift_agrees_with_the_dict_reference(data):
     assert _lift_outcome(lift, *args) == _lift_outcome(lift_hor_bar_reference, *args)
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_meets_trivially_is_an_initial_pullback_corner(data):
+    """Cospans whose second leg lies in the rest of the target or is drawn
+    anywhere in it, and whose first leg may be a complement leg, which
+    reads membership through the image it complements."""
+    draw = data.draw
+    c = _ids(draw)
+    if draw(st.booleans()):
+        _, m = INST.coker(_into(draw, VerMor, c))
+    else:
+        m = _into(draw, HorMor, c)
+    rest = [x for x in c if x not in set(m.data[1])]
+    e = _into(draw, VerMor, c, within=rest if draw(st.booleans()) else None)
+    got = INST.meets_trivially(m, e)
+    assert got == INST.is_initial(INST.mixed_pullback(m, e).corner)
+    assert got == set(m.data[1]).isdisjoint(e.data[1])
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.data())
 def test_mixed_pullback_reads_a_complement_leg_through_the_set_it_keeps(data):

@@ -45,9 +45,11 @@ from reference import (
     factor_ver_via_section,
     homology_embedding_greedy,
     hor_between_cokers_via_section,
+    is_complement_pair_by_product,
     is_iso_by_rank,
     matmul_mod_reference,
     rref_reference,
+    square_commutes_by_products,
 )
 
 PRIMES = (2, 3, 5)
@@ -683,6 +685,97 @@ def test_classify_mixed_agrees_with_the_pullback_comparison(p, seed):
     for f in gl + [f for square in cospan + generated for f in square]:
         assert L.is_iso_hor(f) == L.is_iso_ver(f) == is_iso_by_rank(L, f)
     assert all(map(L.is_iso_hor, gl))
+
+
+def _perturbed(L, f, rng):
+    """``f`` with one entry changed, or None when it has no entry or the
+    change leaves it invalid."""
+    matrix = np.array(L.hor_matrix(f) if isinstance(f, HorMor) else L.ver_matrix(f))
+    if not matrix.size:
+        return None
+    i, j = rng.randrange(matrix.shape[0]), rng.randrange(matrix.shape[1])
+    matrix[i, j] = (matrix[i, j] + rng.randrange(1, L.p)) % L.p
+    g = (L.hor if isinstance(f, HorMor) else L.ver)(f.source, f.target, matrix)
+    return None if L.validate_hor(g) else g
+
+
+def _complement_pairs(L, rng):
+    """A random mono with its ``coker`` leg and a random epi with its
+    ``ker`` leg (complement pairs), the mono and epi together, a pair
+    whose sizes add up over different targets, and the two complement
+    pairs with one entry of a leg changed where it stays valid."""
+    p, c = L.p, rng.randint(0, 5)
+    a, b = rng.randint(0, c), rng.randint(0, c)
+    mono = L.hor(L.obj(a), L.obj(c), rand_gl(rng, c, p)[:, :a])
+    epi = L.ver(L.obj(b), L.obj(c), rand_gl(rng, c, p)[:b])
+    elsewhere = L.ver(L.obj(c - a), L.obj(c + 1), rand_gl(rng, c + 1, p)[: c - a])
+    pairs = [(mono, L.coker(mono)[1]), (L.ker(epi)[1], epi), (mono, epi), (mono, elsewhere)]
+    for m, e in pairs[:2]:
+        bad_m, bad_e = _perturbed(L, m, rng), _perturbed(L, e, rng)
+        if bad_m is not None:
+            pairs.append((bad_m, e))
+        if bad_e is not None:
+            pairs.append((m, bad_e))
+    return pairs
+
+
+def _commuting_squares(L, seed):
+    """The commuting one-flavour squares of a generated horizontal and
+    vertical chain morphism over ``L``, at each transition degree, as the
+    chain morphism validators pass them."""
+    cfg = GenConfig(seed=seed, instance="linear", prime=L.p)
+    f, g = gen_hor_mor(cfg), gen_ver_mor(cfg)
+    squares = []
+    for i in f.source.transition_degrees():
+        tx, ty = f.source.transition(i), f.target.transition(i)
+        squares.append((tx.into_lower, f.bar_level(i), f.level(i - 1), ty.into_lower))
+    for i in g.source.transition_degrees():
+        tx, ty = g.source.transition(i), g.target.transition(i)
+        squares.append((tx.into_upper, g.bar_level(i), g.level(i), ty.into_upper))
+    return squares
+
+
+@pytest.mark.parametrize("p", CLASSIFY_PRIMES)
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10**6))
+def test_derived_checks_agree_with_the_product_references(p, seed):
+    # The core checks compare sizes, classify a square and compare
+    # composite morphisms; the references multiply matrices.
+    L = LinearInstance(p)
+    rng = random.Random(seed)
+    pairs = _complement_pairs(L, rng)
+    assert L.is_complement_pair(*pairs[0]) and L.is_complement_pair(*pairs[1])
+    for m, e in pairs:
+        assert L.is_complement_pair(m, e) == is_complement_pair_by_product(L, m, e)
+    squares = _commuting_squares(L, seed)
+    assert all(L.hor_square_commutes(*square) for square in squares)
+    for square in squares:
+        top = _perturbed(L, square[0], rng)
+        for sq in [square] + ([(top, *square[1:])] if top is not None else []):
+            got = L.hor_square_commutes(*sq)
+            assert got == L.ver_square_commutes(*sq) == square_commutes_by_products(L, *sq)
+
+
+@pytest.mark.parametrize("p", CLASSIFY_PRIMES)
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10**6))
+def test_meets_trivially_is_an_initial_pullback_corner(p, seed):
+    # In a random basis g of the target, a mono spanning columns T of g and
+    # an epi reading rows S of g^-1, each in a random basis of its own,
+    # meet trivially exactly when S and T are disjoint.
+    L = LinearInstance(p)
+    rng = random.Random(seed)
+    c = rng.randint(0, 5)
+    g = rand_gl(rng, c, p)
+    g_inv = solve(g, np.eye(c, dtype=np.int64), p)
+    cols, rows = rng.sample(range(c), rng.randint(0, c)), rng.sample(range(c), rng.randint(0, c))
+    mono_matrix = matmul_mod(g[:, cols], rand_gl(rng, len(cols), p), p)
+    epi_matrix = matmul_mod(rand_gl(rng, len(rows), p), g_inv[rows], p)
+    mono = L.hor(L.obj(len(cols)), L.obj(c), mono_matrix)
+    epi = L.ver(L.obj(len(rows)), L.obj(c), epi_matrix)
+    got = L.meets_trivially(mono, epi)
+    assert got == L.is_initial(L.mixed_pullback(mono, epi).corner)
+    assert got == set(rows).isdisjoint(cols)
 
 
 @pytest.mark.parametrize("p", (2, 3, 65521))

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import random
 from dataclasses import fields
 
 import numpy as np
@@ -9,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import acgw.oracle as oracle
 from acgw import (
     GenConfig,
+    HorChainMor,
+    VerChainMor,
     ValidationError,
     free_complex,
     gen_chain_map,
@@ -24,6 +28,7 @@ from acgw import (
     gen_ver_mor,
     homology_size,
     is_exact,
+    parse,
     rank_homology_dims,
     serialize,
     validate_chain_map,
@@ -297,3 +302,34 @@ def test_generated_documents_match_their_digest(instance, kind):
                 if f.name != "inst":
                     digest.update(repr(getattr(snake, f.name).data).encode())
     assert digest.hexdigest() == GEN_DIGESTS[instance, kind]
+
+
+#: a set complex whose transition elements land on different ids up and
+#: down (``t`` up at ``a``, down at ``p``), so a sub-complex drawn along
+#: the wrong leg of a transition is not a sub-complex
+DISTINCT_LEG_IDS = parse(
+    "instance set\n"
+    "complex Y:\n"
+    "  object 0: x y\n"
+    "  object 1: d p q r\n"
+    "  object 2: a b c\n"
+    "  transition 1: s\n"
+    "    up: s->r\n"
+    "    down: s->x\n"
+    "  transition 2: t u\n"
+    "    up: t->a u->b\n"
+    "    down: t->p u->q\n"
+).complex_named("Y")
+
+
+@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize(
+    "chain,validate",
+    [(HorChainMor, validate_hor_chain_mor), (VerChainMor, validate_ver_chain_mor)],
+    ids=["hor", "ver"],
+)
+def test_sub_complexes_follow_each_leg_to_its_own_ids(seed, chain, validate):
+    assert validate_complex(DISTINCT_LEG_IDS) == []
+    f = oracle._sub(random.Random(seed), DISTINCT_LEG_IDS, chain)
+    assert validate_complex(f.source) == []
+    assert validate(f) == []

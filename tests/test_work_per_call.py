@@ -34,6 +34,7 @@ from acgw import (
     les_of_ses,
     parse,
     qiso_iff_complement_exact,
+    serialize,
     snake_weak,
     validate_document,
 )
@@ -58,6 +59,7 @@ PRIMITIVES = (
     "validate_payload",
     "validate_obj",
     "is_complement_pair",
+    "meets_trivially",
 )
 
 
@@ -261,10 +263,31 @@ def _count_eliminations(monkeypatch) -> Counter:
 def test_legs_holding_an_identity_are_not_row_reduced_for_their_rank(monkeypatch):
     calls = _count_eliminations(monkeypatch)
     assert validate_document(parse(BLOCK_LEGS)) == []
-    # The one rref is the column basis of the chain condition's mixed
-    # pullback; eliminating each of the four legs for its rank took four
-    # rank reductions more.
-    assert calls == Counter(rref=1)
+    # The chain condition is one product, not a pullback: building it took
+    # one rref for its column basis.  Eliminating each of the four legs for
+    # its rank took four rank reductions more.
+    assert calls == Counter()
+
+
+def _generated_set_complex() -> str:
+    cx, _ = gen_complex(GenConfig(3))
+    return serialize(Document(cx.inst, (("X", cx),)))
+
+
+@pytest.mark.parametrize("text", [_generated_set_complex(), BLOCK_LEGS], ids=["set", "linear"])
+def test_validate_document_builds_no_mixed_pullback(monkeypatch, text):
+    inst = parse(text).inst
+    counting = CountingInstance(inst)
+    monkeypatch.setattr(type(inst), "from_header", classmethod(lambda cls, prime: counting))
+    doc = parse(text)
+    counting.calls.clear()
+    assert validate_document(doc) == []
+    # The chain condition asks, at each degree with a transition on both
+    # sides, whether the square with an initial corner over the two legs
+    # is Cartesian; building their mixed pullback took one per degree.
+    (_, cx), = doc.complexes
+    assert counting.calls["meets_trivially"] == len(cx.transitions) - 1 > 0
+    assert counting.calls["mixed_pullback"] == 0
 
 
 def _reference_rank(a, p):
