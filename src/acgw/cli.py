@@ -15,9 +15,10 @@ import json
 import sys
 
 from .chains import ChainComplex, validate_chain_map, validate_chain_ses, validate_complex
-from .core import AcgwError, flat_is_iso
+from .core import AcgwError, ValidationError, flat_is_iso
 from .documents import Document, ParseError, parse, serialize, validate_document
 from .homology import h_on_map, homology_obj, homology_size
+from .linear import LinearInstance
 from .oracle import (
     GenConfig,
     gen_chain_map,
@@ -419,6 +420,17 @@ def _size(text: str) -> int:
     return size
 
 
+def _prime(text: str) -> int:
+    """A ``--prime`` value: a field order that :class:`LinearInstance`
+    accepts, whose check words the error."""
+    try:
+        return LinearInstance(int(text)).prime
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--output", choices=("text", "json"), default="text", help="report format"
@@ -488,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=_size, default=8, help="object size bound")
     p.add_argument("--instance", choices=("set", "linear"), default="set")
-    p.add_argument("--prime", type=int, default=2)
+    p.add_argument("--prime", type=_prime, default=2)
     p.set_defaults(func=cmd_gen)
 
     return parser

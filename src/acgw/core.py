@@ -107,13 +107,16 @@ def _memoized(key: str):
     under ``key`` in the object's ``__dict__``, as
     ``functools.cached_property`` does on a frozen dataclass: ``==``,
     ``hash``, ``repr`` and pickling read only the declared fields, so they
-    never see it.  The finite-set instance keeps values of a morphism's
-    payload this way, and :func:`acgw.chains.coker_hor` the quotient of a
-    horizontal chain morphism.  A build that returns None stores nothing and runs
-    again on the next call.  An instance may also store a value itself
-    when it builds the morphism: the finite-set ``coker``/``ker`` keep in
-    each complement leg the image set it complements, which is never
-    built from the leg's own payload."""
+    never see it.  The finite-set instance keeps four values of a
+    morphism's payload this way: its dict, inverse dict, image set and the
+    rest of its target, the complement that ``coker``/``ker`` return,
+    which ``validate_payload`` fills when it checks the payload.
+    :func:`acgw.chains.coker_hor` keeps the quotient of a horizontal chain
+    morphism.  A build that returns None stores nothing and runs again on
+    the next call.  An instance may also store a value itself when it
+    builds the morphism: the finite-set ``coker``/``ker`` keep in each
+    complement leg the image set it complements, its fifth memo, which is
+    never built from the leg's own payload."""
 
     def wrap(build):
         @functools.wraps(build)
@@ -141,8 +144,9 @@ class HorMor:
     full-column-rank matrix, held as a read-only int64 array whose
     ``repr`` is its tuple of rows.  Beside ``data``, in the instance
     ``__dict__`` and outside ``==``, ``hash``, ``repr`` and pickling, the
-    finite-set instance memoizes the morphism's dict, inverse dict and
-    image set (and a complement leg keeps the image it complements).
+    finite-set instance memoizes the morphism's dict, inverse dict, image
+    set and the rest of its target (and a complement leg keeps the image
+    it complements).
     """
 
     source: Any

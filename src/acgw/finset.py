@@ -19,8 +19,9 @@ and the document readers.  The primitives take canonical inputs and keep
 canonical order rather than sort again: they filter a sorted object, or
 map the images of a payload in source order.
 
-A primitive builds a morphism's dict, inverse dict and image set at most
-once: they are memoized in the morphism's instance ``__dict__`` by
+A primitive builds a morphism's dict, inverse dict, image set and the
+rest of its target (the ids outside the image) at most once: they are
+memoized in the morphism's instance ``__dict__`` by
 :func:`acgw.core._memoized`, as ``functools.cached_property`` does on a
 frozen dataclass, so dataclass ``==``, ``hash`` and ``repr``, which read
 only the declared fields, never see them.  The primitives only read
@@ -45,8 +46,11 @@ line that spells out an inclusion reads as one.
 
 :meth:`FinSetInstance.validate_payload` checks a payload whose endpoints
 are valid: sources equal to that source tuple are sorted, total
-and of strings in one comparison, and only a payload whose sources
-differ goes through a dict of its pairs to name what is wrong.
+and of strings in one comparison.  Their images are distinct ids of the
+target exactly when the pairs and the rest of the target add up to the
+target's size; validation keeps that rest, so ``coker``/``ker`` of a
+checked morphism return it.  Only a payload that fails goes through a
+dict of its pairs and set differences to name what is wrong.
 """
 
 from __future__ import annotations
@@ -107,8 +111,8 @@ def _payload(mapping: dict[str, str]) -> tuple[FinSetObj, FinSetObj]:
 
 
 #: the memo keys of a morphism's derived values and of a complement leg's kept image
-_MEMO_KEYS = _MAP, _INVERSE, _IMAGE, _KEPT = (
-    "_finset_map", "_finset_inverse", "_finset_image", "_finset_kept"
+_MEMO_KEYS = _MAP, _INVERSE, _IMAGE, _REST, _KEPT = (
+    "_finset_map", "_finset_inverse", "_finset_image", "_finset_rest", "_finset_kept"
 )
 
 
@@ -126,6 +130,14 @@ def _inverse(f: HorMor | VerMor) -> dict[str, str]:
 @_memoized(_IMAGE)
 def _image(f: HorMor | VerMor) -> frozenset[str]:
     return frozenset(f.data[1])
+
+
+@_memoized(_REST)
+def _rest(f: HorMor | VerMor) -> FinSetObj:
+    """The ids of ``f``'s target outside its image, in target order: the
+    complement that ``coker``/``ker`` return."""
+    image = _image(f)
+    return tuple(filterfalse(image.__contains__, f.target)) if image else f.target
 
 
 def _forward(g: HorMor | VerMor, xs: FinSetObj) -> FinSetObj:
@@ -256,6 +268,10 @@ class FinSetInstance(AcgwInstance):
             images = tuple(mapping.values())
         elif images is not sources and not all(map(isinstance, images, repeat(str))):
             return [f"morphism has non-string ids: {f.data!r}"]
+        elif len(images) + len(_rest(f)) == len(f.target):
+            # the target's ids are distinct: the rest leaves exactly one
+            # target id per pair only when the images are distinct and in it
+            return []
         image = set(images)
         if len(image) != len(images):
             problems.append("morphism is not injective")
@@ -287,8 +303,7 @@ class FinSetInstance(AcgwInstance):
         if kept is not None:
             rest, memo = tuple(filter(kept.__contains__, f.target)), {_IMAGE: kept}
         else:
-            kept = _image(f)
-            rest = tuple(filterfalse(kept.__contains__, f.target)) if kept else f.target
+            kept, rest = _image(f), _rest(f)
             memo = {_KEPT: kept}
         leg = _inclusion(VerMor if isinstance(f, HorMor) else HorMor, rest, f.target)
         leg.__dict__.update(memo)
@@ -438,7 +453,7 @@ class FinSetInstance(AcgwInstance):
     def mor_text(self, mor, leg=False):
         sources, images = mor.data
         default = sources == images if leg else not sources
-        return None if default else " ".join(map("{}->{}".format, sources, images))
+        return None if default else " ".join(map("->".join, zip(sources, images)))
 
     def lift_hor_bar(self, level, src_leg, tgt_leg) -> HorMor | VerMor:
         try:

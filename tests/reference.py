@@ -41,6 +41,11 @@ assert the two agree:
   dict of its pairs and four sets, where
   :meth:`acgw.FinSetInstance.validate_hor` first compares its sources
   with the source tuple;
+* :func:`validate_payload_reference` checks a finite-set payload whose
+  endpoints are valid through a set of its images and that set's
+  difference with the target, where
+  :meth:`acgw.FinSetInstance.validate_payload` counts the pairs and the
+  rest of the target, and builds sets only for a payload that fails;
 * :func:`classify_mixed_reference`, :func:`hor_square_commutes_reference`
   and :func:`is_complement_pair_reference` look every id up in the dicts
   of a square's or a pair's morphisms and compare image sets, where
@@ -355,6 +360,42 @@ def validate_hor_reference(f):
     if len(set(values)) != len(values):
         problems.append("morphism is not injective")
     stray = set(values) - set(f.target)
+    if stray:
+        problems.append(f"morphism maps outside its target: {sorted(stray)}")
+    return problems
+
+
+def validate_payload_reference(f):
+    """:meth:`acgw.FinSetInstance.validate_payload` through a set of the
+    images and a set difference with the target, for every payload."""
+    if not isinstance(f.data, tuple):
+        return [f"morphism data is not a tuple: {f.data!r}"]
+    if not (
+        len(f.data) == 2
+        and all(map(isinstance, f.data, repeat(tuple)))
+        and len(f.data[0]) == len(f.data[1])
+    ):
+        return [f"morphism data is not sources and images of one length: {f.data!r}"]
+    problems = []
+    sources, images = f.data
+    if sources != f.source:
+        if not all(map(isinstance, chain(sources, images), repeat(str))):
+            return [f"morphism has non-string ids: {f.data!r}"]
+        if not _increasing(sources):
+            problems.append("morphism pairs are not sorted by source id")
+        mapping = dict(zip(sources, images))
+        if set(mapping) != set(f.source):
+            problems.append(
+                f"morphism is not total on its source: defined on "
+                f"{sorted(mapping)}, source is {list(f.source)}"
+            )
+        images = tuple(mapping.values())
+    elif images is not sources and not all(map(isinstance, images, repeat(str))):
+        return [f"morphism has non-string ids: {f.data!r}"]
+    image = set(images)
+    if len(image) != len(images):
+        problems.append("morphism is not injective")
+    stray = image.difference(f.target)
     if stray:
         problems.append(f"morphism maps outside its target: {sorted(stray)}")
     return problems

@@ -270,6 +270,28 @@ def test_gen_negative_size_is_usage_error(capsys, kind):
     assert validate_document(parse(capsys.readouterr().out)) == []
 
 
+@pytest.mark.parametrize(
+    "prime,problem",
+    [
+        ("4", "field order must be prime, got 4"),
+        ("1", "field order must be prime, got 1"),
+        ("-7", "field order must be prime, got -7"),
+        (str(2**63 + 29), f"field order must be below 2^63, got {2**63 + 29}"),
+        ("x", "invalid int value: 'x'"),
+    ],
+)
+@pytest.mark.parametrize("instance", ["linear", "set"])
+def test_gen_bad_prime_is_usage_error(capsys, instance, prime, problem):
+    # the linear instance's own check words it, whichever instance is asked for
+    argv = ["gen", "--kind", "complex", "--seed", "1", "--instance", instance]
+    assert main([*argv, "--prime", prime]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"acgw gen: error: argument --prime: {problem}\n")
+    assert main([*argv, "--prime", "3"]) == 0
+    assert validate_document(parse(capsys.readouterr().out)) == []
+
+
 def test_gen_deterministic(capsys):
     assert main(["gen", "--kind", "map", "--seed", "42"]) == 0
     first = capsys.readouterr().out

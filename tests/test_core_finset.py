@@ -44,6 +44,7 @@ from reference import (
     mor_from_text_per_token,
     obj_from_text_per_token,
     validate_hor_reference,
+    validate_payload_reference,
 )
 
 INST = FinSetInstance()
@@ -554,6 +555,35 @@ def test_validate_hor_agrees_with_the_dict_and_sets_reference(f):
     expected = validate_hor_reference(f)
     assert INST.validate_hor(f) == expected
     assert INST.validate_ver(f) == expected
+
+
+@st.composite
+def checked_payloads(draw):
+    """A morphism between canonical objects: one of :func:`payloads`, an
+    injection or literal inclusion into its target, or an empty payload
+    (not total unless its source is empty)."""
+    how = draw(st.sampled_from(("payloads", "injection", "empty")))
+    if how == "payloads":
+        return draw(payloads())
+    mor_type, target = draw(st.sampled_from((HorMor, VerMor))), _ids(draw)
+    if how == "injection":
+        return _into(draw, mor_type, target)
+    return mor_type(_ids(draw, max_size=2), target, ((), ()))
+
+
+@settings(deadline=None, max_examples=400)
+@given(checked_payloads())
+def test_validate_payload_agrees_with_the_set_difference_reference(f):
+    fresh = copy.copy(f)  # carries no memo, and is never validated
+    problems = INST.validate_payload(f)
+    assert problems == validate_payload_reference(fresh)
+    if problems:
+        return
+    # the complement validation kept is the one a fresh morphism builds
+    for complement in (INST.coker, INST.ker):
+        (obj, leg), (fresh_obj, fresh_leg) = complement(f), complement(fresh)
+        assert (obj, leg) == (fresh_obj, fresh_leg)
+        assert vars(leg)[finset._KEPT] == vars(fresh_leg)[finset._KEPT]
 
 
 def _assert_canonical(parts):

@@ -149,11 +149,12 @@ def test_only_the_instances_and_pickling_read_a_payload():
     assert len(data_reads(parsed("core"))) == 1
 
 
-#: each module's memo keys: the finite-set dict, inverse dict and image
-#: set and a complement leg's kept image, and a horizontal chain
-#: morphism's quotient; an ``F_p`` morphism keeps nothing beside its payload
+#: each module's memo keys: the finite-set dict, inverse dict, image set,
+#: rest of the target and a complement leg's kept image, and a horizontal
+#: chain morphism's quotient; an ``F_p`` morphism keeps nothing beside its
+#: payload
 MEMO_KEYS = {
-    "finset": (finset._MEMO_KEYS, 4),
+    "finset": (finset._MEMO_KEYS, 5),
     "chains": ((chains._COKER,), 1),
 }
 

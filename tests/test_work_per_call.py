@@ -177,6 +177,25 @@ def test_one_quotient_per_chain_morphism(monkeypatch):
     assert counting.calls["mixed_pullback"] == 7
 
 
+def test_validation_keeps_the_complement_that_coker_returns():
+    doc = parse(corpus_text("three_term_ses"))
+    assert validate_document(doc) == []
+    f = doc.hor_named("f")
+    legs = [
+        leg
+        for _, cx in doc.complexes
+        for t in cx.transitions
+        for leg in (t.into_upper, t.into_lower)
+    ]
+    checked = [*legs, *f.levels, *f.bar_levels]
+    assert len(checked) == 7
+    # every payload that passed keeps the rest of its target, and coker
+    # returns that tuple instead of filtering the target again
+    assert all(finset._REST in vars(mor) for mor in checked)
+    for mor in checked:
+        assert doc.inst.coker(mor)[0] is vars(mor)[finset._REST]
+
+
 def _count_dicts(monkeypatch) -> Counter:
     """Count the dicts the finite-set primitives ask for, by name and by
     whether the morphism is a literal inclusion."""
