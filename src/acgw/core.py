@@ -224,8 +224,10 @@ class AcgwInstance(ABC):
     * document format: :meth:`from_header` and :meth:`header` (the lines
       after ``instance KIND``), :meth:`obj_from_text`/:meth:`obj_text`
       (object payloads), :meth:`mor_from_text`/:meth:`mor_text` (leg and
-      level payloads, with their defaults), and :meth:`lift_hor_bar`/
-      :meth:`lift_ver_bar` (the bar levels a ``hor``/``ver`` section forces);
+      level payloads, with their defaults); the reader forces the bar levels
+      of a ``hor``/``ver`` section with :meth:`hor_between_cokers`/
+      :meth:`ver_between_kernels`, which raise :class:`AcgwError` on legs
+      and levels not yet validated;
     * rank oracle: :attr:`prime` and :meth:`boundary_matrix`;
     * homology: :meth:`homology_span` (the span :func:`acgw.h_on_map`
       returns) and :meth:`homology_embedding` (the levels of
@@ -472,20 +474,6 @@ class AcgwInstance(ABC):
         """Payload text of ``mor``, or ``None`` when the line is omitted
         because the parser's default (see :meth:`mor_from_text`) gives
         ``mor`` back."""
-
-    @abstractmethod
-    def lift_hor_bar(self, level: HorMor, src_up: VerMor, tgt_up: VerMor) -> HorMor:
-        """The bar level ``T -> T'`` of a horizontal chain morphism with
-        level ``X_i -> Y_i``, forced by the upper legs ``src_up: T => X_i``
-        and ``tgt_up: T' => Y_i``; raises :class:`AcgwError` if none
-        exists."""
-
-    @abstractmethod
-    def lift_ver_bar(self, level: VerMor, src_low: HorMor, tgt_low: HorMor) -> VerMor:
-        """The bar level ``T => T'`` of a vertical chain morphism with
-        level ``Z_{i-1} => Y_{i-1}``, forced by the lower legs
-        ``src_low: T -> Z_{i-1}`` and ``tgt_low: T' -> Y_{i-1}``; raises
-        :class:`AcgwError` if none exists."""
 
     # ----- rank oracle -----------------------------------------------
     @abstractmethod

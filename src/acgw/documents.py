@@ -420,11 +420,11 @@ def _build_complex(inst: AcgwInstance, raw: _RawComplex) -> ChainComplex:
 
 
 #: per flavour: the chain morphism and level classes, and how a bar level
-#: at degree ``i`` is forced: the instance's lift hook, how far below ``i``
-#: the level it lifts along sits, and the transition leg it lifts
+#: at degree ``i`` is forced: the morphism a level induces between legs,
+#: how far below ``i`` that level sits, and the transition leg
 _FLAVOURS = {
-    "hor": (HorChainMor, HorMor, attrgetter("lift_hor_bar"), 0, attrgetter("into_upper")),
-    "ver": (VerChainMor, VerMor, attrgetter("lift_ver_bar"), 1, attrgetter("into_lower")),
+    "hor": (HorChainMor, HorMor, attrgetter("hor_between_cokers"), 0, attrgetter("into_upper")),
+    "ver": (VerChainMor, VerMor, attrgetter("ver_between_kernels"), 1, attrgetter("into_lower")),
 }
 
 
@@ -436,11 +436,14 @@ def _chain_mor(
     src: ChainComplex,
     tgt: ChainComplex,
     flavor: str,
+    section: tuple,
 ):
     """The ``flavor`` chain morphism ``src -> tgt`` (or ``src => tgt``)
     whose levels are the raw ``key`` lines of the section that starts at
-    ``line``; its bar levels are forced by the transition legs."""
-    chain, mor_type, lift, below, leg = _FLAVOURS[flavor]
+    ``line``; its bar levels are forced by the transition legs.  One that
+    cannot be is blamed on the first invalid complex of the section, if
+    there is one: ``section`` is its label and ``(name, complex)`` pairs."""
+    chain, mor_type, between, below, leg = _FLAVOURS[flavor]
     for deg, (at, _) in levels.items():
         if not src.lo <= deg <= src.hi:
             raise ParseError(at, f"{key} degree {deg} outside range")
@@ -448,17 +451,20 @@ def _chain_mor(
         _mor(inst, mor_type, src.obj(i), tgt.obj(i), levels.get(i), line, f"{key} {i}")
         for i in src.degrees()
     )
-    bars = tuple(
-        _hook(
-            line,
-            f"degree {i}",
-            lift(inst),
-            mors[i - below - src.lo],
-            leg(src.transition(i)),
-            leg(tgt.transition(i)),
+    legs = ((i, leg(src.transition(i)), leg(tgt.transition(i))) for i in src.transition_degrees())
+    try:
+        bars = tuple(
+            _hook(line, f"bar level {i}", between(inst), mors[i - below - src.lo], p, q)
+            for i, p, q in legs
         )
-        for i in src.transition_degrees()
-    )
+    except ParseError:
+        label, named = section
+        for name, cx in named:
+            found = validate_complex(cx)
+            if found:
+                what = f"{label}: not checked, complex {name} is invalid: {found[0]}"
+                raise ParseError(line, what) from None
+        raise
     return chain(src, tgt, mors, bars)
 
 
@@ -493,7 +499,8 @@ def parse(text: str) -> Document:
     mors: dict[str, list] = {"hor": [], "ver": []}
     for flavor, raw in raw_mors:
         src, tgt = lookup(raw.line, raw.src), lookup(raw.line, raw.tgt)
-        f = _chain_mor(inst, raw.line, "level", raw.levels, src, tgt, flavor)
+        section = f"{flavor} {raw.name}", ((raw.src, src), (raw.tgt, tgt))
+        f = _chain_mor(inst, raw.line, "level", raw.levels, src, tgt, flavor, section)
         mors[flavor].append((raw.name, f))
     hors, vers = mors["hor"], mors["ver"]
 
@@ -502,8 +509,9 @@ def parse(text: str) -> Document:
         src = lookup(raw.line, raw.src)
         mid = lookup(raw.line, raw.mid)
         tgt = lookup(raw.line, raw.tgt)
-        back = _chain_mor(inst, raw.line, "back", raw.back, mid, src, "ver")
-        front = _chain_mor(inst, raw.line, "front", raw.front, mid, tgt, "hor")
+        section = f"map {raw.name}", ((raw.src, src), (raw.mid, mid), (raw.tgt, tgt))
+        back = _chain_mor(inst, raw.line, "back", raw.back, mid, src, "ver", section)
+        front = _chain_mor(inst, raw.line, "front", raw.front, mid, tgt, "hor", section)
         maps.append((raw.name, ChainMap(src, mid, tgt, back, front)))
 
     seses: list[tuple[str, str]] = []

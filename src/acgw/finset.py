@@ -368,21 +368,26 @@ class FinSetInstance(AcgwInstance):
 
     def hor_between_cokers(self, f, p_leg, q_leg) -> HorMor | VerMor:
         """Chase either flavour ``f: P -> Q`` along complement presentations
-        ``p_leg`` of ``P`` and ``q_leg`` of ``Q``, of the other flavour."""
+        ``p_leg`` of ``P`` and ``q_leg`` of ``Q``, of the other flavour.  The
+        reader forces bar levels with it before validation: the result has
+        ``p_leg``'s pairs, and ``f`` may be undefined at their images."""
         hor = isinstance(f, HorMor)
         if p_leg.target != f.source or q_leg.target != f.target:
             raise FactorizationError(
                 f"complement presentations do not match {'m' if hor else 'e'}"
             )
         sources, images = p_leg.data
-        reached = _forward(f, images)
-        out = _backward(q_leg, reached)
+        reached = _partial(f, images, _mapping)
+        out = None if reached is None else _backward(q_leg, reached)
         if out is None:
-            image = _image(q_leg)
-            x, q = next((x, q) for x, q in zip(sources, reached) if q not in image)
+            fmap, over = _mapping(f), _inverse(q_leg)
+            x, y = next((x, y) for x, y in zip(sources, images) if fmap.get(y) not in over)
+            q = fmap.get(y)
+            why = f"image of {x} is {q}, not in the target complement"
+            if q is None:
+                why = f"it is undefined at {y}, the image of {x}"
             raise FactorizationError(
-                f"morphism does not {'descend' if hor else 'restrict'} to "
-                f"complements: image of {x} is {q}, not in the target complement"
+                f"morphism does not {'descend' if hor else 'restrict'} to complements: {why}"
             )
         return type(f)(p_leg.source, q_leg.source, (sources, out))
 
@@ -454,30 +459,6 @@ class FinSetInstance(AcgwInstance):
         sources, images = mor.data
         default = sources == images if leg else not sources
         return None if default else " ".join(map("->".join, zip(sources, images)))
-
-    def lift_hor_bar(self, level, src_leg, tgt_leg) -> HorMor | VerMor:
-        try:
-            # chase a total leg's images; a failed step, or a payload that
-            # is not two tuples, is left to the loop below to name
-            sources, images = src_leg.data
-            reached = _partial(level, images, _mapping) if sources == src_leg.source else None
-            out = None if reached is None else _partial(tgt_leg, reached, _inverse)
-        except ValueError:
-            out = None
-        if out is None:
-            leg, lmap, over = _mapping(src_leg), _mapping(level), _inverse(tgt_leg)
-            out = []
-            for t in src_leg.source:
-                img = lmap.get(leg.get(t))
-                if img is None:
-                    raise FactorizationError(f"level is undefined on the image of {t!r}")
-                if img not in over:
-                    side = "above" if isinstance(level, HorMor) else "below"
-                    raise FactorizationError(f"no transition element {side} {img!r}")
-                out.append(over[img])
-        return type(level)(src_leg.source, tgt_leg.source, (src_leg.source, tuple(out)))
-
-    lift_ver_bar = lift_hor_bar
 
     # ----- rank oracle ---------------------------------------------------
     def boundary_matrix(self, up: VerMor, low: HorMor) -> np.ndarray:

@@ -340,7 +340,7 @@ def _shape(mor_type: type, source: VectObj, target: VectObj) -> tuple[int, int]:
 
 def _matrix(f: HorMor | VerMor, rows: int, cols: int) -> np.ndarray:
     """The array of ``f``, after one check that it is ``rows x cols``: the
-    oracle and bar lifting read matrices of unvalidated documents."""
+    oracle and the reader's bar levels read matrices of unvalidated documents."""
     arr = f.data.array
     if arr.shape != (rows, cols):
         raise ValidationError([f"matrix must be {rows}x{cols}, got {f.data!r}"])
@@ -649,14 +649,6 @@ class LinearInstance(AcgwInstance):
 
     def mor_text(self, mor, leg=False):
         return json.dumps(mor.data.array.tolist())
-
-    def lift_hor_bar(self, level, src_leg, tgt_leg) -> HorMor | VerMor:
-        x = self._induced(level, src_leg, tgt_leg)
-        if x is None:
-            raise FactorizationError("no compatible bar level")
-        return self._of_inj(type(level), src_leg.source, tgt_leg.source, x.T)
-
-    lift_ver_bar = lift_hor_bar
 
     # ----- rank oracle -----------------------------------------------------------
     def boundary_matrix(self, up: VerMor, low: HorMor) -> np.ndarray:

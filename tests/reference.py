@@ -58,10 +58,11 @@ assert the two agree:
   and a commuting one-flavour square by matrix products, where
   :class:`acgw.AcgwInstance` compares sizes, classifies a square and
   compares composite morphisms;
-* :func:`lift_hor_bar_reference` lifts a bar level one transition
-  element at a time through dicts of the three payloads, where
-  :meth:`acgw.FinSetInstance.lift_hor_bar` chases a total leg's images
-  in one pass per morphism.
+* :func:`lift_hor_bar_reference` forces the bar level of a ``hor`` or
+  ``ver`` section one pair of the source leg at a time through dicts of
+  the three payloads, where the document reader calls
+  :meth:`acgw.FinSetInstance.hor_between_cokers`/``ver_between_kernels``,
+  which chase the leg's images in one pass per morphism.
 """
 
 import re
@@ -627,19 +628,28 @@ def mor_from_text_per_token(mor_type, source, target, text):
 
 
 def lift_hor_bar_reference(level, src_leg, tgt_leg):
-    """:meth:`acgw.FinSetInstance.lift_hor_bar` (and ``lift_ver_bar``)
-    through a dict of each payload, one transition element at a time.  A
-    target leg whose payload is not two tuples raises ``ValueError``."""
-    leg, lmap = mapping_of(src_leg), mapping_of(level)
-    sources, images = tgt_leg.data
-    over = dict(zip(images, sources))
+    """The bar level of a ``hor`` (or ``ver``) section that
+    :meth:`acgw.FinSetInstance.hor_between_cokers` (and
+    ``ver_between_kernels``) forces, through a dict of each payload, one
+    pair of the source leg at a time.  A payload that is not two tuples
+    raises ``ValueError``."""
+    sources, images = src_leg.data
+    lsources, limages = level.data
+    tsources, timages = tgt_leg.data
+    lmap, over = dict(zip(lsources, limages)), dict(zip(timages, tsources))
+    verb = "descend" if isinstance(level, HorMor) else "restrict"
     out = []
-    for t in src_leg.source:
-        img = lmap.get(leg.get(t))
+    for t, x in zip(sources, images):
+        img = lmap.get(x)
         if img is None:
-            raise FactorizationError(f"level is undefined on the image of {t!r}")
+            raise FactorizationError(
+                f"morphism does not {verb} to complements: "
+                f"it is undefined at {x}, the image of {t}"
+            )
         if img not in over:
-            side = "above" if isinstance(level, HorMor) else "below"
-            raise FactorizationError(f"no transition element {side} {img!r}")
+            raise FactorizationError(
+                f"morphism does not {verb} to complements: "
+                f"image of {t} is {img}, not in the target complement"
+            )
         out.append(over[img])
-    return type(level)(src_leg.source, tgt_leg.source, (src_leg.source, tuple(out)))
+    return type(level)(src_leg.source, tgt_leg.source, (sources, tuple(out)))

@@ -494,7 +494,7 @@ def test_level_matrix_of_the_wrong_shape_is_an_error_line():
     )
     code, _, err = run_on_stdin(["homology", "-"], text)
     assert code == 1
-    assert err.startswith("error: line 9: degree 1:") and "4x4" in err
+    assert err.startswith("error: line 9: bar level 1:") and "4x4" in err
 
 
 LINEAR_LEG = (

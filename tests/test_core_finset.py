@@ -802,14 +802,18 @@ def test_mixed_pullback_of_an_inclusion_needs_a_shared_target(how):
 
 @BUILDS
 @FLAVOURS
-def test_lift_along_inclusions_names_the_missing_transition_element(mor_type, how):
-    lift = INST.lift_hor_bar if mor_type is HorMor else INST.lift_ver_bar
+def test_chase_along_inclusions_names_the_first_element_where_the_level_is_undefined(
+    mor_type, how
+):
+    # a leg that maps outside its target, as in a document not yet validated
+    other = VerMor if mor_type is HorMor else HorMor
+    chase = INST.hor_between_cokers if mor_type is HorMor else INST.ver_between_kernels
     level = _literal(mor_type, finset_obj("ab"), finset_obj("abc"), how)
-    src_leg = _literal(mor_type, finset_obj("ab"), finset_obj("ab"), how)
-    tgt_leg = _literal(mor_type, finset_obj("a"), finset_obj("abc"), how)
-    side = "above" if mor_type is HorMor else "below"
-    assert _message(FactorizationError, lift, level, src_leg, tgt_leg) == (
-        f"no transition element {side} 'b'"
+    p_leg = _literal(other, finset_obj("abc"), finset_obj("ab"), how)
+    q_leg = _literal(other, finset_obj("abc"), finset_obj("abc"), how)
+    verb = "descend" if mor_type is HorMor else "restrict"
+    assert _message(FactorizationError, chase, level, p_leg, q_leg) == (
+        f"morphism does not {verb} to complements: it is undefined at c, the image of c"
     )
 
 
@@ -843,19 +847,19 @@ def _loosened(draw, mor):
     return type(mor)(mor.source, mor.target, (sources, images))
 
 
-def _lift_outcome(lift, *args):
+def _chase_outcome(chase, *args):
     try:
-        return lift(*args)
+        return chase(*args)
     except (FactorizationError, ValueError) as exc:
         return type(exc), str(exc)
 
 
 @settings(deadline=None, max_examples=300)
 @given(st.data())
-def test_lift_agrees_with_the_dict_reference(data):
-    """A bar level lifted along valid legs and levels, one of them maybe
+def test_chase_agrees_with_the_dict_reference(data):
+    """A bar level forced along valid legs and levels, one of them maybe
     loosened as in a document not yet validated, is the one the dict
-    reference gives, or fails with its message."""
+    reference gives, or fails with its error and message."""
     draw = data.draw
     mor_type = draw(st.sampled_from((HorMor, VerMor)))
     leg_type = VerMor if mor_type is HorMor else HorMor
@@ -865,8 +869,8 @@ def test_lift_agrees_with_the_dict_reference(data):
     args = [level, src_leg, tgt_leg]
     loose = draw(st.integers(0, 2))
     args[loose] = draw(_loosened(args[loose]))
-    lift = INST.lift_hor_bar if mor_type is HorMor else INST.lift_ver_bar
-    assert _lift_outcome(lift, *args) == _lift_outcome(lift_hor_bar_reference, *args)
+    chase = INST.hor_between_cokers if mor_type is HorMor else INST.ver_between_kernels
+    assert _chase_outcome(chase, *args) == _chase_outcome(lift_hor_bar_reference, *args)
 
 
 @settings(deadline=None, max_examples=300)
@@ -915,7 +919,6 @@ def _use(mor):
     INST.hor_square_commutes(mor, INST.id_hor(mor.source), INST.id_hor(mor.target), mor)
     INST.hor_between_cokers(mor, INST.zero_ver(mor.source), INST.zero_ver(mor.target))
     INST.flat_key(INST.id_ver(mor.source), mor)
-    INST.lift_hor_bar(mor, INST.id_hor(mor.source), INST.id_hor(mor.target))
     apply_to(mor, mor.source[0])
     return leg
 

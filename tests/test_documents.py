@@ -24,6 +24,7 @@ from acgw import (
     validate_snake_weak,
     VerMor,
 )
+from acgw import documents
 from acgw.chains import Transition
 
 from conftest import CORPUS_NAMES, corpus_doc, corpus_text
@@ -427,3 +428,135 @@ BROKEN_DOCUMENTS = {
 def test_broken_set_documents_keep_their_messages(case):
     build, expected = BROKEN_DOCUMENTS[case]
     assert validate_document(build()) == expected
+
+
+# ---------------------------------------------------------------------------
+# Bar levels: the reader forces each one with the instance's induced
+# morphism between complements (``hor_between_cokers`` or
+# ``ver_between_kernels``), before validation.  When one cannot be forced
+# over an invalid complex, the complex is blamed, not the level.
+# ---------------------------------------------------------------------------
+
+
+def _set_complex(name, up, down="s->b t->c"):
+    return (
+        f"complex {name}:\n  object 1: b c\n  object 2: a b\n"
+        f"  transition 2: s t\n    up: {up}\n    down: {down}\n"
+    )
+
+
+#: sections over ``X`` and ``Y`` whose levels are identities
+IDENTITY_HOR = "hor f: X -> Y\n  level 1: b->b c->c\n  level 2: a->a b->b\n"
+IDENTITY_MAP = (
+    "map F: Y <- X -> Y\n  back 1: b->b c->c\n  back 2: a->a b->b\n"
+    "  front 1: b->b c->c\n  front 2: a->a b->b\n"
+)
+
+
+def _set_doc(up, section):
+    """``X``, whose upper leg is ``up``, ``Y``, whose upper leg is total,
+    and ``section`` (its header is line 14)."""
+    return "instance set\n" + _set_complex("X", up) + _set_complex("Y", "s->a t->b") + section
+
+
+#: an ``F_3`` complex ``X`` whose upper leg is not surjective, and a
+#: ``hor`` section on it with identity levels (its header is line 18)
+LINEAR_NOT_SURJECTIVE = """instance linear
+prime 3
+
+complex X:
+  object 1: dim 1
+  object 2: dim 1
+  transition 2: dim 1
+    up: [[0]]
+    down: [[1]]
+
+complex Y:
+  object 1: dim 1
+  object 2: dim 1
+  transition 2: dim 1
+    up: [[1]]
+    down: [[1]]
+
+hor f: X -> Y
+  level 1: [[1]]
+  level 2: [[1]]
+"""
+
+
+def test_a_bar_level_along_a_leg_that_is_not_total_leaves_the_complex_to_blame():
+    doc = parse(_set_doc("s->a", IDENTITY_HOR))
+    assert validate_document(doc) == [
+        "complex X: transition 2 upper leg: morphism is not total on its source: "
+        "defined on ['s'], source is ['s', 't']",
+        "hor f: not checked, complex X is invalid",
+    ]
+
+
+#: a complex ``X`` whose one transition element ``s`` has both legs at ``a``
+SWAP_COMPLEX = """complex X:
+  object 1: a b
+  object 2: a b
+  transition 2: s
+    up: s->a
+    down: s->a
+"""
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # over an invalid complex: the complex is blamed
+        (
+            LINEAR_NOT_SURJECTIVE,
+            "line 18: hor f: not checked, complex X is invalid: "
+            "transition 2 upper leg: vertical matrix is not surjective",
+        ),
+        (
+            _set_doc("s->a t->z", IDENTITY_HOR),
+            "line 14: hor f: not checked, complex X is invalid: "
+            "transition 2 upper leg: morphism maps outside its target: ['z']",
+        ),
+        (
+            _set_doc("s->a t->z", IDENTITY_MAP),
+            "line 14: map F: not checked, complex X is invalid: "
+            "transition 2 upper leg: morphism maps outside its target: ['z']",
+        ),
+        # over valid complexes: the bar level is blamed.  The level sends a,
+        # the upper image of s, to b, which no transition element sits above
+        (
+            "instance set\n" + SWAP_COMPLEX + "hor f: X -> X\n  level 2: a->b b->a\n",
+            "line 8: bar level 2: morphism does not descend to complements: "
+            "image of s is b, not in the target complement",
+        ),
+        # level 1 sends a, the lower image of s, to b, which no transition
+        # element sits below
+        (
+            "instance set\n" + SWAP_COMPLEX + "ver g: X -> X\n  level 1: a->b b->a\n",
+            "line 8: bar level 2: morphism does not restrict to complements: "
+            "image of s is b, not in the target complement",
+        ),
+        # the target has no transition 2: the induced bar level is zero
+        (
+            "instance linear\nprime 3\n\ncomplex X:\n  object 1: dim 1\n  object 2: dim 1\n"
+            "  transition 2: dim 1\n    up: [[1]]\n    down: [[1]]\n\n"
+            "complex Y:\n  object 1: dim 1\n  object 2: dim 1\n\n"
+            "hor f: X -> Y\n  level 1: [[1]]\n  level 2: [[1]]\n",
+            "line 15: bar level 2: induced complement morphism is not injective",
+        ),
+    ],
+    ids=["linear", "set", "set-map", "set-hor", "set-ver", "linear-hor"],
+)
+def test_a_bar_level_that_cannot_be_forced_is_a_parse_error(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_parsing_a_valid_document_validates_no_complex(corpus_name, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        documents, "validate_complex", lambda cx: calls.append(cx) or validate_complex(cx)
+    )
+    corpus_doc(corpus_name)
+    assert calls == []

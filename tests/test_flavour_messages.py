@@ -1,7 +1,7 @@
 """The error texts of the hor/ver primitive pairs, in both instances.
 
 Each pair is one function under two names, but the errors name the
-flavour of the argument: ``above``/``below``, ``descend``/``restrict``,
+flavour of the argument: ``m``/``e``, ``descend``/``restrict``,
 ``injective``/``surjective``.  Every such text is pinned here for both
 flavours of both instances.
 """
@@ -19,7 +19,7 @@ from acgw import (
 )
 
 S = FinSetInstance()
-A, AB = finset_obj("a"), finset_obj("ab")
+A, AB, T = finset_obj("a"), finset_obj("ab"), finset_obj("t")
 
 L = LinearInstance(p=3)
 V0, V1, V2 = L.obj(0), L.obj(1), L.obj(2)
@@ -46,26 +46,6 @@ FINSET_ERRORS = {
         FactorizationError,
         "no factorization: b lands at b, outside the image of the given morphism",
     ),
-    "lift_hor_bar undefined": (
-        lambda: S.lift_hor_bar(HorMor(A, A, ()), S.id_ver(A), S.id_ver(A)),
-        FactorizationError,
-        "level is undefined on the image of 'a'",
-    ),
-    "lift_ver_bar undefined": (
-        lambda: S.lift_ver_bar(VerMor(A, A, ()), S.id_hor(A), S.id_hor(A)),
-        FactorizationError,
-        "level is undefined on the image of 'a'",
-    ),
-    "lift_hor_bar above": (
-        lambda: S.lift_hor_bar(S.id_hor(A), S.id_ver(A), S.zero_ver(A)),
-        FactorizationError,
-        "no transition element above 'a'",
-    ),
-    "lift_ver_bar below": (
-        lambda: S.lift_ver_bar(S.id_ver(A), S.id_hor(A), S.zero_hor(A)),
-        FactorizationError,
-        "no transition element below 'a'",
-    ),
     "hor_between_cokers match": (
         lambda: S.hor_between_cokers(S.id_hor(AB), S.id_ver(A), S.id_ver(AB)),
         FactorizationError,
@@ -91,6 +71,20 @@ FINSET_ERRORS = {
         FactorizationError,
         "morphism does not restrict to complements: image of b is b, "
         "not in the target complement",
+    ),
+    "hor_between_cokers undefined": (
+        lambda: S.hor_between_cokers(
+            HorMor(A, A, ((), ())), S.ver(T, A, {"t": "a"}), S.id_ver(A)
+        ),
+        FactorizationError,
+        "morphism does not descend to complements: it is undefined at a, the image of t",
+    ),
+    "ver_between_kernels undefined": (
+        lambda: S.ver_between_kernels(
+            VerMor(A, A, ((), ())), S.hor(T, A, {"t": "a"}), S.id_hor(A)
+        ),
+        FactorizationError,
+        "morphism does not restrict to complements: it is undefined at a, the image of t",
     ),
     "compose_hor": (
         lambda: S.compose_hor(S.inclusion_hor(A, AB), S.id_hor(A)),
@@ -134,16 +128,6 @@ LINEAR_ERRORS = {
         lambda: L.factor_ver(L.ver(V1, V2, [[1, 0]]), L.ver(V1, V2, [[0, 1]])),
         FactorizationError,
         "vertical morphism does not factor: kernels are incompatible",
-    ),
-    "lift_hor_bar": (
-        lambda: L.lift_hor_bar(L.id_hor(V1), L.zero_ver(V1), L.id_ver(V1)),
-        FactorizationError,
-        "no compatible bar level",
-    ),
-    "lift_ver_bar": (
-        lambda: L.lift_ver_bar(L.id_ver(V1), L.zero_hor(V1), L.id_hor(V1)),
-        FactorizationError,
-        "no compatible bar level",
     ),
     "hor_between_cokers match": (
         lambda: L.hor_between_cokers(L.id_hor(V2), L.id_ver(V1), L.id_ver(V2)),

@@ -120,7 +120,6 @@ MIRROR_PAIRS = (
     ("hor_square_commutes", "ver_square_commutes"),
     ("factor_hor", "factor_ver"),
     ("coker", "ker"),
-    ("lift_hor_bar", "lift_ver_bar"),
     ("hor_between_cokers", "ver_between_kernels"),
 )
 
