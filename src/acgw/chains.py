@@ -40,7 +40,7 @@ The complexes a sequence or a composite builds, which no
 :func:`validate_complex` covers, have their objects checked once each.
 
 A document's short exact sequence is validated, tested for exactness and
-spliced into a long exact sequence from one horizontal chain morphism,
+turned into a long exact sequence from one horizontal chain morphism,
 so :func:`coker_hor` keeps the quotient it builds in that morphism's
 ``__dict__`` (by :func:`acgw.core._memoized`), as the finite-set
 instance keeps a morphism's dicts.  A chain morphism pickles and copies

@@ -64,10 +64,10 @@ path.
 
 Because kernels and complements are produced in fresh coordinates, this
 instance does not expose canonical subobjects
-(``has_canonical_subobjects`` is false), which rules out the
-constructions that splice literal subsets — everything else works.  In
-documents an object is written ``dim N``, with N at most 4,096, and a
-morphism as its stored matrix in JSON.
+(``has_canonical_subobjects`` is false), so a document cannot spell a
+snake section by its rows of literal subsets — everything else works.
+In documents an object is written ``dim N``, with N at most 4,096, and a
+morphism as its stored matrix in JSON, of the stored shape.
 """
 
 from __future__ import annotations
@@ -340,7 +340,8 @@ def _shape(mor_type: type, source: VectObj, target: VectObj) -> tuple[int, int]:
 
 def _matrix(f: HorMor | VerMor, rows: int, cols: int) -> np.ndarray:
     """The array of ``f``, after one check that it is ``rows x cols``: the
-    oracle and the reader's bar levels read matrices of unvalidated documents."""
+    reader refuses a matrix of another shape with this text, and the
+    primitives may be handed morphisms that were never validated."""
     arr = f.data.array
     if arr.shape != (rows, cols):
         raise ValidationError([f"matrix must be {rows}x{cols}, got {f.data!r}"])
@@ -617,8 +618,8 @@ class LinearInstance(AcgwInstance):
         return f"dim {obj.dim}"
 
     def mor_from_text(self, mor_type, source, target, text, leg=False):
-        """A JSON list of integer rows; an omitted leg or level is zero, and
-        ``[]`` a matrix with no rows."""
+        """A JSON list of integer rows of the stored shape; an omitted leg
+        or level is zero, and ``[]`` a matrix with no rows."""
         shape = _shape(mor_type, source, target)
         if text is None:
             return self._mor(mor_type, source, target, np.zeros(shape, np.int64))
@@ -627,13 +628,11 @@ class LinearInstance(AcgwInstance):
         except (json.JSONDecodeError, RecursionError) as exc:
             # a RecursionError is a list nested too deeply to decode
             raise ValidationError([f"bad matrix: {exc}"]) from None
-        if data == []:
-            return self._mor(mor_type, source, target, np.zeros((0, shape[1]), np.int64))
         # numpy infers int64 for a 2-D list of JSON integers (true and false
         # among them count as 1 and 0) that fit in int64.  Anything else is
         # walked entry by entry to accept it or name what is wrong.
         try:
-            arr = np.asarray(data)
+            arr = np.zeros((0, shape[1]), np.int64) if data == [] else np.asarray(data)
         except ValueError:  # rows of different lengths
             arr = None
         if arr is None or arr.dtype != np.int64 or arr.ndim != 2:
@@ -645,7 +644,9 @@ class LinearInstance(AcgwInstance):
                 arr = np.asarray(data, dtype=np.int64)
             except (ValueError, OverflowError) as exc:
                 raise ValidationError([f"bad matrix: {exc}"]) from None
-        return self._mor(mor_type, source, target, arr)
+        mor = self._mor(mor_type, source, target, arr)
+        _matrix(mor, *shape)
+        return mor
 
     def mor_text(self, mor, leg=False):
         return json.dumps(mor.data.array.tolist())

@@ -10,25 +10,21 @@ complements) connected by five transitions, exact everywhere.
 
 The strong variant relaxes the outer rows: the top mono and the bottom
 epi only exist after restricting along an intermediate object on each
-side.  Its zigzag is exact at the four interior positions.  Splicing the
-strong snakes of one short exact sequence of complexes, degree by degree,
-yields the long exact homology sequence (:func:`les_of_ses`).
+side.  Its zigzag is exact at the four interior positions.
+
+The long exact homology sequence of a short exact sequence of complexes
+(:func:`les_of_ses`) is built from the homology of each degree: the
+spans the two chain morphisms induce on it, and one connecting step per
+degree, chased like the snake's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from .chains import ChainSES, Transition
-from .core import (
-    AcgwError,
-    AcgwInstance,
-    CapabilityError,
-    FlatMor,
-    HorMor,
-    VerMor,
-)
+from .core import AcgwInstance, FlatMor, HorMor, VerMor
+from .homology import HomologyGrid, homology
 
 __all__ = [
     "ExactZigzag",
@@ -208,16 +204,12 @@ _TRANSITION_LABELS = (
 
 def snake_weak(inp: SnakeInputWeak) -> ExactZigzag:
     """The six-term exact zigzag of a weak snake input."""
-    inst = inp.inst
-    return _snake_weak(inp, inst.coker(inp.mid_mono), inst.ker(inp.mid_epi))[0]
+    return _snake_weak(inp)[0]
 
 
-def _snake_weak(
-    inp: SnakeInputWeak, mid_coker: tuple, mid_ker: tuple
-) -> tuple[ExactZigzag, HorMor, VerMor]:
-    """:func:`snake_weak` from the complements of the middle row's mono
-    and epi, with the complement legs of ``left_up`` and ``right_down``
-    it builds."""
+def _snake_weak(inp: SnakeInputWeak) -> tuple[ExactZigzag, HorMor, VerMor]:
+    """:func:`snake_weak` with the complement legs of ``left_up`` and
+    ``right_down`` it builds."""
     inst = inp.inst
 
     o1, kleg1 = inst.ker(inp.left_up)
@@ -240,10 +232,10 @@ def _snake_weak(
         inst.factor_hor(sq.to_epi_source, kleg3),
     )
 
-    rest, cleg_rest = mid_coker
+    rest, cleg_rest = inst.coker(inp.mid_mono)
     lifted_epi = inst.factor_ver(inp.mid_epi, cleg_rest)  # Z => rest
     conn, conn_hor = inst.ker(lifted_epi)  # conn -> rest
-    _, kleg_mid = mid_ker  # ker g -> Y
+    _, kleg_mid = inst.ker(inp.mid_epi)  # ker g -> Y
     rest_to_top = inst.factor_ver(
         inst.compose_ver(cleg_rest, inp.mid_up), inp.top_epi
     )  # rest => C
@@ -425,17 +417,11 @@ def validate_snake_strong(inp: SnakeInputStrong) -> list[str]:
 
 
 def snake_strong(inp: SnakeInputStrong) -> ExactZigzag:
-    """The six-term zigzag of a strong input, exact at the interior."""
+    """The six-term zigzag of a strong input, exact at the interior.  The
+    inner weak snake builds the complement legs of the restricted outer
+    columns."""
     inst = inp.inst
-    return _snake_strong(inp, inst.coker(inp.mid_mono), inst.ker(inp.mid_epi))
-
-
-def _snake_strong(inp: SnakeInputStrong, mid_coker: tuple, mid_ker: tuple) -> ExactZigzag:
-    """:func:`snake_strong` from the complements of the middle row's mono
-    and epi.  The inner weak snake builds the complement legs of the
-    restricted outer columns."""
-    inst = inp.inst
-    inner, inner_kleg1, inner_cleg6 = _snake_weak(inp.inner_weak(), mid_coker, mid_ker)
+    inner, inner_kleg1, inner_cleg6 = _snake_weak(inp.inner_weak())
 
     o1, kleg1 = inst.ker(inp.left_up)
     o6, cleg6 = inst.coker(inp.right_down())
@@ -465,152 +451,67 @@ def _snake_strong(inp: SnakeInputStrong, mid_coker: tuple, mid_ker: tuple) -> Ex
 # ---------------------------------------------------------------------------
 
 
-def _require_inclusion_ses(ses: ChainSES) -> None:
-    inst = ses.sub.source.inst
-    if not inst.has_canonical_subobjects:
-        raise CapabilityError(
-            "long exact sequences need an instance with canonical subobjects"
-        )
-    if any(m != inst.inclusion_hor(m.source, m.target) for m in ses.sub.levels) or any(
-        m != inst.inclusion_ver(m.source, m.target) for m in ses.quot.levels
-    ):
-        raise CapabilityError(
-            "long exact sequences need literal inclusion levels; "
-            "rename the sub- and quotient complexes into the total complex first"
-        )
-
-
-def _strong_input_at(
-    ses: ChainSES, i: int, k_bar: HorMor, cleg_rest: VerMor
-) -> SnakeInputStrong:
-    """Assemble the strong snake input for one degree of a short exact
-    sequence of complexes (all morphisms literal inclusions), given the
-    complement legs ``k_bar`` of the quotient's bar level at ``i + 1`` and
-    ``cleg_rest`` of the sub morphism's bar level at ``i - 1``."""
-    inst = ses.sub.source.inst
-    x, y, z = ses.sub.source, ses.sub.target, ses.quot.source
-
-    _, cleg_a = inst.coker(x.transition(i + 1).into_lower)
-    _, cleg_b = inst.coker(y.transition(i + 1).into_lower)
-    _, cleg_c = inst.coker(z.transition(i + 1).into_lower)
-
-    into_level = inst.compose_hor(k_bar, y.transition(i + 1).into_lower)
-    k_in_x = inst.factor_hor(into_level, ses.sub.level(i))
-    _, cleg_abar = inst.coker(k_in_x)
-
-    restrict_to_top = inst.factor_ver(cleg_abar, cleg_a)
-    left_up_restricted = inst.factor_ver(x.transition(i).into_upper, cleg_abar)
-    top_mono = inst.hor_between_cokers(ses.sub.level(i), cleg_abar, cleg_b)
-    mid_up = inst.factor_ver(y.transition(i).into_upper, cleg_b)
-    top_epi = inst.factor_ver(
-        inst.compose_ver(cleg_c, ses.quot.level(i)), cleg_b
-    )
-    right_up = inst.factor_ver(z.transition(i).into_upper, cleg_c)
-    left_up = inst.factor_ver(x.transition(i).into_upper, cleg_a)
-
-    _, kleg_a2 = inst.ker(x.transition(i - 1).into_upper)
-    _, kleg_b2 = inst.ker(y.transition(i - 1).into_upper)
-    _, kleg_c2 = inst.ker(z.transition(i - 1).into_upper)
-    bot_mono = inst.factor_hor(
-        inst.compose_hor(kleg_a2, ses.sub.level(i - 1)), kleg_b2
-    )
-    left_down = inst.factor_hor(x.transition(i).into_lower, kleg_a2)
-    mid_down = inst.factor_hor(y.transition(i).into_lower, kleg_b2)
-
-    onto_quot = inst.factor_ver(
-        inst.compose_ver(cleg_rest, y.transition(i - 1).into_upper),
-        ses.quot.level(i - 1),
-    )
-    _, kleg_cbar = inst.ker(onto_quot)
-    bot_epi_restricted = inst.ver_between_kernels(
-        ses.quot.level(i - 1), kleg_cbar, kleg_b2
-    )
-    right_down_restricted = inst.factor_hor(z.transition(i).into_lower, kleg_cbar)
-    extend_to_bot = inst.factor_hor(kleg_cbar, kleg_c2)
-
-    return SnakeInputStrong(
-        inst,
-        left_up=left_up,
-        restrict_to_top=restrict_to_top,
-        top_mono=top_mono,
-        left_up_restricted=left_up_restricted,
-        mid_up=mid_up,
-        top_epi=top_epi,
-        right_up=right_up,
-        mid_mono=ses.sub.bar_level(i),
-        mid_epi=ses.quot.bar_level(i),
-        bot_mono=bot_mono,
-        left_down=left_down,
-        mid_down=mid_down,
-        bot_epi_restricted=bot_epi_restricted,
-        right_down_restricted=right_down_restricted,
-        extend_to_bot=extend_to_bot,
-    )
-
-
 def les_of_ses(ses: ChainSES) -> ExactZigzag:
     """The long exact homology sequence of a short exact sequence.
 
-    Runs the strong snake at every degree from one above the top of the
-    range down to its bottom and splices the results: consecutive blocks
-    must overlap in their last and first three objects (and two
-    transitions), which is checked.  The result is exact everywhere.  The
-    complements of the bar levels of both chain morphisms are built once
-    per degree: the block of that degree and a neighbour read them.
-
-    Only available for instances with canonical subobjects, and only when
-    both chain morphisms of the sequence are literal inclusions.
+    Its objects are the homology objects of the sub, total and quotient
+    complexes at every degree from one above the top of the range down to
+    one below its bottom.  Within a degree, the two steps are the spans
+    the sub and quotient morphisms induce on homology
+    (:meth:`AcgwInstance.homology_span`); the connecting step from
+    ``H_i(quot)`` to ``H_{i-1}(sub)`` is chased through the complements of
+    the bar levels at ``i``.  It holds on every instance and for any
+    levels, and is exact everywhere.
     """
-    _require_inclusion_ses(ses)
     inst = ses.sub.source.inst
-    x = ses.sub.source
+    sub, quot = ses.sub, ses.quot
+    x, y, z = sub.source, sub.target, quot.source
     lo, hi = x.lo, x.hi
+    degrees = range(hi + 1, lo - 2, -1)
+    grids = {i: (homology(x, i), homology(y, i), homology(z, i)) for i in degrees}
 
-    cokers = {j: inst.coker(ses.sub.bar_level(j)) for j in range(lo - 1, hi + 2)}
-    kers = {j: inst.ker(ses.quot.bar_level(j)) for j in range(lo, hi + 3)}
-    blocks: list[tuple[int, ExactZigzag]] = []
-    for i in range(hi + 1, lo - 1, -1):
-        inp = _strong_input_at(ses, i, kers[i + 1][1], cokers[i - 1][1])
-        blocks.append((i, _snake_strong(inp, cokers[i], kers[i])))
-
-    for (i, zz), (_, nxt) in zip(blocks, blocks[1:]):
-        if zz.objects[3:6] != nxt.objects[0:3]:
-            raise AcgwError(f"degree {i} block does not splice onto the next objects")
-        if zz.transitions[3:5] != nxt.transitions[0:2]:
-            raise AcgwError(
-                f"degree {i} block does not splice onto the next transitions"
-            )
-
-    objects: list[Any] = []
+    objects: list = []
     transitions: list[Transition] = []
     labels: list[str] = []
     transition_labels: list[str] = []
-    for i, zz in blocks:
-        objects += list(zz.objects[:3])
-        transitions += list(zz.transitions[:3])
+    for i, (gx, gy, gz) in grids.items():
+        into = inst.homology_span(gx, gy, inst.id_ver(x.obj(i)), sub.level(i))
+        onto = inst.homology_span(gy, gz, quot.level(i), inst.id_hor(z.obj(i)))
+        objects += [gx.h, gy.h, gz.h]
+        transitions += [Transition(fl.middle, fl.back, fl.front) for fl in (into, onto)]
         labels += [f"H_{i}(sub)", f"H_{i}(total)", f"H_{i}(quot)"]
-        transition_labels += [
-            f"H_{i} into total",
-            f"H_{i} onto quotient",
-            f"connecting {i} to {i - 1}",
-        ]
-    last_i, last = blocks[-1]
-    objects += list(last.objects[3:])
-    transitions += list(last.transitions[3:])
-    labels += [
-        f"H_{last_i - 1}(sub)",
-        f"H_{last_i - 1}(total)",
-        f"H_{last_i - 1}(quot)",
-    ]
-    transition_labels += [
-        f"H_{last_i - 1} into total",
-        f"H_{last_i - 1} onto quotient",
-    ]
+        transition_labels += [f"H_{i} into total", f"H_{i} onto quotient"]
+        if i >= lo:
+            transitions.append(_connecting(ses, i, gz, grids[i - 1][0]))
+            transition_labels.append(f"connecting {i} to {i - 1}")
     return ExactZigzag(
-        inst,
-        tuple(objects),
-        tuple(transitions),
-        tuple(labels),
-        tuple(transition_labels),
-        frozenset(),
+        inst, tuple(objects), tuple(transitions), tuple(labels), tuple(transition_labels)
     )
+
+
+def _connecting(ses: ChainSES, i: int, gz: HomologyGrid, gx_below: HomologyGrid) -> Transition:
+    """The connecting step ``H_i(quot) <= W -> H_{i-1}(sub)``, from the
+    homology grids of the quotient at ``i`` and of the sub-complex at
+    ``i - 1``.  ``W`` is the kernel of the quotient's bar level lifted into
+    the cokernel of the sub's: on literal subsets, the transition elements
+    of the total complex at ``i`` whose upper image lies outside the
+    sub-complex and whose lower image lies inside it."""
+    inst = ses.sub.source.inst
+    ty = ses.sub.target.transition(i)
+    _, cleg = inst.coker(ses.sub.bar_level(i))  # C => T_i
+    w, w_hor = inst.ker(inst.factor_ver(ses.quot.bar_level(i), cleg))  # W -> C
+    _, kleg = inst.ker(ses.quot.bar_level(i))  # K -> T_i
+    into_quot = inst.factor_ver(
+        inst.compose_ver(cleg, ty.into_upper), ses.quot.level(i)
+    )  # C => Z_i
+    up = inst.factor_ver(
+        inst.ver_between_kernels(into_quot, w_hor, gz.cycles_hor), gz.h_to_cycles
+    )
+    into_cycles = inst.factor_hor(
+        inst.compose_hor(kleg, ty.into_lower),
+        inst.compose_hor(gx_below.cycles_hor, ses.sub.level(i - 1)),
+    )  # K -> cycles of X_{i-1}
+    low = inst.hor_between_cokers(
+        into_cycles, inst.ver_between_kernels(cleg, w_hor, kleg), gx_below.h_to_cycles
+    )
+    return Transition(w, up, low)

@@ -58,6 +58,10 @@ assert the two agree:
   and a commuting one-flavour square by matrix products, where
   :class:`acgw.AcgwInstance` compares sizes, classifies a square and
   compares composite morphisms;
+* :func:`rank_zigzag_exactness_reference` decides exactness at every
+  position of a zigzag from the ranks of its transitions flattened to
+  matrices, where :func:`acgw.zigzag_exactness` asks the instance whether
+  the legs at each position are complements;
 * :func:`lift_hor_bar_reference` forces the bar level of a ``hor`` or
   ``ver`` section one pair of the source leg at a time through dicts of
   the three payloads, where the document reader calls
@@ -653,3 +657,21 @@ def lift_hor_bar_reference(level, src_leg, tgt_leg):
             )
         out.append(over[img])
     return type(level)(src_leg.source, tgt_leg.source, (sources, tuple(out)))
+
+
+def rank_zigzag_exactness_reference(zz) -> list[bool]:
+    """Exactness at every position of a zigzag by ranks over ``F_prime``.
+
+    Each transition flattens to the matrix ``d_j`` from ``objects[j]`` to
+    ``objects[j + 1]``; position ``j`` is exact when ``d_j . d_{j-1}`` is
+    zero and the ranks of the two add up to the size of ``objects[j]``,
+    with zero matrices past the ends."""
+    inst, p = zz.inst, zz.inst.prime
+    sizes = [inst.obj_size(obj) for obj in zz.objects]
+    ds = [np.zeros((sizes[0], 0), dtype=np.int64)]
+    ds += [inst.boundary_matrix(t.into_upper, t.into_lower) for t in zz.transitions]
+    ds.append(np.zeros((0, sizes[-1]), dtype=np.int64))
+    return [
+        not matmul_mod(d_out, d_in, p).any() and mat_rank(d_in, p) + mat_rank(d_out, p) == n
+        for n, d_in, d_out in zip(sizes, ds, ds[1:])
+    ]

@@ -157,7 +157,7 @@ def test_criterion_06_les_exactness():
     for k in range(200):
         ses = gen_ses(GenConfig(seed=600_000 + k))
         try:
-            zz = les_of_ses(ses)  # raises if a splice overlap is violated
+            zz = les_of_ses(ses)
         except Exception:
             failures += 1
             continue
@@ -167,7 +167,7 @@ def test_criterion_06_les_exactness():
         if len(zz.objects) != 3 * ((hi + 1) - lo + 1) + 3:
             failures += 1
     finish(6, failures == 0, "200 random chain SESs: long exact sequence is "
-                             "exact everywhere and splices agree", t0, 30.0)
+                             "exact everywhere, three objects per degree", t0, 30.0)
 
 
 def test_criterion_07_functoriality():

@@ -170,7 +170,8 @@ def test_hor_chain_mor_validation_catches_broken_level():
 
 
 def test_inclusion_hooks_equal_the_literal_inclusions():
-    # les_of_ses recognises a literal inclusion level by equality with these.
+    # Snake sections build their morphisms with these, and the finite-set
+    # homology spans and embeddings include homology with them.
     amb, sub = finset_obj(["a", "b"]), finset_obj(["a"])
     assert INST.inclusion_hor(sub, amb) == INST.hor(sub, amb, {"a": "a"})
     assert INST.inclusion_ver(sub, amb) == INST.ver(sub, amb, {"a": "a"})

@@ -173,6 +173,16 @@ def test_les_listing(capsys):
     assert "zigzag exact at all claimed positions" in out
 
 
+@pytest.mark.parametrize("prime", [2, 3, 7])
+@pytest.mark.parametrize("seed", [1, 5, 9])
+def test_les_of_a_generated_linear_ses(capsys, prime, seed):
+    gen = ["gen", "--kind", "ses", "--instance", "linear", "--prime", str(prime)]
+    assert main([*gen, "--seed", str(seed)]) == 0
+    code, out, err = run_on_stdin(["les", "-", "--ses", "S"], capsys.readouterr().out)
+    assert (code, err) == (0, "")
+    assert out.endswith("zigzag exact at all claimed positions\n")
+
+
 def test_les_unknown_ses_name(capsys):
     assert main(["les", "--ses", "missing", corpus_path("three_term_ses")]) == 1
     assert capsys.readouterr().err
@@ -493,8 +503,21 @@ def test_level_matrix_of_the_wrong_shape_is_an_error_line():
         "  level 1: [[1, 0], [0, 1]]\n"
     )
     code, _, err = run_on_stdin(["homology", "-"], text)
-    assert code == 1
-    assert err.startswith("error: line 9: bar level 1:") and "4x4" in err
+    assert (code, err) == (1, "error: line 10: level 1: matrix must be 4x4, got ((1, 0), (0, 1))\n")
+    text = (
+        "instance linear\n"
+        "prime 7\n"
+        "complex X:\n"
+        "  object 0: dim 2\n"
+        "  object 1: dim 2\n"
+        "complex W:\n"
+        "  object 0: dim 2\n"
+        "  object 1: dim 2\n"
+        "ver g: W -> X\n"
+        "  level 0: [[1]]\n"
+    )
+    code, _, err = run_on_stdin(["homology", "-"], text)
+    assert (code, err) == (1, "error: line 10: level 0: matrix must be 2x2, got ((1,),)\n")
 
 
 LINEAR_LEG = (
@@ -522,6 +545,11 @@ def test_bad_transition_matrix_is_an_error_line(command, up):
     code, _, err = run_on_stdin([command, "-"], LINEAR_LEG.format(up=up))
     assert code == 1
     assert err.startswith("error:") and "matrix" in err
+
+
+def test_a_leg_matrix_of_the_wrong_shape_is_refused_at_its_line():
+    code, out, _ = run_on_stdin(["validate", "-"], LINEAR_LEG.format(up="[[1, 0, 0]]"))
+    assert (code, out) == (1, "line 7: up: matrix must be 1x2, got ((1, 0, 0),)\n")
 
 
 #: a leg nested far deeper than the JSON decoder recurses

@@ -853,20 +853,21 @@ def test_a_morphism_holds_its_matrix_as_one_read_only_array():
             assert L.coker(copied) == L.coker(twin)
 
 
-def test_a_read_matrix_of_another_shape_keeps_its_messages():
+def test_a_read_matrix_of_another_shape_is_refused():
+    # Reading checks the stored shape of legs and levels alike, with the
+    # text the matrix readers give.
     L = LinearInstance(p=7)
-    none, two = L.obj(0), L.obj(2)
-    m = L.mor_from_text(HorMor, two, two, "[[1, 0]]")
-    assert L.validate_hor(m) == ["matrix must have 2 rows, got ((1, 0),)"]
-    with pytest.raises(ValidationError, match=r"matrix must be 2x2, got \(\(1, 0\),\)"):
-        L.hor_matrix(m)
+    none, one, two = L.obj(0), L.obj(1), L.obj(2)
+    with pytest.raises(ValidationError, match=r"^matrix must be 2x2, got \(\(1, 0\),\)$"):
+        L.mor_from_text(HorMor, two, two, "[[1, 0]]")
+    with pytest.raises(ValidationError, match=r"^matrix must be 1x2, got \(\(1, 0, 0\),\)$"):
+        L.mor_from_text(VerMor, one, two, "[[1, 0, 0]]", leg=True)
     assert L.mor_text(L.mor_from_text(HorMor, two, two, "[[8, 0], [0, 1]]")) == "[[1, 0], [0, 1]]"
     assert L.mor_text(L.zero_hor(two)) == "[[], []]" and L.mor_text(L.zero_ver(two)) == "[]"
     # ``[]`` is a matrix with no rows, whatever its flavour
     assert L.mor_from_text(VerMor, none, two, "[]") == L.zero_ver(two)
-    assert L.validate_hor(L.mor_from_text(HorMor, none, two, "[]")) == [
-        "matrix must have 2 rows, got ()"
-    ]
+    with pytest.raises(ValidationError, match=r"^matrix must be 2x0, got \(\)$"):
+        L.mor_from_text(HorMor, none, two, "[]")
 
 
 def _matrix_outcome(matrix, f):

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgw import (
-    AcgwError,
-    CapabilityError,
+    ChainComplex,
     ChainSES,
     GenConfig,
     HorChainMor,
     LinearInstance,
+    Transition,
     gen_ses,
     gen_snake_strong,
     gen_snake_weak,
@@ -30,7 +30,12 @@ from acgw import (
 from acgw.finset import mapping_of
 
 from conftest import INSTANCES, PRIMES, corpus_doc
-from reference import _relabel_complex, connecting_object_dual, weak_closed_forms
+from reference import (
+    _relabel_complex,
+    connecting_object_dual,
+    rank_zigzag_exactness_reference,
+    weak_closed_forms,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -163,22 +168,21 @@ def test_les_property(seed):
     assert zz.labels[-1] == f"H_{lo - 1}(quot)"
 
 
-def test_les_rejects_instances_without_canonical_subobjects():
+def test_les_of_a_one_degree_linear_pair():
+    # The pair (F_2, 0) in one degree: its homology is all in the total and
+    # quotient complexes at degree 0.
     L = LinearInstance(p=2)
-    from acgw import ChainComplex, HorChainMor, Transition
-
     v1 = L.obj(1)
     x = ChainComplex(L, 0, 0, (L.obj(0),), ())
     y = ChainComplex(L, 0, 0, (v1,), ())
-    f = HorChainMor(x, y, (L.zero_hor(v1),), ())
-    with pytest.raises(CapabilityError):
-        les_of_ses(ses_from_injection(f))
+    zz = les_of_ses(ses_from_injection(HorChainMor(x, y, (L.zero_hor(v1),), ())))
+    assert validate_zigzag(zz) == [] and zigzag_is_exact(zz)
+    assert [L.obj_size(obj) for obj in zz.objects] == [0, 0, 0, 0, 1, 1, 0, 0, 0]
 
 
-def test_les_rejects_non_inclusion_levels():
-    # Every id of the sub-complex renamed: a valid short exact sequence
-    # whose sub levels are not literal inclusions.
-    ses = gen_ses(GenConfig(seed=5))
+def _renamed(ses):
+    """``ses`` with every id of the sub-complex renamed: a valid short
+    exact sequence on sets whose sub levels are not literal inclusions."""
     inst, x, y = ses.sub.source.inst, ses.sub.source, ses.sub.target
     names = {i: {v: f"renamed.{v}" for v in x.obj(i)} for i in x.degrees()}
     bar_names = {
@@ -205,17 +209,104 @@ def test_les_rejects_non_inclusion_levels():
             for i in x.transition_degrees()
         ),
     )
-    renamed_ses = ChainSES(sub, ses.quot)
-    assert validate_chain_ses(renamed_ses) == []
-    with pytest.raises(CapabilityError, match="literal inclusion levels"):
-        les_of_ses(renamed_ses)
+    return ChainSES(sub, ses.quot)
 
 
-def test_les_rejects_a_generated_linear_ses():
+def test_les_of_renamed_levels():
+    ses = gen_ses(GenConfig(seed=5))
+    renamed = _renamed(ses)
+    assert validate_chain_ses(renamed) == []
+    zz, ref = les_of_ses(renamed), les_of_ses(ses)
+    assert validate_zigzag(zz) == [] and zigzag_is_exact(zz)
+    # the total and quotient complexes are the same, and the sub-complex's
+    # homology is the renamed one
+    assert zz.objects[1::3] == ref.objects[1::3] and zz.objects[2::3] == ref.objects[2::3]
+    assert [set(h) for h in zz.objects[::3]] == [
+        {f"renamed.{v}" for v in h} for h in ref.objects[::3]
+    ]
+    assert zz.labels == ref.labels and zz.transition_labels == ref.transition_labels
+
+
+def test_les_of_a_generated_linear_ses():
     ses = gen_ses(GenConfig(seed=5, instance="linear", prime=3))
     assert validate_chain_ses(ses) == []
-    with pytest.raises(CapabilityError, match="canonical subobjects"):
-        les_of_ses(ses)
+    zz = les_of_ses(ses)
+    assert validate_zigzag(zz) == [] and zigzag_is_exact(zz)
+    assert zz.labels == les_of_ses(gen_ses(GenConfig(seed=5))).labels
+    conn = zz.transitions[zz.transition_labels.index("connecting 4 to 3")]
+    assert zz.inst.obj_size(conn.obj) == 1
+
+
+def _sizes(zz):
+    size = zz.inst.obj_size
+    return [size(obj) for obj in zz.objects], [size(t.obj) for t in zz.transitions]
+
+
+@pytest.mark.parametrize("variant", ["linear", "renamed"])
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10**6), prime=PRIMES)
+def test_les_property_on_any_levels(variant, seed, prime):
+    # a linear SES, or a set SES whose sub levels are not literal
+    # inclusions, has an exact LES of the sizes of the set LES of its seed
+    cfg = GenConfig(seed=seed)
+    if variant == "linear":
+        ses = gen_ses(replace(cfg, instance="linear", prime=prime))
+    else:
+        ses = _renamed(gen_ses(cfg))
+    zz = les_of_ses(ses)
+    assert validate_zigzag(zz) == []
+    assert zigzag_is_exact(zz)
+    assert _sizes(zz) == _sizes(les_of_ses(gen_ses(cfg)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6))
+def test_les_connecting_object_closed_form(seed):
+    # On literal subsets, the connecting step at degree i keeps the
+    # transition elements of Y at i whose upper image lies outside X_i and
+    # whose lower image lies in X_{i-1}.
+    ses = gen_ses(GenConfig(seed=seed, max_size=12))
+    x, y = ses.sub.source, ses.sub.target
+    zz = les_of_ses(ses)
+    for i in range(x.hi + 1, x.lo - 1, -1):
+        conn = zz.transitions[zz.transition_labels.index(f"connecting {i} to {i - 1}")]
+        t = y.transition(i)
+        up, low = mapping_of(t.into_upper), mapping_of(t.into_lower)
+        assert set(conn.obj) == {
+            e for e in t.obj if up[e] not in x.obj(i) and low[e] in x.obj(i - 1)
+        }
+
+
+def _zeroed_copies(zz):
+    """``zz`` with one nonzero transition replaced by the zero transition
+    between the same objects, for each nonzero transition in turn."""
+    inst = zz.inst
+    for j, t in enumerate(zz.transitions):
+        if not inst.is_initial(t.obj):
+            zero = Transition(
+                inst.initial(), inst.zero_ver(zz.objects[j]), inst.zero_hor(zz.objects[j + 1])
+            )
+            yield replace(zz, transitions=zz.transitions[:j] + (zero,) + zz.transitions[j + 1 :])
+
+
+@pytest.mark.parametrize(
+    "prime", [None, 2, 7, 65521, 2**31 - 1], ids=lambda p: f"F{p}" if p else "set"
+)
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10**6))
+def test_les_exactness_agrees_with_the_rank_reference(prime, seed):
+    # The structural verdict and the verdict by ranks of the flattened
+    # transitions agree at every position, on the LES and on copies that
+    # lose one nonzero step and so are not exact.  No prime means sets.
+    cfg = GenConfig(seed=seed)
+    if prime is not None:
+        cfg = replace(cfg, instance="linear", prime=prime)
+    zz = les_of_ses(gen_ses(cfg))
+    assert rank_zigzag_exactness_reference(zz) == zigzag_exactness(zz) == [True] * len(zz.objects)
+    for copy in _zeroed_copies(zz):
+        verdict = zigzag_exactness(copy)
+        assert rank_zigzag_exactness_reference(copy) == verdict
+        assert not all(verdict)
 
 
 WEAK_ORDER = (

@@ -10,6 +10,7 @@ import contextlib
 import importlib
 import io
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -145,20 +146,20 @@ def test_les_of_ses_primitive_counts(monkeypatch):
     counting.calls.clear()
     zz = les_of_ses(doc.ses_named("S"))
     assert [len(obj) for obj in zz.objects] == [0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0]
-    # One strong snake per degree 3, 2, 1, spliced; nothing is validated.
-    # The complements of the bar levels are built once per degree, and the
-    # strong snake reads those of its restricted columns off its inner weak
-    # snake; building them per use took 35 coker and 36 ker calls.
+    # The homology of the three complexes at degrees 3..0 (a ker, a
+    # factor_hor and a coker each), and one connecting chase per degree
+    # 3..1; nothing is validated.  The one mixed pullback builds the
+    # quotient complex.  Splicing one strong snake per degree took 178.
     assert counting.calls == Counter(
-        coker=30,
-        ker=31,
-        factor_hor=27,
-        factor_ver=34,
-        compose_hor=15,
-        compose_ver=13,
-        hor_between_cokers=9,
-        ver_between_kernels=12,
-        mixed_pullback=7,
+        coker=17,
+        ker=18,
+        factor_hor=15,
+        factor_ver=10,
+        compose_hor=6,
+        compose_ver=4,
+        hor_between_cokers=3,
+        ver_between_kernels=6,
+        mixed_pullback=1,
     )
 
 
@@ -172,9 +173,61 @@ def test_one_quotient_per_chain_morphism(monkeypatch):
     les_of_ses(doc.ses_named("S"))
     # validate_document builds the quotient of f with one mixed pullback
     # (Y has one transition); the exactness test and les_of_ses reuse it,
-    # and les_of_ses adds its own 6.  Building the quotient in each of the
-    # three calls took 9.
-    assert counting.calls["mixed_pullback"] == 7
+    # and les_of_ses adds none.  Building the quotient in each of the three
+    # calls took 3, and splicing strong snakes 6 more.
+    assert counting.calls["mixed_pullback"] == 1
+
+
+class _RecordingInstance(CountingInstance):
+    """Also records the argument of every ``ker`` and ``coker`` call."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.complements = []
+
+    def __getattr__(self, name):
+        attr = super().__getattr__(name)
+        if name not in ("ker", "coker"):
+            return attr
+
+        def recorded(f):
+            self.complements.append((name, f))
+            return attr(f)
+
+        return recorded
+
+
+def _benchmark_shaped_documents() -> list[str]:
+    from perfbench.generate import set_ses_doc  # the set_les documents
+
+    return [set_ses_doc(random.Random(seed), 100, seed % 2 == 0).text for seed in range(4)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [corpus_text("three_term_ses"), corpus_text("inclusion_pair"), *_benchmark_shaped_documents()],
+    ids=["three_term_ses", "inclusion_pair", "bench0", "bench1", "bench2", "bench3"],
+)
+def test_les_of_ses_takes_each_complement_once(monkeypatch, text):
+    recording = _RecordingInstance(FinSetInstance())
+    monkeypatch.setattr(FinSetInstance, "from_header", classmethod(lambda cls, prime: recording))
+    doc = parse(text)
+    ses = doc.ses_named("S")
+    recording.complements.clear()
+    les_of_ses(ses)
+    # A call may repeat an earlier one only on a zero morphism or an
+    # identity: the empty morphism between initial objects outside the
+    # range, or equal objects that two complexes or degrees happen to share
+    # (X_1 and Z_2 are both {c} in three_term_ses).  On the seed-1 set_les
+    # pool, 412 of 1,725 calls repeat, 404 of them on () -> ().  Splicing
+    # strong snakes repeated 900 of 3,375, 232 of them on other morphisms.
+    seen, repeats = set(), []
+    for name, f in recording.complements:
+        key = (name, type(f), f.source, f.target, f.data)
+        if key in seen and f.source != () and f.data != (f.target, f.target):
+            repeats.append(key)
+        seen.add(key)
+    assert len(recording.complements) > 0 and repeats == []
 
 
 def test_validation_keeps_the_complement_that_coker_returns():
