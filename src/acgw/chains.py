@@ -38,13 +38,18 @@ levels that run between their objects.  A morphism with other endpoints
 is checked in full, so each message is the one ``validate_hor`` gives.
 The complexes a sequence or a composite builds, which no
 :func:`validate_complex` covers, have their objects checked once each.
+The document reader checks each object as it reads it and marks the
+complex it builds, so :func:`validate_complex` checks only the legs and
+the chain condition of a complex read from a document.
 
 A document's short exact sequence is validated, tested for exactness and
 turned into a long exact sequence from one horizontal chain morphism,
 so :func:`coker_hor` keeps the quotient it builds in that morphism's
 ``__dict__`` (by :func:`acgw.core._memoized`), as the finite-set
 instance keeps a morphism's dicts.  A chain morphism pickles and copies
-by its four declared fields, so the quotient never leaves the process.
+by its four declared fields, so the quotient never leaves the process;
+a complex pickles and copies by its five, without its mark and the
+homology grids that :func:`acgw.homology.homology` keeps in it.
 """
 
 from __future__ import annotations
@@ -134,6 +139,16 @@ class ChainComplex:
             self.inst.zero_hor(self.obj(i - 1)),
         )
 
+    def __reduce__(self):
+        # pickle and copy by the declared fields, without the homology
+        # grids and the mark that a complex keeps beside them
+        return type(self), (self.inst, self.lo, self.hi, self.objects, self.transitions)
+
+
+#: the key under which a complex read from a document is marked: the
+#: reader built each of its objects and transition objects canonical
+_READ = "_chain_objects_read"
+
 
 def _mor_problems(
     inst: AcgwInstance, validate, f, source: Any, source_problems: list[str], target: Any
@@ -150,7 +165,9 @@ def _mor_problems(
 def validate_complex(cx: ChainComplex) -> list[str]:
     """The problems of a complex.  Each object and transition object is
     checked once; a transition leg between them has only its payload
-    checked."""
+    checked.  The objects of a complex the document reader built are not
+    checked again: the reader checked each one as it read it, and marked
+    the complex (under ``_READ``)."""
     inst = cx.inst
     problems: list[str] = []
     if cx.hi < cx.lo:
@@ -159,13 +176,15 @@ def validate_complex(cx: ChainComplex) -> list[str]:
         return [f"expected {cx.hi - cx.lo + 1} objects, got {len(cx.objects)}"]
     if len(cx.transitions) != cx.hi - cx.lo:
         return [f"expected {cx.hi - cx.lo} transitions, got {len(cx.transitions)}"]
-    for i in cx.degrees():
-        problems += [f"object {i}: {p}" for p in inst.validate_obj(cx.obj(i))]
-    if problems:
-        return problems
+    read = _READ in vars(cx)
+    if not read:
+        for i in cx.degrees():
+            problems += [f"object {i}: {p}" for p in inst.validate_obj(cx.obj(i))]
+        if problems:
+            return problems
     for i in cx.transition_degrees():
         t = cx.transition(i)
-        found = inst.validate_obj(t.obj)
+        found = [] if read else inst.validate_obj(t.obj)
         for p in _mor_problems(inst, inst.validate_ver, t.into_upper, t.obj, found, cx.obj(i)):
             problems.append(f"transition {i} upper leg: {p}")
         for p in _mor_problems(inst, inst.validate_hor, t.into_lower, t.obj, found, cx.obj(i - 1)):

@@ -14,7 +14,13 @@ import functools
 import json
 import sys
 
-from .chains import ChainComplex, validate_chain_map, validate_chain_ses, validate_complex
+from .chains import (
+    ChainComplex,
+    _ses_problems,
+    validate_chain_map,
+    validate_complex,
+    validate_hor_chain_mor,
+)
 from .core import AcgwError, ValidationError, flat_is_iso
 from .documents import Document, ParseError, parse, serialize, validate_document
 from .homology import h_on_map, homology_obj, homology_size
@@ -230,13 +236,18 @@ def cmd_snake(args) -> int:
 
 def cmd_les(args) -> int:
     doc = _load(args.file)
+    section = f"ses {args.ses}"
     hor_name = dict(doc.seses).get(args.ses)
+    sub_problems: list[str] = []
     if hor_name is not None:
-        # Building the quotient composes along the transition legs.
+        # Building the quotient composes along the transition legs and the
+        # levels of the sub morphism, so all of them are checked first.
         f = doc.hor_named(hor_name)
-        _require_valid(doc, f"ses {args.ses}", (f.source, f.target))
+        _require_valid(doc, section, (f.source, f.target))
+        sub_problems = validate_hor_chain_mor(f)
+        _require_no_problems(section, [f"sub: {p}" for p in sub_problems])
     ses = doc.ses_named(args.ses)
-    _require_no_problems(f"ses {args.ses}", validate_chain_ses(ses))
+    _require_no_problems(section, _ses_problems(ses, sub_problems))
     zz = les_of_ses(ses)
     payload, lines = _zigzag_report(doc.inst, zz)
     _emit(args, payload, lines)

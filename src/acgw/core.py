@@ -103,8 +103,8 @@ def _reduce_to_fields(mor):
 
 
 def _memoized(key: str):
-    """Compute a value of a morphism once per morphism object and keep it
-    under ``key`` in the object's ``__dict__``, as
+    """Compute a value of a morphism or complex once per object and keep
+    it under ``key`` in the object's ``__dict__``, as
     ``functools.cached_property`` does on a frozen dataclass: ``==``,
     ``hash``, ``repr`` and pickling read only the declared fields, so they
     never see it.  The finite-set instance keeps four values of a
@@ -112,11 +112,15 @@ def _memoized(key: str):
     rest of its target, the complement that ``coker``/``ker`` return,
     which ``validate_payload`` fills when it checks the payload.
     :func:`acgw.chains.coker_hor` keeps the quotient of a horizontal chain
-    morphism.  A build that returns None stores nothing and runs again on
-    the next call.  An instance may also store a value itself when it
-    builds the morphism: the finite-set ``coker``/``ker`` keep in each
-    complement leg the image set it complements, its fifth memo, which is
-    never built from the leg's own payload."""
+    morphism, and :func:`acgw.homology.homology` a complex's homology
+    grids, in one dict by degree.  A build that returns None stores
+    nothing and runs again on the next call.  A value may also be stored
+    when the object is built: the finite-set ``coker``/``ker`` keep in
+    each complement leg the image set it complements, the fifth finite-set
+    memo, which is never built from the leg's own payload, and the
+    document reader marks each complex it builds, whose objects it
+    checked as it read them, so that :func:`acgw.chains.validate_complex`
+    does not check them again."""
 
     def wrap(build):
         @functools.wraps(build)

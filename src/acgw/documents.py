@@ -46,6 +46,7 @@ from .chains import (
     HorChainMor,
     Transition,
     VerChainMor,
+    _READ,
     _ses_problems,
     ses_from_injection,
     validate_chain_map,
@@ -416,7 +417,11 @@ def _build_complex(inst: AcgwInstance, raw: _RawComplex) -> ChainComplex:
         up = _mor(inst, VerMor, obj, upper, t.up, t.line, "up", leg=True)
         down = _mor(inst, HorMor, obj, lower, t.down, t.line, "down", leg=True)
         transitions.append(Transition(obj, up, down))
-    return ChainComplex(inst, lo, hi, tuple(objects), tuple(transitions))
+    cx = ChainComplex(inst, lo, hi, tuple(objects), tuple(transitions))
+    # every object is initial() or what obj_from_text returned, which is
+    # canonical or raised, so validation need not check them again
+    vars(cx)[_READ] = True
+    return cx
 
 
 #: per flavour: the chain morphism and level classes, and how a bar level

@@ -10,7 +10,8 @@ implementation instead of recomputing it here.  Everything is generic
 over the instance: inducing spans on homology (:func:`h_on_map`) and
 embedding homology back into the complex (:func:`homology_complex`) read
 the instance's data through :meth:`AcgwInstance.homology_span` and
-:meth:`AcgwInstance.homology_embedding`.
+:meth:`AcgwInstance.homology_embedding`.  A complex keeps each grid it
+has computed, so every reader of one degree's homology shares one grid.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     FlatMor,
     HorMor,
     VerMor,
+    _memoized,
     compose_flat,
     flat_is_iso,
     span_equiv,
@@ -71,14 +73,31 @@ class HomologyGrid:
     h_to_cycles: VerMor
 
 
+#: the key under which a complex keeps its homology grids, by degree
+_GRIDS = "_homology_grids"
+
+
+@_memoized(_GRIDS)
+def _grids(cx: ChainComplex) -> dict[int, HomologyGrid]:
+    return {}
+
+
 def homology(cx: ChainComplex, i: int) -> HomologyGrid:
     """Homology at degree ``i``: the cokernel of the boundaries inside the
-    cycles."""
-    inst = cx.inst
-    cycles, cycles_hor = inst.ker(cx.transition(i).into_upper)
-    boundaries = inst.factor_hor(cx.transition(i + 1).into_lower, cycles_hor)
-    h, h_to_cycles = inst.coker(boundaries)
-    return HomologyGrid(i, h, cycles, cycles_hor, h_to_cycles)
+    cycles.  Each grid is computed once per complex object and degree and
+    kept in the complex's ``__dict__``, outside ``==``, ``hash``,
+    ``repr``, pickling and copying, so the sizes, the spans on homology,
+    the exactness test and the long exact sequence of one complex share
+    it."""
+    grids = _grids(cx)
+    grid = grids.get(i)
+    if grid is None:
+        inst = cx.inst
+        cycles, cycles_hor = inst.ker(cx.transition(i).into_upper)
+        boundaries = inst.factor_hor(cx.transition(i + 1).into_lower, cycles_hor)
+        h, h_to_cycles = inst.coker(boundaries)
+        grid = grids[i] = HomologyGrid(i, h, cycles, cycles_hor, h_to_cycles)
+    return grid
 
 
 def homology_obj(cx: ChainComplex, i: int) -> Any:

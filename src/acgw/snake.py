@@ -467,14 +467,13 @@ def les_of_ses(ses: ChainSES) -> ExactZigzag:
     sub, quot = ses.sub, ses.quot
     x, y, z = sub.source, sub.target, quot.source
     lo, hi = x.lo, x.hi
-    degrees = range(hi + 1, lo - 2, -1)
-    grids = {i: (homology(x, i), homology(y, i), homology(z, i)) for i in degrees}
 
     objects: list = []
     transitions: list[Transition] = []
     labels: list[str] = []
     transition_labels: list[str] = []
-    for i, (gx, gy, gz) in grids.items():
+    for i in range(hi + 1, lo - 2, -1):
+        gx, gy, gz = homology(x, i), homology(y, i), homology(z, i)
         into = inst.homology_span(gx, gy, inst.id_ver(x.obj(i)), sub.level(i))
         onto = inst.homology_span(gy, gz, quot.level(i), inst.id_hor(z.obj(i)))
         objects += [gx.h, gy.h, gz.h]
@@ -482,7 +481,7 @@ def les_of_ses(ses: ChainSES) -> ExactZigzag:
         labels += [f"H_{i}(sub)", f"H_{i}(total)", f"H_{i}(quot)"]
         transition_labels += [f"H_{i} into total", f"H_{i} onto quotient"]
         if i >= lo:
-            transitions.append(_connecting(ses, i, gz, grids[i - 1][0]))
+            transitions.append(_connecting(ses, i, gz, homology(x, i - 1)))
             transition_labels.append(f"connecting {i} to {i - 1}")
     return ExactZigzag(
         inst, tuple(objects), tuple(transitions), tuple(labels), tuple(transition_labels)

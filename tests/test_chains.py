@@ -29,10 +29,12 @@ from acgw import (
     gen_complex,
     gen_hor_mor,
     gen_ver_mor,
+    homology,
     id_chain_map,
     id_hor_chain,
     id_ver_chain,
     ker_ver,
+    parse,
     ses_from_injection,
     ses_from_projection,
     validate_chain_map,
@@ -41,6 +43,8 @@ from acgw import (
     validate_hor_chain_mor,
     validate_ver_chain_mor,
 )
+
+from conftest import CORPUS_NAMES, corpus_text
 
 INST = FinSetInstance()
 
@@ -254,6 +258,23 @@ def test_coker_hor_keeps_its_quotient_out_of_pickles_and_copies():
         assert vars(copied).keys() == vars(fresh).keys()
         again = coker_hor(copied)
         assert again is not quot and again == quot
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_a_complex_keeps_its_grids_and_mark_out_of_pickles_and_copies(name):
+    for _, cx in parse(corpus_text(name)).complexes:
+        fresh = replace(cx)
+        assert validate_complex(cx) == []
+        grid = homology(cx, cx.lo)
+        # the reader's mark and the grids sit beside the declared fields
+        assert len(vars(cx)) == len(vars(fresh)) + 2
+        assert cx == fresh and (repr(cx), hash(cx)) == (repr(fresh), hash(fresh))
+        assert pickle.dumps(cx) == pickle.dumps(fresh)
+        for copied in (pickle.loads(pickle.dumps(cx)), copy.copy(cx), copy.deepcopy(cx)):
+            assert type(copied) is ChainComplex and copied == cx
+            assert vars(copied).keys() == vars(fresh).keys()
+            again = homology(copied, cx.lo)
+            assert again is not grid and again == grid
 
 
 # ---------------------------------------------------------------------------

@@ -947,3 +947,25 @@ def test_every_command_survives_mutated_corpus_documents(text):
         code, _, err = run_on_stdin(argv, text)
         assert code in (0, 1, 2), (argv, code)
         assert "internal error" not in err, (argv, err)
+
+
+#: the invalid sub morphisms of ``SES_DOCS``, and the corpus pair with its
+#: level 2 sent outside the sub-complex: the upper square is only
+#: commuting, and the quotient cannot be built on that level
+LES_DOCS = {
+    **SES_DOCS,
+    "level_outside_the_sub": (
+        corpus_text("inclusion_pair").replace("level 2: a->a", "level 2: a->b"),
+        ["hor f: upper square at degree 2 is not distinguished (COMMUTING)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LES_DOCS))
+def test_les_checks_the_sub_morphism_before_building_the_quotient(name):
+    text, hor_problems = LES_DOCS[name]
+    code, out, err = run_on_stdin(["les", "-", "--ses", "S"], text)
+    # the lines validate prints under the ses, not a factorization error
+    # from the quotient that names no section
+    lines = [p.replace("hor f: ", "ses S: sub: ", 1) for p in hor_problems]
+    assert (code, out, err) == (1, "", "error: " + "\n  ".join(lines) + "\n")

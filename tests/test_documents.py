@@ -1,12 +1,18 @@
 """The textual document format: parsing, serialization, validation."""
 
+import copy
+import pickle
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acgw import (
     AcgwError,
+    ChainComplex,
     Document,
+    FinSetInstance,
     GenConfig,
     HorMor,
     ParseError,
@@ -24,10 +30,11 @@ from acgw import (
     validate_snake_weak,
     VerMor,
 )
-from acgw import documents
+from acgw import chains, documents
 from acgw.chains import Transition
+from acgw.cli import _GEN
 
-from conftest import CORPUS_NAMES, corpus_doc, corpus_text
+from conftest import CORPUS_NAMES, INSTANCES, PRIMES, corpus_doc, corpus_text
 
 
 # ---------------------------------------------------------------------------
@@ -560,3 +567,109 @@ def test_parsing_a_valid_document_validates_no_complex(corpus_name, monkeypatch)
     )
     corpus_doc(corpus_name)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The reader's mark: each object the reader builds is canonical, so
+# validate_complex does not check the objects of a complex it read again.
+# ---------------------------------------------------------------------------
+
+#: a few ids, so that a drawn object line repeats some of them
+_FEW_IDS = st.sampled_from(("a", "b", "c", "x.1", "-y", "+z", "_", "10", "9"))
+_IDS = st.one_of(_FEW_IDS, st.from_regex(r"[A-Za-z0-9_.+-]{1,3}", fullmatch=True))
+_GAP = st.text(" \t", min_size=1, max_size=3)
+
+
+@st.composite
+def _ids_line(draw) -> str:
+    """Ids in any order, some repeated, between runs of spaces and tabs."""
+    ids = draw(st.lists(_IDS, max_size=8))
+    gaps = draw(st.lists(_GAP, min_size=len(ids) + 1, max_size=len(ids) + 1))
+    return gaps[0] + "".join(x + gap for x, gap in zip(ids, gaps[1:]))
+
+
+@st.composite
+def _set_document(draw) -> str:
+    """A set complex whose object and transition lines are drawn by
+    :func:`_ids_line`, at some of degrees 0..4; its omitted legs are the
+    literal inclusions, valid or not."""
+    degrees = sorted(draw(st.sets(st.integers(0, 4), min_size=1)))
+    lines = ["instance set", "complex X:"]
+    lines += [f"  object {i}: {draw(_ids_line())}" for i in degrees]
+    for i in range(degrees[0] + 1, degrees[-1] + 1):
+        if draw(st.booleans()):
+            lines.append(f"  transition {i}: {draw(_ids_line())}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _linear_document(draw) -> str:
+    """An F_p complex of ``dim N`` lines, with extra whitespace."""
+    degrees = sorted(draw(st.sets(st.integers(0, 4), min_size=1)))
+
+    def dim() -> str:
+        return f"dim{draw(_GAP)}{draw(st.integers(0, 6))}{draw(st.text(' ', max_size=2))}"
+
+    lines = ["instance linear", f"prime {draw(PRIMES)}", "complex X:"]
+    lines += [f"  object {i}: {dim()}" for i in degrees]
+    for i in range(degrees[0] + 1, degrees[-1] + 1):
+        if draw(st.booleans()):
+            lines.append(f"  transition {i}: {dim()}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _generated_document(draw) -> str:
+    kind = draw(st.sampled_from(("complex", "exact", "hor", "ver", "map", "pair", "ses")))
+    instance, prime = draw(st.sampled_from(INSTANCES)), draw(PRIMES)
+    return serialize(_GEN[kind](GenConfig(draw(st.integers(0, 200)), instance=instance, prime=prime)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        _set_document(),
+        _linear_document(),
+        _generated_document(),
+        st.sampled_from(CORPUS_NAMES).map(corpus_text),
+    )
+)
+def test_every_object_the_reader_builds_is_valid(text):
+    doc = parse(text)
+    for _, cx in doc.complexes:
+        objects = [cx.obj(i) for i in cx.degrees()] + [t.obj for t in cx.transitions]
+        assert all(doc.inst.validate_obj(obj) == [] for obj in objects)
+        assert chains._READ in vars(cx)
+        # the mark changes the work, never the verdict
+        assert validate_complex(cx) == validate_complex(replace(cx))
+
+
+#: the message of the object ``UNSORTED`` at degree 1
+UNSORTED_AT_1 = f"object 1: object ids are not sorted and unique: {UNSORTED!r}"
+
+
+def _unsorted(cx: ChainComplex) -> ChainComplex:
+    """``cx`` with its object at degree 1, its lowest, out of order."""
+    return replace(cx, objects=(UNSORTED,) + cx.objects[1:])
+
+
+def test_an_unsorted_object_built_in_code_is_reported():
+    cx = ChainComplex(FinSetInstance(), 1, 1, (UNSORTED,), ())
+    assert validate_complex(cx) == [UNSORTED_AT_1]
+
+
+def test_an_unsorted_object_in_a_replaced_parsed_complex_is_reported():
+    cx = parse(corpus_text("three_term_ses")).complex_named("Y")
+    assert validate_complex(cx) == []
+    assert validate_complex(_unsorted(cx))[0] == UNSORTED_AT_1
+
+
+def test_an_unsorted_object_in_a_copied_or_unpickled_complex_is_reported():
+    cx = parse("instance set\ncomplex X:\n  object 1: a b\n").complex_named("X")
+    bad = _unsorted(cx)
+    # a mark that lied would hide the object: only the reader may set it
+    vars(bad)[chains._READ] = True
+    assert validate_complex(bad) == []
+    for copied in (copy.copy(bad), copy.deepcopy(bad), pickle.loads(pickle.dumps(bad))):
+        assert copied == bad and chains._READ not in vars(copied)
+        assert validate_complex(copied) == [UNSORTED_AT_1]

@@ -1,5 +1,7 @@
 """Homology via double complements, induced spans, quasi-isomorphisms."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from acgw import (
     validate_ver_chain_mor,
 )
 
-from conftest import INSTANCES, PRIMES, corpus_doc
+from conftest import CORPUS_NAMES, INSTANCES, PRIMES, corpus_doc
 from reference import h_on_map_via_les, homology_quotient_first
 
 
@@ -106,6 +108,25 @@ def test_linear_corpus_homology_dimensions():
     doc = corpus_doc("linear_small")
     X = doc.complex_named("X")
     assert {i: homology_size(X, i) for i in X.degrees()} == {0: 1, 1: 0, 2: 1}
+
+
+def _complexes() -> list:
+    """The corpus complexes, and generated complexes of both instances."""
+    out = [cx for name in CORPUS_NAMES for _, cx in corpus_doc(name).complexes]
+    for instance in INSTANCES:
+        out += [gen_complex(GenConfig(seed, instance=instance, prime=5))[0] for seed in range(8)]
+    return out
+
+
+def test_a_complex_computes_each_grid_once():
+    for cx in _complexes():
+        degrees = range(cx.lo - 1, cx.hi + 2)
+        grids = [homology(cx, i) for i in degrees]
+        assert all(homology(cx, i) is grid for i, grid in zip(degrees, grids))
+        # a new complex object with the same fields computes each again,
+        # to an equal grid
+        again = [homology(replace(cx), i) for i in degrees]
+        assert again == grids and all(a is not g for a, g in zip(again, grids))
 
 
 # ---------------------------------------------------------------------------

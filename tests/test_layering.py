@@ -8,9 +8,10 @@ through the exact mod-p kernel ``linear.matmul_mod``, that each
 instance writes every hor/ver primitive pair as one function, that only
 the instance modules and the pickling in ``core`` read a morphism's
 payload, that each instance module alone spells the keys of its
-per-morphism memo, and ``chains`` alone the key of a chain morphism's
-quotient, and that the public names of the package and of the
-finite-set module stay as they are.
+per-morphism memo, ``chains`` alone the keys of a chain morphism's
+quotient and of the reader's mark on a complex, and ``homology`` alone
+the key of a complex's homology grids, and that the public names of the
+package and of the finite-set module stay as they are.
 """
 
 import ast
@@ -21,6 +22,7 @@ import pytest
 
 import acgw
 from acgw import (
+    ChainComplex,
     FinSetInstance,
     HorChainMor,
     HorMor,
@@ -149,12 +151,14 @@ def test_only_the_instances_and_pickling_read_a_payload():
 
 
 #: each module's memo keys: the finite-set dict, inverse dict, image set,
-#: rest of the target and a complement leg's kept image, and a horizontal
-#: chain morphism's quotient; an ``F_p`` morphism keeps nothing beside its
+#: rest of the target and a complement leg's kept image; a horizontal
+#: chain morphism's quotient and the reader's mark on a complex; and a
+#: complex's homology grids.  An ``F_p`` morphism keeps nothing beside its
 #: payload
 MEMO_KEYS = {
     "finset": (finset._MEMO_KEYS, 5),
-    "chains": ((chains._COKER,), 1),
+    "chains": ((chains._COKER, chains._READ), 2),
+    "homology": ((importlib.import_module("acgw.homology")._GRIDS,), 1),
 }
 
 
@@ -168,6 +172,7 @@ def test_each_instance_alone_spells_its_memo_keys():
         set(HorMor.__dataclass_fields__)
         | set(VerMor.__dataclass_fields__)
         | set(HorChainMor.__dataclass_fields__)
+        | set(ChainComplex.__dataclass_fields__)
     )
     assert not set(every) & fields
     # an F_p morphism's payload is its array: the instance memoizes nothing

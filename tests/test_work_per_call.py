@@ -32,6 +32,7 @@ from acgw import (
     SquareClass,
     gen_complex,
     homology,
+    homology_size,
     les_of_ses,
     parse,
     qiso_iff_complement_exact,
@@ -134,9 +135,10 @@ def test_validate_document_checks_each_morphism_once(monkeypatch):
     checks = ("validate_hor", "validate_ver", "validate_payload")
     assert sum(counting.calls[name] for name in checks) == counting.calls["validate_payload"] == 18
     assert counting.calls["classify_mixed"] == 4
-    # The 3 objects and 2 transition objects of X, of Y and of the quotient
-    # complex, once each; checking both endpoints of every morphism took 42.
-    assert counting.calls["validate_obj"] == 15
+    # The 3 objects and 2 transition objects of the quotient complex, once
+    # each; the reader checked those of X and Y as it read them.  Checking
+    # them again took 15, and checking both endpoints of every morphism 42.
+    assert counting.calls["validate_obj"] == 5
 
 
 def test_les_of_ses_primitive_counts(monkeypatch):
@@ -161,6 +163,23 @@ def test_les_of_ses_primitive_counts(monkeypatch):
         ver_between_kernels=6,
         mixed_pullback=1,
     )
+
+
+def test_les_of_ses_computes_only_the_grids_not_kept():
+    grids = importlib.import_module("acgw.homology")._grids
+    doc = parse(corpus_text("three_term_ses"))
+    ses = doc.ses_named("S")
+    x, y, z = complexes = ses.sub.source, ses.sub.target, ses.quot.source
+    assert [[homology_size(cx, i) for i in cx.degrees()] for cx in (x, y)] == [[1, 0], [1, 0]]
+    kept = [dict(grids(cx)) for cx in complexes]
+    les_of_ses(ses)
+    # The LES reads the homology of X and Y at degrees 2 and 1 from the
+    # grids the sizes computed.  It computes those at 3 and 0, outside the
+    # range, and every grid of the quotient; it computed all 12 before.
+    new = [sorted(grids(cx).keys() - before.keys()) for cx, before in zip(complexes, kept)]
+    assert new == [[0, 3], [0, 3], [0, 1, 2, 3]]
+    for cx, before in zip(complexes, kept):
+        assert all(grids(cx)[i] is grid for i, grid in before.items())
 
 
 def test_one_quotient_per_chain_morphism(monkeypatch):
