@@ -31,7 +31,6 @@ __all__ = [
     "ValidationError",
     "CompositionError",
     "FactorizationError",
-    "CapabilityError",
     "SquareClass",
     "HorMor",
     "VerMor",
@@ -72,10 +71,6 @@ class CompositionError(AcgwError):
 
 class FactorizationError(AcgwError):
     """A required (unique) factorization does not exist."""
-
-
-class CapabilityError(AcgwError):
-    """The requested construction is not available for this instance."""
 
 
 class SquareClass(IntEnum):
@@ -235,9 +230,7 @@ class AcgwInstance(ABC):
     * rank oracle: :attr:`prime` and :meth:`boundary_matrix`;
     * homology: :meth:`homology_span` (the span :func:`acgw.h_on_map`
       returns) and :meth:`homology_embedding` (the levels of
-      :func:`acgw.homology_complex`);
-    * literal subobjects, for instances with canonical subobjects only:
-      :meth:`inclusion_hor` and :meth:`inclusion_ver`.
+      :func:`acgw.homology_complex`).
 
     The checks that follow from those primitives are derived here, and an
     instance does not write them: :meth:`is_initial`, :meth:`obj_eq`,
@@ -248,10 +241,6 @@ class AcgwInstance(ABC):
 
     #: short tag used by documents and the CLI ("set" or "linear")
     kind: str = "abstract"
-    #: whether canonical constructions return literal subobjects whose
-    #: identity is stable across independent runs (true for finite sets,
-    #: false for coordinate-based instances)
-    has_canonical_subobjects: bool = False
     #: characteristic of the field the rank oracle counts ranks over
     prime: int
 
@@ -433,15 +422,6 @@ class AcgwInstance(ABC):
         front.target``; two spans between the same endpoints are
         equivalent iff their keys agree."""
 
-    # ----- literal subobjects ----------------------------------------
-    def inclusion_hor(self, sub: Any, ambient: Any) -> HorMor:
-        """Literal inclusion of a subobject as a horizontal morphism."""
-        raise CapabilityError(f"{self.kind} instances have no literal subobjects")
-
-    def inclusion_ver(self, sub: Any, ambient: Any) -> VerMor:
-        """Literal inclusion of a subobject as a vertical morphism."""
-        raise CapabilityError(f"{self.kind} instances have no literal subobjects")
-
     # ----- document format -------------------------------------------
     @classmethod
     @abstractmethod
@@ -470,8 +450,8 @@ class AcgwInstance(ABC):
         """The morphism of class ``mor_type`` (:class:`HorMor` or
         :class:`VerMor`) a payload describes.  ``text`` is ``None`` when
         the line is omitted: ``leg`` selects the default of a transition
-        leg rather than that of a level.  Raises :class:`AcgwError` on
-        malformed text."""
+        leg or a snake morphism rather than that of a level.  Raises
+        :class:`AcgwError` on malformed text."""
 
     @abstractmethod
     def mor_text(self, mor: HorMor | VerMor, leg: bool = False) -> str | None:

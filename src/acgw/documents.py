@@ -23,10 +23,12 @@ sections::
 
     ses S: f                        # short exact sequence generated by f
 
-    snake weak W:                   # finite sets only, literal subsets
+    snake weak W:                   # rows of objects, then morphisms
       top: a | a b c | c
       middle:  | a b  | b
       bottom: a | a b | b
+      top_mono: a->a                # by field; optional, an inclusion
+                                    # when omitted (linear: zero)
 
 ``#`` starts a comment.  Indentation is cosmetic; content lines attach to
 the most recent section header.  Ids match ``[A-Za-z0-9_.+-]+``.  The
@@ -60,7 +62,8 @@ from .linear import LinearInstance
 from .snake import (
     SnakeInputStrong,
     SnakeInputWeak,
-    _snake_input,
+    _LAYOUT,
+    _ROWS,
     _snake_rows,
     validate_snake_strong,
     validate_snake_weak,
@@ -212,7 +215,19 @@ class _RawSnake:
     line: int
     name: str
     strong: bool
-    rows: dict = field(default_factory=dict)  # key -> (line, [texts])
+    rows: dict = field(default_factory=dict)  # row -> (line, [texts])
+    mors: dict = field(default_factory=dict)  # field -> (line, text)
+
+
+#: per strength (``strong``): the rows of a snake section, each with the
+#: objects it names, and the fields of the morphisms it may give
+_SNAKE_LINES = {
+    strong: (
+        dict(row for row in _ROWS if strong or row[0] not in ("abar", "cbar")),
+        {f for f, *_ in _LAYOUT[SnakeInputStrong if strong else SnakeInputWeak]},
+    )
+    for strong in (False, True)
+}
 
 
 def _scan(text: str):
@@ -297,10 +312,6 @@ def _scan(text: str):
             m = re.match(r"(weak|strong)\s+(\S+):\Z", rest)
             if not m:
                 raise ParseError(no, "want: snake weak NAME: (or strong)")
-            if not cls.has_canonical_subobjects:
-                raise ParseError(
-                    no, "snake sections need an instance with literal subobjects"
-                )
             current = _RawSnake(no, new_name(no, m.group(2)), m.group(1) == "strong")
             snakes.append(current)
             continue
@@ -342,22 +353,22 @@ def _scan(text: str):
             raise ParseError(no, f"unexpected {head!r} inside a map")
         if isinstance(current, _RawSnake):
             key = head.rstrip(":")
-            if key in ("top", "middle", "bottom"):
-                parts = _content(no, stripped, key).split("|")
-                if len(parts) != 3:
-                    raise ParseError(no, f"{key} row wants three id lists separated by '|'")
-                if key in current.rows:
-                    raise ParseError(no, f"repeated {key} row")
-                current.rows[key] = (no, parts)
-                continue
-            if key in ("abar", "cbar"):
-                if not current.strong:
-                    raise ParseError(no, f"{key} is only meaningful for strong snakes")
-                if key in current.rows:
-                    raise ParseError(no, f"repeated {key} row")
-                current.rows[key] = (no, [_content(no, stripped, key)])
-                continue
-            raise ParseError(no, f"unexpected {head!r} inside a snake")
+            rows, fields = _SNAKE_LINES[current.strong]
+            if key in rows:
+                store = current.rows
+                value = [part.strip() for part in _content(no, stripped, key).split("|")]
+                if len(value) != len(rows[key]):
+                    what = f"{key} row wants {len(rows[key])} object(s) separated by '|'"
+                    raise ParseError(no, what)
+            elif key in fields:
+                store, value = current.mors, _content(no, stripped, key)
+            else:
+                kind = "strong" if current.strong else "weak"
+                raise ParseError(no, f"unexpected {head!r} inside a {kind} snake")
+            if key in store:
+                raise ParseError(no, f"repeated {key} line")
+            store[key] = (no, value)
+            continue
         raise ParseError(no, f"unexpected {head!r} outside any section")
 
     if cls is None:
@@ -473,16 +484,21 @@ def _chain_mor(
     return chain(src, tgt, mors, bars)
 
 
-def _read_snake_rows(inst: AcgwInstance, raw: _RawSnake) -> dict:
-    """Every row of a snake section as objects, keyed by row name."""
-    wanted = ("top", "middle", "bottom") + (("abar", "cbar") if raw.strong else ())
-    out = {}
-    for key in wanted:
-        if key not in raw.rows:
-            raise ParseError(raw.line, f"snake {raw.name!r} is missing its {key} row")
-        line, parts = raw.rows[key]
-        out[key] = [_hook(line, key, inst.obj_from_text, part) for part in parts]
-    return out
+def _build_snake(inst: AcgwInstance, raw: _RawSnake) -> SnakeInputWeak | SnakeInputStrong:
+    """The input of a snake section: the objects of its rows, and each
+    morphism read from the line of its field, as a transition leg is."""
+    cls = SnakeInputStrong if raw.strong else SnakeInputWeak
+    objects = {}
+    for row, names in _SNAKE_LINES[raw.strong][0].items():
+        if row not in raw.rows:
+            raise ParseError(raw.line, f"snake {raw.name!r} is missing its {row} row")
+        line, parts = raw.rows[row]
+        objects.update(zip(names, (_hook(line, row, inst.obj_from_text, p) for p in parts)))
+    mors = {
+        f: _mor(inst, mor_type, objects[s], objects[t], raw.mors.get(f), raw.line, f, leg=True)
+        for f, mor_type, s, t in _LAYOUT[cls]
+    }
+    return cls(inst, **mors)
 
 
 def parse(text: str) -> Document:
@@ -529,8 +545,7 @@ def parse(text: str) -> Document:
     weaks: list[tuple[str, SnakeInputWeak]] = []
     strongs: list[tuple[str, SnakeInputStrong]] = []
     for raw in raw_snakes:
-        inp = _snake_input(inst, _read_snake_rows(inst, raw))
-        (strongs if raw.strong else weaks).append((raw.name, inp))
+        (strongs if raw.strong else weaks).append((raw.name, _build_snake(inst, raw)))
 
     return Document(
         inst,
@@ -617,6 +632,10 @@ def serialize(doc: Document) -> str:
             out.append(f"snake {head} {name}:")
             for key, parts in _snake_rows(s).items():
                 _emit_row(doc, key, parts, out)
+            for f, *_ in _LAYOUT[type(s)]:
+                text = doc.inst.mor_text(getattr(s, f), leg=True)
+                if text is not None:
+                    out.append(f"  {f}: {text}")
             out.append("")
     while out and out[-1] == "":
         out.pop()
@@ -633,7 +652,9 @@ def validate_document(doc: Document) -> list[str]:
 
     A ``hor``, ``ver``, ``map`` or ``ses`` section over a complex with
     problems is not checked or computed on (its checks take valid
-    complexes); it gets one line naming the first such complex.
+    complexes); it gets one line naming the first such complex.  An
+    ``ses`` section whose sub morphism has problems gets them as ``sub:``
+    lines, and its quotient is not built.
     """
     problems: list[str] = []
     invalid: set[str] = set()
@@ -668,13 +689,18 @@ def validate_document(doc: Document) -> list[str]:
         sub = hors.get(hor_name)
         if sub is not None and unchecked(f"ses {name}", sub.source, sub.target):
             continue
+        if hor_problems.get(hor_name):
+            # the quotient is built along the sub morphism: an invalid one
+            # gets its own lines and no quotient, as in ``acgw les``
+            problems += [f"ses {name}: sub: {p}" for p in hor_problems[hor_name]]
+            continue
         try:
             ses = doc.ses_named(name)
         except AcgwError as exc:
             problems.append(f"ses {name}: cannot build the quotient ({exc})")
             continue
-        # The sub morphism is the hor section checked above: reuse its problems.
-        problems += [f"ses {name}: {p}" for p in _ses_problems(ses, hor_problems[hor_name])]
+        # The sub morphism is the hor section checked above, and valid.
+        problems += [f"ses {name}: {p}" for p in _ses_problems(ses, [])]
     for name, s in doc.snakes_weak:
         problems += [f"snake weak {name}: {p}" for p in validate_snake_weak(s)]
     for name, s in doc.snakes_strong:

@@ -8,9 +8,9 @@ injection; a vertical morphism ``A => B`` is also backed by an injection
 of ``A`` into ``B`` — the two classes differ only in the role they play.
 A literal inclusion is ``(sub, sub)``: it shares its object's tuple.
 Complements are literal set differences, which makes every canonical
-construction a genuine subset of its ambient object
-(``has_canonical_subobjects`` is true).  In documents an object is
-written as its ids and a morphism as ``src->tgt`` pairs; the rank oracle
+construction a genuine subset of its ambient object.  In documents an
+object is written as its ids and a morphism as ``src->tgt`` pairs; an
+omitted leg or snake morphism is the literal inclusion.  The rank oracle
 reads a complex over ``F_2`` with one basis vector per id.
 
 Only the entry points whose input order is arbitrary sort:
@@ -188,7 +188,6 @@ class FinSetInstance(AcgwInstance):
     subsets of the ambient object with inclusion legs."""
 
     kind = "set"
-    has_canonical_subobjects = True
     prime = 2
 
     # ----- objects -------------------------------------------------

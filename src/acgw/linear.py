@@ -62,12 +62,10 @@ candidate solution, those rows of the right-hand side, is checked by one
 product.  Factoring through cycles, kernels and column bases takes that
 path.
 
-Because kernels and complements are produced in fresh coordinates, this
-instance does not expose canonical subobjects
-(``has_canonical_subobjects`` is false), so a document cannot spell a
-snake section by its rows of literal subsets — everything else works.
 In documents an object is written ``dim N``, with N at most 4,096, and a
-morphism as its stored matrix in JSON, of the stored shape.
+morphism as its stored matrix in JSON, of the stored shape; an omitted
+leg, level or snake morphism is zero.  Kernels and complements come in
+fresh coordinates, so a snake section gives each of its morphisms.
 """
 
 from __future__ import annotations
@@ -390,7 +388,6 @@ class LinearInstance(AcgwInstance):
     """The prime-field model ``F_p``."""
 
     kind = "linear"
-    has_canonical_subobjects = False
 
     def __init__(self, p: int = 2):
         if not _is_prime(p):

@@ -30,7 +30,7 @@ from .chains import (
 from .core import AcgwError, AcgwInstance, HorMor, ValidationError, VerMor
 from .finset import FinSetInstance, finset_obj, mapping_of
 from .linear import LinearInstance, mat_rank, matmul_mod, solve
-from .snake import SnakeInputStrong, SnakeInputWeak, _snake_input
+from .snake import SnakeInputStrong, SnakeInputWeak, _LAYOUT
 
 __all__ = [
     "free_complex",
@@ -372,10 +372,11 @@ def _snake(
     a2 = b2 - cbar2
     c2 = cbar2 | set(_ids("q", rng.randint(0, 2))) if strong else cbar2
 
-    rows = {"top": (a, b, c), "middle": (x, y, z), "bottom": (a2, b2, c2)}
-    if strong:
-        rows.update(abar=(abar,), cbar=(cbar2,))
-    return _snake_input(inst, {k: tuple(map(finset_obj, v)) for k, v in rows.items()})
+    ends = dict(a=a, abar=abar, b=b, c=c, x=x, y=y, z=z, a2=a2, b2=b2, cbar2=cbar2, c2=c2)
+    objects = {name: finset_obj(ids) for name, ids in ends.items()}
+    include = {HorMor: inst.inclusion_hor, VerMor: inst.inclusion_ver}
+    cls = SnakeInputStrong if strong else SnakeInputWeak
+    return cls(inst, **{f: include[mor](objects[s], objects[t]) for f, mor, s, t in _LAYOUT[cls]})
 
 
 # ---------------------------------------------------------------------------

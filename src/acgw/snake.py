@@ -232,20 +232,13 @@ def _snake_weak(inp: SnakeInputWeak) -> tuple[ExactZigzag, HorMor, VerMor]:
         inst.factor_hor(sq.to_epi_source, kleg3),
     )
 
-    rest, cleg_rest = inst.coker(inp.mid_mono)
-    lifted_epi = inst.factor_ver(inp.mid_epi, cleg_rest)  # Z => rest
-    conn, conn_hor = inst.ker(lifted_epi)  # conn -> rest
-    _, kleg_mid = inst.ker(inp.mid_epi)  # ker g -> Y
-    rest_to_top = inst.factor_ver(
-        inst.compose_ver(cleg_rest, inp.mid_up), inp.top_epi
-    )  # rest => C
-    conn_up = inst.ver_between_kernels(rest_to_top, conn_hor, kleg3)  # conn => O3
-    conn_in_ker = inst.ver_between_kernels(cleg_rest, conn_hor, kleg_mid)  # conn => ker g
-    ker_to_bot = inst.factor_hor(
-        inst.compose_hor(kleg_mid, inp.mid_down), inp.bot_mono
-    )  # ker g -> A'
-    conn_low = inst.hor_between_cokers(ker_to_bot, conn_in_ker, cleg4)  # conn -> O4
-    t3 = Transition(conn, conn_up, conn_low)
+    t3 = _chase(
+        inst,
+        inp.mid_mono,
+        inp.mid_epi,
+        (inp.mid_up, inp.top_epi, kleg3),
+        (inp.mid_down, inp.bot_mono, cleg4),
+    )
 
     sq2 = inst.mixed_pullback(inp.bot_mono, cleg5)
     t4 = Transition(
@@ -264,6 +257,26 @@ def _snake_weak(inp: SnakeInputWeak) -> tuple[ExactZigzag, HorMor, VerMor]:
         inst, (o1, o2, o3, o4, o5, o6), (t1, t2, t3, t4, t5), _LABELS, _TRANSITION_LABELS
     )
     return zz, kleg1, cleg6
+
+
+def _chase(inst: AcgwInstance, mono: HorMor, epi: VerMor, up: tuple, down: tuple) -> Transition:
+    """The connecting step of a middle row ``mono: X -> Y``, ``epi: Z =>
+    Y``: its object ``W`` is the kernel of ``epi`` lifted into the cokernel
+    ``R => Y`` of ``mono``.  ``up = (path, through, kleg)`` takes
+    ``path: Y => B`` along ``R``, factors it through ``through: C => B``,
+    and goes between kernels into ``kleg: K -> C``.  ``down = (path,
+    through, cleg)`` takes ``path: Y -> B'`` along the kernel ``KE -> Y``
+    of ``epi``, factors it through ``through: A' -> B'``, and goes
+    between cokernels into ``cleg: Q => A'``."""
+    up_path, up_through, kleg = up
+    down_path, down_through, cleg = down
+    _, rest = inst.coker(mono)  # R => Y
+    w, w_hor = inst.ker(inst.factor_ver(epi, rest))  # W -> R
+    _, kleg_epi = inst.ker(epi)  # KE -> Y
+    rest_up = inst.factor_ver(inst.compose_ver(rest, up_path), up_through)  # R => C
+    ker_down = inst.factor_hor(inst.compose_hor(kleg_epi, down_path), down_through)  # KE -> A'
+    low = inst.hor_between_cokers(ker_down, inst.ver_between_kernels(rest, w_hor, kleg_epi), cleg)
+    return Transition(w, inst.ver_between_kernels(rest_up, w_hor, kleg), low)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +340,11 @@ class SnakeInputStrong:
 
 
 # ---------------------------------------------------------------------------
-# Snake inputs on literal subsets, row by row.
+# Snake inputs row by row.
 # ---------------------------------------------------------------------------
 
-#: the rows of a snake input on literal subsets, in document order, with
-#: the objects each one names; a weak input has no ``abar`` and ``cbar``
-#: rows
+#: the rows of a snake input, in document order, with the objects each one
+#: names; a weak input has no ``abar`` and ``cbar`` rows
 _ROWS = (
     ("top", ("a", "b", "c")),
     ("abar", ("abar",)),
@@ -380,19 +392,8 @@ _LAYOUT = {
 }
 
 
-def _snake_input(inst: AcgwInstance, rows: dict) -> SnakeInputWeak | SnakeInputStrong:
-    """The snake input of literal inclusions between the objects of
-    ``rows`` (row name to objects, as in ``_ROWS``): strong when there is
-    an ``abar`` row, weak otherwise."""
-    cls = SnakeInputStrong if "abar" in rows else SnakeInputWeak
-    objects = {n: obj for row, names in _ROWS if row in rows for n, obj in zip(names, rows[row])}
-    include = {HorMor: inst.inclusion_hor, VerMor: inst.inclusion_ver}
-    return cls(inst, **{f: include[mor](objects[s], objects[t]) for f, mor, s, t in _LAYOUT[cls]})
-
-
 def _snake_rows(inp: SnakeInputWeak | SnakeInputStrong) -> dict:
-    """The rows of a snake input, in document order, as
-    :func:`_snake_input` takes them."""
+    """The objects of each row of a snake input, in document order."""
     objects: dict = {}
     for name, _, source, target in _LAYOUT[type(inp)]:
         mor = getattr(inp, name)
@@ -495,22 +496,14 @@ def _connecting(ses: ChainSES, i: int, gz: HomologyGrid, gx_below: HomologyGrid)
     the cokernel of the sub's: on literal subsets, the transition elements
     of the total complex at ``i`` whose upper image lies outside the
     sub-complex and whose lower image lies inside it."""
-    inst = ses.sub.source.inst
-    ty = ses.sub.target.transition(i)
-    _, cleg = inst.coker(ses.sub.bar_level(i))  # C => T_i
-    w, w_hor = inst.ker(inst.factor_ver(ses.quot.bar_level(i), cleg))  # W -> C
-    _, kleg = inst.ker(ses.quot.bar_level(i))  # K -> T_i
-    into_quot = inst.factor_ver(
-        inst.compose_ver(cleg, ty.into_upper), ses.quot.level(i)
-    )  # C => Z_i
-    up = inst.factor_ver(
-        inst.ver_between_kernels(into_quot, w_hor, gz.cycles_hor), gz.h_to_cycles
+    inst, sub, quot = ses.sub.source.inst, ses.sub, ses.quot
+    ty = sub.target.transition(i)
+    into_x = inst.compose_hor(gx_below.cycles_hor, sub.level(i - 1))  # cycles -> Y_{i-1}
+    t = _chase(
+        inst,
+        sub.bar_level(i),
+        quot.bar_level(i),
+        (ty.into_upper, quot.level(i), gz.cycles_hor),
+        (ty.into_lower, into_x, gx_below.h_to_cycles),
     )
-    into_cycles = inst.factor_hor(
-        inst.compose_hor(kleg, ty.into_lower),
-        inst.compose_hor(gx_below.cycles_hor, ses.sub.level(i - 1)),
-    )  # K -> cycles of X_{i-1}
-    low = inst.hor_between_cokers(
-        into_cycles, inst.ver_between_kernels(cleg, w_hor, kleg), gx_below.h_to_cycles
-    )
-    return Transition(w, up, low)
+    return Transition(t.obj, inst.factor_ver(t.into_upper, gz.h_to_cycles), t.into_lower)

@@ -33,6 +33,7 @@ from acgw import (
 from acgw import chains, documents
 from acgw.chains import Transition
 from acgw.cli import _GEN
+from acgw.snake import snake_strong, snake_weak, zigzag_is_exact
 
 from conftest import CORPUS_NAMES, INSTANCES, PRIMES, corpus_doc, corpus_text
 
@@ -165,6 +166,25 @@ def test_snake_sections_build_and_validate():
     assert validate_snake_weak(weak) == []
 
 
+#: a weak F_p snake section with no morphism lines
+LINEAR_SNAKE = """\
+instance linear
+prime 3
+
+snake weak S:
+  top: dim 1 | dim 1 | dim 0
+  middle: dim 1 | dim 1 | dim 0
+  bottom: dim 1 | dim 1 | dim 0
+"""
+
+
+def test_an_omitted_linear_snake_morphism_is_zero():
+    doc = parse(LINEAR_SNAKE)
+    inp = doc.snake_weak_named("S")
+    assert inp.inst.hor_matrix(inp.top_mono).tolist() == [[0]]
+    assert validate_document(doc)[0] == "snake weak S: top_mono: horizontal matrix is not injective"
+
+
 # ---------------------------------------------------------------------------
 # Parse errors carry line numbers.
 # ---------------------------------------------------------------------------
@@ -187,6 +207,10 @@ def test_snake_sections_build_and_validate():
             7,
             "bad matrix",
         ),
+        (LINEAR_SNAKE + "  top_mono: [[1]]\n  top_mono: [[1]]\n", 9, "repeated top_mono line"),
+        (LINEAR_SNAKE + "  restrict_to_top: [[1]]\n", 8, "'restrict_to_top:' inside a weak snake"),
+        (LINEAR_SNAKE + "  left_up: [[1]]\n  mid_up: [[oops]]\n", 9, "mid_up: bad matrix"),
+        (LINEAR_SNAKE + "  mid_down: [[1, 0]]\n", 8, "mid_down: matrix must be 1x1"),
     ],
 )
 def test_parse_error_lines(text, line, fragment):
@@ -297,10 +321,61 @@ def test_generated_linear_sections_round_trip(prime):
         assert validate_document(doc) == []
 
 
+@pytest.mark.parametrize("prime", (2, 3, 65521))
+@pytest.mark.parametrize("strong", (False, True), ids=("weak", "strong"))
+def test_generated_linear_snakes_round_trip_and_are_exact(prime, strong):
+    gen, build = (gen_snake_strong, snake_strong) if strong else (gen_snake_weak, snake_weak)
+    section = "snakes_strong" if strong else "snakes_weak"
+    for seed in range(50):
+        inp = gen(GenConfig(seed=seed, instance="linear", prime=prime))
+        doc = Document(inp.inst, **{section: (("S", inp),)})
+        text = serialize(doc)
+        read = parse(text)
+        assert read == doc
+        assert serialize(read) == text
+        assert validate_document(read) == []
+        (_, parsed), = getattr(read, section)
+        zz = build(parsed)
+        assert zigzag_is_exact(zz)
+        # F_p[-] keeps sizes: the zigzag of the set snake of the same seed
+        twin = build(gen(GenConfig(seed=seed)))
+        assert [o.dim for o in zz.objects] == [len(o) for o in twin.objects]
+
+
+#: the corpus weak snake with its middle row renamed (``p``, ``q`` to
+#: ``m``, ``n``): every morphism out of it is written as pairs, and those
+#: into it are still literal inclusions, so they are omitted
+RENAMED_SNAKE = """\
+instance set
+
+snake weak S:
+  top: a2 p | a2 c1 p q | c1 q
+  middle: m | m n | n
+  bottom: p | b1 p q | b1 q
+  left_up: m->p
+  left_down: m->p
+  mid_up: m->p n->q
+  mid_down: m->p n->q
+  right_up: n->q
+  right_down: n->q
+"""
+
+
+def test_a_set_snake_with_renaming_pairs_matches_its_inclusion_twin():
+    doc = parse(RENAMED_SNAKE)
+    assert serialize(doc) == RENAMED_SNAKE
+    assert validate_document(doc) == []
+    renamed = snake_weak(doc.snake_weak_named("S"))
+    twin = snake_weak(corpus_doc("snake_weak_small").snake_weak_named("S"))
+    assert zigzag_is_exact(renamed)
+    assert list(map(len, renamed.objects)) == list(map(len, twin.objects))
+    assert [len(t.obj) for t in renamed.transitions] == [len(t.obj) for t in twin.transitions]
+
+
 def _labelled(inp):
     """``inp`` with every morphism running from ``{FIELD.s}`` to ``{FIELD.t}``."""
     fields = {
-        name: type(mor)((f"{name}.s",), (f"{name}.t",), ())
+        name: type(mor)((f"{name}.s",), (f"{name}.t",), ((), ()))
         for name, mor in vars(inp).items()
         if name != "inst"
     }
@@ -399,8 +474,7 @@ BROKEN_DOCUMENTS = {
         ),
         [
             "hor f: level 1 has wrong endpoints",
-            "ses S: cannot build the quotient (mixed pullback needs a shared target: "
-            "{c d} vs {c d e})",
+            "ses S: sub: level 1 has wrong endpoints",
         ],
     ),
     "transition on a non-canonical object": (
@@ -424,8 +498,7 @@ BROKEN_DOCUMENTS = {
         lambda: parse(NOT_SPLIT),
         [
             "hor f: upper square at degree 1 is not distinguished (COMMUTING)",
-            "ses S: cannot build the quotient (no factorization: b lands at a, outside the "
-            "image of the given morphism)",
+            "ses S: sub: upper square at degree 1 is not distinguished (COMMUTING)",
         ],
     ),
 }

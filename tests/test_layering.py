@@ -191,7 +191,6 @@ PUBLIC = {
         "__version__",
         "AcgwError",
         "AcgwInstance",
-        "CapabilityError",
         "CompositionError",
         "FactorizationError",
         "FlatMor",
