@@ -31,8 +31,7 @@ CORPUS_FILES = (
 SET_GEN_KINDS = (
     "complex", "exact", "hor", "ver", "map", "pair", "ses", "snake-weak", "snake-strong"
 )
-#: every kind but the snakes, whose sections need literal subsets
-LINEAR_GEN_KINDS = SET_GEN_KINDS[:-2]
+LINEAR_GEN_KINDS = SET_GEN_KINDS
 
 
 def golden_argvs() -> list[list[str]]:
