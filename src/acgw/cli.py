@@ -26,6 +26,7 @@ from .homology import h_on_map, homology_obj, homology_size
 from .linear import LinearInstance
 from .oracle import (
     GenConfig,
+    _MAX_SIZE,
     gen_chain_map,
     gen_complex,
     gen_composable_chain_maps,
@@ -412,13 +413,16 @@ def cmd_gen(args) -> int:
 
 
 def _size(text: str) -> int:
-    """A ``--size`` value: a non-negative integer."""
+    """A ``--size`` value: an integer from 0 to the generators' cap, past
+    which no document changes."""
     try:
         size = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if size < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {size}")
+    if size > _MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"must be at most {_MAX_SIZE}, got {size}")
     return size
 
 
@@ -500,7 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a random document")
     p.add_argument("--kind", choices=tuple(_GEN), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--size", type=_size, default=8, help="object size bound")
+    p.add_argument(
+        "--size",
+        type=_size,
+        default=_MAX_SIZE,
+        help=f"object size bound, at most {_MAX_SIZE}; exact complexes and snake "
+        "inputs stop growing at 6",
+    )
     p.add_argument("--instance", choices=("set", "linear"), default="set")
     p.add_argument("--prime", type=_prime, default=2)
     p.set_defaults(func=cmd_gen)

@@ -20,14 +20,27 @@ that the square commutes.
 Every product and row reduction goes through the mod-p kernel below
 (:func:`matmul_mod`, :func:`rref`, :func:`mat_rank`), which picks the
 cheapest arithmetic that stays exact for the prime and the inner
-dimension k:
+dimension k.  A product's operands are reduced to [0, p), so each of
+its partial sums is a non-negative integer no larger than the whole,
+and float64 holds every one exactly below 2^53, whatever order BLAS
+adds in:
 
-* float64, through BLAS, for products with k (p-1)^2 < 2^53;
-* int64 for products with k (p-1)^2 < 2^63, and for row reduction
-  while (p-1)^2 < 2^63;
-* int64 for larger products, in limbs of s >= 8 bits of the right factor
-  with k (p-1) (2^s-1) < 2^63 (every product at p < 2^32 and k <= 4096);
-* Python integers (object arrays) where no such limb fits.
+* one float64 BLAS product when k (p-1)^2 < 2^53;
+* else float64 BLAS products, one per limb of s >= 8 bits of the right
+  factor, with k (p-1) (2^s-1) < 2^53 (every product at p < 2^32 and
+  k <= 4096), combined in int64;
+* else int64 products in such limbs, with 2^63 for 2^53 (2^40-87 from
+  k = 33);
+* else Python integers (object arrays), as at 2^61-1;
+* int64 for row reduction while (p-1)^2 < 2^63, Python integers past it.
+
+Each array is reduced mod p once.  A morphism's payload is reduced when
+it is stored, and the kernel reduces an input of more than 256 entries
+only when some entry lies outside [0, p): reading the bound costs a
+pass that is cheaper than a division per entry.  A smaller input is
+divided at once, which costs less than the reading.  The kernel never
+writes to an input: :func:`rref` reduces a copy, and a payload is never
+the caller's array, which wrapping would mark read-only.
 
 Row reduction delays the reduction mod p.  Each pivot reduces only its
 own column, whose entries become the multipliers, and its own row when
@@ -121,19 +134,49 @@ class VectObj:
 # ---------------------------------------------------------------------------
 
 
+#: the most entries an array may have for :func:`_reduced` to divide them
+#: all without reading their bound first: one pass of either costs about
+#: 2 us there, and the division grows to 170 us at 200 x 200 entries
+#: while reading the bound takes 7 us
+_SMALL = 256
+
+
+def _reduced(a, p: int, copy: bool = False) -> np.ndarray:
+    """``a`` mod p as an int64 array.  An array of more than ``_SMALL``
+    entries is reduced only when some entry lies outside [0, p): else it
+    is returned itself, unless ``copy`` asks for an array the caller may
+    write or keep."""
+    arr = np.asarray(a, dtype=np.int64)
+    # read as unsigned, a negative entry lies above every prime
+    if arr.size <= _SMALL or arr.view(np.uint64).max() >= p:
+        return arr % p
+    return arr.copy() if copy else arr
+
+
+def _limb_width(k: int, p: int, room: int) -> int:
+    """The largest s with k (p-1) (2^s-1) < ``room``: the width of the
+    limbs of a right factor whose products with k columns of entries in
+    [0, p) stay below ``room``."""
+    return ((room - 1) // (k * (p - 1)) + 1).bit_length() - 1
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact ``a @ b`` mod p as an int64 array.
 
     When at most half of the inner indices carry both a nonzero column of
     ``a`` and a nonzero row of ``b``, only those indices enter the
     product, with only the rows of ``a`` and columns of ``b`` they touch.
-    Entries are reduced next, so each dot product is a sum of k terms
-    below (p-1)^2: float64 holds it exactly below 2^53, int64 below 2^63.
-    Above that, ``b`` is split into limbs of s bits, with the largest s
-    such that k (p-1) (2^s-1) fits in int64 (k counted as at least 2, so
-    each step below fits too): each ``a @ limb`` is exact, and the limbs
-    are combined from the top, the sum reduced mod p before each shift.
-    Python integers take over when s < 8.
+    The operands are reduced next (by :func:`_reduced`, which leaves a
+    large one as it is when it is already reduced).  Each dot product is
+    then a sum of k integer terms in [0, (p-1)^2], so in whatever order
+    BLAS adds them every partial sum lies in [0, k (p-1)^2]: below 2^53,
+    one float64 product is exact.  Above that, ``b`` is split into limbs
+    of s bits, with the largest s such that k (p-1) (2^s-1) < 2^53: if
+    s >= 8, each ``a @ limb`` is an exact float64 product, and the limbs
+    are combined from the top in int64, the sum reduced mod p before each
+    shift.  Else int64 products take the limbs, with 2^63 for 2^53 (k
+    counted as at least 2, so each step of the combination fits too), and
+    Python integers take over when no limb of 8 bits fits there either.
     """
     shape = (a.shape[0], b.shape[1])
     inner = (a.any(axis=0) & b.any(axis=1)).nonzero()[0]
@@ -144,19 +187,23 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         a, b = a[:, inner], b[inner]
         rows, cols = a.any(axis=1).nonzero()[0], b.any(axis=0).nonzero()[0]
         a, b = a[rows], b[:, cols]
-    a, b = a % p, b % p
-    bound = a.shape[1] * (p - 1) ** 2
-    s = (_INT64_MAX // (max(a.shape[1], 2) * (p - 1)) + 1).bit_length() - 1
-    if bound < 2**53:
-        prod = np.matmul(a, b, dtype=np.float64).astype(np.int64)
-    elif bound < 2**63:
-        prod = a @ b
+    a, b = _reduced(a, p), _reduced(b, p)
+    k = a.shape[1]
+    wide = _limb_width(k, p, 2**53) < 8
+    s = _limb_width(max(k, 2), p, 2**63) if wide else _limb_width(k, p, 2**53)
+    if k * (p - 1) ** 2 < 2**53:
+        prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     elif s >= 8:
+        dtype = np.int64 if wide else np.float64
         mask = (1 << s) - 1
         limbs = [(b >> shift) & mask for shift in range(0, (p - 1).bit_length(), s)]
-        prod = a @ limbs.pop()
+        a = a.astype(dtype, copy=False)
+        prod = (a @ limbs.pop().astype(dtype, copy=False)).astype(np.int64, copy=False)
         for limb in reversed(limbs):
-            prod = ((prod % p) << s) + (a @ limb) % p
+            term = (a @ limb.astype(dtype, copy=False)).astype(np.int64, copy=False)
+            # a float64 term lies below 2^53; an int64 one may lie near
+            # 2^63, and reduced it leaves room for the shifted sum
+            prod = ((prod % p) << s) + (term % p if wide else term)
     else:
         prod = a.astype(object) @ b.astype(object)
     prod = (prod % p).astype(np.int64, copy=False)
@@ -201,7 +248,7 @@ def _eliminate(r: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[i
         # ``column`` is not swapped: it is zero at ``row``, which now holds
         # the old row; zeroed at ``hit`` too, it holds the multipliers of
         # the rows to clear.
-        inverse = pow(int(column[hit - top]), p - 2, p)
+        inverse = pow(int(column[hit - top]), -1, p)
         column[hit - top] = 0
         pivots.append(col)
         # A pivot row is reduced only to be scaled or subtracted: ``r % p``
@@ -236,7 +283,7 @@ def _eliminate(r: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[i
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p, with the pivot column indices."""
-    r, pivots = _eliminate(np.asarray(a, dtype=np.int64) % p, p, reduced=True)
+    r, pivots = _eliminate(_reduced(a, p, copy=True), p, reduced=True)
     return (r % p).astype(np.int64, copy=False), pivots
 
 
@@ -246,7 +293,8 @@ def mat_rank(a: np.ndarray, p: int) -> int:
     nonzero entry lies in each column); else by forward elimination."""
     r = np.asarray(a, dtype=np.int64)
     r = r[r.any(axis=1)]
-    r = r[:, r.any(axis=0)] % p
+    # boolean indexing copies: the elimination may work on ``r`` in place
+    r = _reduced(r[:, r.any(axis=0)], p)
     tall = r if r.shape[0] >= r.shape[1] else r.T
     if tall[np.count_nonzero(tall, axis=1) == 1].any(axis=0).all():
         return tall.shape[1]
@@ -274,11 +322,12 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     """
     m, n = a.shape
     k = b.shape[1]
-    reduced = a % p
+    reduced = _reduced(a, p)
     units = _unit_rows(reduced)
     if units is not None:
-        x = b[units] % p
-        return x if np.array_equal(matmul_mod(reduced, x, p), b % p) else None
+        b = _reduced(b, p)
+        x = b[units]
+        return x if np.array_equal(matmul_mod(reduced, x, p), b) else None
     r, pivots = rref(np.hstack([a, b]), p)
     if any(c >= n for c in pivots):
         return None
@@ -350,7 +399,7 @@ def _extend_basis(base: np.ndarray, pool: np.ndarray, target_rank: int, p: int):
     """Columns of ``pool`` that extend ``base`` to rank ``target_rank``: the
     pivot columns past ``base`` of one elimination of ``[base | pool]``,
     which are the columns a left-to-right greedy choice keeps."""
-    pivots = _eliminate(np.hstack([base, pool]) % p, p, reduced=False)[1]
+    pivots = _eliminate(_reduced(np.hstack([base, pool]), p), p, reduced=False)[1]
     if len(pivots) != target_rank:
         raise AcgwError("could not extend basis to the requested rank")
     return pool[:, [c - base.shape[1] for c in pivots if c >= base.shape[1]]]
@@ -434,8 +483,9 @@ class LinearInstance(AcgwInstance):
         return _matrix(f, f.source.dim, f.target.dim)
 
     def _mor(self, mor_type: type, source, target, arr) -> HorMor | VerMor:
-        """The morphism of class ``mor_type`` storing ``arr`` mod p."""
-        return mor_type(source, target, _Matrix(np.mod(np.asarray(arr, dtype=np.int64), self.p)))
+        """The morphism of class ``mor_type`` storing ``arr`` mod p, in an
+        array of its own: wrapping marks it read-only."""
+        return mor_type(source, target, _Matrix(_reduced(arr, self.p, copy=True)))
 
     def hor(self, source: VectObj, target: VectObj, arr) -> HorMor:
         return self._mor(HorMor, source, target, arr)

@@ -50,6 +50,13 @@ __all__ = [
 
 _ATTEMPTS = 1000
 
+#: the most loose ids a generated degree holds, cancelling pairs a
+#: transition holds, and ids the middle row of a snake input holds: a
+#: ``max_size`` above ``_MAX_SIZE`` changes no generated diagram, and one
+#: above 6 changes no exact complex or snake input
+_SINGLES_MAX, _PAIRS_MAX, _SNAKE_MAX = 2, 3, 6
+_MAX_SIZE = _SINGLES_MAX + 2 * _PAIRS_MAX
+
 
 # ---------------------------------------------------------------------------
 # Rank-based oracle.
@@ -100,7 +107,9 @@ class GenConfig:
     Attributes:
         seed: RNG seed; equal configs generate equal outputs.
         max_size: upper bound on the number of ids (or the dimension)
-            of any generated object.
+            of any generated object.  It is capped: any size above 8
+            generates what 8 does, and for exact complexes and snake
+            inputs any size above 6 what 6 does.
         max_support: upper bound on the number of degrees in a complex.
         instance: ``"set"`` for a finite-set diagram, or ``"linear"`` for
             its linearization, drawn after it from the same seed.
@@ -146,8 +155,8 @@ def _pool_complex(
     """
     inst = FinSetInstance()
     lo, hi = _span(rng, cfg)
-    single_max = 0 if exact else min(2, cfg.max_size)
-    pair_max = min(3, max(cfg.max_size - single_max, 0) // 2)
+    single_max = 0 if exact else min(_SINGLES_MAX, cfg.max_size)
+    pair_max = min(_PAIRS_MAX, max(cfg.max_size - single_max, 0) // 2)
     singles = {i: [f"s{i}x{k}" for k in range(rng.randint(0, single_max))] for i in range(lo, hi + 1)}
     pairs = {i: [f"t{i}x{k}" for k in range(rng.randint(0, pair_max))] for i in range(lo + 1, hi + 1)}
     pairs[lo] = []
@@ -357,7 +366,7 @@ def _snake(
     """The weak snake input, or with ``strong`` the strong one: its top-left
     and bottom-right objects grow past ``abar`` and ``cbar``."""
     inst = FinSetInstance()
-    n = max(2, min(cfg.max_size, 6))
+    n = max(2, min(cfg.max_size, _SNAKE_MAX))
     y = set(_sample(rng, _ids("y", n)))
     x = _sample(rng, sorted(y))
     z = _sample(rng, sorted(y - x))

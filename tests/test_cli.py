@@ -268,6 +268,28 @@ def test_gen_negative_size_is_usage_error(capsys, kind):
     assert validate_document(parse(capsys.readouterr().out)) == []
 
 
+@pytest.mark.parametrize("kind", SET_GEN_KINDS)
+def test_gen_size_above_the_cap_is_usage_error(capsys, kind):
+    # No generator grows past size 8, so a larger --size would write the
+    # size-8 document under a larger name.
+    assert main(["gen", "--kind", kind, "--seed", "1", "--size", "9"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("acgw gen: error: argument --size: must be at most 8, got 9\n")
+    outputs = []
+    for size in (["--size", "8"], []):
+        assert main(["gen", "--kind", kind, "--seed", "1", *size]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert validate_document(parse(outputs[0])) == []
+
+
+def test_gen_help_names_both_size_caps(capsys):
+    assert main(["gen", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "at most 8" in help_text and "stop growing at 6" in help_text
+
+
 @pytest.mark.parametrize(
     "prime,problem",
     [

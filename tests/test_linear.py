@@ -54,10 +54,10 @@ from reference import (
 
 PRIMES = (2, 3, 5)
 
-#: pairs of primes just below and just above (p-1)^2 = 2^53 (float64
-#: products at k = 1) and (p-1)^2 = 2^63 (int64 row reduction), with
-#: 2^31-1, whose int64 products overflow from k = 3, and primes beyond
-#: both thresholds
+#: pairs of primes just below and just above (p-1)^2 = 2^53 (one float64
+#: product at k = 1) and (p-1)^2 = 2^63 (int64 row reduction), with
+#: 2^31-1, whose products take float64 limbs, and primes beyond both
+#: thresholds
 THRESHOLD_PRIMES = (
     2,
     65521,
@@ -376,8 +376,8 @@ def test_matmul_mod_does_not_overflow_at_two_to_the_31():
     assert matmul_mod(full, full, p).tolist() == [[3] * 3] * 3
 
 
-#: the primes of the rank certificate: the float64 and int64 product
-#: ends, delayed-reduction elimination with little int64 room, and the
+#: the primes of the rank certificate: one float64 product and float64
+#: limbs, delayed-reduction elimination with little int64 room, and the
 #: Python-integer elimination
 CERTIFICATE_PRIMES = (2, 65521, 2**31 - 1, 3037000507)
 
@@ -434,49 +434,123 @@ def test_rank_certificate_agrees_with_the_reference(p, data):
         assert rank == planted and calls == []
 
 
-#: primes whose products pass int64 from small k: at 2^31-1 and 2^32-5
-#: every product up to k = 4096 takes int64 limbs, at 3037000507 even
-#: k = 1 does, at 2^40-87 the limbs narrow to 10 bits at k = 4096, and
-#: at 2^61-1 no limb of 8 bits fits, so Python integers multiply
-LIMB_PRIMES = (2**31 - 1, 3037000507, 2**32 - 5, 2**40 - 87, 2**61 - 1)
+#: primes across the product ladder: at 33554393 one float64 product
+#: serves up to k = 8, then float64 limbs; 94906249 and 94906297 lie just
+#: below and above (p-1)^2 = 2^53, so the second takes limbs from k = 1;
+#: at 2^31-1, 3037000507 and 2^32-5 every product up to k = 4096 takes
+#: float64 limbs, of 9 or 10 bits at k = 4096; at 2^40-87 no float64 limb
+#: of 8 bits fits past k = 32, so int64 limbs take over, of 11 bits at
+#: k = 4096; and at 2^61-1 no limb of 8 bits fits, so Python integers
+#: multiply
+LADDER_PRIMES = (
+    33554393,
+    94906249,
+    94906297,
+    2**31 - 1,
+    3037000507,
+    2**32 - 5,
+    2**40 - 87,
+    2**61 - 1,
+)
 
 
 def _limb_edges(p, top=4096):
-    """Inner dimensions k up to ``top`` on both sides of each change of the
-    limb width s, the largest with k (p-1) (2^s-1) < 2^63, and of the
-    int64 product's bound k (p-1)^2 < 2^63."""
+    """Inner dimensions k up to ``top`` on both sides of each bound of the
+    product ladder: k (p-1)^2 and k (p-1) (2^s-1), for every limb width
+    s, below 2^53 (float64) and below 2^63 (int64)."""
     ks = {1, 2, top}
-    for bound in [(p - 1) ** 2] + [(p - 1) * ((1 << s) - 1) for s in range(1, 64)]:
-        edge = (2**63 - 1) // bound
-        ks |= {edge, edge + 1}
+    for room in (2**53, 2**63):
+        for bound in [(p - 1) ** 2] + [(p - 1) * ((1 << s) - 1) for s in range(1, 64)]:
+            edge = (room - 1) // bound
+            ks |= {edge, edge + 1}
     return sorted(k for k in ks if 1 <= k <= top)
+
+
+def test_limb_edges_straddle_each_change_of_rung():
+    # the last one-product k at 33554393 and at 94906249, and the last
+    # float64-limb k at 2^40-87, each with its successor
+    assert {8, 9} <= set(_limb_edges(33554393))
+    assert {1, 2} <= set(_limb_edges(94906249))
+    assert {32, 33} <= set(_limb_edges(2**40 - 87))
 
 
 @settings(deadline=None, max_examples=10)
 @given(st.integers(0, 2**32 - 1))
 def test_limb_products_agree_with_the_reference(seed):
     rng = np.random.default_rng(seed)
-    for p in LIMB_PRIMES:
+    for p in LADDER_PRIMES:
 
         def biased(shape):
             """Entries mostly 0, 1 or p-1, the others uniform."""
             extreme = np.array([0, 1, p - 1], dtype=np.int64)[rng.integers(0, 3, size=shape)]
             return np.where(rng.random(shape) < 0.75, extreme, rng.integers(0, p, size=shape))
 
+        def lifted(x):
+            """``x`` with entries moved by -p or +p: negative or at least p."""
+            return x + p * rng.integers(-1, 2, size=x.shape)
+
         for k in _limb_edges(p):
             m, n = rng.integers(1, 4, size=2)
             a, b = biased((m, k)), biased((k, n))
-            prod = matmul_mod(a, b, p)
-            assert prod.dtype == np.int64
-            assert prod.tolist() == matmul_mod_reference(a, b, p), (p, k)
+            want = matmul_mod_reference(a, b, p)
+            for left, right in ((a, b), (lifted(a), lifted(b))):
+                prod = matmul_mod(left, right, p)
+                assert prod.dtype == np.int64
+                assert prod.tolist() == want, (p, k)
 
 
-def test_limb_product_of_the_largest_entries_at_the_largest_dimension():
-    p, k = 2**32 - 5, 4096
-    a = np.full((2, k), p - 1, dtype=np.int64)
-    b = np.full((k, 3), p - 1, dtype=np.int64)
-    # (p-1)^2 = 1 mod p, summed k times
-    assert matmul_mod(a, b, p).tolist() == [[k] * 3] * 2 == matmul_mod_reference(a, b, p)
+@pytest.mark.parametrize("p", (65521,) + LADDER_PRIMES)
+def test_every_rung_multiplies_the_largest_entries_exactly(p):
+    # Entries p-1 give the largest sums each rung must hold: k (p-1)^2,
+    # which is k mod p, at every k on both sides of a change of rung.
+    for k in _limb_edges(p):
+        a = np.full((1, k), p - 1, dtype=np.int64)
+        assert matmul_mod(a, a.T, p).tolist() == [[k % p]], k
+
+
+#: zero rows that lift a test matrix past ``linear._SMALL`` entries, so
+#: that the kernel reads its bound before reducing it, or none
+PADDING = (0, linear._SMALL)
+
+
+@pytest.mark.parametrize("pad", PADDING)
+@pytest.mark.parametrize("p", (2, 65521, 2**31 - 1, 2**61 - 1))
+def test_a_stored_matrix_is_reduced_at_both_ends_of_the_field(p, pad):
+    # each matrix has one kind of entry outside [0, p): the least
+    # negative one, the least at least p, or the largest below 2p
+    L = LinearInstance(p)
+    for bad, want in ((-1, p - 1), (p, 0), (2 * p - 1, p - 1)):
+        m = L.hor(L.obj(1), L.obj(pad + 3), [[0]] * pad + [[0], [p - 1], [bad]])
+        assert L.hor_matrix(m).tolist() == [[0]] * pad + [[0], [p - 1], [want]]
+    assert L.validate_hor(L.hor(L.obj(1), L.obj(1), [[p + 1]])) == []
+
+
+@pytest.mark.parametrize("pad", PADDING)
+@pytest.mark.parametrize("p", (2, 65521, 2**31 - 1, 2**61 - 1))
+def test_the_kernel_leaves_a_reduced_input_as_it_was(p, pad):
+    # An input already reduced mod p is not reduced again, and no kernel
+    # function writes to it, returns it, or marks it read-only.
+    rng = np.random.default_rng(p % 1000)
+    a = np.vstack([rng.integers(0, p, size=(6, 4)), np.zeros((pad, 4), dtype=np.int64)])
+    a[:, 0] = a[:, 1]
+    unit = np.vstack([np.eye(4, dtype=np.int64), rng.integers(0, p, size=(pad + 2, 4))])
+    b = matmul_mod(unit, rng.integers(0, p, size=(4, 3)), p)
+    inputs = (a, unit, b)
+    before = [x.copy() for x in inputs]
+    L = LinearInstance(p)
+    outputs = [
+        rref(a, p)[0],
+        mat_rank(a, p),
+        solve(a, b, p),
+        solve(unit, b, p),
+        matmul_mod(a, a.T, p),
+        L.hor_matrix(L.hor(L.obj(4), L.obj(pad + 6), unit)),
+        L.ver_matrix(L.ver(L.obj(3), L.obj(pad + 6), b.T)),
+    ]
+    for x, old in zip(inputs, before):
+        assert x.flags.writeable and np.array_equal(x, old)
+        for out in outputs:
+            assert not (isinstance(out, np.ndarray) and np.shares_memory(out, x))
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +691,7 @@ def test_mixed_pullback_dimension_formula():
 
 
 #: the primes of the classification properties: 2, a small odd prime, the
-#: largest with float64 products, and one whose products need int64 limbs
+#: largest with one float64 product, and one whose products need limbs
 CLASSIFY_PRIMES = (2, 7, 65521, 2**31 - 1)
 
 

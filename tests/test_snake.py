@@ -309,6 +309,30 @@ def test_les_exactness_agrees_with_the_rank_reference(prime, seed):
         assert not all(verdict)
 
 
+@pytest.mark.parametrize("build", [snake_weak, snake_strong], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "prime", [None, 2, 7, 65521, 2**31 - 1], ids=lambda p: f"F{p}" if p else "set"
+)
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10**6))
+def test_snake_exactness_agrees_with_the_rank_reference(build, prime, seed):
+    # As for the LES: the two verdicts agree at every position of a weak
+    # or strong snake and of its copies that lose one nonzero step, and the
+    # snake is exact wherever it claims to be.  No prime means sets.
+    cfg = GenConfig(seed=seed)
+    if prime is not None:
+        cfg = replace(cfg, instance="linear", prime=prime)
+    gen = gen_snake_weak if build is snake_weak else gen_snake_strong
+    zz = build(gen(cfg))
+    verdict = zigzag_exactness(zz)
+    assert rank_zigzag_exactness_reference(zz) == verdict
+    assert all(ok for j, ok in enumerate(verdict) if j not in zz.non_exact_positions)
+    for copy in _zeroed_copies(zz):
+        verdict = zigzag_exactness(copy)
+        assert rank_zigzag_exactness_reference(copy) == verdict
+        assert not all(verdict)
+
+
 WEAK_ORDER = (
     "top_mono",
     "mid_mono",
