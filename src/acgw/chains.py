@@ -46,15 +46,17 @@ A document's short exact sequence is validated, tested for exactness and
 turned into a long exact sequence from one horizontal chain morphism,
 so :func:`coker_hor` keeps the quotient it builds in that morphism's
 ``__dict__`` (by :func:`acgw.core._memoized`), as the finite-set
-instance keeps a morphism's dicts.  A chain morphism pickles and copies
-by its four declared fields, so the quotient never leaves the process;
-a complex pickles and copies by its five, without its mark and the
+instance keeps a morphism's dicts; the validators of complexes and chain
+morphisms keep their problems so.  A chain morphism pickles and copies
+by its four declared fields, so neither leaves the process; a complex
+pickles and copies by its five, without its mark, its problems and the
 homology grids that :func:`acgw.homology.homology` keeps in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from .core import (
@@ -141,13 +143,16 @@ class ChainComplex:
 
     def __reduce__(self):
         # pickle and copy by the declared fields, without the homology
-        # grids and the mark that a complex keeps beside them
+        # grids, the mark and the problems that a complex keeps beside them
         return type(self), (self.inst, self.lo, self.hi, self.objects, self.transitions)
 
 
 #: the key under which a complex read from a document is marked: the
 #: reader built each of its objects and transition objects canonical
 _READ = "_chain_objects_read"
+
+#: the key under which a complex or chain morphism keeps its problems
+_PROBLEMS = "_chain_problems"
 
 
 def _mor_problems(
@@ -162,12 +167,13 @@ def _mor_problems(
     return validate(f)
 
 
+@_memoized(_PROBLEMS)
 def validate_complex(cx: ChainComplex) -> list[str]:
-    """The problems of a complex.  Each object and transition object is
-    checked once; a transition leg between them has only its payload
-    checked.  The objects of a complex the document reader built are not
-    checked again: the reader checked each one as it read it, and marked
-    the complex (under ``_READ``)."""
+    """The problems of a complex, kept in it: a caller must not change
+    the list.  Each object and transition object is checked once; a
+    transition leg between them has only its payload checked.  The objects
+    of a complex the document reader built are not checked again: the
+    reader checked each one as it read it, and marked it (``_READ``)."""
     inst = cx.inst
     problems: list[str] = []
     if cx.hi < cx.lo:
@@ -235,7 +241,7 @@ class _ChainMor:
 
     def __reduce__(self):
         # pickle and copy by the declared fields, without the quotient
-        # that coker_hor keeps beside them
+        # and the problems kept beside them
         return type(self), (self.source, self.target, self.levels, self.bar_levels)
 
 
@@ -255,17 +261,19 @@ class VerChainMor(_ChainMor):
         return self.source.inst.zero_ver(obj)
 
 
+@_memoized(_PROBLEMS)
 def validate_hor_chain_mor(f: HorChainMor) -> list[str]:
     """The problems of a horizontal chain morphism between valid
-    complexes.  At each transition degree the upper square must be
-    distinguished and the lower one must commute."""
+    complexes, kept in it.  At each transition degree the upper square
+    must be distinguished and the lower one must commute."""
     return _chain_mor_problems(f, True)
 
 
+@_memoized(_PROBLEMS)
 def validate_ver_chain_mor(g: VerChainMor) -> list[str]:
-    """The problems of a vertical chain morphism between valid complexes.
-    At each transition degree the lower square must be distinguished and
-    the upper one must commute."""
+    """The problems of a vertical chain morphism between valid complexes,
+    kept in it.  At each transition degree the lower square must be
+    distinguished and the upper one must commute."""
     return _chain_mor_problems(g, True)
 
 
@@ -348,12 +356,13 @@ class ChainMap:
 
 
 def validate_chain_map(f: ChainMap) -> list[str]:
-    return _chain_map_problems(f, True)
+    return _chain_map_problems(f, validate_ver_chain_mor, validate_hor_chain_mor)
 
 
-def _chain_map_problems(f: ChainMap, middle_checked: bool) -> list[str]:
-    """:func:`validate_chain_map` between valid complexes, from a middle
-    complex whose objects are checked here unless ``middle_checked``."""
+def _chain_map_problems(f: ChainMap, back_problems, front_problems) -> list[str]:
+    """:func:`validate_chain_map` between valid complexes, the back and
+    front legs checked by ``back_problems`` and ``front_problems``, which
+    for a composite also check the objects of its middle complex."""
     problems: list[str] = []
     if f.back.source != f.middle or f.front.source != f.middle:
         problems.append("legs do not start at the middle complex")
@@ -361,8 +370,8 @@ def _chain_map_problems(f: ChainMap, middle_checked: bool) -> list[str]:
         problems.append("back leg does not land in the source complex")
     if f.front.target != f.target:
         problems.append("front leg does not land in the target complex")
-    problems += [f"back: {p}" for p in _chain_mor_problems(f.back, middle_checked)]
-    problems += [f"front: {p}" for p in _chain_mor_problems(f.front, middle_checked)]
+    problems += [f"back: {p}" for p in back_problems(f.back)]
+    problems += [f"front: {p}" for p in front_problems(f.front)]
     return problems
 
 
@@ -376,17 +385,17 @@ class ChainSES:
 
 def validate_chain_ses(ses: ChainSES) -> list[str]:
     """The problems of a short exact sequence into a valid complex; the
-    objects of the sub and quotient complexes are checked here."""
-    return _ses_problems(ses, _chain_mor_problems(ses.sub, False))
+    objects of the sub and quotient complexes are checked here.  A sub
+    morphism with problems gets only those, as ``sub:`` lines."""
+    sub = _chain_mor_problems(ses.sub, False)
+    return [f"sub: {p}" for p in sub] if sub else _ses_problems(ses)
 
 
-def _ses_problems(ses: ChainSES, sub_problems: list[str]) -> list[str]:
-    """The problems of ``ses``, given those of its sub morphism (a
-    document that names the sub morphism has them already).  Nothing else
+def _ses_problems(ses: ChainSES) -> list[str]:
+    """The problems of ``ses``, whose sub morphism is valid.  Nothing else
     checks the quotient complex, which :func:`coker_hor` builds, so its
     objects are checked here, once each."""
-    problems = [f"sub: {p}" for p in sub_problems]
-    problems += [f"quot: {p}" for p in _chain_mor_problems(ses.quot, False)]
+    problems = [f"quot: {p}" for p in _chain_mor_problems(ses.quot, False)]
     if problems:
         return problems
     if ses.sub.target != ses.quot.target:
@@ -566,7 +575,8 @@ def compose_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
         VerChainMor(middle, f.source, tuple(backs), back_bars),
         HorChainMor(middle, w, tuple(fronts), front_bars),
     )
-    problems = _chain_map_problems(out, False)
+    unchecked = partial(_chain_mor_problems, source_checked=False)
+    problems = _chain_map_problems(out, unchecked, unchecked)
     if problems:
         raise CompositionError(
             "composite chain map is not valid: " + "; ".join(problems[:5])

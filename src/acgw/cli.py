@@ -13,15 +13,17 @@ import functools
 import json
 import sys
 
-from .chains import (
-    ChainComplex,
-    _ses_problems,
-    validate_chain_map,
-    validate_complex,
-    validate_hor_chain_mor,
-)
+from .chains import ChainComplex, validate_complex
 from .core import AcgwError, ValidationError, flat_is_iso
-from .documents import Document, ParseError, parse, serialize, validate_document
+from .documents import (
+    Document,
+    ParseError,
+    parse,
+    section_complexes,
+    section_problems,
+    serialize,
+    validate_document,
+)
 from .homology import h_on_map, homology_obj, homology_size
 from .linear import LinearInstance
 from .oracle import (
@@ -44,8 +46,6 @@ from .snake import (
     les_of_ses,
     snake_strong,
     snake_weak,
-    validate_snake_strong,
-    validate_snake_weak,
     zigzag_exactness,
     zigzag_is_exact,
 )
@@ -105,18 +105,20 @@ def _require_valid(doc: Document, section: str, complexes) -> None:
             )
 
 
-def _require_no_problems(section: str, problems: list[str]) -> None:
-    """Raise the lines ``validate`` prints for ``section``, if it has
-    ``problems``: the constructions index its morphisms, which must be
-    valid."""
+def _require_section(doc: Document, head: str, name: str) -> None:
+    """Raise the lines ``validate`` prints for the section ``head name``,
+    if any, and the problems of an invalid complex it lies over."""
+    _require_valid(doc, f"{head} {name}", section_complexes(doc, head, name))
+    problems = section_problems(doc, head, name)
     if problems:
-        raise AcgwError("\n  ".join(f"{section}: {p}" for p in problems))
+        raise AcgwError("\n  ".join(problems))
 
 
-def _selected_complexes(doc: Document, name: str | None) -> list[tuple[str, ChainComplex]]:
-    if name is None:
-        return list(doc.complexes)
-    return [(name, doc.complex_named(name))]
+def _selected_complexes(doc: Document, name: str | None, command: str) -> list:
+    """The complexes ``command`` reports on, each named and valid."""
+    chosen = list(doc.complexes) if name is None else [(name, doc.complex_named(name))]
+    _require_valid(doc, command, (cx for _, cx in chosen))
+    return chosen
 
 
 def cmd_homology(args) -> int:
@@ -125,9 +127,7 @@ def cmd_homology(args) -> int:
     lines: list[str] = []
     payload: dict = {}
     failed_law = False
-    chosen = _selected_complexes(doc, args.name)
-    _require_valid(doc, "homology", (cx for _, cx in chosen))
-    for name, cx in chosen:
+    for name, cx in _selected_complexes(doc, args.name, "homology"):
         record: dict = {"homology": {}, "size_law": True}
         for i in cx.degrees():
             h = homology_obj(cx, i)
@@ -157,9 +157,7 @@ def cmd_exact(args) -> int:
     doc = _load(args.file)
     lines = []
     payload = {}
-    chosen = _selected_complexes(doc, args.name)
-    _require_valid(doc, "exact", (cx for _, cx in chosen))
-    for name, cx in chosen:
+    for name, cx in _selected_complexes(doc, args.name, "exact"):
         bad = [i for i in cx.degrees() if homology_size(cx, i) > 0]
         payload[name] = {"exact": not bad, "nonzero_degrees": bad}
         if bad:
@@ -201,26 +199,20 @@ def _zigzag_report(inst, zz: ExactZigzag) -> tuple[dict, list[str]]:
 
 def cmd_snake(args) -> int:
     doc = _load(args.file)
-    chosen: list[tuple[str, str]] = []
-    for name, _ in doc.snakes_weak:
-        chosen.append((name, "weak"))
-    for name, _ in doc.snakes_strong:
-        chosen.append((name, "strong"))
+    chosen = [("weak", *pair) for pair in doc.snakes_weak]
+    chosen += [("strong", *pair) for pair in doc.snakes_strong]
     if args.name is not None:
-        chosen = [(n, k) for n, k in chosen if n == args.name]
+        chosen = [c for c in chosen if c[1] == args.name]
         if not chosen:
             raise AcgwError(f"document has no snake named {args.name!r}")
     lines: list[str] = []
     payload: dict = {}
     status = 0
-    for name, kind in chosen:
-        lines.append(f"snake {kind} {name}:")
-        if kind == "weak":
-            inp = doc.snake_weak_named(name)
-            problems = validate_snake_weak(inp)
-        else:
-            inp = doc.snake_strong_named(name)
-            problems = validate_snake_strong(inp)
+    for kind, name, inp in chosen:
+        section = f"snake {kind} {name}"
+        lines.append(f"{section}:")
+        found = section_problems(doc, f"snake {kind}", name)
+        problems = [p.removeprefix(f"{section}: ") for p in found]
         if problems:
             payload[name] = {"problems": problems}
             lines += [f"  {p}" for p in problems]
@@ -236,19 +228,8 @@ def cmd_snake(args) -> int:
 
 def cmd_les(args) -> int:
     doc = _load(args.file)
-    section = f"ses {args.ses}"
-    hor_name = dict(doc.seses).get(args.ses)
-    sub_problems: list[str] = []
-    if hor_name is not None:
-        # Building the quotient composes along the transition legs and the
-        # levels of the sub morphism, so all of them are checked first.
-        f = doc.hor_named(hor_name)
-        _require_valid(doc, section, (f.source, f.target))
-        sub_problems = validate_hor_chain_mor(f)
-        _require_no_problems(section, [f"sub: {p}" for p in sub_problems])
-    ses = doc.ses_named(args.ses)
-    _require_no_problems(section, _ses_problems(ses, sub_problems))
-    zz = les_of_ses(ses)
+    _require_section(doc, "ses", args.ses)
+    zz = les_of_ses(doc.ses_named(args.ses))
     payload, lines = _zigzag_report(doc.inst, zz)
     _emit(args, payload, lines)
     return 0
@@ -256,9 +237,8 @@ def cmd_les(args) -> int:
 
 def cmd_map_homology(args) -> int:
     doc = _load(args.file)
+    _require_section(doc, "map", args.map)
     f = doc.map_named(args.map)
-    _require_valid(doc, f"map {args.map}", (f.source, f.middle, f.target))
-    _require_no_problems(f"map {args.map}", validate_chain_map(f))
     inst = doc.inst
     spans: dict = {}
 
@@ -294,10 +274,8 @@ def cmd_oracle(args) -> int:
     lines = []
     payload = {}
     all_agree = True
-    for name, cx in _selected_complexes(doc, args.name):
+    for name, cx in _selected_complexes(doc, args.name, "oracle"):
         by_rank = rank_homology_dims(cx)
-        # after the ranks, whose errors name the leg that cannot be read
-        _require_valid(doc, "oracle", (cx,))
         structural = {i: homology_size(cx, i) for i in cx.degrees()}
         agree = by_rank == structural
         all_agree = all_agree and agree
@@ -323,7 +301,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_render(args) -> int:
     doc = _load(args.file)
-    _require_valid(doc, "render", (cx for _, cx in doc.complexes))
+    _selected_complexes(doc, None, "render")
     dot = render_dot(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -107,15 +107,16 @@ def _memoized(key: str):
     rest of its target, the complement that ``coker``/``ker`` return,
     which ``validate_payload`` fills when it checks the payload.
     :func:`acgw.chains.coker_hor` keeps the quotient of a horizontal chain
-    morphism, and :func:`acgw.homology.homology` a complex's homology
-    grids, in one dict by degree.  A build that returns None stores
-    nothing and runs again on the next call.  A value may also be stored
-    when the object is built: the finite-set ``coker``/``ker`` keep in
-    each complement leg the image set it complements, the fifth finite-set
-    memo, which is never built from the leg's own payload, and the
-    document reader marks each complex it builds, whose objects it
-    checked as it read them, so that :func:`acgw.chains.validate_complex`
-    does not check them again."""
+    morphism, the chain validators the problems of a complex or chain
+    morphism (a list no caller may change), and
+    :func:`acgw.homology.homology` a complex's homology grids, in one dict
+    by degree.  A build that returns None stores nothing and runs again on
+    the next call.  A value may also be stored when the object is built:
+    the finite-set ``coker``/``ker`` keep in each complement leg the image
+    set it complements, the fifth finite-set memo, which is never built
+    from the leg's own payload, and the document reader marks each complex
+    it builds, whose objects it checked as it read them, so that
+    :func:`acgw.chains.validate_complex` does not check them again."""
 
     def wrap(build):
         @functools.wraps(build)
@@ -226,7 +227,8 @@ class AcgwInstance(ABC):
       level payloads, with their defaults); the reader forces the bar levels
       of a ``hor``/``ver`` section with :meth:`hor_between_cokers`/
       :meth:`ver_between_kernels`, which raise :class:`AcgwError` on legs
-      and levels not yet validated;
+      and levels not yet validated; a section whose bar levels cannot be
+      forced over an invalid complex is kept without them, unchecked;
     * rank oracle: :attr:`prime` and :meth:`boundary_matrix`;
     * homology: :meth:`homology_span` (the span :func:`acgw.h_on_map`
       returns) and :meth:`homology_embedding` (the levels of

@@ -33,6 +33,9 @@ sections::
 ``#`` starts a comment.  Indentation is cosmetic; content lines attach to
 the most recent section header.  Ids match ``[A-Za-z0-9_.+-]+``.  The
 serializer emits a canonical form that parses back to an equal document.
+
+:func:`section_problems` decides whether a section may be computed on;
+:func:`validate_document` and the ``acgw`` commands both ask it.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .chains import (
     validate_hor_chain_mor,
     validate_ver_chain_mor,
 )
-from .core import AcgwError, AcgwInstance, HorMor, VerMor
+from .core import AcgwError, AcgwInstance, HorMor, VerMor, _memoized
 from .finset import FinSetInstance
 from .linear import LinearInstance
 from .snake import (
@@ -74,6 +77,8 @@ __all__ = [
     "Document",
     "parse",
     "serialize",
+    "section_complexes",
+    "section_problems",
     "validate_document",
 ]
 
@@ -142,9 +147,12 @@ class Document:
     def map_named(self, name: str) -> ChainMap:
         return self._named(self.maps, name, "chain map")
 
+    def sub_named(self, name: str) -> HorChainMor:
+        """The sub morphism of the short exact sequence ``name``."""
+        return self.hor_named(self._named(self.seses, name, "short exact sequence"))
+
     def ses_named(self, name: str) -> ChainSES:
-        hor = self._named(self.seses, name, "short exact sequence")
-        return ses_from_injection(self.hor_named(hor))
+        return ses_from_injection(self.sub_named(name))
 
     def snake_weak_named(self, name: str) -> SnakeInputWeak:
         return self._named(self.snakes_weak, name, "weak snake input")
@@ -452,13 +460,12 @@ def _chain_mor(
     src: ChainComplex,
     tgt: ChainComplex,
     flavor: str,
-    section: tuple,
 ):
     """The ``flavor`` chain morphism ``src -> tgt`` (or ``src => tgt``)
     whose levels are the raw ``key`` lines of the section that starts at
-    ``line``; its bar levels are forced by the transition legs.  One that
-    cannot be is blamed on the first invalid complex of the section, if
-    there is one: ``section`` is its label and ``(name, complex)`` pairs."""
+    ``line``; its bar levels are forced by the transition legs.  When one
+    cannot be and ``src`` or ``tgt`` is invalid, the morphism is kept with
+    no bar levels, for :func:`section_problems` to report unchecked."""
     chain, mor_type, between, below, leg = _FLAVOURS[flavor]
     for deg, (at, _) in levels.items():
         if not src.lo <= deg <= src.hi:
@@ -474,13 +481,9 @@ def _chain_mor(
             for i, p, q in legs
         )
     except ParseError:
-        label, named = section
-        for name, cx in named:
-            found = validate_complex(cx)
-            if found:
-                what = f"{label}: not checked, complex {name} is invalid: {found[0]}"
-                raise ParseError(line, what) from None
-        raise
+        if not (validate_complex(src) or validate_complex(tgt)):
+            raise
+        bars = ()
     return chain(src, tgt, mors, bars)
 
 
@@ -520,8 +523,7 @@ def parse(text: str) -> Document:
     mors: dict[str, list] = {"hor": [], "ver": []}
     for flavor, raw in raw_mors:
         src, tgt = lookup(raw.line, raw.src), lookup(raw.line, raw.tgt)
-        section = f"{flavor} {raw.name}", ((raw.src, src), (raw.tgt, tgt))
-        f = _chain_mor(inst, raw.line, "level", raw.levels, src, tgt, flavor, section)
+        f = _chain_mor(inst, raw.line, "level", raw.levels, src, tgt, flavor)
         mors[flavor].append((raw.name, f))
     hors, vers = mors["hor"], mors["ver"]
 
@@ -530,9 +532,8 @@ def parse(text: str) -> Document:
         src = lookup(raw.line, raw.src)
         mid = lookup(raw.line, raw.mid)
         tgt = lookup(raw.line, raw.tgt)
-        section = f"map {raw.name}", ((raw.src, src), (raw.mid, mid), (raw.tgt, tgt))
-        back = _chain_mor(inst, raw.line, "back", raw.back, mid, src, "ver", section)
-        front = _chain_mor(inst, raw.line, "front", raw.front, mid, tgt, "hor", section)
+        back = _chain_mor(inst, raw.line, "back", raw.back, mid, src, "ver")
+        front = _chain_mor(inst, raw.line, "front", raw.front, mid, tgt, "hor")
         maps.append((raw.name, ChainMap(src, mid, tgt, back, front)))
 
     seses: list[tuple[str, str]] = []
@@ -647,62 +648,69 @@ def serialize(doc: Document) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: the key under which a sub morphism keeps the problems of its sequence
+_SES = "_document_ses_problems"
+
+
+@_memoized(_SES)
+def _ses_problems_of(f: HorChainMor) -> list[str]:
+    """The problems of the short exact sequence that ``f``, between valid
+    complexes, generates, kept in ``f``.  The quotient is built along
+    ``f``, so when ``f`` has problems they are given as ``sub:`` lines."""
+    sub = validate_hor_chain_mor(f)
+    if sub:
+        return [f"sub: {p}" for p in sub]
+    try:
+        ses = ses_from_injection(f)
+    except AcgwError as exc:
+        return [f"cannot build the quotient ({exc})"]
+    return _ses_problems(ses)
+
+
+def _section(doc: Document, head: str, name: str):
+    """The section ``head name`` of ``doc``, the complexes it lies over
+    (its ``source``, ``middle`` and ``target``; a snake input has none)
+    and the check of its problems over valid complexes.  An ``ses``
+    section is its sub morphism."""
+    named, check = {
+        "hor": (doc.hor_named, validate_hor_chain_mor),
+        "ver": (doc.ver_named, validate_ver_chain_mor),
+        "map": (doc.map_named, validate_chain_map),
+        "ses": (doc.sub_named, _ses_problems_of),
+        "snake weak": (doc.snake_weak_named, validate_snake_weak),
+        "snake strong": (doc.snake_strong_named, validate_snake_strong),
+    }[head]
+    section = named(name)
+    ends = ("source", "middle", "target")
+    return section, tuple(getattr(section, a) for a in ends if hasattr(section, a)), check
+
+
+def section_complexes(doc: Document, head: str, name: str) -> tuple[ChainComplex, ...]:
+    """The complexes that the section ``head name`` of ``doc`` lies over."""
+    return _section(doc, head, name)[1]
+
+
+def section_problems(doc: Document, head: str, name: str) -> list[str]:
+    """The lines ``validate`` prints for the section ``head name`` of
+    ``doc`` (``head`` is ``hor``, ``ver``, ``map``, ``ses``, ``snake weak``
+    or ``snake strong``); an unknown name raises :class:`AcgwError`.  A
+    section over an invalid complex is not checked or computed on: it gets
+    one line naming the first such complex.  The problems are kept on the
+    complexes and chain morphisms, so asking again checks nothing."""
+    section, over, check = _section(doc, head, name)
+    for cx in over:
+        if validate_complex(cx):
+            return [f"{head} {name}: not checked, complex {doc.name_of(cx)} is invalid"]
+    return [f"{head} {name}: {p}" for p in check(section)]
+
+
 def validate_document(doc: Document) -> list[str]:
-    """Collect all structural problems of every section of a document.
-
-    A ``hor``, ``ver``, ``map`` or ``ses`` section over a complex with
-    problems is not checked or computed on (its checks take valid
-    complexes); it gets one line naming the first such complex.  An
-    ``ses`` section whose sub morphism has problems gets them as ``sub:``
-    lines, and its quotient is not built.
-    """
-    problems: list[str] = []
-    invalid: set[str] = set()
-    for name, cx in doc.complexes:
-        found = validate_complex(cx)
-        problems += [f"complex {name}: {p}" for p in found]
-        if found:
-            invalid.add(name)
-
-    def unchecked(section: str, *complexes: ChainComplex) -> bool:
-        """Whether ``section`` is over an invalid complex; if so, say so."""
-        for cx in complexes:
-            name = doc.name_of(cx)
-            if name in invalid:
-                problems.append(f"{section}: not checked, complex {name} is invalid")
-                return True
-        return False
-
-    hor_problems = {}
-    for name, f in doc.hors:
-        if not unchecked(f"hor {name}", f.source, f.target):
-            hor_problems[name] = validate_hor_chain_mor(f)
-            problems += [f"hor {name}: {p}" for p in hor_problems[name]]
-    for name, g in doc.vers:
-        if not unchecked(f"ver {name}", g.source, g.target):
-            problems += [f"ver {name}: {p}" for p in validate_ver_chain_mor(g)]
-    for name, f in doc.maps:
-        if not unchecked(f"map {name}", f.source, f.middle, f.target):
-            problems += [f"map {name}: {p}" for p in validate_chain_map(f)]
-    hors = dict(doc.hors)
-    for name, hor_name in doc.seses:
-        sub = hors.get(hor_name)
-        if sub is not None and unchecked(f"ses {name}", sub.source, sub.target):
-            continue
-        if hor_problems.get(hor_name):
-            # the quotient is built along the sub morphism: an invalid one
-            # gets its own lines and no quotient, as in ``acgw les``
-            problems += [f"ses {name}: sub: {p}" for p in hor_problems[hor_name]]
-            continue
-        try:
-            ses = doc.ses_named(name)
-        except AcgwError as exc:
-            problems.append(f"ses {name}: cannot build the quotient ({exc})")
-            continue
-        # The sub morphism is the hor section checked above, and valid.
-        problems += [f"ses {name}: {p}" for p in _ses_problems(ses, [])]
-    for name, s in doc.snakes_weak:
-        problems += [f"snake weak {name}: {p}" for p in validate_snake_weak(s)]
-    for name, s in doc.snakes_strong:
-        problems += [f"snake strong {name}: {p}" for p in validate_snake_strong(s)]
+    """Every structural problem of a document: those of each complex,
+    then :func:`section_problems` of each section, taken by head in the
+    order below."""
+    problems = [f"complex {n}: {p}" for n, cx in doc.complexes for p in validate_complex(cx)]
+    heads = ("hor", "ver", "map", "ses", "snake weak", "snake strong")
+    fields = (doc.hors, doc.vers, doc.maps, doc.seses, doc.snakes_weak, doc.snakes_strong)
+    for head, sections in zip(heads, fields):
+        problems += [p for name, _ in sections for p in section_problems(doc, head, name)]
     return problems

@@ -260,14 +260,30 @@ def test_coker_hor_keeps_its_quotient_out_of_pickles_and_copies():
         assert again is not quot and again == quot
 
 
+def test_chain_morphisms_keep_their_problems_out_of_pickles_and_copies():
+    for f in (gen_hor_mor(GenConfig(seed=3)), gen_ver_mor(GenConfig(seed=3))):
+        check = validate_hor_chain_mor if isinstance(f, HorChainMor) else validate_ver_chain_mor
+        fresh = replace(f)
+        problems = check(f)
+        # checked once per object; the list sits beside the declared fields
+        assert problems == [] and check(f) is problems
+        assert len(vars(f)) == len(vars(fresh)) + 1
+        assert f == fresh and pickle.dumps(f) == pickle.dumps(fresh)
+        for copied in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert vars(copied).keys() == vars(fresh).keys()
+            assert check(copied) == [] and check(copied) is not problems
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_a_complex_keeps_its_grids_and_mark_out_of_pickles_and_copies(name):
     for _, cx in parse(corpus_text(name)).complexes:
         fresh = replace(cx)
-        assert validate_complex(cx) == []
+        problems = validate_complex(cx)
+        assert problems == [] and validate_complex(cx) is problems
         grid = homology(cx, cx.lo)
-        # the reader's mark and the grids sit beside the declared fields
-        assert len(vars(cx)) == len(vars(fresh)) + 2
+        # the reader's mark, the problems and the grids sit beside the
+        # declared fields
+        assert len(vars(cx)) == len(vars(fresh)) + 3
         assert cx == fresh and (repr(cx), hash(cx)) == (repr(fresh), hash(fresh))
         assert pickle.dumps(cx) == pickle.dumps(fresh)
         for copied in (pickle.loads(pickle.dumps(cx)), copy.copy(cx), copy.deepcopy(cx)):
@@ -275,6 +291,7 @@ def test_a_complex_keeps_its_grids_and_mark_out_of_pickles_and_copies(name):
             assert vars(copied).keys() == vars(fresh).keys()
             again = homology(copied, cx.lo)
             assert again is not grid and again == grid
+            assert validate_complex(copied) is not problems
 
 
 # ---------------------------------------------------------------------------

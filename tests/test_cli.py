@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acgw import parse, serialize, validate_document
+from acgw import ParseError, parse, serialize, validate_complex, validate_document
 from acgw.cli import main
+from acgw.documents import section_complexes, section_problems
 
 from conftest import CORPUS_NAMES, corpus_text
 
@@ -433,9 +434,13 @@ def test_oracle_on_a_leg_that_misses_its_target_is_an_error_line():
         "    up: t->missing\n"
         "    down: t->p\n"
     )
-    code, _, err = run_on_stdin(["oracle", "-"], text)
-    assert code == 1
-    assert err.startswith("error: transition 2:") and "'t'" in err
+    # the complex is checked before the ranks are taken
+    assert run_on_stdin(["oracle", "-"], text) == (
+        1,
+        "",
+        "error: oracle: not checked, complex X is invalid\n"
+        "  complex X: transition 2 upper leg: morphism maps outside its target: ['missing']\n",
+    )
 
 
 #: an F_3 complex whose upper leg is not surjective, though both legs have
@@ -467,14 +472,22 @@ OVERLAPPING_LEGS = (
 )
 
 
-def test_oracle_on_an_invalid_complex_is_not_checked():
-    # The ranks can be taken; no structural homology is computed.
-    code, out, err = run_on_stdin(["oracle", "-"], NOT_SURJECTIVE)
-    assert code == 1
-    assert "DISAGREE" not in out + err
+@pytest.mark.parametrize(
+    "text,problem",
+    [
+        (NOT_SURJECTIVE, "transition 2 upper leg: vertical matrix is not surjective"),
+        (OVERLAPPING_LEGS, "chain condition fails at degree 1: transition images overlap in {a}"),
+    ],
+    ids=["linear", "set"],
+)
+def test_oracle_on_an_invalid_complex_is_not_checked(text, problem):
+    # Neither the ranks nor the structural homology are computed; the
+    # error names the command and the complex, as homology and render do.
+    code, out, err = run_on_stdin(["oracle", "-"], text)
+    assert (code, out) == (1, "")
     assert err.splitlines() == [
         "error: oracle: not checked, complex X is invalid",
-        "  complex X: transition 2 upper leg: vertical matrix is not surjective",
+        f"  complex X: {problem}",
     ]
 
 
@@ -973,3 +986,81 @@ def test_les_checks_the_sub_morphism_before_building_the_quotient(name):
     # from the quotient that names no section
     lines = [p.replace("hor f: ", "ses S: sub: ", 1) for p in hor_problems]
     assert (code, out, err) == (1, "", "error: " + "\n  ".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# one section checker: validate prints each complex's problems and then the
+# lines of section_problems for every section; les and map-homology raise
+# those lines for a section over valid complexes
+# ---------------------------------------------------------------------------
+
+#: each section head and the document field that holds its sections
+SECTION_FIELDS = {
+    "hor": "hors",
+    "ver": "vers",
+    "map": "maps",
+    "ses": "seses",
+    "snake weak": "snakes_weak",
+    "snake strong": "snakes_strong",
+}
+
+#: the command that computes on a section of each head, and its name flag
+SECTION_COMMANDS = {"ses": ("les", "--ses"), "map": ("map-homology", "--map")}
+
+
+def _check_the_one_section_checker(text: str) -> None:
+    try:
+        doc = parse(text)
+    except ParseError:
+        return
+    # a second parse, whose complexes and morphisms have kept no problems
+    fresh = parse(text)
+    expected = [f"complex {n}: {p}" for n, cx in fresh.complexes for p in validate_complex(cx)]
+    for head, field in SECTION_FIELDS.items():
+        for name, _ in getattr(fresh, field):
+            expected += section_problems(fresh, head, name)
+    assert validate_document(doc) == expected
+    for head, (command, flag) in SECTION_COMMANDS.items():
+        for name, _ in getattr(doc, SECTION_FIELDS[head]):
+            if any(validate_complex(cx) for cx in section_complexes(doc, head, name)):
+                continue
+            lines = section_problems(doc, head, name)
+            code, out, err = run_on_stdin([command, "-", flag, name], text)
+            if lines:
+                assert (code, out, err) == (1, "", "error: " + "\n  ".join(lines) + "\n")
+            else:
+                assert (code, err) == (0, "")
+
+
+#: documents with every kind of section, with and without problems
+CHECKER_DOCS = {
+    **{name: corpus_text(name) for name in CORPUS_NAMES},
+    **{f"ses-{name}": text for name, (text, _) in SES_DOCS.items()},
+    **{f"invalid-{name}": text for name, (text, _) in INVALID_COMPLEX_DOCS.items()},
+    "span_legs_without_back_2": SPAN_LEGS_WITHOUT_BACK_2,
+    "inclusion_pair_without_level_2": INCLUSION_PAIR_WITHOUT_LEVEL_2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKER_DOCS))
+def test_validate_and_the_commands_print_the_lines_of_one_section_checker(name):
+    _check_the_one_section_checker(CHECKER_DOCS[name])
+
+
+@settings(deadline=None, max_examples=100)
+@given(mutated_corpus_text())
+def test_one_section_checker_on_mutated_corpus_documents(text):
+    _check_the_one_section_checker(text)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["les", "-", "--ses", "NOPE"], "document has no short exact sequence named 'NOPE'"),
+        (["map-homology", "-", "--map", "NOPE"], "document has no chain map named 'NOPE'"),
+    ],
+    ids=["les", "map-homology"],
+)
+def test_an_unknown_section_name_is_an_error_line(argv, message):
+    for name in CHECKER_DOCS:
+        assert run_on_stdin(argv, CHECKER_DOCS[name]) == (1, "", f"error: {message}\n")

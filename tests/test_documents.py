@@ -32,7 +32,7 @@ from acgw import (
 )
 from acgw import chains, documents
 from acgw.chains import Transition
-from acgw.cli import _GEN
+from acgw.cli import _GEN, main
 from acgw.snake import snake_strong, snake_weak, zigzag_is_exact
 
 from conftest import CORPUS_NAMES, INSTANCES, PRIMES, corpus_doc, corpus_text
@@ -514,7 +514,8 @@ def test_broken_set_documents_keep_their_messages(case):
 # Bar levels: the reader forces each one with the instance's induced
 # morphism between complements (``hor_between_cokers`` or
 # ``ver_between_kernels``), before validation.  When one cannot be forced
-# over an invalid complex, the complex is blamed, not the level.
+# over an invalid complex, the section is kept without bar levels and
+# reported as not checked; over valid complexes the level is blamed.
 # ---------------------------------------------------------------------------
 
 
@@ -583,25 +584,49 @@ SWAP_COMPLEX = """complex X:
 """
 
 
+#: the problem of ``X`` in ``_set_doc("s->a t->z", ...)``
+OUTSIDE_Z = "complex X: transition 2 upper leg: morphism maps outside its target: ['z']"
+
+
 @pytest.mark.parametrize(
-    "text,message",
+    "text,expected",
     [
-        # over an invalid complex: the complex is blamed
         (
             LINEAR_NOT_SURJECTIVE,
-            "line 18: hor f: not checked, complex X is invalid: "
-            "transition 2 upper leg: vertical matrix is not surjective",
+            [
+                "complex X: transition 2 upper leg: vertical matrix is not surjective",
+                "hor f: not checked, complex X is invalid",
+            ],
         ),
         (
             _set_doc("s->a t->z", IDENTITY_HOR),
-            "line 14: hor f: not checked, complex X is invalid: "
-            "transition 2 upper leg: morphism maps outside its target: ['z']",
+            [OUTSIDE_Z, "hor f: not checked, complex X is invalid"],
         ),
         (
             _set_doc("s->a t->z", IDENTITY_MAP),
-            "line 14: map F: not checked, complex X is invalid: "
-            "transition 2 upper leg: morphism maps outside its target: ['z']",
+            [OUTSIDE_Z, "map F: not checked, complex X is invalid"],
         ),
+    ],
+    ids=["linear", "set", "set-map"],
+)
+def test_a_bar_level_that_cannot_be_forced_over_an_invalid_complex_is_not_checked(
+    tmp_path, capsys, text, expected
+):
+    # the same lines for an F_p and a set document, and the valid complex
+    # Y can still be computed on
+    doc = parse(text)
+    assert validate_document(doc) == expected
+    sections = [f for _, f in doc.hors] + [m for _, f in doc.maps for m in (f.back, f.front)]
+    assert () in [f.bar_levels for f in sections]
+    path = tmp_path / "doc.acgw"
+    path.write_text(text)
+    assert main(["homology", str(path), "--name", "Y"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
         # over valid complexes: the bar level is blamed.  The level sends a,
         # the upper image of s, to b, which no transition element sits above
         (
@@ -625,7 +650,7 @@ SWAP_COMPLEX = """complex X:
             "line 15: bar level 2: induced complement morphism is not injective",
         ),
     ],
-    ids=["linear", "set", "set-map", "set-hor", "set-ver", "linear-hor"],
+    ids=["set-hor", "set-ver", "linear-hor"],
 )
 def test_a_bar_level_that_cannot_be_forced_is_a_parse_error(text, message):
     with pytest.raises(ParseError) as err:

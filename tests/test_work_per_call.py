@@ -141,6 +141,21 @@ def test_validate_document_checks_each_morphism_once(monkeypatch):
     assert counting.calls["validate_obj"] == 5
 
 
+@pytest.mark.parametrize("name", ["inclusion_pair", "span_legs", "three_term_ses", "linear_small"])
+def test_a_second_validate_document_checks_nothing_again(monkeypatch, name):
+    inst = corpus_doc(name).inst
+    counting = CountingInstance(inst)
+    monkeypatch.setattr(type(inst), "from_header", classmethod(lambda cls, prime: counting))
+    doc = parse(corpus_text(name))
+    assert validate_document(doc) == []
+    assert sum(counting.calls.values()) > 0
+    counting.calls.clear()
+    # each complex, chain morphism and ses section keeps its problems, so
+    # the second call asks the instance nothing
+    assert validate_document(doc) == []
+    assert counting.calls == Counter()
+
+
 def test_les_of_ses_primitive_counts(monkeypatch):
     counting = CountingInstance(FinSetInstance())
     monkeypatch.setattr(FinSetInstance, "from_header", classmethod(lambda cls, prime: counting))
