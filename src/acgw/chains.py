@@ -42,14 +42,17 @@ The document reader checks each object as it reads it and marks the
 complex it builds, so :func:`validate_complex` checks only the legs and
 the chain condition of a complex read from a document.
 
-A document's short exact sequence is validated, tested for exactness and
-turned into a long exact sequence from one horizontal chain morphism,
-so :func:`coker_hor` keeps the quotient it builds in that morphism's
+The quasi-isomorphism test of a pair
+(:func:`acgw.homology.qiso_iff_complement_exact`) and its long exact
+sequence both take the quotient of one horizontal chain morphism, so
+:func:`coker_hor` keeps the quotient it builds in that morphism's
 ``__dict__`` (by :func:`acgw.core._memoized`), as the finite-set
 instance keeps a morphism's dicts; the validators of complexes and chain
-morphisms keep their problems so.  A chain morphism pickles and copies
-by its four declared fields, so neither leaves the process; a complex
-pickles and copies by its five, without its mark, its problems and the
+morphisms keep their problems so.  A document's ``ses`` section is
+checked as its sub morphism: the quotient of a valid one is valid, so
+validation builds none.  A chain morphism pickles and copies by its
+four declared fields, so neither leaves the process; a complex pickles
+and copies by its five, without its mark, its problems and the
 homology grids that :func:`acgw.homology.homology` keeps in it.
 """
 
@@ -385,26 +388,22 @@ class ChainSES:
 
 def validate_chain_ses(ses: ChainSES) -> list[str]:
     """The problems of a short exact sequence into a valid complex; the
-    objects of the sub and quotient complexes are checked here.  A sub
-    morphism with problems gets only those, as ``sub:`` lines."""
+    objects of the sub and quotient complexes are checked here, once each.
+    A sub morphism with problems gets only those, as ``sub:`` lines."""
     sub = _chain_mor_problems(ses.sub, False)
-    return [f"sub: {p}" for p in sub] if sub else _ses_problems(ses)
-
-
-def _ses_problems(ses: ChainSES) -> list[str]:
-    """The problems of ``ses``, whose sub morphism is valid.  Nothing else
-    checks the quotient complex, which :func:`coker_hor` builds, so its
-    objects are checked here, once each."""
+    if sub:
+        return [f"sub: {p}" for p in sub]
     problems = [f"quot: {p}" for p in _chain_mor_problems(ses.quot, False)]
     if problems:
         return problems
     if ses.sub.target != ses.quot.target:
         return ["sub and quot do not land in the same complex"]
     inst = ses.sub.source.inst
-    for i in ses.sub.source.degrees():
-        if not inst.is_complement_pair(ses.sub.level(i), ses.quot.level(i)):
-            problems.append(f"levels at degree {i} are not a complement pair")
-    return problems
+    return [
+        f"levels at degree {i} are not a complement pair"
+        for i in ses.sub.source.degrees()
+        if not inst.is_complement_pair(ses.sub.level(i), ses.quot.level(i))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,24 @@ __all__ = ["main"]
 
 
 def _read_text(path: str) -> str:
+    """The document at ``path``, or on stdin for ``-``, read as bytes and
+    decoded as UTF-8; a byte that is not UTF-8 is a :class:`ParseError`
+    at its line.  A stdin that is a text stream with no bytes beneath it
+    is read as text."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        stream = getattr(sys.stdin, "buffer", None)
+        if stream is None:
+            return sys.stdin.read()
+        data = stream.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; the parser splits lines so too
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})") from None
 
 
 def _load(path: str) -> Document:

@@ -102,21 +102,9 @@ def _memoized(key: str):
     it under ``key`` in the object's ``__dict__``, as
     ``functools.cached_property`` does on a frozen dataclass: ``==``,
     ``hash``, ``repr`` and pickling read only the declared fields, so they
-    never see it.  The finite-set instance keeps four values of a
-    morphism's payload this way: its dict, inverse dict, image set and the
-    rest of its target, the complement that ``coker``/``ker`` return,
-    which ``validate_payload`` fills when it checks the payload.
-    :func:`acgw.chains.coker_hor` keeps the quotient of a horizontal chain
-    morphism, the chain validators the problems of a complex or chain
-    morphism (a list no caller may change), and
-    :func:`acgw.homology.homology` a complex's homology grids, in one dict
-    by degree.  A build that returns None stores nothing and runs again on
-    the next call.  A value may also be stored when the object is built:
-    the finite-set ``coker``/``ker`` keep in each complement leg the image
-    set it complements, the fifth finite-set memo, which is never built
-    from the leg's own payload, and the document reader marks each complex
-    it builds, whose objects it checked as it read them, so that
-    :func:`acgw.chains.validate_complex` does not check them again."""
+    never see it.  A build that returns None stores nothing and runs again
+    on the next call.  A value may also be stored under ``key`` when the
+    object is built, by whoever builds it."""
 
     def wrap(build):
         @functools.wraps(build)

@@ -52,14 +52,13 @@ from .chains import (
     Transition,
     VerChainMor,
     _READ,
-    _ses_problems,
     ses_from_injection,
     validate_chain_map,
     validate_complex,
     validate_hor_chain_mor,
     validate_ver_chain_mor,
 )
-from .core import AcgwError, AcgwInstance, HorMor, VerMor, _memoized
+from .core import AcgwError, AcgwInstance, HorMor, VerMor
 from .finset import FinSetInstance
 from .linear import LinearInstance
 from .snake import (
@@ -167,11 +166,11 @@ class Document:
 # ---------------------------------------------------------------------------
 
 
-def _parse_degree(line: int, token: str) -> int:
+def _parse_int(line: int, token: str, what: str = "degree") -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(line, f"bad degree {token!r}") from None
+        raise ParseError(line, f"bad {what} {token!r}") from None
 
 
 def _content(line: int, text: str, key: str) -> str:
@@ -260,7 +259,7 @@ def _scan(text: str):
 
     def level_line(no: int, store: dict, key: str, rest: str) -> None:
         deg_tok, _, payload = rest.partition(":")
-        deg = _parse_degree(no, deg_tok.strip())
+        deg = _parse_int(no, deg_tok.strip())
         if deg in store:
             raise ParseError(no, f"repeated {key} degree {deg}")
         store[deg] = (no, payload.strip())
@@ -285,7 +284,7 @@ def _scan(text: str):
         if head == "prime":
             if prime is not None:
                 raise ParseError(no, "repeated prime line")
-            prime = (no, _parse_degree(no, rest))
+            prime = (no, _parse_int(no, rest, "prime"))
             continue
 
         if head == "complex":
@@ -330,7 +329,7 @@ def _scan(text: str):
                 deg_tok, sep, payload = rest.partition(":")
                 if not sep:
                     raise ParseError(no, f"missing ':' in {head} line")
-                deg = _parse_degree(no, deg_tok.strip())
+                deg = _parse_int(no, deg_tok.strip())
                 store = current.objects if head == "object" else current.transitions
                 if deg in store:
                     raise ParseError(no, f"repeated {head} degree {deg}")
@@ -648,23 +647,11 @@ def serialize(doc: Document) -> str:
 # ---------------------------------------------------------------------------
 
 
-#: the key under which a sub morphism keeps the problems of its sequence
-_SES = "_document_ses_problems"
-
-
-@_memoized(_SES)
-def _ses_problems_of(f: HorChainMor) -> list[str]:
-    """The problems of the short exact sequence that ``f``, between valid
-    complexes, generates, kept in ``f``.  The quotient is built along
-    ``f``, so when ``f`` has problems they are given as ``sub:`` lines."""
-    sub = validate_hor_chain_mor(f)
-    if sub:
-        return [f"sub: {p}" for p in sub]
-    try:
-        ses = ses_from_injection(f)
-    except AcgwError as exc:
-        return [f"cannot build the quotient ({exc})"]
-    return _ses_problems(ses)
+def _sub_problems(f: HorChainMor) -> list[str]:
+    """The problems of an ``ses`` section on ``f``: those of ``f``, as
+    ``sub:`` lines.  The quotient of a valid sub morphism is valid, so it
+    is not built here; of the ``acgw`` commands, only ``les`` builds it."""
+    return [f"sub: {p}" for p in validate_hor_chain_mor(f)]
 
 
 def _section(doc: Document, head: str, name: str):
@@ -676,7 +663,7 @@ def _section(doc: Document, head: str, name: str):
         "hor": (doc.hor_named, validate_hor_chain_mor),
         "ver": (doc.ver_named, validate_ver_chain_mor),
         "map": (doc.map_named, validate_chain_map),
-        "ses": (doc.sub_named, _ses_problems_of),
+        "ses": (doc.sub_named, _sub_problems),
         "snake weak": (doc.snake_weak_named, validate_snake_weak),
         "snake strong": (doc.snake_strong_named, validate_snake_strong),
     }[head]

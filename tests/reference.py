@@ -67,6 +67,10 @@ assert the two agree:
   the three payloads, where the document reader calls
   :meth:`acgw.FinSetInstance.hor_between_cokers`/``ver_between_kernels``,
   which chase the leg's images in one pass per morphism.
+
+Beside them, :func:`renamed_sub` builds an input: a finite-set sub
+morphism whose levels are not literal inclusions, renamed with the
+complex relabelling that :func:`h_on_map_via_les` uses.
 """
 
 import re
@@ -176,6 +180,31 @@ def _relabel_complex(z, level_map, bar_map):
             )
         )
     return ChainComplex(z.inst, z.lo, z.hi, objects, tuple(transitions))
+
+
+def renamed_sub(f):
+    """A finite-set horizontal chain morphism ``f`` with every id of its
+    source renamed: equal to ``f`` up to that renaming, with levels that
+    are not literal inclusions."""
+    inst, x, y = f.source.inst, f.source, f.target
+    names = {i: {v: f"renamed.{v}" for v in x.obj(i)} for i in x.degrees()}
+    bar_names = {
+        i: {v: f"renamed.{v}" for v in x.transition(i).obj} for i in x.transition_degrees()
+    }
+    renamed = _relabel_complex(x, names, bar_names)
+
+    def moved(mor, src, tgt, ids):
+        return inst.hor(src, tgt, {ids[a]: b for a, b in mapping_of(mor).items()})
+
+    return HorChainMor(
+        renamed,
+        y,
+        tuple(moved(f.level(i), renamed.obj(i), y.obj(i), names[i]) for i in x.degrees()),
+        tuple(
+            moved(f.bar_level(i), renamed.transition(i).obj, y.transition(i).obj, bar_names[i])
+            for i in x.transition_degrees()
+        ),
+    )
 
 
 def h_on_map_via_les(f, i):

@@ -28,6 +28,7 @@ from acgw import (
     gen_chain_map,
     gen_complex,
     gen_hor_mor,
+    gen_ses,
     gen_ver_mor,
     homology,
     id_chain_map,
@@ -45,6 +46,7 @@ from acgw import (
 )
 
 from conftest import CORPUS_NAMES, corpus_text
+from reference import renamed_sub
 
 INST = FinSetInstance()
 
@@ -236,6 +238,30 @@ def test_ses_from_injection_levels_are_complements():
         assert validate_chain_ses(ses) == []
         for i in f.target.degrees():
             assert INST.is_complement_pair(ses.sub.level(i), ses.quot.level(i))
+
+
+#: valid horizontal chain morphisms from a configuration: generated set
+#: inclusions, the sub of a generated sequence, that sub with its source
+#: renamed, and the F_p images of the first two
+SUBS = {
+    "set": gen_hor_mor,
+    "set_ses": lambda cfg: gen_ses(cfg).sub,
+    "set_renamed": lambda cfg: renamed_sub(gen_ses(cfg).sub),
+    "linear": lambda cfg: gen_hor_mor(replace(cfg, instance="linear")),
+    "linear_ses": lambda cfg: gen_ses(replace(cfg, instance="linear")).sub,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUBS))
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10**6), prime=st.sampled_from((2, 3, 65521, 2**31 - 1)))
+def test_a_valid_sub_has_a_valid_quotient(kind, seed, prime):
+    # a document's ses section is checked as its sub morphism alone, which
+    # holds only if the quotient built on a valid sub is valid too
+    f = SUBS[kind](GenConfig(seed=seed, prime=prime))
+    assert validate_hor_chain_mor(f) == []
+    assert validate_chain_ses(ses_from_injection(f)) == []
+    assert validate_complex(coker_hor(f).source) == []
 
 
 def test_coker_hor_keeps_its_quotient_out_of_pickles_and_copies():

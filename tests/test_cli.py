@@ -102,6 +102,38 @@ def test_stdin_dash(tmp_path, capsys, monkeypatch):
     assert main(["validate", "-"]) == 0
 
 
+#: documents with bytes that are not UTF-8, and the problem each gives,
+#: at the line of the first such byte; one has CRLF line ends
+NOT_UTF8 = {
+    "invalid_start": (
+        b"instance set\ncomplex X:\n  object 1: \xff\xfe\n",
+        "line 3: not UTF-8: byte 0xff (invalid start byte)",
+    ),
+    "crlf_truncated": (
+        b"instance set\r\ncomplex X:\r\n  object 1: a\xc3\r\n",
+        "line 3: not UTF-8: byte 0xc3 (invalid continuation byte)",
+    ),
+    "first_line": (b"\x80instance set\n", "line 1: not UTF-8: byte 0x80 (invalid start byte)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_UTF8))
+@pytest.mark.parametrize("source", ["path", "stdin"])
+def test_a_document_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch, name, source):
+    data, problem = NOT_UTF8[name]
+    path = tmp_path / "bad.acgw"
+    path.write_bytes(data)
+    # stdin decoded as a locale might, which the reader must not follow
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    file = str(path) if source == "path" else "-"
+    assert main(["validate", file]) == 1
+    assert capsys.readouterr() == (f"{problem}\n", "")
+    stdin.seek(0)
+    assert main(["homology", file]) == 1
+    assert capsys.readouterr() == ("", f"error: {problem}\n")
+
+
 def test_empty_complex_validates(tmp_path, capsys):
     doc = tmp_path / "empty.acgw"
     doc.write_text("instance set\ncomplex X:\n  object 0:\n")

@@ -220,6 +220,13 @@ def test_parse_error_lines(text, line, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("token", ["abc", "", "3.0"])
+def test_a_prime_that_is_not_an_integer_is_a_bad_prime(token):
+    with pytest.raises(ParseError) as err:
+        parse(f"instance linear\nprime {token}\n")
+    assert str(err.value) == f"line 2: bad prime {token!r}"
+
+
 def test_parse_fills_degree_gaps_with_empty_objects():
     text = "instance set\ncomplex X:\n  object 0: a\n  object 2: b\n"
     X = parse(text).complex_named("X")

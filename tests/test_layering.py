@@ -10,9 +10,9 @@ the instance modules and the pickling in ``core`` read a morphism's
 payload, that each instance module alone spells the keys of its
 per-morphism memo, ``chains`` alone the keys of a chain morphism's
 quotient, of the reader's mark on a complex and of the problems of
-either, ``homology`` alone the key of a complex's homology grids, and
-``documents`` alone the key of an ``ses`` section's problems, and that the public names of the
-package and of the finite-set module stay as they are.
+either, and ``homology`` alone the key of a complex's homology grids,
+and that the public names of the package and of the finite-set module
+stay as they are.
 """
 
 import ast
@@ -30,7 +30,6 @@ from acgw import (
     LinearInstance,
     VerMor,
     chains,
-    documents,
     finset,
     linear,
 )
@@ -155,15 +154,12 @@ def test_only_the_instances_and_pickling_read_a_payload():
 #: each module's memo keys: the finite-set dict, inverse dict, image set,
 #: rest of the target and a complement leg's kept image; a horizontal
 #: chain morphism's quotient, the reader's mark on a complex and the
-#: problems of a complex or chain morphism; a complex's homology grids;
-#: and the problems of the sequence a document's ``ses`` section generates,
-#: kept in its sub morphism.  An ``F_p`` morphism keeps nothing beside its
-#: payload
+#: problems of a complex or chain morphism; and a complex's homology
+#: grids.  An ``F_p`` morphism keeps nothing beside its payload
 MEMO_KEYS = {
     "finset": (finset._MEMO_KEYS, 5),
     "chains": ((chains._COKER, chains._READ, chains._PROBLEMS), 3),
     "homology": ((importlib.import_module("acgw.homology")._GRIDS,), 1),
-    "documents": ((documents._SES,), 1),
 }
 
 

@@ -31,9 +31,9 @@ from acgw.finset import mapping_of
 
 from conftest import INSTANCES, PRIMES, corpus_doc
 from reference import (
-    _relabel_complex,
     connecting_object_dual,
     rank_zigzag_exactness_reference,
+    renamed_sub,
     weak_closed_forms,
 )
 
@@ -183,33 +183,7 @@ def test_les_of_a_one_degree_linear_pair():
 def _renamed(ses):
     """``ses`` with every id of the sub-complex renamed: a valid short
     exact sequence on sets whose sub levels are not literal inclusions."""
-    inst, x, y = ses.sub.source.inst, ses.sub.source, ses.sub.target
-    names = {i: {v: f"renamed.{v}" for v in x.obj(i)} for i in x.degrees()}
-    bar_names = {
-        i: {v: f"renamed.{v}" for v in x.transition(i).obj} for i in x.transition_degrees()
-    }
-    renamed = _relabel_complex(x, names, bar_names)
-    sub = HorChainMor(
-        renamed,
-        y,
-        tuple(
-            inst.hor(
-                renamed.obj(i),
-                y.obj(i),
-                {names[i][a]: b for a, b in mapping_of(ses.sub.level(i)).items()},
-            )
-            for i in x.degrees()
-        ),
-        tuple(
-            inst.hor(
-                renamed.transition(i).obj,
-                y.transition(i).obj,
-                {bar_names[i][a]: b for a, b in mapping_of(ses.sub.bar_level(i)).items()},
-            )
-            for i in x.transition_degrees()
-        ),
-    )
-    return ChainSES(sub, ses.quot)
+    return ChainSES(renamed_sub(ses.sub), ses.quot)
 
 
 def test_les_of_renamed_levels():

@@ -126,19 +126,34 @@ def test_validate_document_checks_each_morphism_once(monkeypatch):
     counting.calls.clear()
     assert validate_document(doc) == []
     # The legs of X and Y (2 + 2 transitions, one hor and one ver leg
-    # each), the 3 levels and 2 bar levels of f, and those of the quotient
-    # of S, with one upper square per transition of f and one lower square
-    # per transition of the quotient.  Validating f again as the sub
-    # morphism of S took 23 checks and 6 classify_mixed calls.  Each
-    # morphism runs between objects checked before it, so only its payload
-    # is checked.
+    # each) and the 3 levels and 2 bar levels of f, with one upper square
+    # per transition of f.  The ses S is checked as f, its sub morphism;
+    # validating the quotient of S as well took 18 checks and 4
+    # classify_mixed calls, and validating f again as the sub morphism of
+    # S took 23 checks and 6 classify_mixed calls.  Each morphism runs
+    # between objects checked before it, so only its payload is checked.
     checks = ("validate_hor", "validate_ver", "validate_payload")
-    assert sum(counting.calls[name] for name in checks) == counting.calls["validate_payload"] == 18
-    assert counting.calls["classify_mixed"] == 4
-    # The 3 objects and 2 transition objects of the quotient complex, once
-    # each; the reader checked those of X and Y as it read them.  Checking
-    # them again took 15, and checking both endpoints of every morphism 42.
-    assert counting.calls["validate_obj"] == 5
+    assert sum(counting.calls[name] for name in checks) == counting.calls["validate_payload"] == 13
+    assert counting.calls["classify_mixed"] == 2
+    # The reader checked the objects of X and Y as it read them.  Checking
+    # the 3 objects and 2 transition objects of the quotient took 5;
+    # checking those of X and Y again as well took 15, and checking both
+    # endpoints of every morphism 42.
+    assert counting.calls["validate_obj"] == 0
+
+
+def test_validate_document_builds_no_quotient(monkeypatch):
+    counting = CountingInstance(FinSetInstance())
+    monkeypatch.setattr(FinSetInstance, "from_header", classmethod(lambda cls, prime: counting))
+    doc = parse(corpus_text("inclusion_pair"))
+    counting.calls.clear()
+    assert validate_document(doc) == []
+    # A valid sub morphism has a valid quotient, so the ses section is
+    # checked as its sub morphism.  Building the quotient of S and checking
+    # it took 3 coker, 2 mixed_pullback, 2 factor_ver, 5 validate_obj and 3
+    # is_complement_pair calls.
+    built = ("coker", "mixed_pullback", "factor_ver", "validate_obj", "is_complement_pair")
+    assert {name: counting.calls[name] for name in built} == dict.fromkeys(built, 0)
 
 
 @pytest.mark.parametrize("name", ["inclusion_pair", "span_legs", "three_term_ses", "linear_small"])
@@ -150,8 +165,9 @@ def test_a_second_validate_document_checks_nothing_again(monkeypatch, name):
     assert validate_document(doc) == []
     assert sum(counting.calls.values()) > 0
     counting.calls.clear()
-    # each complex, chain morphism and ses section keeps its problems, so
-    # the second call asks the instance nothing
+    # each complex and chain morphism keeps its problems, and an ses
+    # section is its sub morphism's, so the second call asks the instance
+    # nothing
     assert validate_document(doc) == []
     assert counting.calls == Counter()
 
@@ -205,10 +221,10 @@ def test_one_quotient_per_chain_morphism(monkeypatch):
     assert validate_document(doc) == []
     assert qiso_iff_complement_exact(doc.hor_named("f")) == (False, False)
     les_of_ses(doc.ses_named("S"))
-    # validate_document builds the quotient of f with one mixed pullback
-    # (Y has one transition); the exactness test and les_of_ses reuse it,
-    # and les_of_ses adds none.  Building the quotient in each of the three
-    # calls took 3, and splicing strong snakes 6 more.
+    # The exactness test builds the quotient of f with one mixed pullback
+    # (Y has one transition) and les_of_ses reuses it; validate_document
+    # builds none.  Building the quotient in each of the three calls took
+    # 3, and splicing strong snakes 6 more.
     assert counting.calls["mixed_pullback"] == 1
 
 
