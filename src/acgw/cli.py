@@ -14,7 +14,7 @@ import json
 import sys
 
 from .chains import ChainComplex, validate_complex
-from .core import AcgwError, ValidationError, flat_is_iso
+from .core import AcgwError, ValidationError, flat_is_iso, parse_decimal
 from .documents import (
     Document,
     ParseError,
@@ -407,10 +407,9 @@ def cmd_gen(args) -> int:
 def _size(text: str) -> int:
     """A ``--size`` value: an integer from 0 to the generators' cap, past
     which no document changes."""
-    try:
-        size = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    size = parse_decimal(text, signed=True)
+    if size is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if size < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {size}")
     if size > _MAX_SIZE:
@@ -421,12 +420,13 @@ def _size(text: str) -> int:
 def _prime(text: str) -> int:
     """A ``--prime`` value: a field order that :class:`LinearInstance`
     accepts, whose check words the error."""
+    prime = parse_decimal(text, signed=True)
+    if prime is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     try:
-        return LinearInstance(int(text)).prime
+        return LinearInstance(prime).prime
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:

@@ -91,6 +91,20 @@ class SquareClass(IntEnum):
         return self >= SquareClass.PSEUDO_COMMUTATIVE
 
 
+def parse_decimal(token: str, signed: bool = False) -> int | None:
+    """``token`` as ASCII decimal digits, after a ``-`` when ``signed``;
+    None for any other spelling, which ``int`` alone may also read
+    (``1_0``, ``+1``, spaces, other scripts' digits), and for more
+    digits than ``int`` converts."""
+    digits = token[1:] if signed and token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def _reduce_to_fields(mor):
     """Pickle and copy a morphism by its declared fields alone, leaving
     out whatever an instance keeps beside them in its ``__dict__``."""

@@ -58,7 +58,7 @@ from .chains import (
     validate_hor_chain_mor,
     validate_ver_chain_mor,
 )
-from .core import AcgwError, AcgwInstance, HorMor, VerMor
+from .core import AcgwError, AcgwInstance, HorMor, VerMor, parse_decimal
 from .finset import FinSetInstance
 from .linear import LinearInstance
 from .snake import (
@@ -166,11 +166,12 @@ class Document:
 # ---------------------------------------------------------------------------
 
 
-def _parse_int(line: int, token: str, what: str = "degree") -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line, f"bad {what} {token!r}") from None
+def _parse_int(line: int, token: str, what: str, signed: bool = False) -> int:
+    """``token`` as :func:`parse_decimal` reads it, else ``bad <what>``."""
+    value = parse_decimal(token, signed)
+    if value is None:
+        raise ParseError(line, f"bad {what} {token!r}")
+    return value
 
 
 def _content(line: int, text: str, key: str) -> str:
@@ -259,7 +260,7 @@ def _scan(text: str):
 
     def level_line(no: int, store: dict, key: str, rest: str) -> None:
         deg_tok, _, payload = rest.partition(":")
-        deg = _parse_int(no, deg_tok.strip())
+        deg = _parse_int(no, deg_tok.strip(), "degree", signed=True)
         if deg in store:
             raise ParseError(no, f"repeated {key} degree {deg}")
         store[deg] = (no, payload.strip())
@@ -329,7 +330,7 @@ def _scan(text: str):
                 deg_tok, sep, payload = rest.partition(":")
                 if not sep:
                     raise ParseError(no, f"missing ':' in {head} line")
-                deg = _parse_int(no, deg_tok.strip())
+                deg = _parse_int(no, deg_tok.strip(), "degree", signed=True)
                 store = current.objects if head == "object" else current.transitions
                 if deg in store:
                     raise ParseError(no, f"repeated {head} degree {deg}")

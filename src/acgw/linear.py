@@ -62,7 +62,12 @@ Both kernels skip what cannot matter, which is exact for any p.
 :func:`mat_rank` drops the all-zero rows and columns, then eliminates
 nothing when, oriented tall, every column holds the one nonzero entry of
 some row, as in a leg ``[I; A]``: that monomial submatrix proves full
-rank.  :func:`matmul_mod` keeps only the inner indices k where column k
+rank.  Else it eliminates at most ``_BLOCK`` rows at once: a taller
+matrix is ranked block by block against the reduced rows of the blocks
+above it, each block reduced mod p after each product, so that no entry
+leaves int64 near p = 2^63.  A rank-70 product of 200 x 200 then
+eliminates two blocks of 40 rows, and its other blocks cost products
+only.  :func:`matmul_mod` keeps only the inner indices k where column k
 of the left factor and row k of the right one are both nonzero, with the
 rows and columns they touch, when those indices are at most half of the
 inner range; a product of incidence matrices then costs its support
@@ -101,6 +106,7 @@ from .core import (
     SquareClass,
     ValidationError,
     VerMor,
+    parse_decimal,
 )
 
 __all__ = [
@@ -139,6 +145,14 @@ class VectObj:
 #: 2 us there, and the division grows to 170 us at 200 x 200 entries
 #: while reading the bound takes 7 us
 _SMALL = 256
+
+#: the most rows :func:`mat_rank` eliminates at once.  In three runs on
+#: a shared 2-vCPU Xeon, the 255 matrices a seed-1 ``linear_homology``
+#: pass ranks (dimension 20 to 200, ranks about a third of it) took 62 to
+#: 101 ms eliminated whole and 47 to 80 ms in blocks of 40 rows (the
+#: fastest of 7 calls each); blocks of 32, 48 and 64 rows were slower in
+#: every run.  At 40, a 40 x 40 boundary is one block and takes no product
+_BLOCK = 40
 
 
 def _reduced(a, p: int, copy: bool = False) -> np.ndarray:
@@ -288,9 +302,21 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def mat_rank(a: np.ndarray, p: int) -> int:
-    """Rank mod p: full, with nothing row-reduced, when the nonzero rows
-    and columns, oriented tall, hold a monomial submatrix (a row whose one
-    nonzero entry lies in each column); else by forward elimination."""
+    """Rank mod p.
+
+    The all-zero rows and columns are dropped and the rest is oriented
+    tall.  Its rank is full, with nothing row-reduced, when it holds a
+    monomial submatrix (a row whose one nonzero entry lies in each
+    column).  Else a matrix of at most ``_BLOCK`` rows is eliminated
+    forward.  A taller one is ranked one block of ``_BLOCK`` rows at a
+    time: each block subtracts its projection on the reduced basis of
+    every block above it, one product per basis, which leaves it zero on
+    their pivot columns, so its rank adds to theirs.  A block with nothing
+    left costs no elimination; another drops its zero columns and is
+    reduced to the next basis, and the last one is eliminated forward,
+    transposed when that gives it fewer columns.  The count stops once it
+    reaches the column count.
+    """
     r = np.asarray(a, dtype=np.int64)
     r = r[r.any(axis=1)]
     # boolean indexing copies: the elimination may work on ``r`` in place
@@ -298,7 +324,31 @@ def mat_rank(a: np.ndarray, p: int) -> int:
     tall = r if r.shape[0] >= r.shape[1] else r.T
     if tall[np.count_nonzero(tall, axis=1) == 1].any(axis=0).all():
         return tall.shape[1]
-    return len(_eliminate(r, p, reduced=False)[1])
+    if len(tall) <= _BLOCK:
+        return len(_eliminate(r, p, reduced=False)[1])
+    rank, bases = 0, []
+    for start in range(0, len(tall), _BLOCK):
+        block = tall[start : start + _BLOCK]
+        for basis, pivots in bases:
+            # reduced at once: unreduced differences of several bases
+            # would pass int64 near p = 2^63
+            block = (block - matmul_mod(block[:, pivots], basis, p)) % p
+        live = block.any(axis=0).nonzero()[0]
+        if not live.size:
+            continue
+        block = block[:, live]
+        if start + _BLOCK >= len(tall):
+            if block.shape[0] < block.shape[1]:
+                block = np.ascontiguousarray(block.T)
+            return rank + len(_eliminate(block, p, reduced=False)[1])
+        reduced, pivots = rref(block, p)
+        rank += len(pivots)
+        if rank == tall.shape[1]:
+            break
+        basis = np.zeros((len(pivots), tall.shape[1]), dtype=np.int64)
+        basis[:, live] = reduced[: len(pivots)]
+        bases.append((basis, live[pivots]))
+    return rank
 
 
 def _unit_rows(r: np.ndarray) -> np.ndarray | None:
@@ -653,10 +703,10 @@ class LinearInstance(AcgwInstance):
         return [f"prime {self.p}"]
 
     def obj_from_text(self, text: str) -> VectObj:
-        m = re.match(r"dim\s+(\d+)\Z", text)
-        if not m:
+        m = re.match(r"dim\s+(\S+)\Z", text)
+        dim = parse_decimal(m.group(1)) if m else None
+        if dim is None:
             raise ValidationError([f"want: dim N, got {text!r}"])
-        dim = int(m.group(1))
         if dim > _MAX_DIM:
             raise ValidationError([f"dimension {dim} exceeds {_MAX_DIM}"])
         return self.obj(dim)

@@ -16,6 +16,12 @@ The long exact homology sequence of a short exact sequence of complexes
 (:func:`les_of_ses`) is built from the homology of each degree: the
 spans the two chain morphisms induce on it, and one connecting step per
 degree, chased like the snake's.
+
+:func:`validate_snake_weak` and :func:`validate_snake_strong` keep the
+problems of an input in its ``__dict__`` (by :func:`acgw.core._memoized`),
+as the validators of complexes and chain morphisms do, so a second check
+asks the instance nothing; an input pickles and copies by its declared
+fields, without them.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chains import ChainSES, Transition
-from .core import AcgwInstance, FlatMor, HorMor, VerMor
+from .core import AcgwInstance, FlatMor, HorMor, VerMor, _memoized
 from .homology import HomologyGrid, homology
 
 __all__ = [
@@ -119,6 +125,16 @@ def flat_morphism(zz: ExactZigzag, j: int) -> FlatMor:
 # ---------------------------------------------------------------------------
 
 
+#: the key under which a snake input keeps its problems
+_PROBLEMS = "_snake_problems"
+
+
+def _reduce_input(inp):
+    """Pickle and copy a snake input by its declared fields, without the
+    problems it keeps beside them."""
+    return type(inp), tuple(getattr(inp, f) for f in inp.__dataclass_fields__)
+
+
 @dataclass(frozen=True)
 class SnakeInputWeak:
     """Input of the weak snake construction.
@@ -149,8 +165,13 @@ class SnakeInputWeak:
     right_up: VerMor = None  # Z => C
     right_down: HorMor = None  # Z -> C'
 
+    __reduce__ = _reduce_input
 
+
+@_memoized(_PROBLEMS)
 def validate_snake_weak(inp: SnakeInputWeak) -> list[str]:
+    """The problems of a weak snake input, kept in it: a caller must not
+    change the list."""
     inst = inp.inst
     problems: list[str] = []
     for flavour, validate in ((HorMor, inst.validate_hor), (VerMor, inst.validate_ver)):
@@ -338,6 +359,8 @@ class SnakeInputStrong:
             right_down=self.right_down_restricted,
         )
 
+    __reduce__ = _reduce_input
+
 
 # ---------------------------------------------------------------------------
 # Snake inputs row by row.
@@ -402,7 +425,10 @@ def _snake_rows(inp: SnakeInputWeak | SnakeInputStrong) -> dict:
     return {row: tuple(map(objects.get, names)) for row, names in _ROWS if names[0] in objects}
 
 
+@_memoized(_PROBLEMS)
 def validate_snake_strong(inp: SnakeInputStrong) -> list[str]:
+    """The problems of a strong snake input, kept in it: a caller must
+    not change the list."""
     inst = inp.inst
     problems = [f"restrict_to_top: {p}" for p in inst.validate_ver(inp.restrict_to_top)]
     problems += [f"left_up: {p}" for p in inst.validate_ver(inp.left_up)]

@@ -301,6 +301,14 @@ def test_gen_negative_size_is_usage_error(capsys, kind):
     assert validate_document(parse(capsys.readouterr().out)) == []
 
 
+@pytest.mark.parametrize("size", ["1_0", "\u0663", "+3", " 3"])
+def test_gen_size_is_ascii_digits(capsys, size):
+    assert main(["gen", "--kind", "complex", "--seed", "1", "--size", size]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"acgw gen: error: argument --size: invalid int value: {size!r}\n")
+
+
 @pytest.mark.parametrize("kind", SET_GEN_KINDS)
 def test_gen_size_above_the_cap_is_usage_error(capsys, kind):
     # No generator grows past size 8, so a larger --size would write the
@@ -331,6 +339,10 @@ def test_gen_help_names_both_size_caps(capsys):
         ("-7", "field order must be prime, got -7"),
         (str(2**63 + 29), f"field order must be below 2^63, got {2**63 + 29}"),
         ("x", "invalid int value: 'x'"),
+        # spellings ``int`` reads but a document refuses
+        ("6_5_5_2_1", "invalid int value: '6_5_5_2_1'"),
+        ("\u0663", "invalid int value: '\u0663'"),
+        ("+3", "invalid int value: '+3'"),
     ],
 )
 @pytest.mark.parametrize("instance", ["linear", "set"])

@@ -220,11 +220,62 @@ def test_parse_error_lines(text, line, fragment):
     assert fragment in str(err.value)
 
 
-@pytest.mark.parametrize("token", ["abc", "", "3.0"])
+#: integer spellings that ``int`` reads but a document does not: an
+#: underscore, a plus sign, an Arabic-Indic and a fullwidth digit
+NOT_ASCII_DECIMAL = ("1_0", "+11", "\u0663", "\uff11")
+
+
+@pytest.mark.parametrize("token", ("abc", "", "3.0", "-3", "6_5_5_2_1") + NOT_ASCII_DECIMAL)
 def test_a_prime_that_is_not_an_integer_is_a_bad_prime(token):
     with pytest.raises(ParseError) as err:
         parse(f"instance linear\nprime {token}\n")
     assert str(err.value) == f"line 2: bad prime {token!r}"
+
+
+@pytest.mark.parametrize("token", NOT_ASCII_DECIMAL + ("--1", "-+1"))
+@pytest.mark.parametrize("line", ["object {}: a", "transition {}: a"])
+def test_a_degree_is_ascii_digits_after_an_optional_minus(token, line):
+    text = "instance set\ncomplex X:\n  object 0: a\n  " + line.format(token) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line 4: bad degree {token!r}"
+
+
+@pytest.mark.parametrize("token", NOT_ASCII_DECIMAL)
+def test_a_level_degree_is_ascii_digits(token):
+    text = SWAP_COMPLEX + f"hor f: X -> X\n  level {token}: a->a b->b\n"
+    with pytest.raises(ParseError) as err:
+        parse("instance set\n" + text)
+    assert str(err.value).endswith(f"bad degree {token!r}")
+
+
+def test_negative_and_zero_padded_degrees_read_as_integers():
+    X = parse("instance set\ncomplex X:\n  object -1: a\n  object 00: b\n").complex_named("X")
+    assert (X.lo, X.hi) == (-1, 0)
+
+
+@pytest.mark.parametrize("token", NOT_ASCII_DECIMAL + ("-1",))
+def test_a_dimension_is_ascii_digits(token):
+    text = f"instance linear\nprime 3\ncomplex X:\n  object 1: dim {token}\n"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line 4: object 1: want: dim N, got 'dim {token}'"
+
+
+@pytest.mark.parametrize(
+    ("text", "problem"),
+    [
+        ("instance linear\nprime {}\n", "line 2: bad prime"),
+        ("instance set\ncomplex X:\n  object {}: a\n", "line 3: bad degree"),
+        ("instance linear\nprime 3\ncomplex X:\n  object 1: dim {}\n", "want: dim N"),
+    ],
+    ids=["prime", "degree", "dim"],
+)
+def test_more_digits_than_int_converts_are_a_parse_error(text, problem):
+    # ``int`` raises ValueError past 4,300 digits
+    with pytest.raises(ParseError) as err:
+        parse(text.format("1" * 5000))
+    assert problem in str(err.value)
 
 
 def test_parse_fills_degree_gaps_with_empty_objects():

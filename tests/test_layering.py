@@ -28,6 +28,8 @@ from acgw import (
     HorChainMor,
     HorMor,
     LinearInstance,
+    SnakeInputStrong,
+    SnakeInputWeak,
     VerMor,
     chains,
     finset,
@@ -154,12 +156,14 @@ def test_only_the_instances_and_pickling_read_a_payload():
 #: each module's memo keys: the finite-set dict, inverse dict, image set,
 #: rest of the target and a complement leg's kept image; a horizontal
 #: chain morphism's quotient, the reader's mark on a complex and the
-#: problems of a complex or chain morphism; and a complex's homology
-#: grids.  An ``F_p`` morphism keeps nothing beside its payload
+#: problems of a complex or chain morphism; a complex's homology grids;
+#: and the problems of a snake input.  An ``F_p`` morphism keeps nothing
+#: beside its payload
 MEMO_KEYS = {
     "finset": (finset._MEMO_KEYS, 5),
     "chains": ((chains._COKER, chains._READ, chains._PROBLEMS), 3),
     "homology": ((importlib.import_module("acgw.homology")._GRIDS,), 1),
+    "snake": ((importlib.import_module("acgw.snake")._PROBLEMS,), 1),
 }
 
 
@@ -174,6 +178,8 @@ def test_each_instance_alone_spells_its_memo_keys():
         | set(VerMor.__dataclass_fields__)
         | set(HorChainMor.__dataclass_fields__)
         | set(ChainComplex.__dataclass_fields__)
+        | set(SnakeInputWeak.__dataclass_fields__)
+        | set(SnakeInputStrong.__dataclass_fields__)
     )
     assert not set(every) & fields
     # an F_p morphism's payload is its array: the instance memoizes nothing

@@ -434,6 +434,137 @@ def test_rank_certificate_agrees_with_the_reference(p, data):
         assert rank == planted and calls == []
 
 
+#: the primes of the block rank: one float64 product, float64 limbs and
+#: Python integers for the projections, int64 and Python-integer rows;
+#: near 2^63 two unreduced projections already pass int64
+BLOCK_PRIMES = (2, 3, 65521, 2**31 - 1, 2**61 - 1, 2**63 - 25)
+
+
+@st.composite
+def planted_rank_matrix(draw, p):
+    """A product ``left @ right`` of rank r, taller or wider than one block
+    of :func:`mat_rank` or square: r rows of ``left`` are the unit rows
+    ``e_j`` and r columns of ``right`` the unit columns, so each factor has
+    rank r, and the other entries are random.  Zero rows and columns may
+    be inserted.  Returns the matrix and r."""
+    block = linear._BLOCK
+    # up to four blocks, so that a block may project on three bases
+    top = 3 * block + 10
+    shape = draw(st.sampled_from(("tall", "wide", "square")))
+    long = draw(st.integers(block + 1, top))
+    short = long if shape == "square" else draw(st.integers(1, long))
+    m, n = (long, short) if shape == "tall" else (short, long)
+    # a rank past one block makes more than one basis
+    low = draw(st.sampled_from((0, max(min(m, n) - block // 2, 0))))
+    r = draw(st.integers(low, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((1.0, 0.3)))
+
+    def factor(rows, cols):
+        out = rng.integers(0, p, (rows, cols), dtype=np.int64)
+        out[rng.random((rows, cols)) >= density] = 0
+        units = rng.choice(rows, cols, replace=False)
+        out[units] = np.eye(cols, dtype=np.int64)
+        return out
+
+    a = matmul_mod(factor(m, r), factor(n, r).T, p)
+    for axis in (0, 1):
+        at = draw(st.lists(st.integers(0, a.shape[axis]), max_size=4))
+        a = np.insert(a, at, 0, axis=axis)
+    return a, r
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(BLOCK_PRIMES), st.data())
+def test_block_rank_finds_the_planted_rank(p, data):
+    a, r = data.draw(planted_rank_matrix(p))
+    eliminate, pivots = linear._eliminate, []
+
+    def counted(r, p, reduced):
+        out = eliminate(r, p, reduced)
+        pivots.append(len(out[1]))
+        return out
+
+    with mock.patch.object(linear, "_eliminate", counted):
+        assert mat_rank(a, p) == r
+    assert mat_rank(a.T, p) == r
+    # each elimination finds at most one block's pivots
+    assert all(k <= linear._BLOCK for k in pivots)
+
+
+@pytest.mark.parametrize(
+    ("p", "m", "n", "r"),
+    # three blocks at 2^63-25, seven at 2^61-1: the last block projects on
+    # two or six bases, whose unreduced differences would leave int64
+    [(2**63 - 25, 120, 100, 99), (2**61 - 1, 280, 280, 240)],
+)
+def test_block_projections_stay_in_int64_near_the_top_of_the_field(p, m, n, r):
+    rng = np.random.default_rng(0)
+
+    def factor(rows, cols):
+        out = rng.integers(0, p, (rows, cols), dtype=np.int64)
+        out[rng.choice(rows, cols, replace=False)] = np.eye(cols, dtype=np.int64)
+        return out
+
+    a = matmul_mod(factor(m, r), factor(n, r).T, p)
+    assert mat_rank(a, p) == mat_rank(a.T, p) == r
+
+
+def test_a_block_rank_eliminates_no_more_rows_than_one_block():
+    p, rng = 65521, np.random.default_rng(0)
+    a = matmul_mod(rng.integers(0, p, (200, 70)), rng.integers(0, p, (70, 200)), p)
+    eliminate, shapes = linear._eliminate, []
+
+    def counted(r, p, reduced):
+        shapes.append(r.shape)
+        return eliminate(r, p, reduced)
+
+    with mock.patch.object(linear, "_eliminate", counted):
+        assert mat_rank(a, p) == 70
+    # two blocks of 40 rows fill the first 80 pivots but 10; the blocks
+    # below them project to zero and are not eliminated
+    assert shapes and all(rows <= linear._BLOCK for rows, _ in shapes)
+    assert len(shapes) == 2
+
+
+@st.composite
+def spanning_pool(draw, p):
+    """``[B | I]``, ``[B | B C]`` or ``[B | I | B C]`` with ``B`` of n rows
+    whose columns interleave independent ones with combinations of those
+    before them, so that pivotless columns fall between pivots; the
+    columns of the whole may be shuffled."""
+    n = draw(st.integers(1, 24))
+    s = draw(st.integers(0, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = np.zeros((n, s), dtype=np.int64)
+    for j in range(s):
+        if j and rng.random() < 0.4:
+            b[:, j] = matmul_mod(b[:, :j], rng.integers(0, p, (j, 1)), p)[:, 0]
+        else:
+            b[:, j] = rng.integers(0, p, n)
+    later = matmul_mod(b, rng.integers(0, p, (s, draw(st.integers(0, 8)))), p)
+    eye = np.eye(n, dtype=np.int64)
+    kind = draw(st.sampled_from(("[B | I]", "[B | B C]", "[B | I | B C]")))
+    a = {"[B | I]": [b, eye], "[B | B C]": [b, later], "[B | I | B C]": [b, eye, later]}[kind]
+    a = np.hstack(a)
+    if draw(st.booleans()):
+        a = a[:, rng.permutation(a.shape[1])]
+    return a
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from((2, 3, 65521) + ROOM_PRIMES), st.data())
+def test_rref_and_nullspace_of_spanning_pools_agree_with_the_reference(p, data):
+    a = data.draw(spanning_pool(p))
+    want_r, want_pivots = rref_reference(a, p)
+    r, pivots = rref(a, p)
+    assert (r.tolist(), pivots) == (want_r, want_pivots)
+    assert nullspace(a, p).tolist() == canonical_nullspace(want_r, want_pivots, p)
+    # forward elimination finds the same pivot columns, as basis
+    # extension reads them
+    assert linear._eliminate(a % p, p, reduced=False)[1] == want_pivots
+
+
 #: primes across the product ladder: at 33554393 one float64 product
 #: serves up to k = 8, then float64 limbs; 94906249 and 94906297 lie just
 #: below and above (p-1)^2 = 2^53, so the second takes limbs from k = 1;

@@ -1,5 +1,7 @@
 """Weak and strong snake constructions and long exact sequences."""
 
+import copy
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -343,3 +345,23 @@ def test_snake_validators_report_morphisms_in_a_fixed_order():
         f"left_up: {partial}",
         f"extend_to_bot: {partial}",
     ] + [f"inner: {name}: {partial}" for name in WEAK_ORDER]
+
+
+@pytest.mark.parametrize(
+    "gen,check",
+    [(gen_snake_weak, validate_snake_weak), (gen_snake_strong, validate_snake_strong)],
+)
+@pytest.mark.parametrize("instance", ["set", "linear"])
+def test_snake_inputs_keep_their_problems_out_of_pickles_and_copies(gen, check, instance):
+    inp = gen(GenConfig(seed=3, instance=instance, prime=3))
+    fresh = replace(inp)
+    problems = check(inp)
+    # checked once per object; the list sits beside the declared fields
+    assert problems == [] and check(inp) is problems
+    assert len(vars(inp)) == len(vars(fresh)) + 1
+    assert inp == fresh and repr(inp) == repr(fresh)
+    assert pickle.dumps(inp) == pickle.dumps(fresh)
+    for copied in (pickle.loads(pickle.dumps(inp)), copy.copy(inp), copy.deepcopy(inp)):
+        assert type(copied) is type(inp) and copied == inp
+        assert vars(copied).keys() == vars(fresh).keys()
+        assert check(copied) == [] and check(copied) is not problems
