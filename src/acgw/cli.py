@@ -404,12 +404,19 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """An integer option's value: ASCII decimal digits after an optional
+    ``-``.  ``--seed`` takes any; ``--size`` and ``--prime`` check more."""
+    value = parse_decimal(text, signed=True)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 def _size(text: str) -> int:
     """A ``--size`` value: an integer from 0 to the generators' cap, past
     which no document changes."""
-    size = parse_decimal(text, signed=True)
-    if size is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    size = _integer(text)
     if size < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {size}")
     if size > _MAX_SIZE:
@@ -420,11 +427,8 @@ def _size(text: str) -> int:
 def _prime(text: str) -> int:
     """A ``--prime`` value: a field order that :class:`LinearInstance`
     accepts, whose check words the error."""
-    prime = parse_decimal(text, signed=True)
-    if prime is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     try:
-        return LinearInstance(prime).prime
+        return LinearInstance(_integer(text)).prime
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -495,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a random document")
     p.add_argument("--kind", choices=tuple(_GEN), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
     p.add_argument(
         "--size",
         type=_size,

@@ -174,6 +174,17 @@ def _parse_int(line: int, token: str, what: str, signed: bool = False) -> int:
     return value
 
 
+#: the whitespace around a degree token: the ASCII whitespace a line can
+#: hold (``str.splitlines`` cuts at the rest).  ``str.strip`` alone also
+#: strips other spaces, such as a no-break space.
+_ASCII_SPACE = " \t"
+
+
+def _degree(line: int, token: str) -> int:
+    """A degree token between ASCII whitespace, else ``bad degree``."""
+    return _parse_int(line, token.strip(_ASCII_SPACE), "degree", signed=True)
+
+
 def _content(line: int, text: str, key: str) -> str:
     head, sep, rest = text.partition(":")
     if not sep:
@@ -260,7 +271,7 @@ def _scan(text: str):
 
     def level_line(no: int, store: dict, key: str, rest: str) -> None:
         deg_tok, _, payload = rest.partition(":")
-        deg = _parse_int(no, deg_tok.strip(), "degree", signed=True)
+        deg = _degree(no, deg_tok)
         if deg in store:
             raise ParseError(no, f"repeated {key} degree {deg}")
         store[deg] = (no, payload.strip())
@@ -330,7 +341,7 @@ def _scan(text: str):
                 deg_tok, sep, payload = rest.partition(":")
                 if not sep:
                     raise ParseError(no, f"missing ':' in {head} line")
-                deg = _parse_int(no, deg_tok.strip(), "degree", signed=True)
+                deg = _degree(no, deg_tok)
                 store = current.objects if head == "object" else current.transitions
                 if deg in store:
                     raise ParseError(no, f"repeated {head} degree {deg}")

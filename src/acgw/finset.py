@@ -36,6 +36,14 @@ the leg checks ids against that set, and the leg's own complement is
 that image, so no set is built from the leg.  When a lookup fails, a
 scan names the first element at fault.
 
+The span a chain map ``X <= Z -> Y`` induces on homology
+(:meth:`FinSetInstance.homology_span`) is chased from ``H_i(X)``: each
+of its ids goes back along the back level and forward along the front,
+and stays when it lands in ``H_i(Y)``.  A chain map sends cycles to
+cycles and boundaries to boundaries, so these are the ids of ``Z_i``
+that are cycles of ``X`` and not boundaries of ``Y``, found in work
+that grows with ``H_i`` rather than with the degree.
+
 The document readers accept a whole line with one regex match; they
 walk its tokens only to name the first bad one.  A line whose ids, or
 pair sources, are already strictly increasing, as every written
@@ -478,18 +486,33 @@ class FinSetInstance(AcgwInstance):
 
     # ----- homology --------------------------------------------------------
     def homology_span(self, gx, gy, back: VerMor, front: HorMor) -> FlatMor:
-        """Element chase: the middle keeps the ids of ``Z_i`` whose back
-        image is a cycle of ``X`` and whose front image is not a boundary
-        of ``Y``, renamed to their back images (a subset of ``H_i(X)``)."""
-        cycles_x = set(gx.cycles)
-        boundaries_y = set(gy.cycles) - set(gy.h)
-        # the images of a valid morphism are those of its source ids
-        kept = {
-            b: f
-            for b, f in zip(back.data[1], front.data[1])
-            if b in cycles_x and f not in boundaries_y
-        }
-        middle, images = _payload(kept)
+        """Element chase from ``H_i(X)``: the middle keeps the ids of
+        ``H_i(X)`` that ``back`` reaches from an id of ``Z_i`` whose front
+        image lies in ``H_i(Y)``.  A chain map sends cycles to cycles and
+        boundaries to boundaries, so these are exactly the back images of
+        the ids of ``Z_i`` that are cycles of ``X`` and not boundaries of
+        ``Y``.  The middle is in ``H_i(X)``'s order; a front that fixes
+        its ids gives the literal inclusion."""
+        sources, images = back.data
+        kept = back.__dict__.get(_KEPT)
+        if kept is not None:
+            # a complement leg's images are the ids outside the image it keeps
+            xs = zs = tuple(filterfalse(kept.__contains__, gx.h))
+        elif sources is not images:
+            inverse = _inverse(back)
+            xs = tuple(filter(inverse.__contains__, gx.h))
+            zs = tuple(map(inverse.__getitem__, xs))
+        elif len(sources) == len(back.target):
+            # an identity: every id of H_i(X) is its own image
+            xs = zs = gx.h
+        else:
+            # a literal inclusion names its ids as they are
+            xs = zs = tuple(filter(_image(back).__contains__, gx.h))
+        ys = _forward(front, zs)
+        over = list(map(frozenset(gy.h).__contains__, ys))
+        middle, images = tuple(compress(xs, over)), tuple(compress(ys, over))
+        if images == middle:
+            images = middle
         return FlatMor(
             gx.h,
             middle,

@@ -121,9 +121,12 @@ def h_on_map(f: ChainMap, i: int) -> FlatMor:
     """The span ``H_i(source) <= M -> H_i(target)`` induced by ``f``.
 
     The instance reads it off the homology grids of source and target and
-    the levels of ``f`` at degree ``i``: a direct element chase for finite
-    sets, the classical induced map through its epi-mono factorization
-    for the linear instance.
+    the levels of ``f`` at degree ``i``: an element chase from the ids of
+    ``H_i(source)`` for finite sets, the classical induced map through its
+    epi-mono factorization for the linear instance.  Outside the degrees
+    of the complexes every object is initial, and so is each object of the
+    span; :func:`acgw.les_of_ses` writes those zero steps itself, without
+    a grid or a span.
     """
     return f.source.inst.homology_span(
         homology(f.source, i), homology(f.target, i), f.back.level(i), f.front.level(i)

@@ -15,7 +15,8 @@ side.  Its zigzag is exact at the four interior positions.
 The long exact homology sequence of a short exact sequence of complexes
 (:func:`les_of_ses`) is built from the homology of each degree: the
 spans the two chain morphisms induce on it, and one connecting step per
-degree, chased like the snake's.
+degree, chased like the snake's.  The degrees just outside the range
+hold initial objects and zero steps, computed from nothing.
 
 :func:`validate_snake_weak` and :func:`validate_snake_strong` keep the
 problems of an input in its ``__dict__`` (by :func:`acgw.core._memoized`),
@@ -489,27 +490,44 @@ def les_of_ses(ses: ChainSES) -> ExactZigzag:
     ``H_i(quot)`` to ``H_{i-1}(sub)`` is chased through the complements of
     the bar levels at ``i``.  It holds on every instance and for any
     levels, and is exact everywhere.
+
+    At ``hi + 1`` and ``lo - 1`` every object of the three complexes is
+    initial, and so is its homology: those six objects are
+    ``inst.initial()``, and the steps there, with the connecting steps
+    out of ``hi + 1`` and into ``lo - 1``, have zero legs.  No grid, span
+    or chase is computed outside the range.
     """
     inst = ses.sub.source.inst
     sub, quot = ses.sub, ses.quot
     x, y, z = sub.source, sub.target, quot.source
     lo, hi = x.lo, x.hi
 
-    objects: list = []
-    transitions: list[Transition] = []
-    labels: list[str] = []
-    transition_labels: list[str] = []
-    for i in range(hi + 1, lo - 2, -1):
-        gx, gy, gz = homology(x, i), homology(y, i), homology(z, i)
+    zero = inst.initial()
+
+    def zero_step(upper, lower) -> Transition:
+        return Transition(zero, inst.zero_ver(upper), inst.zero_hor(lower))
+
+    objects: list = [zero] * 3
+    transitions = [zero_step(zero, zero)] * 2
+    gz = None  # the quotient's grid one degree up
+    for i in range(hi, lo - 1, -1):
+        gx, gy = homology(x, i), homology(y, i)
+        transitions.append(zero_step(zero, gx.h) if gz is None else _connecting(ses, i + 1, gz, gx))
+        gz = homology(z, i)
         into = inst.homology_span(gx, gy, inst.id_ver(x.obj(i)), sub.level(i))
         onto = inst.homology_span(gy, gz, quot.level(i), inst.id_hor(z.obj(i)))
         objects += [gx.h, gy.h, gz.h]
         transitions += [Transition(fl.middle, fl.back, fl.front) for fl in (into, onto)]
-        labels += [f"H_{i}(sub)", f"H_{i}(total)", f"H_{i}(quot)"]
-        transition_labels += [f"H_{i} into total", f"H_{i} onto quotient"]
-        if i >= lo:
-            transitions.append(_connecting(ses, i, gz, homology(x, i - 1)))
-            transition_labels.append(f"connecting {i} to {i - 1}")
+    transitions.append(zero_step(zero if gz is None else gz.h, zero))
+    objects += [zero] * 3
+    transitions += [zero_step(zero, zero)] * 2
+    degrees = range(hi + 1, lo - 2, -1)
+    labels = [f"H_{i}({part})" for i in degrees for part in ("sub", "total", "quot")]
+    transition_labels = [
+        label
+        for i in degrees
+        for label in (f"H_{i} into total", f"H_{i} onto quotient", f"connecting {i} to {i - 1}")
+    ][:-1]  # nothing connects out of the last degree
     return ExactZigzag(
         inst, tuple(objects), tuple(transitions), tuple(labels), tuple(transition_labels)
     )

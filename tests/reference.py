@@ -12,6 +12,10 @@ assert the two agree:
   snake from the kernel side;
 * :func:`h_on_map_via_les` induces the homology span of a finite-set
   chain map through two long exact sequences;
+* :func:`set_homology_span_reference` chases the homology span of a
+  finite-set chain map from every id of ``Z_i`` through sets of cycles
+  and boundaries, where :meth:`acgw.FinSetInstance.homology_span` walks
+  the ids of ``H_i(X)`` back and forth;
 * :func:`weak_closed_forms` gives the middle transition objects of a weak
   snake on literal subsets by set arithmetic;
 * :func:`matmul_mod_reference` and :func:`rref_reference` multiply and
@@ -82,6 +86,7 @@ from acgw import (
     ChainComplex,
     FactorizationError,
     FinSetInstance,
+    FlatMor,
     HorChainMor,
     HorMor,
     SquareClass,
@@ -264,6 +269,29 @@ def h_on_map_via_les(f, i):
     assert inst.is_iso_hor(bridge), f"relabelling bridge at degree {i} is not invertible"
     return compose_flat(
         inst, compose_flat(inst, to_zx, flat_of_hor(inst, bridge)), to_y
+    )
+
+
+def set_homology_span_reference(gx, gy, back, front):
+    """The homology span a finite-set chain map induces at one degree, by
+    the element chase from ``Z_i``: the ids of ``Z_i`` whose back image is
+    a cycle of ``X`` and whose front image is not a boundary of ``Y``,
+    renamed to their back images and sorted."""
+    cycles_x = set(gx.cycles)
+    boundaries_y = set(gy.cycles) - set(gy.h)
+    # the images of a valid morphism are those of its source ids
+    kept = {
+        b: f
+        for b, f in zip(back.data[1], front.data[1])
+        if b in cycles_x and f not in boundaries_y
+    }
+    middle, images = _sorted_payload(kept)
+    return FlatMor(
+        gx.h,
+        middle,
+        gy.h,
+        VerMor(middle, gx.h, (middle, middle)),
+        HorMor(middle, gy.h, (middle, images)),
     )
 
 

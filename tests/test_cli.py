@@ -309,6 +309,21 @@ def test_gen_size_is_ascii_digits(capsys, size):
     assert err.endswith(f"acgw gen: error: argument --size: invalid int value: {size!r}\n")
 
 
+@pytest.mark.parametrize("seed", ["1_0", "\u0663", "+3", " 3", "3.0", ""])
+def test_gen_seed_is_ascii_digits(capsys, seed):
+    # ``int`` reads all but the last two
+    assert main(["gen", "--kind", "complex", "--seed", seed]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"acgw gen: error: argument --seed: invalid int value: {seed!r}\n")
+
+
+def test_gen_seed_may_be_negative(capsys):
+    for seed in ("-1", "-01"):
+        assert main(["gen", "--kind", "complex", "--seed", seed]) == 0
+        assert validate_document(parse(capsys.readouterr().out)) == []
+
+
 @pytest.mark.parametrize("kind", SET_GEN_KINDS)
 def test_gen_size_above_the_cap_is_usage_error(capsys, kind):
     # No generator grows past size 8, so a larger --size would write the
@@ -459,6 +474,12 @@ def test_the_largest_allowed_dimension_is_read():
     assert run_on_stdin(["validate", "-"], text) == (0, "ok\n", "")
     code, out, _ = run_on_stdin(["validate", "-"], text.replace("dim 0", "dim 4097"))
     assert (code, out) == (1, "line 6: transition 1: dimension 4097 exceeds 4096\n")
+
+
+def test_a_degree_with_a_no_break_space_is_a_bad_degree():
+    text = "instance set\ncomplex X:\n  object 1\u00a0: a\n"
+    code, out, err = run_on_stdin(["validate", "-"], text)
+    assert (code, out + err) == (1, "line 3: bad degree '1\\xa0'\n")
 
 
 def test_non_prime_field_order_is_an_error_line():

@@ -223,6 +223,9 @@ def test_parse_error_lines(text, line, fragment):
 #: integer spellings that ``int`` reads but a document does not: an
 #: underscore, a plus sign, an Arabic-Indic and a fullwidth digit
 NOT_ASCII_DECIMAL = ("1_0", "+11", "\u0663", "\uff11")
+#: degrees followed by a space that ``str.strip`` strips but a degree line
+#: does not: a no-break, a thin and an ideographic space
+UNICODE_SPACED = ("1\u00a0", "1\u2009", "1\u3000")
 
 
 @pytest.mark.parametrize("token", ("abc", "", "3.0", "-3", "6_5_5_2_1") + NOT_ASCII_DECIMAL)
@@ -232,7 +235,7 @@ def test_a_prime_that_is_not_an_integer_is_a_bad_prime(token):
     assert str(err.value) == f"line 2: bad prime {token!r}"
 
 
-@pytest.mark.parametrize("token", NOT_ASCII_DECIMAL + ("--1", "-+1"))
+@pytest.mark.parametrize("token", NOT_ASCII_DECIMAL + UNICODE_SPACED + ("--1", "-+1"))
 @pytest.mark.parametrize("line", ["object {}: a", "transition {}: a"])
 def test_a_degree_is_ascii_digits_after_an_optional_minus(token, line):
     text = "instance set\ncomplex X:\n  object 0: a\n  " + line.format(token) + "\n"
@@ -241,8 +244,9 @@ def test_a_degree_is_ascii_digits_after_an_optional_minus(token, line):
     assert str(err.value) == f"line 4: bad degree {token!r}"
 
 
-@pytest.mark.parametrize("token", NOT_ASCII_DECIMAL)
+@pytest.mark.parametrize("token", NOT_ASCII_DECIMAL + UNICODE_SPACED)
 def test_a_level_degree_is_ascii_digits(token):
+    # map back and front lines read their degrees as level lines do
     text = SWAP_COMPLEX + f"hor f: X -> X\n  level {token}: a->a b->b\n"
     with pytest.raises(ParseError) as err:
         parse("instance set\n" + text)
@@ -250,7 +254,8 @@ def test_a_level_degree_is_ascii_digits(token):
 
 
 def test_negative_and_zero_padded_degrees_read_as_integers():
-    X = parse("instance set\ncomplex X:\n  object -1: a\n  object 00: b\n").complex_named("X")
+    # ASCII spaces and tabs around a degree are stripped
+    X = parse("instance set\ncomplex X:\n  object -1 : a\n  object 00\t: b\n").complex_named("X")
     assert (X.lo, X.hi) == (-1, 0)
 
 

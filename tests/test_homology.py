@@ -1,5 +1,6 @@
 """Homology via double complements, induced spans, quasi-isomorphisms."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -8,16 +9,19 @@ from hypothesis import strategies as st
 
 from acgw import (
     ChainMap,
+    FinSetInstance,
     GenConfig,
     chain_map_of_hor,
     chain_map_of_ver,
     check_functoriality,
     compose_chain_maps,
     flat_is_iso,
+    gen_chain_map,
     gen_complex,
     gen_composable_chain_maps,
     gen_exact_complex,
     gen_hor_mor,
+    gen_ses,
     gen_ver_mor,
     h_on_map,
     homology,
@@ -27,13 +31,21 @@ from acgw import (
     is_exact,
     is_quasi_iso,
     qiso_iff_complement_exact,
+    ses_from_injection,
+    ses_from_projection,
     span_equiv,
     validate_hor_chain_mor,
     validate_ver_chain_mor,
 )
+from acgw.oracle import _extend
 
 from conftest import CORPUS_NAMES, INSTANCES, PRIMES, corpus_doc
-from reference import h_on_map_via_les, homology_quotient_first
+from reference import (
+    h_on_map_via_les,
+    homology_quotient_first,
+    renamed_sub,
+    set_homology_span_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +208,66 @@ def test_h_on_map_double_route(seed):
 
 
 def gen_chain_map_for(seed):
-    from acgw import gen_chain_map
-
     return gen_chain_map(GenConfig(seed=seed))
+
+
+def _set_span_inputs(seed):
+    """The arguments ``(gx, gy, back, front)`` of every finite-set homology
+    span that a generated chain map, two composable ones, their composite
+    and a complex extended both ways (whose source and target share the
+    homology outside it) induce at each degree, and that three long exact
+    sequences take: those of a generated sub-complex, of a vertical one,
+    and of a sub-complex with renamed ids, whose levels are not literal
+    inclusions."""
+    cfg = GenConfig(seed=seed)
+    inst = FinSetInstance()
+    out = []
+    first = gen_chain_map(cfg)
+    big, hor, ver = _extend(random.Random(seed), first.middle, "s")
+    f, g = gen_composable_chain_maps(cfg)
+    for m in (first, ChainMap(big, first.middle, big, ver, hor), f, g, compose_chain_maps(f, g)):
+        for i in m.source.degrees():
+            grids = homology(m.source, i), homology(m.target, i)
+            out.append((*grids, m.back.level(i), m.front.level(i)))
+    for ses in (
+        gen_ses(cfg),
+        ses_from_projection(gen_ver_mor(cfg)),
+        ses_from_injection(renamed_sub(gen_hor_mor(cfg))),
+    ):
+        x, y, z = ses.sub.source, ses.sub.target, ses.quot.source
+        for i in x.degrees():
+            gx, gy, gz = homology(x, i), homology(y, i), homology(z, i)
+            out.append((gx, gy, inst.id_ver(x.obj(i)), ses.sub.level(i)))
+            out.append((gy, gz, ses.quot.level(i), inst.id_hor(z.obj(i))))
+    return out
+
+
+def _renamed_levels(inst, back, front, rng):
+    """``back`` and ``front`` with their shared source renamed in a random
+    order: neither is a literal inclusion or a complement leg."""
+    names = [f"renamed.{k}" for k in range(len(back.source))]
+    rng.shuffle(names)
+    new = dict(zip(back.source, names))
+    source = tuple(new.values())
+
+    def moved(make, mor):
+        sources, images = mor.data
+        return make(source, mor.target, dict(zip(map(new.get, sources), images)))
+
+    return moved(inst.ver, back), moved(inst.hor, front)
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 149), rng=st.randoms(use_true_random=False))
+def test_set_homology_span_matches_the_element_chase(seed, rng):
+    inst = FinSetInstance()
+    for gx, gy, back, front in _set_span_inputs(seed):
+        for levels in ((back, front), _renamed_levels(inst, back, front, rng)):
+            span = inst.homology_span(gx, gy, *levels)
+            assert span == set_homology_span_reference(gx, gy, *levels)
+            # a front that fixes the ids of the middle is a literal inclusion
+            sources, images = span.front.data
+            assert (sources is images) == (sources == images)
 
 
 @pytest.mark.parametrize("instance", INSTANCES)

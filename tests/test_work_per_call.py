@@ -182,19 +182,21 @@ def test_les_of_ses_primitive_counts(monkeypatch):
     counting.calls.clear()
     zz = les_of_ses(doc.ses_named("S"))
     assert [len(obj) for obj in zz.objects] == [0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0]
-    # The homology of the three complexes at degrees 3..0 (a ker, a
-    # factor_hor and a coker each), and one connecting chase per degree
-    # 3..1; nothing is validated.  The one mixed pullback builds the
-    # quotient complex.  Splicing one strong snake per degree took 178.
+    # The homology of the three complexes at degrees 2 and 1 (a ker, a
+    # factor_hor and a coker each), and one connecting chase from 2 to 1;
+    # nothing is validated, and nothing is computed at 3 and 0, outside
+    # the range.  The one mixed pullback builds the quotient complex.
+    # Computing degrees 3..0 took 80 calls; splicing one strong snake per
+    # degree took 178.
     assert counting.calls == Counter(
-        coker=17,
-        ker=18,
-        factor_hor=15,
-        factor_ver=10,
-        compose_hor=6,
-        compose_ver=4,
-        hor_between_cokers=3,
-        ver_between_kernels=6,
+        coker=9,
+        ker=8,
+        factor_hor=7,
+        factor_ver=4,
+        compose_hor=2,
+        compose_ver=2,
+        hor_between_cokers=1,
+        ver_between_kernels=2,
         mixed_pullback=1,
     )
 
@@ -208,10 +210,11 @@ def test_les_of_ses_computes_only_the_grids_not_kept():
     kept = [dict(grids(cx)) for cx in complexes]
     les_of_ses(ses)
     # The LES reads the homology of X and Y at degrees 2 and 1 from the
-    # grids the sizes computed.  It computes those at 3 and 0, outside the
-    # range, and every grid of the quotient; it computed all 12 before.
+    # grids the sizes computed, and computes the quotient's at the same
+    # degrees.  Outside the range every object is initial, and it computes
+    # no grid there; it computed all 12 grids of degrees 3..0 before.
     new = [sorted(grids(cx).keys() - before.keys()) for cx, before in zip(complexes, kept)]
-    assert new == [[0, 3], [0, 3], [0, 1, 2, 3]]
+    assert new == [[], [], [1, 2]]
     for cx, before in zip(complexes, kept):
         assert all(grids(cx)[i] is grid for i, grid in before.items())
 
@@ -232,20 +235,22 @@ def test_one_quotient_per_chain_morphism(monkeypatch):
 
 
 class _RecordingInstance(CountingInstance):
-    """Also records the argument of every ``ker`` and ``coker`` call."""
+    """Also records the name and arguments of every call to one of
+    ``names``."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, names=("ker", "coker")):
         super().__init__(inner)
-        self.complements = []
+        self.names = names
+        self.recorded = []
 
     def __getattr__(self, name):
         attr = super().__getattr__(name)
-        if name not in ("ker", "coker"):
+        if name not in self.names:
             return attr
 
-        def recorded(f):
-            self.complements.append((name, f))
-            return attr(f)
+        def recorded(*args):
+            self.recorded.append((name, *args))
+            return attr(*args)
 
         return recorded
 
@@ -266,21 +271,47 @@ def test_les_of_ses_takes_each_complement_once(monkeypatch, text):
     monkeypatch.setattr(FinSetInstance, "from_header", classmethod(lambda cls, prime: recording))
     doc = parse(text)
     ses = doc.ses_named("S")
-    recording.complements.clear()
+    recording.recorded.clear()
     les_of_ses(ses)
     # A call may repeat an earlier one only on a zero morphism or an
-    # identity: the empty morphism between initial objects outside the
-    # range, or equal objects that two complexes or degrees happen to share
-    # (X_1 and Z_2 are both {c} in three_term_ses).  On the seed-1 set_les
-    # pool, 412 of 1,725 calls repeat, 404 of them on () -> ().  Splicing
-    # strong snakes repeated 900 of 3,375, 232 of them on other morphisms.
+    # identity: the empty morphism between initial objects, or equal
+    # objects that two complexes or degrees happen to share (X_1 and Z_2
+    # are both {c} in three_term_ses).  On the seed-1 set_les pool, 8 of
+    # 1,275 calls repeat.  Computing the degrees outside the range as well
+    # repeated 412 of 1,725, 404 of them on () -> (), and splicing strong
+    # snakes 900 of 3,375, 232 of them on other morphisms.
     seen, repeats = set(), []
-    for name, f in recording.complements:
+    for name, f in recording.recorded:
         key = (name, type(f), f.source, f.target, f.data)
         if key in seen and f.source != () and f.data != (f.target, f.target):
             repeats.append(key)
         seen.add(key)
-    assert len(recording.complements) > 0 and repeats == []
+    assert len(recording.recorded) > 0 and repeats == []
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_les_of_ses_does_no_work_where_every_object_is_initial(monkeypatch, seed):
+    from perfbench.generate import set_ses_doc
+
+    # These documents are not quasi-isomorphic inclusions: within the range
+    # every object, transition and level is nonempty, so only the degrees
+    # hi + 1 and lo - 1 hold the empty morphism () -> ().
+    text = set_ses_doc(random.Random(seed), 100, False).text
+    names = ("ker", "coker", "factor_hor", "factor_ver")
+    recording = _RecordingInstance(FinSetInstance(), names)
+    monkeypatch.setattr(FinSetInstance, "from_header", classmethod(lambda cls, prime: recording))
+    ses = parse(text).ses_named("S")
+    recording.recorded.clear()
+    zz = les_of_ses(ses)
+    assert len(zz.objects) == 3 * (ses.sub.source.hi + 2 - ses.sub.source.lo) + 3
+    assert {name for name, *_ in recording.recorded} == set(names)
+    # Computing those degrees took 29 such calls on either document.
+    empty = [
+        name
+        for name, *args in recording.recorded
+        if all(f.source == () and f.target == () for f in args)
+    ]
+    assert empty == []
 
 
 def test_validation_keeps_the_complement_that_coker_returns():
