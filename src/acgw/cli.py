@@ -406,7 +406,8 @@ def cmd_gen(args) -> int:
 
 def _integer(text: str) -> int:
     """An integer option's value: ASCII decimal digits after an optional
-    ``-``.  ``--seed`` takes any; ``--size`` and ``--prime`` check more."""
+    ``-``.  ``--seed`` and ``--degree`` take any; ``--size`` and
+    ``--prime`` check more."""
     value = parse_decimal(text, signed=True)
     if value is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
@@ -482,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map-homology", help="induced homology span of a chain map")
     p.add_argument("file")
     p.add_argument("--map", required=True, help="name of the map section")
-    p.add_argument("--degree", type=int, help="restrict to one degree")
+    p.add_argument("--degree", type=_integer, help="restrict to one degree")
     _add_output(p)
     p.set_defaults(func=cmd_map_homology)
 

@@ -174,9 +174,10 @@ def _parse_int(line: int, token: str, what: str, signed: bool = False) -> int:
     return value
 
 
-#: the whitespace around a degree token: the ASCII whitespace a line can
-#: hold (``str.splitlines`` cuts at the rest).  ``str.strip`` alone also
-#: strips other spaces, such as a no-break space.
+#: the whitespace stripped from a line, its text after the keyword and a
+#: degree token: space and tab (``str.splitlines`` cuts at the other
+#: ASCII line breaks).  ``str.strip`` alone also strips other spaces,
+#: such as a no-break space.
 _ASCII_SPACE = " \t"
 
 
@@ -277,11 +278,11 @@ def _scan(text: str):
         store[deg] = (no, payload.strip())
 
     for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        stripped = raw.split("#", 1)[0].strip(_ASCII_SPACE)
         if not stripped:
             continue
         head, _, rest = stripped.partition(" ")
-        rest = rest.strip()
+        rest = rest.strip(_ASCII_SPACE)
 
         if head == "instance":
             if cls is not None:

@@ -44,13 +44,21 @@ cycles and boundaries to boundaries, so these are the ids of ``Z_i``
 that are cycles of ``X`` and not boundaries of ``Y``, found in work
 that grows with ``H_i`` rather than with the degree.
 
-The document readers accept a whole line with one regex match; they
-walk its tokens only to name the first bad one.  A line whose ids, or
-pair sources, are already strictly increasing, as every written
-document's are, is taken as it stands, without a dict or a sort.  A
-pair line's sources equal to its source object are that object's
-tuple, and images equal to its sources are the sources tuple, so a
-line that spells out an inclusion reads as one.
+The document readers check a whole line at once; they walk its tokens
+only to name the first bad one.  An object line is accepted when it is
+ASCII and ``bytes.translate`` deletes every byte of it as an id
+character or whitespace; any other line goes through the token loop.
+A pair line that is exactly its source's literal inclusion as a
+document writes it, ``a->a b->b …`` (``_pairs_text`` spells it for the
+reader and for :meth:`~FinSetInstance.mor_text`), is found by one
+string comparison, after a look at its first pair, and reads as
+``(source, source)``.  Any other pair line is accepted with one regex
+match.  A line whose ids, or pair sources, are already strictly
+increasing, as every written document's are, is taken as it stands,
+without a dict or a sort.  A pair line's sources equal to its source
+object are that object's tuple, and images equal to its sources are
+the sources tuple, so an inclusion spelled with other whitespace reads
+as one too.
 
 :meth:`FinSetInstance.validate_payload` checks a payload whose endpoints
 are valid: sources equal to that source tuple are sorted, total
@@ -88,9 +96,10 @@ __all__ = ["FinSetObj", "finset_obj", "FinSetInstance", "mapping_of", "apply_to"
 FinSetObj = tuple[str, ...]
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
-#: a whole object line: ids and whitespace (``\s`` is what ``str.split``
-#: splits on)
-_IDS_LINE_RE = re.compile(r"[A-Za-z0-9_.+\-\s]*")
+#: the bytes of an ASCII object line: id characters and the whitespace
+#: that ``str.split`` splits on; ``bytes.translate`` deletes them all
+#: from a line of ids
+_ID_LINE_BYTES = bytes(c for c in range(128) if _ID_RE.match(chr(c)) or chr(c).isspace())
 #: a whole pair line: ``src->tgt`` tokens of id characters separated by
 #: whitespace.  An id holds no ``>``, so a token's one ``->`` sits before
 #: its only ``>``; a failed match retries each position at most once,
@@ -183,6 +192,11 @@ def _backward(g: HorMor | VerMor, ys: FinSetObj) -> FinSetObj | None:
 def _inclusion(mor_type: type, sub: FinSetObj, ambient: FinSetObj) -> HorMor | VerMor:
     """The literal inclusion of ``sub`` into ``ambient``."""
     return mor_type(sub, ambient, (sub, sub))
+
+
+def _pairs_text(sources, images) -> str:
+    """A payload as a document writes it: ``src->tgt`` pairs."""
+    return " ".join(map("->".join, zip(sources, images)))
 
 
 def _increasing(xs) -> bool:
@@ -417,7 +431,7 @@ class FinSetInstance(AcgwInstance):
 
     def obj_from_text(self, text: str) -> FinSetObj:
         ids = text.split()
-        if _IDS_LINE_RE.fullmatch(text):
+        if text.isascii() and not text.encode().translate(None, _ID_LINE_BYTES):
             # a line written in canonical order needs no sort
             return tuple(ids) if _increasing(ids) else finset_obj(ids)
         # name the first bad id
@@ -436,6 +450,15 @@ class FinSetInstance(AcgwInstance):
             if leg:
                 return _inclusion(mor_type, source, target)
             return mor_type(source, target, ((), ()))
+        if (
+            source
+            and text.startswith(f"{source[0]}->{source[0]}")
+            and text == _pairs_text(source, source)
+        ):
+            # the source's inclusion as mor_text writes it; the source, an
+            # object the reader built, is canonical, so these pairs are
+            # valid and in order
+            return mor_type(source, target, (source, source))
         if _PAIRS_LINE_RE.fullmatch(text):
             # every token holds one ``->``: its ids alternate source, image
             ids = text.replace("->", " ").split()
@@ -465,7 +488,7 @@ class FinSetInstance(AcgwInstance):
     def mor_text(self, mor, leg=False):
         sources, images = mor.data
         default = sources == images if leg else not sources
-        return None if default else " ".join(map("->".join, zip(sources, images)))
+        return None if default else _pairs_text(sources, images)
 
     # ----- rank oracle ---------------------------------------------------
     def boundary_matrix(self, up: VerMor, low: HorMor) -> np.ndarray:

@@ -235,6 +235,20 @@ def test_map_homology_single_degree(capsys):
     assert "H_2:" in out and "H_1:" not in out
 
 
+@pytest.mark.parametrize("degree", ["1_0", "\u0663", "+2", "2.0"])
+def test_map_homology_degree_is_ascii_digits(capsys, degree):
+    argv = ["map-homology", "--map", "F", corpus_path("span_legs")]
+    assert main([*argv, "--degree", degree]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(
+        f"acgw map-homology: error: argument --degree: invalid int value: {degree!r}\n"
+    )
+    # a negative degree is outside the complexes and reads as empty
+    assert main([*argv, "--degree", "-1"]) == 0
+    assert capsys.readouterr().out == "H_-1: {} <= {} -> {}\nquasi-isomorphism: yes\n"
+
+
 # ---------------------------------------------------------------------------
 # render
 # ---------------------------------------------------------------------------

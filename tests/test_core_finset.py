@@ -6,7 +6,7 @@ from dataclasses import replace
 from itertools import chain, compress
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acgw import (
@@ -1009,7 +1009,21 @@ def _joined(tokens):
 PAIR_IDS = ["a", "b", "b-c", "9", "10", "_"]
 
 
+# the reader's source ("a", "b") spelled as its inclusion, then near
+# misses: an image changed, a pair missing, a pair added, a doubled
+# space, a tab, end spaces, and a first pair that matches before a rest
+# that does not
 @settings(deadline=None, max_examples=300)
+@example("a->a b->b")
+@example("a->a b->a")
+@example("a->a")
+@example("a->a b->b 9->9")
+@example("a->a  b->b")
+@example("a->a\tb->b")
+@example(" a->a b->b ")
+@example("a->ab->b")
+@example("a->a b->b!")
+@example("a->a b->b->b")
 @given(
     st.one_of(
         st.text(alphabet=LINE_CHARS, max_size=24),
@@ -1037,9 +1051,11 @@ def test_line_readers_agree_with_the_per_token_loop(text):
     # the reader's source ("a", "b") is among the canonical pair lines
     assert _outcome(INST.obj_from_text, text) == _outcome(obj_from_text_per_token, text)
     src, tgt = finset_obj("ab"), finset_obj("ab")
-    assert _outcome(INST.mor_from_text, HorMor, src, tgt, text) == _outcome(
-        mor_from_text_per_token, HorMor, src, tgt, text
-    )
+    got = _outcome(INST.mor_from_text, HorMor, src, tgt, text)
+    assert got == _outcome(mor_from_text_per_token, HorMor, src, tgt, text)
+    if isinstance(got, HorMor) and got.data == (src, src):
+        # a spelled inclusion, in any whitespace, shares its source tuple
+        assert got.data[0] is got.data[1] is src
 
 
 def test_a_canonical_inclusion_line_reads_as_its_source_tuple():

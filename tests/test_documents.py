@@ -223,12 +223,15 @@ def test_parse_error_lines(text, line, fragment):
 #: integer spellings that ``int`` reads but a document does not: an
 #: underscore, a plus sign, an Arabic-Indic and a fullwidth digit
 NOT_ASCII_DECIMAL = ("1_0", "+11", "\u0663", "\uff11")
-#: degrees followed by a space that ``str.strip`` strips but a degree line
-#: does not: a no-break, a thin and an ideographic space
-UNICODE_SPACED = ("1\u00a0", "1\u2009", "1\u3000")
+#: numbers next to a space that ``str.strip`` strips but a line does not:
+#: a no-break, a thin and an ideographic space after the digits, and a
+#: no-break space before them
+UNICODE_SPACED = ("1\u00a0", "1\u2009", "1\u3000", "\u00a01")
 
 
-@pytest.mark.parametrize("token", ("abc", "", "3.0", "-3", "6_5_5_2_1") + NOT_ASCII_DECIMAL)
+@pytest.mark.parametrize(
+    "token", ("abc", "", "3.0", "-3", "6_5_5_2_1") + NOT_ASCII_DECIMAL + UNICODE_SPACED
+)
 def test_a_prime_that_is_not_an_integer_is_a_bad_prime(token):
     with pytest.raises(ParseError) as err:
         parse(f"instance linear\nprime {token}\n")

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -28,6 +29,7 @@ from acgw import (
     Document,
     FinSetInstance,
     GenConfig,
+    HorMor,
     LinearInstance,
     SquareClass,
     gen_complex,
@@ -361,6 +363,22 @@ def test_a_literal_inclusion_builds_no_dict(monkeypatch):
     # calls, 139 of them on (sub, sub) payloads; after that, the bar level
     # the reader lifts still took 3 and the homology spans 2.
     assert sum(calls.values()) == 0
+
+
+def test_a_spelled_inclusion_is_read_without_the_pair_regex():
+    inst = FinSetInstance()
+    src, tgt = inst.obj_from_text("a b c"), inst.obj_from_text("a b c d")
+    refused = mock.Mock(fullmatch=mock.Mock(side_effect=AssertionError("pair regex")))
+    with mock.patch.object(finset, "_PAIRS_LINE_RE", refused):
+        got = inst.mor_from_text(HorMor, src, tgt, "a->a b->b c->c")
+    assert got.data[0] is got.data[1] is src
+    # in other whitespace the line takes the regex, and still reads as the
+    # source's tuple
+    regex = mock.Mock(wraps=finset._PAIRS_LINE_RE)
+    with mock.patch.object(finset, "_PAIRS_LINE_RE", regex):
+        tabbed = inst.mor_from_text(HorMor, src, tgt, "a->a\tb->b c->c")
+    assert regex.fullmatch.call_count == 1
+    assert tabbed == got and tabbed.data[0] is tabbed.data[1] is src
 
 
 @pytest.mark.parametrize(
