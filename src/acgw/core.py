@@ -148,7 +148,7 @@ class HorMor:
     ``__dict__`` and outside ``==``, ``hash``, ``repr`` and pickling, the
     finite-set instance memoizes the morphism's dict, inverse dict, image
     set and the rest of its target (and a complement leg keeps the image
-    it complements).
+    it complements), and both instances keep its document text.
     """
 
     source: Any
@@ -165,9 +165,8 @@ class VerMor:
     For finite sets the payload is again an injection of ids as
     ``(sources, images)``; for the linear instance it is the matrix of the
     underlying surjection ``target ->> source`` (shape
-    ``source.dim x target.dim``), held as for :class:`HorMor`.  The
-    finite-set instance keeps the same memos beside ``data`` as for
-    :class:`HorMor`.
+    ``source.dim x target.dim``), held as for :class:`HorMor`.  Each
+    instance keeps the same memos beside ``data`` as for :class:`HorMor`.
     """
 
     source: Any

@@ -190,7 +190,7 @@ def _content(line: int, text: str, key: str) -> str:
     head, sep, rest = text.partition(":")
     if not sep:
         raise ParseError(line, f"missing ':' in {key} line")
-    return rest.strip()
+    return rest.strip(_ASCII_SPACE)
 
 
 @dataclass
@@ -275,7 +275,7 @@ def _scan(text: str):
         deg = _degree(no, deg_tok)
         if deg in store:
             raise ParseError(no, f"repeated {key} degree {deg}")
-        store[deg] = (no, payload.strip())
+        store[deg] = (no, payload.strip(_ASCII_SPACE))
 
     for no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip(_ASCII_SPACE)
@@ -346,10 +346,11 @@ def _scan(text: str):
                 store = current.objects if head == "object" else current.transitions
                 if deg in store:
                     raise ParseError(no, f"repeated {head} degree {deg}")
+                payload = payload.strip(_ASCII_SPACE)
                 if head == "object":
-                    store[deg] = (no, payload.strip())
+                    store[deg] = (no, payload)
                 else:
-                    store[deg] = current.last = _RawTransition(no, payload.strip())
+                    store[deg] = current.last = _RawTransition(no, payload)
                 continue
             if head in ("up:", "down:", "up", "down"):
                 key = head.rstrip(":")
@@ -376,7 +377,8 @@ def _scan(text: str):
             rows, fields = _SNAKE_LINES[current.strong]
             if key in rows:
                 store = current.rows
-                value = [part.strip() for part in _content(no, stripped, key).split("|")]
+                parts = _content(no, stripped, key).split("|")
+                value = [part.strip(_ASCII_SPACE) for part in parts]
                 if len(value) != len(rows[key]):
                     what = f"{key} row wants {len(rows[key])} object(s) separated by '|'"
                     raise ParseError(no, what)

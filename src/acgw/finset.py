@@ -58,7 +58,13 @@ increasing, as every written document's are, is taken as it stands,
 without a dict or a sort.  A pair line's sources equal to its source
 object are that object's tuple, and images equal to its sources are
 the sources tuple, so an inclusion spelled with other whitespace reads
-as one too.
+as one too.  A morphism's pair text is written once and kept beside
+its payload, and the reader keeps a line that already is that text: a
+spelled inclusion the comparison found, and a line whose sources are
+increasing and whose whitespace is one space between pairs: it is
+printable (the space is the one printable whitespace character) and
+holds one space fewer than it has pairs.  A read document is then
+written back from its lines.
 
 :meth:`FinSetInstance.validate_payload` checks a payload whose endpoints
 are valid: sources equal to that source tuple are sorted, total
@@ -127,9 +133,15 @@ def _payload(mapping: dict[str, str]) -> tuple[FinSetObj, FinSetObj]:
     return sources, tuple(map(mapping.__getitem__, sources))
 
 
-#: the memo keys of a morphism's derived values and of a complement leg's kept image
-_MEMO_KEYS = _MAP, _INVERSE, _IMAGE, _REST, _KEPT = (
-    "_finset_map", "_finset_inverse", "_finset_image", "_finset_rest", "_finset_kept"
+#: the memo keys of a morphism's derived values, of a complement leg's
+#: kept image and of a morphism's pair text
+_MEMO_KEYS = _MAP, _INVERSE, _IMAGE, _REST, _KEPT, _TEXT = (
+    "_finset_map",
+    "_finset_inverse",
+    "_finset_image",
+    "_finset_rest",
+    "_finset_kept",
+    "_finset_text",
 )
 
 
@@ -197,6 +209,13 @@ def _inclusion(mor_type: type, sub: FinSetObj, ambient: FinSetObj) -> HorMor | V
 def _pairs_text(sources, images) -> str:
     """A payload as a document writes it: ``src->tgt`` pairs."""
     return " ".join(map("->".join, zip(sources, images)))
+
+
+@_memoized(_TEXT)
+def _text(f: HorMor | VerMor) -> str:
+    """The pairs of ``f`` as a document writes them: the line the reader
+    kept, or :func:`_pairs_text` written once."""
+    return _pairs_text(*f.data)
 
 
 def _increasing(xs) -> bool:
@@ -458,7 +477,9 @@ class FinSetInstance(AcgwInstance):
             # the source's inclusion as mor_text writes it; the source, an
             # object the reader built, is canonical, so these pairs are
             # valid and in order
-            return mor_type(source, target, (source, source))
+            mor = mor_type(source, target, (source, source))
+            mor.__dict__[_TEXT] = text
+            return mor
         if _PAIRS_LINE_RE.fullmatch(text):
             # every token holds one ``->``: its ids alternate source, image
             ids = text.replace("->", " ").split()
@@ -470,7 +491,13 @@ class FinSetInstance(AcgwInstance):
                     sources = source
                 if images == sources:
                     images = sources
-                return mor_type(source, target, (sources, images))
+                mor = mor_type(source, target, (sources, images))
+                # the one printable whitespace is the space, so the n - 1
+                # separators of n pairs are one space each, and none is at
+                # either end
+                if text.isprintable() and text.count(" ") == len(sources) - 1:
+                    mor.__dict__[_TEXT] = text
+                return mor
             out = dict(zip(sources, images))
             if len(out) == len(sources):
                 return mor_type(source, target, _payload(out))
@@ -488,7 +515,7 @@ class FinSetInstance(AcgwInstance):
     def mor_text(self, mor, leg=False):
         sources, images = mor.data
         default = sources == images if leg else not sources
-        return None if default else _pairs_text(sources, images)
+        return None if default else _text(mor)
 
     # ----- rank oracle ---------------------------------------------------
     def boundary_matrix(self, up: VerMor, low: HorMor) -> np.ndarray:

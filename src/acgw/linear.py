@@ -84,6 +84,17 @@ In documents an object is written ``dim N``, with N at most 4,096, and a
 morphism as its stored matrix in JSON, of the stored shape; an omitted
 leg, level or snake morphism is zero.  Kernels and complements come in
 fresh coordinates, so a snake section gives each of its morphisms.
+A morphism's text is written once and kept beside its payload (by
+:func:`acgw.core._memoized`).  The reader keeps a line that already is
+that text, so a read document is written back without ``json.dumps``.
+It decides this without writing the matrix: a line that decodes to an
+``r x c`` matrix (r >= 1) of entries in [0, p) holds exactly
+``(r-1) + r max(c-1, 0)`` commas, and it is canonical exactly when each
+comma is followed by one space and its length is that of the brackets,
+those commas and spaces and the decimal digits of the entries.  Any other
+spelling is longer: more whitespace, or a token such as ``true`` or
+``-0`` longer than its value's decimal.  With no rows the line must be
+``[]``.
 """
 
 from __future__ import annotations
@@ -106,6 +117,7 @@ from .core import (
     SquareClass,
     ValidationError,
     VerMor,
+    _memoized,
     parse_decimal,
 )
 
@@ -429,6 +441,34 @@ class _Matrix:
         return _Matrix, (self.array,)
 
 
+#: the memo key of a morphism's document text: the line the reader kept,
+#: or the text :meth:`LinearInstance.mor_text` wrote once
+_TEXT = "_linear_text"
+
+
+@_memoized(_TEXT)
+def _text(f: HorMor | VerMor) -> str:
+    return json.dumps(f.data.array.tolist())
+
+
+def _canonical(text: str, arr: np.ndarray, top: int) -> bool:
+    """Whether ``text``, a JSON line that decodes to the rows of ``arr``,
+    whose entries lie in [0, p) with ``top`` the largest, is exactly
+    ``json.dumps`` of those rows, decided without writing them.  The shape
+    fixes the brackets and commas; one space after each comma and a
+    canonical decimal per entry then give the length, and any other
+    spelling (more whitespace, ``true``, ``-0``) is longer."""
+    rows, cols = arr.shape
+    if not rows:
+        return text == "[]"
+    commas = rows - 1 + rows * max(cols - 1, 0)
+    digits, power = arr.size, 10
+    while power <= top:
+        digits += int(np.count_nonzero(arr >= power))
+        power *= 10
+    return len(text) == 2 + 2 * rows + 2 * commas + digits and text.count(", ") == commas
+
+
 def _shape(mor_type: type, source: VectObj, target: VectObj) -> tuple[int, int]:
     """The shape of the stored matrix: ``target x source`` for a horizontal
     morphism, ``source x target`` for a vertical one."""
@@ -703,7 +743,7 @@ class LinearInstance(AcgwInstance):
         return [f"prime {self.p}"]
 
     def obj_from_text(self, text: str) -> VectObj:
-        m = re.match(r"dim\s+(\S+)\Z", text)
+        m = re.match(r"dim[ \t]+(\S+)\Z", text)
         dim = parse_decimal(m.group(1)) if m else None
         if dim is None:
             raise ValidationError([f"want: dim N, got {text!r}"])
@@ -716,7 +756,8 @@ class LinearInstance(AcgwInstance):
 
     def mor_from_text(self, mor_type, source, target, text, leg=False):
         """A JSON list of integer rows of the stored shape; an omitted leg
-        or level is zero, and ``[]`` a matrix with no rows."""
+        or level is zero, and ``[]`` a matrix with no rows.  A line that
+        is already the text :meth:`mor_text` writes is kept for it."""
         shape = _shape(mor_type, source, target)
         if text is None:
             return self._mor(mor_type, source, target, np.zeros(shape, np.int64))
@@ -741,12 +782,20 @@ class LinearInstance(AcgwInstance):
                 arr = np.asarray(data, dtype=np.int64)
             except (ValueError, OverflowError) as exc:
                 raise ValidationError([f"bad matrix: {exc}"]) from None
-        mor = self._mor(mor_type, source, target, arr)
+        # the decoded array is the reader's own: it is stored as it is when
+        # its entries lie in [0, p) already, and only then may the line be
+        # the text mor_text writes.  Read as unsigned, a negative entry
+        # lies above every prime.
+        top = int(arr.view(np.uint64).max()) if arr.size else 0
+        reduced = top < self.p
+        mor = mor_type(source, target, _Matrix(arr if reduced else arr % self.p))
         _matrix(mor, *shape)
+        if reduced and _canonical(text, arr, top):
+            mor.__dict__[_TEXT] = text
         return mor
 
     def mor_text(self, mor, leg=False):
-        return json.dumps(mor.data.array.tolist())
+        return _text(mor)
 
     # ----- rank oracle -----------------------------------------------------------
     def boundary_matrix(self, up: VerMor, low: HorMor) -> np.ndarray:

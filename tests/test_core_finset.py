@@ -1080,6 +1080,54 @@ def test_a_canonical_inclusion_line_reads_as_its_source_tuple():
     assert parse(serialize(doc)) == doc
 
 
+#: the whitespace around and between the pairs of a line: mostly what the
+#: writer puts there, nothing at the ends and one space between pairs
+ENDS = st.sampled_from(["", "", "", " ", "\t", "\xa0"])
+GAPS = st.sampled_from([" ", " ", " ", "  ", "\t", " \t", "\xa0", "\u3000"])
+
+
+@st.composite
+def pair_lines(draw):
+    """A pair line on ``PAIR_IDS``: unique sources, sorted or not, each
+    mapped to itself or to another id, in mixed whitespace."""
+    sources = draw(st.lists(st.sampled_from(PAIR_IDS), unique=True, max_size=len(PAIR_IDS)))
+    if draw(st.booleans()):
+        sources.sort()
+    images = [draw(st.sampled_from([x, *PAIR_IDS])) for x in sources]
+    pairs = [f"{x}->{y}" for x, y in zip(sources, images)]
+    line = pairs[0] + "".join(draw(GAPS) + pair for pair in pairs[1:]) if pairs else ""
+    return draw(ENDS) + line + draw(ENDS)
+
+
+# the reader's source ("a", "b") spelled as its inclusion, then in a tab,
+# a doubled space, end spaces, a no-break space, unsorted, relabelled and
+# partial
+@settings(deadline=None, max_examples=300)
+@example("a->a b->b")
+@example("a->a\tb->b")
+@example("a->a  b->b")
+@example(" a->a b->b")
+@example("a->a b->b ")
+@example("a->a\xa0b->b")
+@example("b->b a->a")
+@example("a->b b->a")
+@example("b->a a->b")
+@example("10->a 9->b")
+@example("9->9")
+@example("")
+@given(pair_lines())
+def test_a_read_pair_line_is_written_as_the_writer_writes_it(text):
+    src = finset_obj("ab")
+    got = INST.mor_from_text(HorMor, src, src, text)
+    sources, images = got.data
+    for leg, default in ((False, not sources), (True, sources == images)):
+        want = None if default else finset._pairs_text(sources, images)
+        assert INST.mor_text(got, leg=leg) == want
+    if sources and text == finset._pairs_text(sources, images):
+        # a canonical line is written back as the very string read
+        assert INST.mor_text(got) is text
+
+
 @pytest.mark.parametrize(
     "text,problem",
     [

@@ -270,6 +270,31 @@ def test_a_dimension_is_ascii_digits(token):
     assert str(err.value) == f"line 4: object 1: want: dim N, got 'dim {token}'"
 
 
+LINEAR_X = "instance linear\nprime 3\ncomplex X:\n  object 1: dim 1\n"
+
+
+def test_a_no_break_space_after_a_dimension_is_not_stripped():
+    with pytest.raises(ParseError) as err:
+        parse("instance linear\nprime 3\ncomplex X:\n  object 1: dim 2\u00a0\n")
+    assert str(err.value) == "line 4: object 1: want: dim N, got 'dim 2\\xa0'"
+
+
+def test_a_no_break_space_does_not_separate_dim_from_its_number():
+    with pytest.raises(ParseError) as err:
+        parse("instance linear\nprime 3\ncomplex X:\n  object 1: dim\u00a02\n")
+    assert str(err.value) == "line 4: object 1: want: dim N, got 'dim\\xa02'"
+
+
+def test_a_no_break_space_after_a_matrix_is_not_stripped():
+    # JSON whitespace is ASCII: the line keeps the space, and is no matrix
+    with pytest.raises(ParseError) as err:
+        parse(LINEAR_X + "hor f: X -> X\n  level 1: [[1]]\u00a0\n")
+    assert str(err.value).startswith("line 6: level 1: bad matrix: Extra data")
+    # ASCII spaces and tabs around it are stripped
+    f = parse(LINEAR_X + "hor f: X -> X\n  level 1:\t[[1]] \t\n").hor_named("f")
+    assert f.level(1).data.array.tolist() == [[1]]
+
+
 @pytest.mark.parametrize(
     ("text", "problem"),
     [

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acgw import (
@@ -1151,6 +1151,88 @@ def test_a_payload_round_trips_hashes_and_prints_as_its_rows(drawn):
     for copied in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
         assert copied == f and hash(copied) == hash(f)
         assert not copied.data.array.flags.writeable
+
+
+#: primes whose entries straddle powers of ten: 10 < 11, 100 < 101 and
+#: 10^18 < 2^63 - 25
+TEXT_PRIMES = (2, 7, 11, 101, 65521, 2**31 - 1, 2**63 - 25)
+#: JSON whitespace: mostly none, as the writer puts it
+TEXT_SPACES = st.sampled_from(["", "", "", "", " ", "  ", "\t", "\n"])
+
+
+@st.composite
+def matrix_lines(draw):
+    """A prime, a flavour, the dimensions of its ends and a JSON line of
+    the stored shape, spelled as the writer spells it or not: whitespace
+    dropped, doubled and moved, tabs, ``true``, ``false`` and ``-0``, and
+    entries outside [0, p) that read as the same value mod p."""
+    p = draw(st.sampled_from(TEXT_PRIMES))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    hor = draw(st.booleans())
+    near = [v for v in (0, 1, 9, 10, 99, 100, 10**9, 10**18, p - 1) if v < p]
+    entries = st.one_of(st.integers(0, p - 1), st.sampled_from(near))
+    if draw(st.booleans()):
+        spell, gap, pad = str, ", ", ""
+    else:
+        spellings = {0: ["-0", "false"], 1: ["true"]}
+
+        def spell(v):
+            other = [str(v - p), *([str(v + p)] if v + p < 2**63 else []), *spellings.get(v, [])]
+            return draw(st.sampled_from([str(v), str(v), *other]))
+
+        gap, pad = None, None
+
+    def joined(parts):
+        if not parts:
+            return "[" + (pad if pad is not None else draw(TEXT_SPACES)) + "]"
+        out = []
+        for part in parts:
+            if gap is None:
+                part = draw(TEXT_SPACES) + part + draw(TEXT_SPACES)
+            out.append(part)
+        return "[" + (gap if gap is not None else "," + draw(TEXT_SPACES)).join(out) + "]"
+
+    text = joined([joined([spell(draw(entries)) for _ in range(cols)]) for _ in range(rows)])
+    source, target = (cols, rows) if hor else (rows, cols)
+    return p, HorMor if hor else VerMor, source, target, text
+
+
+# a canonical line, then the same matrix with spaces dropped and doubled,
+# a space moved, a tab, a newline, ``true``, ``-0``, entries of p + 1
+# and p, a negative entry, a space inside an empty row, and entries of
+# more than one digit
+@settings(deadline=None, max_examples=400)
+@example((7, HorMor, 2, 2, "[[1, 0], [0, 1]]"))
+@example((7, HorMor, 2, 2, "[[1,0], [0,  1]]"))
+@example((7, HorMor, 2, 2, "[[1, 0],[0, 1] ]"))
+@example((7, HorMor, 2, 2, "[[1, 0], [0,\t1]]"))
+@example((7, HorMor, 2, 2, "[[1, 0],\n[0, 1]]"))
+@example((7, HorMor, 2, 2, "[[true, 0], [0, 1]]"))
+@example((7, HorMor, 2, 2, "[[1, -0], [0, 1]]"))
+@example((7, HorMor, 2, 2, "[[8, 0], [0, 1]]"))
+@example((7, HorMor, 2, 2, "[[7, 0], [0, 1]]"))
+@example((7, HorMor, 2, 2, "[[1, 0], [0, -6]]"))
+@example((7, HorMor, 0, 2, "[[], []]"))
+@example((7, HorMor, 0, 2, "[[],[] ]"))
+@example((7, VerMor, 0, 2, "[]"))
+@example((7, VerMor, 0, 2, "[ ]"))
+@example((11, VerMor, 1, 2, "[[10, 9]]"))
+@example((11, VerMor, 1, 2, "[[10,9] ]"))
+@example((101, VerMor, 1, 3, "[[100, 99, 10]]"))
+@example((2**63 - 25, VerMor, 1, 2, f"[[{10**18}, {2**63 - 26}]]"))
+@example((2**63 - 25, VerMor, 1, 2, f"[[{10**18},{2**63 - 26}] ]"))
+@given(matrix_lines())
+def test_a_read_matrix_is_written_as_the_writer_writes_it(drawn):
+    p, mor_type, source, target, text = drawn
+    L = LinearInstance(p)
+    f = L.mor_from_text(mor_type, L.obj(source), L.obj(target), text)
+    # the reader stores the entries mod p, whether it keeps the line or not
+    assert f.data.array.tolist() == [[int(v) % p for v in row] for row in json.loads(text)]
+    fresh = json.dumps(f.data.array.tolist())
+    assert L.mor_text(f) == fresh
+    if text == fresh:
+        # a canonical line is written back as the very string read
+        assert L.mor_text(f) is text
 
 
 @settings(deadline=None, max_examples=60)

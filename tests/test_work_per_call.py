@@ -381,6 +381,24 @@ def test_a_spelled_inclusion_is_read_without_the_pair_regex():
     assert tabbed == got and tabbed.data[0] is tabbed.data[1] is src
 
 
+def test_a_read_matrix_is_written_back_without_json():
+    from perfbench.generate import linear_complex_doc  # the linear_homology documents
+
+    text = linear_complex_doc(random.Random(1), 40, 65521).text
+    doc = parse(text)
+    refused = mock.Mock(side_effect=AssertionError("json.dumps"))
+    with mock.patch.object(linear.json, "dumps", refused):
+        assert serialize(doc) == text
+    # a computed morphism, such as a complement leg, is still written
+    leg = doc.complex_named("X").transition(1).into_upper
+    _, computed = doc.inst.coker(leg)
+    dumps = mock.Mock(wraps=linear.json.dumps)
+    with mock.patch.object(linear.json, "dumps", dumps):
+        written = doc.inst.mor_text(computed)
+    assert dumps.call_count == 1
+    assert written == linear.json.dumps(computed.data.array.tolist())
+
+
 @pytest.mark.parametrize(
     "inst,ambient",
     [(FinSetInstance(), "a b"), (LinearInstance(3), "dim 2")],
